@@ -52,7 +52,7 @@ pub struct CityConfig {
     pub devices: u64,
     /// Physical shard count.
     pub shards: u32,
-    /// Worker threads (degrades to 1 without the `parallel` feature).
+    /// Worker threads for rounds big enough to step in parallel.
     pub threads: u32,
     /// Master seed.
     pub seed: u64,

@@ -16,8 +16,8 @@
 //! engine, [`ShardSim`]: per-shard event queues under a
 //! partition-independent `(time, actor, seq)` total order, a
 //! deterministic cross-shard merge batched at time-step barriers, and
-//! optional scoped-thread parallel stepping (`parallel` feature, on by
-//! default). Same seed ⇒ byte-identical outputs for any shard or thread
+//! scoped-thread parallel stepping of the rounds big enough to repay
+//! it. Same seed ⇒ byte-identical outputs for any shard or thread
 //! count, so parallelism never costs reproducibility.
 //!
 //! Main pieces:

@@ -4,9 +4,9 @@
 //! the paper's regatta-sized testbeds, a ceiling for city-scale
 //! populations. [`ShardSim`] is the scale engine: the actor population is
 //! partitioned into physical shards, each with its own event queue, and
-//! shards step a simulated time instant *in parallel*, exchanging
-//! cross-shard messages only at time-step barriers through a
-//! deterministic merge.
+//! shards step a simulated time instant independently — *in parallel*
+//! when the round is big enough — exchanging cross-shard messages only
+//! at time-step barriers through a deterministic merge.
 //!
 //! # Ordering model
 //!
@@ -51,19 +51,35 @@
 //!
 //! # Parallelism
 //!
-//! With the `parallel` crate feature (on by default) shards are stepped
-//! by scoped OS threads; without it, or with `threads = 1`, the engine
-//! degrades to a sequential loop over shards in index order. The
-//! hermetic build vendors no rayon, so the worker pool is
-//! `std::thread::scope` over contiguous shard chunks — same contract,
-//! zero dependencies. Worker count never influences outputs, only
-//! wall-clock speed.
+//! A round's shards are stepped either on the calling thread, in shard
+//! index order, or on scoped OS threads over contiguous shard chunks
+//! (`std::thread::scope`: the hermetic build vendors no rayon). Handing
+//! a round to fresh workers costs tens of microseconds, far more than a
+//! round of a few events, so a round goes to the workers only when the
+//! previous round processed at least `PARALLEL_CROSSOVER_EVENTS` events
+//! — a count the barrier takes anyway. Neither the worker count nor
+//! which rounds go parallel influences outputs, only wall-clock speed.
 
 use crate::rng::DetRng;
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt;
+
+/// Events the previous round must have processed for a round to be
+/// stepped on worker threads; smaller rounds run on the calling thread.
+///
+/// Spawning and joining a round's scoped workers costs ~70 µs on a
+/// 2-vCPU host (perfbench `simkit.shard.barrier_us` at 2 threads),
+/// against ~1 µs for a round stepped sequentially. Two workers at best
+/// halve a round's event work, so a round of `n` events at `c` per event
+/// repays the hand-off once `n · c / 2 > barrier`, i.e.
+/// `n > 2 · barrier / c`: ≈ 90 events at the broker fleet's ~1.5 µs
+/// per event (`simkit.shard.event_ns`, handler included) and ≈ 900 at
+/// the bare engine's ~150 ns (`simkit.shard.engine_event_ns`). 512 sits
+/// between the two: the fleet's ~5-event rounds stay on the calling
+/// thread, scale_city's 8k–32k-event rounds go parallel.
+const PARALLEL_CROSSOVER_EVENTS: u64 = 512;
 
 /// Identifier of a physical shard (a group of actors stepped together).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -122,9 +138,9 @@ pub struct ShardConfig {
     pub seed: u64,
     /// Physical shard (queue) count; at least 1.
     pub shards: u32,
-    /// Worker threads stepping shards each round; at least 1. Without
-    /// the `parallel` feature any value degrades to 1. Never affects
-    /// outputs.
+    /// Worker threads stepping shards in a round large enough to repay
+    /// the hand-off (smaller rounds run on the calling thread); at
+    /// least 1, at most `shards` are used. Never affects outputs.
     pub threads: u32,
     /// Keep the full merged transcript of [`EventCtx::emit`] records.
     /// Off, only the running digest and counts are kept (the 100k-device
@@ -240,6 +256,9 @@ impl Log2Hist {
 pub struct EngineProfile {
     /// Barrier rounds executed.
     pub rounds: u64,
+    /// Rounds whose shards were stepped on worker threads; the others
+    /// ran on the calling thread. Depends on the thread count.
+    pub parallel_rounds: u64,
     /// Events executed per physical shard (cumulative).
     pub events_per_shard: Vec<u64>,
     /// Peak event-queue depth observed per physical shard.
@@ -267,8 +286,9 @@ impl EngineProfile {
     /// A compact multi-line rendering for run artifacts.
     pub fn table(&self) -> String {
         let mut out = format!(
-            "rounds={} batch_mean={} batch_max={} stall_mean={} stall_max={}\n",
+            "rounds={} parallel_rounds={} batch_mean={} batch_max={} stall_mean={} stall_max={}\n",
             self.rounds,
+            self.parallel_rounds,
             self.batch_events.mean(),
             self.batch_events.max(),
             self.barrier_imbalance.mean(),
@@ -467,6 +487,9 @@ pub struct ShardSim<A, E, H> {
     messages: u64,
     dead_letters: u64,
     rounds: u64,
+    /// Events the previous round processed: picks the next round's
+    /// thread count.
+    last_round_events: u64,
     transcript: Vec<String>,
     emitted: u64,
     digest: u64,
@@ -493,7 +516,7 @@ where
     H: Fn(&mut A, &mut EventCtx<'_, E>, E) + Sync,
 {
     /// Creates an engine. `shards` and `threads` are clamped to at
-    /// least 1; without the `parallel` feature `threads` degrades to 1.
+    /// least 1.
     pub fn new(cfg: ShardConfig, handler: H) -> Self {
         let shards = cfg.shards.max(1);
         ShardSim {
@@ -509,6 +532,7 @@ where
             messages: 0,
             dead_letters: 0,
             rounds: 0,
+            last_round_events: 0,
             transcript: Vec::new(),
             emitted: 0,
             digest: FNV_OFFSET,
@@ -531,7 +555,10 @@ where
     pub fn add_actor(&mut self, actor: ActorId, state: A) -> bool {
         let shard = self.shard_of(actor).0 as usize;
         let rng = DetRng::for_actor(self.cfg.seed, actor);
-        match self.shards[shard].actors.entry(actor.0) {
+        let Some(home) = self.shards.get_mut(shard) else {
+            return false;
+        };
+        match home.actors.entry(actor.0) {
             std::collections::btree_map::Entry::Occupied(_) => false,
             std::collections::btree_map::Entry::Vacant(v) => {
                 v.insert(ActorSlot {
@@ -557,7 +584,10 @@ where
     pub fn schedule(&mut self, actor: ActorId, at: SimTime, ev: E) -> Result<(), ActorId> {
         let at = at.max(self.now);
         let shard = self.shard_of(actor).0 as usize;
-        let Some(slot) = self.shards[shard].actors.get_mut(&actor.0) else {
+        let Some(home) = self.shards.get_mut(shard) else {
+            return Err(actor);
+        };
+        let Some(slot) = home.actors.get_mut(&actor.0) else {
             return Err(actor);
         };
         let key = EventKey {
@@ -566,14 +596,15 @@ where
             seq: slot.next_seq,
         };
         slot.next_seq += 1;
-        self.shards[shard].queue.push(Entry { key, ev });
+        home.queue.push(Entry { key, ev });
         Ok(())
     }
 
     /// Read access to an actor's state (e.g. for post-run assertions).
     pub fn actor_state(&self, actor: ActorId) -> Option<&A> {
         let shard = self.shard_of(actor).0 as usize;
-        self.shards[shard].actors.get(&actor.0).map(|s| &s.state)
+        let slot = self.shards.get(shard)?.actors.get(&actor.0)?;
+        Some(&slot.state)
     }
 
     /// Current virtual time.
@@ -632,13 +663,9 @@ where
         self.cfg.shards
     }
 
-    /// Worker threads a round will actually use.
+    /// Worker threads a round large enough to go parallel will use.
     pub fn effective_threads(&self) -> u32 {
-        if cfg!(feature = "parallel") {
-            self.cfg.threads.min(self.cfg.shards).max(1)
-        } else {
-            1
-        }
+        self.cfg.threads.min(self.cfg.shards).max(1)
     }
 
     fn next_time(&self) -> Option<SimTime> {
@@ -680,11 +707,16 @@ where
     }
 
     /// One time step: every shard drains its events at `t` (in key
-    /// order, in parallel across shards), then the barrier merges
+    /// order; across shards in parallel when the previous round was big
+    /// enough to repay the hand-off), then the barrier merges
     /// cross-shard traffic and transcript records deterministically.
     fn round(&mut self, t: SimTime) {
         self.rounds += 1;
-        let threads = self.effective_threads() as usize;
+        let threads = if self.last_round_events >= PARALLEL_CROSSOVER_EVENTS {
+            self.effective_threads() as usize
+        } else {
+            1
+        };
         let handler = &self.handler;
         let outs: Vec<RoundOut<E>> =
             run_shards(&mut self.shards, threads, |shard| drain_step(shard, t, handler));
@@ -694,6 +726,9 @@ where
         // the merged result is identical for any shard/thread layout.
         // Profile pass first (outs is consumed by the merge below).
         self.profile.rounds += 1;
+        if threads > 1 {
+            self.profile.parallel_rounds += 1;
+        }
         let mut batch_max = 0u64;
         let mut batch_min = u64::MAX;
         for (i, out) in outs.iter().enumerate() {
@@ -710,17 +745,23 @@ where
 
         let mut sends: Vec<Outgoing<E>> = Vec::new();
         let mut emits: Vec<(EventKey, String)> = Vec::new();
+        let processed_before = self.processed;
         for out in outs {
             self.processed += out.processed;
             sends.extend(out.sends);
             emits.extend(out.emits);
         }
+        self.last_round_events = self.processed - processed_before;
         sends.sort_by_key(|m| (m.from_key, m.index));
         emits.sort_by_key(|e| e.0);
 
         for m in sends {
-            let shard = (m.dest.0 % u64::from(self.cfg.shards)) as usize;
-            let Some(slot) = self.shards[shard].actors.get_mut(&m.dest.0) else {
+            let shard = self.shard_of(m.dest).0 as usize;
+            let Some(home) = self.shards.get_mut(shard) else {
+                self.dead_letters += 1;
+                continue;
+            };
+            let Some(slot) = home.actors.get_mut(&m.dest.0) else {
                 self.dead_letters += 1;
                 continue;
             };
@@ -731,7 +772,7 @@ where
             };
             slot.next_seq += 1;
             self.messages += 1;
-            self.shards[shard].queue.push(Entry { key, ev: m.ev });
+            home.queue.push(Entry { key, ev: m.ev });
         }
 
         // Queue peaks after the merge landed its deliveries.
@@ -813,20 +854,6 @@ where
     if threads <= 1 || shards.len() <= 1 {
         return shards.iter_mut().map(f).collect();
     }
-    parallel_run_shards(shards, threads, f)
-}
-
-#[cfg(feature = "parallel")]
-fn parallel_run_shards<A, E, F>(
-    shards: &mut [ShardState<A, E>],
-    threads: usize,
-    f: F,
-) -> Vec<RoundOut<E>>
-where
-    A: Send,
-    E: Send,
-    F: Fn(&mut ShardState<A, E>) -> RoundOut<E> + Sync,
-{
     let chunk = shards.len().div_ceil(threads);
     let f = &f;
     std::thread::scope(|scope| {
@@ -843,18 +870,6 @@ where
         }
         outs
     })
-}
-
-#[cfg(not(feature = "parallel"))]
-fn parallel_run_shards<A, E, F>(
-    shards: &mut [ShardState<A, E>],
-    _threads: usize,
-    f: F,
-) -> Vec<RoundOut<E>>
-where
-    F: Fn(&mut ShardState<A, E>) -> RoundOut<E>,
-{
-    shards.iter_mut().map(f).collect()
 }
 
 #[cfg(test)]
@@ -914,6 +929,74 @@ mod tests {
                 let got = ring_run(7, 24, shards, threads);
                 assert_eq!(got, reference, "diverged at shards={shards} threads={threads}");
             }
+        }
+    }
+
+    /// A world whose rounds exceed the parallel crossover: every actor
+    /// fires at once, and each event either re-runs its actor later in
+    /// the same round (zero-delay self-schedule) or fans out to two
+    /// other actors, so the merge draws several seqs per destination.
+    fn busy_run(shards: u32, threads: u32) -> ((u64, Vec<String>, u64), EngineProfile) {
+        let n = 2 * PARALLEL_CROSSOVER_EVENTS;
+        let cfg = ShardConfig {
+            seed: 13,
+            shards,
+            threads,
+            record_transcript: true,
+        };
+        let handler = move |count: &mut u64, ctx: &mut EventCtx<'_, u32>, hop| {
+            *count += 1;
+            let draw = ctx.rng().next_u64();
+            ctx.emit(format!("hop={hop} draw={}", draw & 0xff));
+            if hop == 0 {
+                return;
+            }
+            if draw & 1 == 0 {
+                ctx.schedule_self(SimDuration::ZERO, hop - 1);
+            } else {
+                let a = ctx.actor().0;
+                let dests = [ActorId((a * 7 + 1) % n), ActorId(a / 2)];
+                ctx.send_many(dests, SimDuration::from_millis(1), hop - 1);
+            }
+        };
+        let mut sim = ShardSim::new(cfg, handler);
+        for a in 0..n {
+            sim.add_actor(ActorId(a), 0u64);
+            sim.schedule(ActorId(a), SimTime::ZERO, 4).unwrap();
+        }
+        sim.run_until_idle();
+        let profile = sim.profile().clone();
+        let run = (
+            sim.digest(),
+            sim.transcript().to_vec(),
+            sim.events_processed(),
+        );
+        (run, profile)
+    }
+
+    #[test]
+    fn rounds_above_the_crossover_go_parallel_without_changing_outputs() {
+        let (reference, seq) = busy_run(1, 1);
+        assert_eq!(seq.parallel_rounds, 0);
+        assert!(
+            seq.rounds > 1 && reference.2 > seq.rounds * PARALLEL_CROSSOVER_EVENTS,
+            "rounds must exceed the crossover: {} events over {} rounds",
+            reference.2,
+            seq.rounds
+        );
+        for threads in [1, 2, ShardConfig::max_threads(), 64] {
+            let (got, profile) = busy_run(16, threads);
+            assert_eq!(got, reference, "diverged at threads={threads}");
+            assert_eq!(profile.rounds, seq.rounds);
+            assert_eq!(
+                profile.parallel_rounds > 0,
+                threads > 1,
+                "threads={threads} parallel_rounds={}",
+                profile.parallel_rounds
+            );
+            let table = profile.table();
+            let row = format!("parallel_rounds={} ", profile.parallel_rounds);
+            assert!(table.contains(&row), "table:\n{table}");
         }
     }
 

@@ -16,26 +16,30 @@
 #    transcript and the scale_city outcome must be byte-identical
 #    across shard counts {1, 4, 16} and thread counts {1, max, 64}
 #    (DESIGN.md §5f);
-# 5. the Fig. 5 failover bench, which asserts the recovery SLO
+# 5. the perf gate: perfbench's self-test runs every benchmark workload
+#    at toy size on a held-out seed with its output checks; the fleet
+#    report must be identical at 1 and max(nproc, 2) engine threads
+#    (perfbench/README.md);
+# 6. the Fig. 5 failover bench, which asserts the recovery SLO
 #    (worst provisioning gap <= 45 s) from the FailoverReport;
-# 6. the obs gate: the sm_breakup bench re-measures the paper's §6.1
+# 7. the obs gate: the sm_breakup bench re-measures the paper's §6.1
 #    latency break-up from obskit spans and asserts each phase share
 #    (connection 4-5 %, serialization 26-33 %, thread switching
 #    12-14 %, transfer 51-54 %) within ±3 pp (DESIGN.md §5d);
-# 7. the broker gate: the brokerd subsystem in all three harnesses —
+# 8. the broker gate: the brokerd subsystem in all three harnesses —
 #    unit suite, loopback TCP smoke, fleet partition invariance, the
 #    45 s kill-over SLO and the 1696 B envelope golden test
 #    (scripts/broker.sh, DESIGN.md §5h);
-# 8. the trace gate: the tracekit causal-tracing plane — unit suite,
+# 9. the trace gate: the tracekit causal-tracing plane — unit suite,
 #    assembly property tests, golden JSONL/break-up schemas, fleet
 #    trace partition invariance and the STATS/TRACE ops surface
 #    (scripts/trace.sh, DESIGN.md §5i);
-# 9. the chaos gate: the chaoskit layer — lossy-link chaos streams,
+# 10. the chaos gate: the chaoskit layer — lossy-link chaos streams,
 #    the dedup window's exactly-once filter, forward retry/backoff,
 #    crash-restart recovery with lease renewal + anti-entropy, the
 #    chaos property tests and the hardened wire surface
 #    (scripts/chaos.sh, DESIGN.md §5j);
-# 10. the bench gate: bench_all re-runs the whole §6 suite (now
+# 11. the bench gate: bench_all re-runs the whole §6 suite (now
 #    including scale_city at 100k devices, broker_load at 10k devices
 #    over 4 brokers, and broker_chaos at 10k devices under lossy
 #    links with a mid-run crash-restart), rewrites results/*.txt +
@@ -61,6 +65,9 @@ cargo test -q --test proptests
 
 echo "==> shard gate (partition/thread invariance, DESIGN.md 5f)"
 cargo test -q --test shard_determinism
+
+echo "==> perf gate (perfbench self-test: workload output checks at 1 and max(nproc, 2) threads)"
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --selftest
 
 echo "==> Fig. 5 failover bench (recovery SLO)"
 cargo run -q --release -p contory-bench --bin fig5_failover
