@@ -18,7 +18,7 @@
 
 use crate::world::NodeId;
 use phone::{Consumer, Milliwatts, Phone, PowerModel};
-use simkit::{DetRng, ShardId, Sim, SimDuration, SimTime};
+use simkit::{DetRng, Sim, SimDuration, SimTime};
 use std::any::Any;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -125,9 +125,6 @@ struct ModemState {
     power: PowerModel,
     phone: Phone,
     rng: DetRng,
-    /// Partition the modem's receive side lives on; downlink deliveries
-    /// carry this as their ordering tag. Shard 0 unless assigned.
-    shard: ShardId,
 }
 
 impl ModemState {
@@ -165,9 +162,6 @@ struct NetworkInner {
     modems: BTreeMap<NodeId, Rc<RefCell<ModemState>>>,
     uplink_handler: Option<UplinkHandler>,
     server_rng: DetRng,
-    /// Partition the fixed-side endpoint lives on; uplink deliveries
-    /// carry this as their ordering tag. Shard 0 unless assigned.
-    server_shard: ShardId,
 }
 
 /// The operator network plus the fixed-side endpoint (where the context
@@ -187,7 +181,6 @@ impl CellNetwork {
                 modems: BTreeMap::new(),
                 uplink_handler: None,
                 server_rng: DetRng::new(seed),
-                server_shard: ShardId::ZERO,
             })),
         }
     }
@@ -209,7 +202,6 @@ impl CellNetwork {
             power: phone.power().clone(),
             phone: phone.clone(),
             rng: DetRng::new(seed),
-            shard: ShardId::ZERO,
         }));
         let mut inner = self.inner.borrow_mut();
         let prev = inner.modems.insert(node, state);
@@ -223,16 +215,6 @@ impl CellNetwork {
     /// Installs the fixed-side handler receiving every uplink message.
     pub fn on_uplink(&self, f: impl Fn(NodeId, Payload) + 'static) {
         self.inner.borrow_mut().uplink_handler = Some(Rc::new(f));
-    }
-
-    /// Assigns the fixed-side endpoint (uplink receiver) to a shard of
-    /// the partitioned engine. Shard 0 unless assigned.
-    pub fn set_server_shard(&self, shard: ShardId) {
-        self.inner.borrow_mut().server_shard = shard;
-    }
-
-    fn server_shard(&self) -> ShardId {
-        self.inner.borrow().server_shard
     }
 
     /// Sends `payload` down to a phone. Latency follows the downlink
@@ -262,10 +244,7 @@ impl CellNetwork {
             sim.now(),
         );
         let net = self.clone();
-        // Cross-node delivery: tagged with the destination modem's shard
-        // so the event order matches the partitioned engine's merge.
-        let dest_shard = self.shard_of(node);
-        sim.schedule_in_sharded(dest_shard, latency, move || {
+        sim.schedule_in(latency, move || {
             obskit::end(span, net.sim().now());
             let Some(state) = net.state_of(node) else {
                 return;
@@ -298,16 +277,6 @@ impl CellNetwork {
 
     fn state_of(&self, node: NodeId) -> Option<Rc<RefCell<ModemState>>> {
         self.inner.borrow().modems.get(&node).cloned()
-    }
-
-    /// The shard a node's modem receive side lives on (shard 0 when the
-    /// node has no modem or was never assigned).
-    fn shard_of(&self, node: NodeId) -> ShardId {
-        self.inner
-            .borrow()
-            .modems
-            .get(&node)
-            .map_or(ShardId::ZERO, |m| m.borrow().shard)
     }
 }
 
@@ -342,18 +311,6 @@ impl CellModem {
     /// The node this modem belongs to.
     pub fn node(&self) -> NodeId {
         self.node
-    }
-
-    /// Assigns the modem's receive side to a shard of the partitioned
-    /// engine; downlink deliveries to it carry the shard as their
-    /// ordering tag. Shard 0 unless assigned.
-    pub fn set_shard(&self, shard: ShardId) {
-        self.state().borrow_mut().shard = shard;
-    }
-
-    /// The shard the modem's receive side is assigned to.
-    pub fn shard(&self) -> ShardId {
-        self.state().borrow().shard
     }
 
     fn state(&self) -> Rc<RefCell<ModemState>> {
@@ -543,10 +500,7 @@ impl CellModem {
             sim.now(),
         );
         let me = self.clone();
-        // Delivery at the fixed side: tagged with the server's shard so
-        // the event order matches the partitioned engine's merge.
-        let dest_shard = self.network.server_shard();
-        sim.schedule_in_sharded(dest_shard, latency, move || {
+        sim.schedule_in(latency, move || {
             obskit::end(span, me.network.sim().now());
             {
                 let state = me.state();

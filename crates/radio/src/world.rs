@@ -6,7 +6,7 @@
 //! interpolation, enough to model sailing boats drifting along a regatta
 //! course.
 
-use simkit::{ShardId, Sim, SimTime};
+use simkit::{Sim, SimTime};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -111,8 +111,9 @@ impl Mobility {
                     return first_p;
                 }
                 for w in points.windows(2) {
-                    let (t0, p0) = w[0];
-                    let (t1, p1) = w[1];
+                    let &[(t0, p0), (t1, p1)] = w else {
+                        continue;
+                    };
                     if t <= t1 {
                         let span = (t1 - t0).as_secs_f64();
                         let frac = if span == 0.0 {
@@ -135,12 +136,6 @@ struct Inner {
     /// Nodes whose radios are dead (churn/partition fault injection):
     /// they keep a position but drop out of every topology answer.
     down: BTreeSet<NodeId>,
-    /// Partition assignment for the sharded engine: nodes not present
-    /// live on shard 0 (the whole-world default). The assignment is an
-    /// event-ordering *tag*, never a topology answer, so it cannot
-    /// change what a scenario computes — only how its same-instant
-    /// events tie-break, which matches the partitioned merge order.
-    shards: BTreeMap<NodeId, ShardId>,
     next_id: u32,
 }
 
@@ -169,7 +164,6 @@ impl World {
                 sim: sim.clone(),
                 nodes: BTreeMap::new(),
                 down: BTreeSet::new(),
-                shards: BTreeMap::new(),
                 next_id: 0,
             })),
         }
@@ -257,28 +251,6 @@ impl World {
         for &n in nodes {
             self.set_node_up(n, false);
         }
-    }
-
-    /// Assigns a node to a shard (partition of the sharded engine).
-    /// Unassigned nodes live on shard 0. Radios use the assignment to
-    /// tag cross-node deliveries with the receiver's shard, preserving
-    /// the partitioned merge order. Unknown ids are a no-op.
-    pub fn set_shard(&self, node: NodeId, shard: ShardId) {
-        let mut inner = self.inner.borrow_mut();
-        if inner.nodes.contains_key(&node) {
-            inner.shards.insert(node, shard);
-        }
-    }
-
-    /// The shard a node is assigned to (shard 0 when unassigned or
-    /// unknown).
-    pub fn shard_of(&self, node: NodeId) -> ShardId {
-        self.inner
-            .borrow()
-            .shards
-            .get(&node)
-            .copied()
-            .unwrap_or(ShardId::ZERO)
     }
 
     /// All registered nodes.
@@ -454,19 +426,6 @@ mod tests {
         assert!(!w.is_node_up(NodeId(77)));
         w.set_node_up(a, true);
         assert!(w.is_node_up(a));
-    }
-
-    #[test]
-    fn shard_assignment_defaults_to_zero() {
-        let sim = Sim::new();
-        let w = World::new(&sim);
-        let a = w.add_node(Position::ORIGIN);
-        assert_eq!(w.shard_of(a), ShardId::ZERO);
-        w.set_shard(a, ShardId(3));
-        assert_eq!(w.shard_of(a), ShardId(3));
-        // Unknown node: no-op assignment, zero answer.
-        w.set_shard(NodeId(99), ShardId(7));
-        assert_eq!(w.shard_of(NodeId(99)), ShardId::ZERO);
     }
 
     #[test]

@@ -87,35 +87,18 @@ impl BtGpsDevice {
                 inner.borrow_mut().links.retain(|&l| l != link);
             });
         }
-        // Streaming loop. Each tick executes *on the puck*, so it is
-        // scheduled with the puck's shard as its ordering tag (re-read
-        // every round: partition assignment may happen after creation).
-        // With everything on shard 0 this is the classic repeating
-        // timer, tick for tick.
+        // Streaming loop: one burst per `interval`, for as long as the
+        // simulation runs (an unpowered puck keeps ticking so it can be
+        // repowered).
         {
             let inner = device.inner.clone();
             let bt = bt.clone();
             let sim2 = sim.clone();
-            let world2 = world.clone();
-            fn tick(
-                sim: Sim,
-                world: World,
-                node: NodeId,
-                interval: SimDuration,
-                f: Rc<dyn Fn()>,
-            ) {
-                let shard = world.shard_of(node);
-                let s = sim.clone();
-                sim.schedule_in_sharded(shard, interval, move || {
-                    f();
-                    tick(s, world, node, interval, f);
-                });
-            }
-            let burst_fn: Rc<dyn Fn()> = Rc::new(move || {
+            sim.schedule_repeating(interval, move || {
                 let (burst, links) = {
                     let mut st = inner.borrow_mut();
                     if !st.powered {
-                        return; // keep ticking; maybe repowered later
+                        return true;
                     }
                     let now = sim2.now();
                     let burst = st.gps.nmea_burst(now);
@@ -132,8 +115,8 @@ impl BtGpsDevice {
                         bt.send(link, wire, Rc::new(sentence.clone()), |_res| {});
                     }
                 }
+                true
             });
-            tick(sim.clone(), world2, node, interval, burst_fn);
         }
         device
     }

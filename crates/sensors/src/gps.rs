@@ -210,20 +210,20 @@ pub fn parse_gga(sentence: &str) -> Option<Position> {
     }
     let body = sentence.strip_prefix('$')?.split('*').next()?;
     let fields: Vec<&str> = body.split(',').collect();
-    if fields.len() < 6 {
+    let [_, _, lat, lat_hemi, lon, lon_hemi, ..] = fields.as_slice() else {
         return None;
-    }
-    let lat = parse_coord(fields[2], fields[3], 2)?;
-    let lon = parse_coord(fields[4], fields[5], 3)?;
+    };
+    let lat = parse_coord(lat, lat_hemi, 2)?;
+    let lon = parse_coord(lon, lon_hemi, 3)?;
     Some(geo_to_world(lat, lon))
 }
 
+/// `value` is `d…dmm.mmmm` with `deg_digits` degree digits. `str::get`
+/// gives `None`, not a panic, when a split lands inside a multi-byte
+/// character.
 fn parse_coord(value: &str, hemi: &str, deg_digits: usize) -> Option<f64> {
-    if value.len() < deg_digits + 1 {
-        return None;
-    }
-    let deg: f64 = value[..deg_digits].parse().ok()?;
-    let min: f64 = value[deg_digits..].parse().ok()?;
+    let deg: f64 = value.get(..deg_digits)?.parse().ok()?;
+    let min: f64 = value.get(deg_digits..)?.parse().ok()?;
     let v = deg + min / 60.0;
     Some(match hemi {
         "S" | "W" => -v,
@@ -312,5 +312,14 @@ mod tests {
     fn parse_gga_rejects_other_sentences() {
         assert!(parse_gga("$GPRMC,whatever*00").is_none());
         assert!(parse_gga("garbage").is_none());
+    }
+
+    #[test]
+    fn parse_gga_rejects_non_ascii_coordinates() {
+        // The degree/minute split of "1é3" lands inside the 'é'.
+        let s = "$GPGGA,120000,1é3,N,02457.0000,E,1,08,0.9,0.0,M,,,*00";
+        assert!(parse_gga(s).is_none());
+        assert!(parse_gga("$GPGGA,120000,6009.0000,N,02é7.0,E*00").is_none());
+        assert!(parse_gga("$GPGGA,120000,60,N,02457.0000,E*00").is_none());
     }
 }

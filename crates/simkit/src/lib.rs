@@ -67,5 +67,5 @@ pub mod trace;
 pub use faults::{FaultInjector, FaultPlan};
 pub use rng::DetRng;
 pub use shard::{ActorId, EventCtx, EventKey, ShardConfig, ShardId, ShardSim};
-pub use sim::{Sim, TimerId};
+pub use sim::Sim;
 pub use time::{SimDuration, SimTime};

@@ -58,8 +58,9 @@ impl DetRng {
     /// Stateless derivation of a component stream from `(seed, salt)` —
     /// unlike [`DetRng::fork`] it consumes no parent state, so the
     /// result is a pure function of its arguments. The sharded engine
-    /// builds per-actor and per-shard streams this way, which is what
-    /// keeps random draws independent of registration order and of the
+    /// builds its per-actor streams this way ([`DetRng::for_actor`]), and
+    /// [`crate::faults`] its per-link chaos streams, which is what keeps
+    /// random draws independent of registration order and of the
     /// physical partition layout.
     pub fn derive(seed: u64, salt: u64) -> DetRng {
         let mut sm = seed;
@@ -67,12 +68,6 @@ impl DetRng {
         let mut sm2 = salt ^ 0xD6E8_FEB8_6659_FD93;
         let b = splitmix64(&mut sm2);
         DetRng::new(a ^ b.rotate_left(17))
-    }
-
-    /// The deterministic stream of a physical shard: a pure function of
-    /// `(seed, shard)`.
-    pub fn for_shard(seed: u64, shard: crate::shard::ShardId) -> DetRng {
-        DetRng::derive(seed, 0x5AD0_0000_0000_0000 ^ u64::from(shard.0))
     }
 
     /// The deterministic stream of a logical actor: a pure function of
@@ -288,14 +283,6 @@ mod tests {
         let mut y = DetRng::derive(5, 101);
         let same = (0..32).filter(|_| x.next_u64() == y.next_u64()).count();
         assert!(same < 2, "adjacent salts must yield independent streams");
-    }
-
-    #[test]
-    fn actor_and_shard_streams_are_disjoint_namespaces() {
-        use crate::shard::{ActorId, ShardId};
-        let a = DetRng::for_actor(9, ActorId(3)).next_u64();
-        let s = DetRng::for_shard(9, ShardId(3)).next_u64();
-        assert_ne!(a, s, "actor 3 and shard 3 must not share a stream");
     }
 
     #[test]

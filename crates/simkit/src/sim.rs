@@ -5,45 +5,29 @@
 //! bounded variants) drains the queue in timestamp order, advancing the
 //! virtual clock to each event's due time before running it.
 //!
-//! Events scheduled for the same instant run in scheduling order (FIFO),
-//! which keeps simulations deterministic.
-//!
-//! Every event additionally carries a [`ShardId`] ordering tag, giving
-//! the queue the same Lamport-style `(time, shard, seq)` total order the
-//! partitioned engine ([`crate::shard::ShardSim`]) uses. A plain [`Sim`]
-//! lives entirely on shard 0, where the tag is constant and the order
-//! degenerates to the classic `(time, seq)` FIFO — existing scenarios
-//! are bit-for-bit unaffected. Components that know their delivery
-//! target's shard (radio links crossing a partition boundary) tag their
-//! events via [`Sim::schedule_at_sharded`]/[`Sim::schedule_in_sharded`],
-//! so a future move of the scenario onto `ShardSim` preserves ordering.
+//! The queue is ordered by `(time, seq)`, where `seq` counts schedule
+//! calls: events due at the same instant run in scheduling order (FIFO).
+//! That includes zero-delay work an event schedules for its own instant,
+//! which runs after every event already queued for that instant. One
+//! queue on one thread steps every phone, radio and the infrastructure;
+//! the partitioned, multi-threaded engine is [`crate::shard::ShardSim`].
 
-use crate::shard::ShardId;
 use crate::time::{SimDuration, SimTime};
 use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::collections::BTreeSet;
 use std::fmt;
 use std::rc::Rc;
 
-/// Identifier of a scheduled event, used to cancel it.
-///
-/// Returned by [`Sim::schedule_at`] and friends.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct TimerId(u64);
-
 struct Entry {
     at: SimTime,
-    shard: ShardId,
     seq: u64,
-    id: TimerId,
     f: Box<dyn FnOnce()>,
 }
 
 impl PartialEq for Entry {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.shard == other.shard && self.seq == other.seq
+        self.at == other.at && self.seq == other.seq
     }
 }
 impl Eq for Entry {}
@@ -54,21 +38,16 @@ impl PartialOrd for Entry {
 }
 impl Ord for Entry {
     // BinaryHeap is a max-heap; invert so the earliest event pops first.
-    // The `(time, shard, seq)` key matches the partitioned engine's
-    // total order; with every tag on shard 0 it is the classic
-    // `(time, seq)` FIFO.
     fn cmp(&self, other: &Self) -> Ordering {
-        (other.at, other.shard, other.seq).cmp(&(self.at, self.shard, self.seq))
+        (other.at, other.seq).cmp(&(self.at, self.seq))
     }
 }
 
 #[derive(Default)]
 struct Inner {
     now: SimTime,
-    shard: ShardId,
     next_seq: u64,
     queue: BinaryHeap<Entry>,
-    cancelled: BTreeSet<TimerId>,
     processed: u64,
 }
 
@@ -106,23 +85,9 @@ impl fmt::Debug for Sim {
 }
 
 impl Sim {
-    /// Creates a simulator with the clock at [`SimTime::ZERO`], homed on
-    /// shard 0.
+    /// Creates a simulator with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
         Sim::default()
-    }
-
-    /// Creates a simulator homed on the given shard: untagged schedules
-    /// carry `shard` as their ordering tag instead of shard 0.
-    pub fn for_shard(shard: ShardId) -> Self {
-        let sim = Sim::default();
-        sim.inner.borrow_mut().shard = shard;
-        sim
-    }
-
-    /// The shard this simulator is homed on (the default ordering tag).
-    pub fn shard(&self) -> ShardId {
-        self.inner.borrow().shard
     }
 
     /// Current virtual time.
@@ -135,8 +100,7 @@ impl Sim {
         self.inner.borrow().processed
     }
 
-    /// Number of events still queued (including cancelled ones not yet
-    /// reaped).
+    /// Number of events still queued.
     pub fn pending(&self) -> usize {
         self.inner.borrow().queue.len()
     }
@@ -145,70 +109,33 @@ impl Sim {
     ///
     /// Events scheduled in the past run at the current time, never rewinding
     /// the clock.
-    pub fn schedule_at(&self, at: SimTime, f: impl FnOnce() + 'static) -> TimerId {
-        let shard = self.shard();
-        self.schedule_at_sharded(shard, at, f)
-    }
-
-    /// Schedules `f` to run `delay` after the current time.
-    pub fn schedule_in(&self, delay: SimDuration, f: impl FnOnce() + 'static) -> TimerId {
-        let at = self.now() + delay;
-        self.schedule_at(at, f)
-    }
-
-    /// Schedules `f` at absolute time `at` with an explicit shard
-    /// ordering tag — the delivery-side shard of a cross-partition
-    /// event. Same-instant events order by `(shard, seq)`, matching the
-    /// partitioned engine's merge, so a scenario keeps its event order
-    /// when moved onto [`crate::shard::ShardSim`].
-    pub fn schedule_at_sharded(
-        &self,
-        shard: ShardId,
-        at: SimTime,
-        f: impl FnOnce() + 'static,
-    ) -> TimerId {
+    pub fn schedule_at(&self, at: SimTime, f: impl FnOnce() + 'static) {
         let mut inner = self.inner.borrow_mut();
         let at = at.max(inner.now);
         let seq = inner.next_seq;
         inner.next_seq += 1;
-        let id = TimerId(seq);
         inner.queue.push(Entry {
             at,
-            shard,
             seq,
-            id,
             f: Box::new(f),
         });
-        id
     }
 
-    /// Schedules `f` to run `delay` after the current time, tagged with
-    /// an explicit delivery shard (see [`Sim::schedule_at_sharded`]).
-    pub fn schedule_in_sharded(
-        &self,
-        shard: ShardId,
-        delay: SimDuration,
-        f: impl FnOnce() + 'static,
-    ) -> TimerId {
+    /// Schedules `f` to run `delay` after the current time.
+    pub fn schedule_in(&self, delay: SimDuration, f: impl FnOnce() + 'static) {
         let at = self.now() + delay;
-        self.schedule_at_sharded(shard, at, f)
+        self.schedule_at(at, f)
     }
 
     /// Schedules `f` to run every `interval`, starting one `interval` from
-    /// now, until `f` returns `false`.
-    ///
-    /// Returns the id of the *first* tick; cancelling it before it fires
-    /// stops the whole series (later ticks get fresh ids internally, so stop
-    /// a running series by returning `false`).
+    /// now, until `f` returns `false`. Each tick runs `f` and then re-arms,
+    /// so the next tick queues behind anything `f` scheduled for the same
+    /// instant.
     ///
     /// # Panics
     ///
     /// Panics if `interval` is zero (the series would never advance time).
-    pub fn schedule_repeating(
-        &self,
-        interval: SimDuration,
-        f: impl FnMut() -> bool + 'static,
-    ) -> TimerId {
+    pub fn schedule_repeating(&self, interval: SimDuration, f: impl FnMut() -> bool + 'static) {
         assert!(!interval.is_zero(), "repeating interval must be non-zero");
         let sim = self.clone();
         let f = Rc::new(RefCell::new(f));
@@ -222,36 +149,23 @@ impl Sim {
         self.schedule_in(interval, move || tick(sim.clone(), interval, f))
     }
 
-    /// Cancels a scheduled event. Cancelling an already-run or unknown id is
-    /// a no-op.
-    pub fn cancel(&self, id: TimerId) {
-        self.inner.borrow_mut().cancelled.insert(id);
-    }
-
     /// Runs the next pending event, advancing the clock to its due time.
     ///
     /// Returns `false` if the queue was empty.
     pub fn step(&self) -> bool {
-        loop {
-            let entry = {
-                let mut inner = self.inner.borrow_mut();
-                match inner.queue.pop() {
-                    None => return false,
-                    Some(e) => {
-                        if inner.cancelled.remove(&e.id) {
-                            continue;
-                        }
-                        debug_assert!(e.at >= inner.now, "event queue went backwards");
-                        inner.now = e.at;
-                        inner.processed += 1;
-                        e
-                    }
-                }
+        let entry = {
+            let mut inner = self.inner.borrow_mut();
+            let Some(e) = inner.queue.pop() else {
+                return false;
             };
-            // Borrow released: the event may freely schedule or cancel.
-            (entry.f)();
-            return true;
-        }
+            debug_assert!(e.at >= inner.now, "event queue went backwards");
+            inner.now = e.at;
+            inner.processed += 1;
+            e
+        };
+        // Borrow released: the event may freely schedule.
+        (entry.f)();
+        true
     }
 
     /// Runs events until the queue is empty.
@@ -329,6 +243,30 @@ mod tests {
     }
 
     #[test]
+    fn same_instant_work_from_an_event_runs_after_the_queued_events() {
+        let sim = Sim::new();
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let t = SimTime::from_millis(5);
+        {
+            let (log, s) = (log.clone(), sim.clone());
+            sim.schedule_at(t, move || {
+                log.borrow_mut().push("a");
+                let l = log.clone();
+                s.schedule_in(SimDuration::ZERO, move || l.borrow_mut().push("a+0"));
+                let l = log.clone();
+                s.schedule_at(SimTime::ZERO, move || l.borrow_mut().push("a+past"));
+            });
+        }
+        for tag in ["b", "c"] {
+            let log = log.clone();
+            sim.schedule_at(t, move || log.borrow_mut().push(tag));
+        }
+        sim.run_until_idle();
+        assert_eq!(*log.borrow(), ["a", "b", "c", "a+0", "a+past"]);
+        assert_eq!(sim.now(), t);
+    }
+
+    #[test]
     fn events_can_schedule_events() {
         let sim = Sim::new();
         let done = Rc::new(Cell::new(0u64));
@@ -344,26 +282,6 @@ mod tests {
         sim.run_until_idle();
         assert_eq!(done.get(), 2);
         assert_eq!(sim.now(), SimTime::from_millis(2));
-    }
-
-    #[test]
-    fn cancel_prevents_execution() {
-        let sim = Sim::new();
-        let fired = Rc::new(Cell::new(false));
-        let f = fired.clone();
-        let id = sim.schedule_in(SimDuration::from_millis(1), move || f.set(true));
-        sim.cancel(id);
-        sim.run_until_idle();
-        assert!(!fired.get());
-        // clock does not advance for cancelled events
-        assert_eq!(sim.now(), SimTime::ZERO);
-    }
-
-    #[test]
-    fn cancel_unknown_id_is_noop() {
-        let sim = Sim::new();
-        sim.cancel(TimerId(999));
-        assert!(!sim.step());
     }
 
     #[test]
@@ -421,60 +339,6 @@ mod tests {
         let sim = Sim::new();
         sim.run_until(SimTime::from_secs(9));
         assert_eq!(sim.now(), SimTime::from_secs(9));
-    }
-
-    #[test]
-    fn same_time_events_order_by_shard_then_seq() {
-        let sim = Sim::new();
-        let log = Rc::new(RefCell::new(Vec::new()));
-        // Scheduled in reverse shard order at the same instant: the
-        // shard tag, not FIFO order, must win.
-        for (shard, tag) in [(2u32, "s2"), (0, "s0a"), (1, "s1"), (0, "s0b")] {
-            let log = log.clone();
-            sim.schedule_at_sharded(ShardId(shard), SimTime::from_millis(5), move || {
-                log.borrow_mut().push(tag)
-            });
-        }
-        sim.run_until_idle();
-        assert_eq!(*log.borrow(), ["s0a", "s0b", "s1", "s2"]);
-    }
-
-    #[test]
-    fn shard_zero_tags_preserve_classic_fifo() {
-        // Tagging everything shard 0 (what every legacy caller does via
-        // plain schedule_at) must reproduce the untagged FIFO exactly.
-        let sim = Sim::new();
-        let log = Rc::new(RefCell::new(Vec::new()));
-        for tag in ["first", "second", "third"] {
-            let log = log.clone();
-            sim.schedule_in_sharded(ShardId::ZERO, SimDuration::from_millis(5), move || {
-                log.borrow_mut().push(tag)
-            });
-        }
-        sim.run_until_idle();
-        assert_eq!(*log.borrow(), ["first", "second", "third"]);
-    }
-
-    #[test]
-    fn for_shard_homes_untagged_schedules() {
-        let sim = Sim::for_shard(ShardId(3));
-        assert_eq!(sim.shard(), ShardId(3));
-        let log = Rc::new(RefCell::new(Vec::new()));
-        {
-            let log = log.clone();
-            // Untagged: inherits the home shard (3).
-            sim.schedule_at(SimTime::from_millis(1), move || log.borrow_mut().push("home"));
-        }
-        {
-            let log = log.clone();
-            // Explicitly earlier shard at the same instant runs first.
-            sim.schedule_at_sharded(ShardId(1), SimTime::from_millis(1), move || {
-                log.borrow_mut().push("early-shard")
-            });
-        }
-        sim.run_until_idle();
-        assert_eq!(*log.borrow(), ["early-shard", "home"]);
-        assert_eq!(Sim::new().shard(), ShardId::ZERO);
     }
 
     #[test]

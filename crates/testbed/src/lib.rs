@@ -20,4 +20,4 @@ mod scenario;
 pub use convert::{item_to_record, reading_to_item, record_to_item};
 pub use harness::{measure_async, run_until_flag, EnergyProbe};
 pub use refs_impl::{SimBtReference, SimCellReference, SimInternalReference, SimWifiReference};
-pub use scenario::{PhoneSetup, Testbed, TestbedConfig, TestbedPhone};
+pub use scenario::{PhoneSetup, Testbed, TestbedPhone};

@@ -19,37 +19,12 @@ use radio::cell::{CellModem, CellNetwork, CellParams};
 use radio::wifi::{WifiMedium, WifiParams, WifiRadio};
 use radio::{NodeId, Position, World};
 use sensors::{BtGpsDevice, EnvField, Environment, WeatherStation};
-use simkit::{FaultInjector, FaultPlan, ShardId, Sim, SimDuration, SimTime};
+use simkit::{FaultInjector, FaultPlan, Sim, SimDuration, SimTime};
 use smartmsg::{SmNode, SmParams, SmPlatform};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
-
-/// Testbed-wide configuration.
-#[derive(Clone, Debug)]
-pub struct TestbedConfig {
-    /// Master seed; everything derives from it deterministically.
-    pub seed: u64,
-    /// Ground-truth environment seed.
-    pub env_seed: u64,
-    /// Partition count for the sharded engine: devices are assigned to
-    /// shards round-robin in creation order, and radio deliveries carry
-    /// the receiver's shard as their event-ordering tag. 1 (the
-    /// default) keeps every node on shard 0 — the classic sequential
-    /// path, bit-for-bit.
-    pub shards: u32,
-}
-
-impl Default for TestbedConfig {
-    fn default() -> Self {
-        TestbedConfig {
-            seed: 2006,
-            env_seed: 2005,
-            shards: 1,
-        }
-    }
-}
 
 /// Per-device setup passed to [`Testbed::add_phone`].
 #[derive(Clone, Debug)]
@@ -231,7 +206,8 @@ pub struct Testbed {
     pub broker: EventBroker,
     /// Remote context infrastructure.
     pub infra: ContextInfrastructure,
-    cfg: TestbedConfig,
+    /// Master seed; every device seed derives from it.
+    seed: u64,
     entities: Rc<RefCell<BTreeMap<String, NodeId>>>,
     /// Keeps every assembled device alive: a phone does not vanish from
     /// the simulated world when the caller drops its handle.
@@ -240,14 +216,15 @@ pub struct Testbed {
 }
 
 impl Testbed {
-    /// Builds an empty testbed.
-    pub fn new(cfg: TestbedConfig) -> Self {
+    /// Builds an empty testbed; everything derives from `seed`
+    /// deterministically.
+    pub fn with_seed(seed: u64) -> Self {
         let sim = Sim::new();
         let world = World::new(&sim);
-        let env = Environment::new(cfg.env_seed);
+        let env = Environment::new(seed ^ 0xe57);
         let bt = BtMedium::new(&sim, &world, BtParams::default());
         let wifi = WifiMedium::new(&sim, &world, WifiParams::default());
-        let cell = CellNetwork::new(&sim, CellParams::default(), cfg.seed ^ 0xce11);
+        let cell = CellNetwork::new(&sim, CellParams::default(), seed ^ 0xce11);
         let sm = SmPlatform::new(&sim, SmParams::default());
         let broker = EventBroker::new(&sim, &cell);
         let infra = ContextInfrastructure::new(&sim, &broker);
@@ -261,42 +238,17 @@ impl Testbed {
             sm,
             broker,
             infra,
-            cfg,
+            seed,
             entities: Rc::new(RefCell::new(BTreeMap::new())),
             devices: RefCell::new(Vec::new()),
             next_seed: std::cell::Cell::new(1),
         }
     }
 
-    /// A testbed with default configuration.
-    pub fn with_seed(seed: u64) -> Self {
-        Testbed::new(TestbedConfig {
-            seed,
-            env_seed: seed ^ 0xe57,
-            ..TestbedConfig::default()
-        })
-    }
-
-    /// A testbed partitioned over `shards` shards (see
-    /// [`TestbedConfig::shards`]). `with_seed_and_shards(s, 1)` is
-    /// exactly [`Testbed::with_seed`]`(s)`.
-    pub fn with_seed_and_shards(seed: u64, shards: u32) -> Self {
-        Testbed::new(TestbedConfig {
-            seed,
-            env_seed: seed ^ 0xe57,
-            shards: shards.max(1),
-        })
-    }
-
-    /// The shard a node is assigned to (shard 0 when unassigned).
-    pub fn shard_of(&self, node: NodeId) -> ShardId {
-        self.world.shard_of(node)
-    }
-
     fn fresh_seed(&self) -> u64 {
         let s = self.next_seed.get();
         self.next_seed.set(s + 1);
-        self.cfg.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ s
+        self.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ s
     }
 
     /// Resolves an entity name to its node.
@@ -327,11 +279,6 @@ impl Testbed {
     }
 
     fn add_phone_at_node(&self, setup: PhoneSetup, node: NodeId) -> Rc<TestbedPhone> {
-        // Round-robin partition assignment in creation order; with the
-        // default 1-shard config every device stays on shard 0 and no
-        // event tag ever differs from the classic path.
-        let shard = ShardId(self.devices.borrow().len() as u32 % self.cfg.shards.max(1));
-        self.world.set_shard(node, shard);
         let spec = setup.model.spec();
         let phone = Phone::new(
             &self.sim,
@@ -371,7 +318,6 @@ impl Testbed {
 
         // Cellular + Fuego (all models have at least 2G data).
         let modem = self.cell.attach(node, &phone, self.fresh_seed());
-        modem.set_shard(shard);
         if setup.cell_on {
             modem.set_radio(true);
         }

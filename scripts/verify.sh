@@ -12,10 +12,11 @@
 #    (DESIGN.md §5c, §5g);
 # 3. the failure-scenario suite in isolation — every scenario runs
 #    across the three fixed seeds baked into the suite (11, 22, 33);
-# 4. the shard gate: the partition-invariance suite — the Fig. 5
-#    transcript and the scale_city outcome must be byte-identical
-#    across shard counts {1, 4, 16} and thread counts {1, max, 64}
-#    (DESIGN.md §5f);
+# 4. the shard gate: the partition-invariance suite on the partitioned
+#    ShardSim engine — the broker-fleet trace transcript and the
+#    scale_city outcome at shard counts {4, 16} x thread counts
+#    {1, max} must be byte-identical to 1 shard on 1 thread, and
+#    scale_city also at 64 threads (DESIGN.md §5f);
 # 5. the perf gate: perfbench's self-test runs every benchmark workload
 #    at toy size on a held-out seed with its output checks; the fleet
 #    report must be identical at 1 and max(nproc, 2) engine threads

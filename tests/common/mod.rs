@@ -1,14 +1,15 @@
 //! Shared transcript machinery for the determinism suites.
 //!
-//! [`run_fig5_transcript`] runs the Fig. 5 BT-GPS outage scenario on a
-//! testbed partitioned into `shards` ordering domains and renders
-//! everything observable about the run into one string: event counts,
-//! the mechanism-switch timeline, every delivered item, the serialized
-//! `FailoverReport`, the obskit metrics/span exports, the benchkit
-//! scenario JSON and a fully-sampled tracekit trace export from a small
-//! broker fleet. Both `tests/determinism.rs` (same seed ⇒ same bytes)
-//! and `tests/shard_determinism.rs` (same seed ⇒ same bytes *for every
-//! shard count*) compare these transcripts byte-for-byte.
+//! [`run_fig5_transcript`] runs the Fig. 5 BT-GPS outage scenario on the
+//! classic `Sim` and renders everything observable about the run into
+//! one string: event counts, the mechanism-switch timeline, every
+//! delivered item, the serialized `FailoverReport`, the obskit
+//! metrics/span exports, the benchkit scenario JSON and, last, the
+//! [`fleet_trace_transcript`] of a small broker fleet on one shard and
+//! one thread. `tests/determinism.rs` compares whole transcripts (same
+//! seed ⇒ same bytes); `tests/shard_determinism.rs` compares the fleet
+//! transcript across the shard and thread counts of the partitioned
+//! `ShardSim` engine (same seed ⇒ same bytes *for every partition*).
 
 use benchkit::{Measurement, Unit};
 use contory::{CollectingClient, CxtItem, CxtValue, Mechanism, Trust};
@@ -19,10 +20,10 @@ use std::fmt::Write as _;
 use std::rc::Rc;
 use testbed::{PhoneSetup, Testbed};
 
-/// Runs the Fig. 5 BT-GPS outage scenario on a `shards`-way partitioned
-/// testbed and renders everything observable about the run into one
-/// string.
-pub fn run_fig5_transcript(seed: u64, shards: u32) -> String {
+/// Runs the Fig. 5 BT-GPS outage scenario and renders everything
+/// observable about the run into one string.
+#[allow(dead_code)] // tests/shard_determinism.rs uses only the fleet half
+pub fn run_fig5_transcript(seed: u64) -> String {
     // Observability: the obskit exports and the benchkit scenario-report
     // JSON are part of the transcript, so a nondeterministic counter,
     // span id, float rendering or export ordering diffs too.
@@ -34,7 +35,7 @@ pub fn run_fig5_transcript(seed: u64, shards: u32) -> String {
     );
     let obs = ctx.obs().clone();
     let _obs_guard = obs.install();
-    let tb = Testbed::with_seed_and_shards(seed, shards);
+    let tb = Testbed::with_seed(seed);
     let phone = tb.add_phone(PhoneSetup {
         metered: false,
         ..PhoneSetup::nokia6630("sailor", Position::new(0.0, 0.0))
@@ -158,24 +159,32 @@ pub fn run_fig5_transcript(seed: u64, shards: u32) -> String {
     let _ = writeln!(out, "-- benchkit scenario report (json) --");
     let _ = writeln!(out, "{}", ctx.finish().to_json().render());
 
-    // tracekit export: a small fully-sampled broker fleet partitioned on
-    // the same shard count. The trace plane is partition-invariant, so
-    // the canonical JSONL export, its digest and the assembled break-up
-    // are part of the byte-identity contract too. (Runs after the obskit
-    // sections are rendered, so inline-vs-worker span mirroring cannot
-    // perturb them.)
-    let mut node = brokerd::NodeConfig::default();
-    node.trace_sample_log2 = 0;
+    // Runs after the obskit sections are rendered, so the spans the
+    // fleet mirrors into obskit cannot perturb them.
+    out.push_str(&fleet_trace_transcript(seed, 1, 1));
+    out
+}
+
+/// Runs a small fully-sampled broker fleet on the partitioned `ShardSim`
+/// engine with `shards` shards stepped by `threads` workers, and renders
+/// its report, canonical trace JSONL export, trace digest and assembled
+/// break-up. The trace plane is partition-invariant, so every section
+/// must be byte-identical for every `(shards, threads)`.
+pub fn fleet_trace_transcript(seed: u64, shards: u32, threads: u32) -> String {
     let fleet = brokerd::run_fleet(&brokerd::FleetConfig {
         seed: seed ^ 0x77ace,
         brokers: 3,
         devices: 60,
-        shards: shards.max(1),
-        threads: if shards > 1 { 2 } else { 1 },
+        shards,
+        threads,
         run_for: SimDuration::from_secs(5),
-        node,
+        node: brokerd::NodeConfig {
+            trace_sample_log2: 0,
+            ..brokerd::NodeConfig::default()
+        },
         ..brokerd::FleetConfig::default()
     });
+    let mut out = String::new();
     let _ = writeln!(out, "-- tracekit fleet report --");
     let _ = writeln!(out, "{}", fleet.report());
     let _ = writeln!(out, "-- tracekit trace export (jsonl) --");

@@ -8,8 +8,8 @@
 //! anywhere in the sim-visible stack shows up here as a diff.
 //!
 //! The transcript machinery lives in `tests/common/mod.rs`; the
-//! partition half of the invariant (same bytes for every shard count) is
-//! `tests/shard_determinism.rs`.
+//! partition half of the invariant (same bytes for every shard and
+//! thread count of the partitioned engine) is `tests/shard_determinism.rs`.
 #![deny(warnings)]
 
 mod common;
@@ -21,8 +21,8 @@ use common::run_fig5_transcript;
 #[test]
 fn fig5_scenario_is_seed_reproducible() {
     for seed in [501u64, 11] {
-        let a = run_fig5_transcript(seed, 1);
-        let b = run_fig5_transcript(seed, 1);
+        let a = run_fig5_transcript(seed);
+        let b = run_fig5_transcript(seed);
         assert!(
             a == b,
             "seed {seed}: two runs diverged\n--- first ---\n{a}\n--- second ---\n{b}"
@@ -43,8 +43,8 @@ fn fig5_scenario_is_seed_reproducible() {
 /// (which would mask real nondeterminism).
 #[test]
 fn fig5_scenario_varies_across_seeds_but_stays_in_spec() {
-    let a = run_fig5_transcript(501, 1);
-    let b = run_fig5_transcript(11, 1);
+    let a = run_fig5_transcript(501);
+    let b = run_fig5_transcript(11);
     assert_ne!(
         a, b,
         "seeds 501 and 11 produced identical transcripts — jitter streams look dead"

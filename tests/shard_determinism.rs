@@ -2,18 +2,15 @@
 //! sharded engine, asserted end-to-end.
 //!
 //! Same seed ⇒ byte-identical outputs *regardless of shard or thread
-//! count*:
+//! count*, on the partitioned [`ShardSim`] engine, where shards are
+//! physically separate queues stepped by real threads and merged at
+//! round boundaries:
 //!
-//! * the Fig. 5 failover transcript (events, mechanism switches,
-//!   delivered items, `FailoverReport`, obskit metrics/span exports,
-//!   benchkit scenario JSON) on a testbed partitioned {1, 4, 16} ways —
-//!   the classic `Sim` orders same-instant events by `(time, shard,
-//!   seq)`, so the partition layout must never leak into outputs;
-//! * the `scale_city` gossip model on the partitioned [`ShardSim`]
-//!   engine across shard counts {1, 4, 16} × worker threads {1, max} —
-//!   here shards are physically separate queues stepped by real threads
-//!   and merged at round boundaries, and the outcome (event totals,
-//!   deliveries, folded state checksum) must still be bit-identical.
+//! * the broker-fleet trace transcript (fleet report, canonical trace
+//!   JSONL export, digest and break-up) across shard counts {4, 16} ×
+//!   worker threads {1, max}, against 1 shard on 1 thread;
+//! * the `scale_city` gossip model across the same matrix: event
+//!   totals, deliveries and the folded state checksum.
 //!
 //! Three seeds each, so an ordering leak that happens to cancel for one
 //! jitter stream still shows up.
@@ -21,30 +18,33 @@
 
 mod common;
 
-use common::run_fig5_transcript;
+use common::fleet_trace_transcript;
 use contory_bench::scenarios::scale_city::{run_city, CityConfig};
 use simkit::{ShardConfig, SimDuration};
 
 const SEEDS: [u64; 3] = [501, 11, 42];
 
-/// Fig. 5 on a partitioned testbed: shard counts {1, 4, 16} render the
-/// same transcript byte-for-byte. (The classic `Sim` is single-threaded;
-/// shards are ordering domains, so no thread axis here.)
+/// The broker fleet renders the same trace transcript byte-for-byte
+/// for every shard × thread layout.
 #[test]
-fn fig5_transcript_is_shard_count_invariant() {
+fn fleet_trace_transcript_is_partition_and_thread_invariant() {
+    let max = ShardConfig::max_threads();
     for seed in SEEDS {
-        let reference = run_fig5_transcript(seed, 1);
+        let reference = fleet_trace_transcript(seed, 1, 1);
         assert!(
-            reference.contains("adHocNetwork") || reference.contains("AdHoc"),
-            "seed {seed}: scenario never failed over — comparison proves nothing"
+            reference.contains("\"stage\":\"deliver\"")
+                && reference.contains("\"stage\":\"federate\""),
+            "seed {seed}: no federated deliveries traced — comparison proves nothing"
         );
         for shards in [4u32, 16] {
-            let sharded = run_fig5_transcript(seed, shards);
-            assert!(
-                sharded == reference,
-                "seed {seed}: {shards}-shard transcript diverged from 1-shard\n\
-                 --- 1 shard ---\n{reference}\n--- {shards} shards ---\n{sharded}"
-            );
+            for threads in [1u32, max] {
+                let got = fleet_trace_transcript(seed, shards, threads);
+                assert!(
+                    got == reference,
+                    "seed {seed}: {shards} shards x {threads} threads diverged from 1x1\n\
+                     --- 1x1 ---\n{reference}\n--- {shards}x{threads} ---\n{got}"
+                );
+            }
         }
     }
 }
