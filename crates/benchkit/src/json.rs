@@ -9,7 +9,7 @@
 //! parser preserves encounter order, which keeps parse→render
 //! round-trips stable too.
 
-use std::fmt::Write as _;
+use obskit::json::{escape_into, fmt_f64};
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -213,33 +213,6 @@ impl Json {
 fn push_indent(out: &mut String, depth: usize) {
     for _ in 0..depth {
         out.push_str("  ");
-    }
-}
-
-/// Formats a float as a JSON number. Rust's shortest round-trip `{}`
-/// formatting is deterministic; non-finite values become `null` (JSON
-/// has no NaN/Inf).
-pub fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
-}
-
-fn escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
     }
 }
 

@@ -84,7 +84,7 @@ impl ScenarioReport {
                     self.name,
                     c.id,
                     c.label,
-                    crate::json::fmt_f64(c.value),
+                    obskit::json::fmt_f64(c.value),
                     c.band_text()
                 )
             })
@@ -145,7 +145,7 @@ impl ScenarioReport {
                     if c.pass { "PASS" } else { "FAIL" },
                     c.label,
                     c.id,
-                    crate::json::fmt_f64(c.value),
+                    obskit::json::fmt_f64(c.value),
                     c.band_text()
                 );
             }

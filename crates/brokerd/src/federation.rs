@@ -97,7 +97,6 @@ impl PeerView {
     /// Folds a heard digest into the view (unknown senders are adopted
     /// with zero link latency).
     pub fn absorb(&mut self, digest: &LoadDigest, heard_at: SimTime) {
-        obskit::count("broker_gossip_absorbed", 1);
         let stat = self.peers.entry(digest.broker).or_insert(PeerStat {
             latency_us: 0,
             queue_depth: 0,

@@ -265,10 +265,6 @@ impl SubscriptionTable {
             }
         });
         self.live -= matched.iter().filter(|s| s.mode == SubMode::OneShot).count();
-        if !matched.is_empty() {
-            obskit::count("broker_table_matched", matched.len() as u64);
-        }
-        obskit::gauge("broker_table_live_subs", self.live as f64);
         matched
     }
 
@@ -291,9 +287,6 @@ impl SubscriptionTable {
             }
         }
         due.sort_by_key(|s| s.id);
-        if !due.is_empty() {
-            obskit::count("broker_table_periodic_due", due.len() as u64);
-        }
         due
     }
 
@@ -313,7 +306,6 @@ impl SubscriptionTable {
             stats.packets += before - shard.retained.len();
         }
         self.live -= stats.subscriptions;
-        obskit::gauge("broker_table_live_subs", self.live as f64);
         stats
     }
 }

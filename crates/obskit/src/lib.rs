@@ -13,7 +13,9 @@
 //!   typed [`Phase`] labels;
 //! * exporters — JSONL span stream ([`SpanLog::export_jsonl`]),
 //!   Prometheus-style text snapshot ([`Registry::snapshot`]) and the
-//!   per-query latency [`Breakup`] table.
+//!   per-query latency [`Breakup`] table;
+//! * [`json`] — the one JSON string escaper and float formatter the
+//!   JSON exporters here and benchkit's JSON writer share.
 //!
 //! # Determinism rules
 //!
@@ -29,8 +31,11 @@
 //! functions ([`count`], [`gauge`], [`observe`], [`start`], [`end`],
 //! [`event`]), which record into the innermost [`install`]ed collector
 //! — and no-op when none is installed, so uninstrumented runs are
-//! byte-for-byte unchanged. The simulation is single-threaded, so a
-//! thread-local stack is both safe and deterministic.
+//! byte-for-byte unchanged. The classic `Sim` is single-threaded, so a
+//! thread-local stack is both safe and deterministic there. Code that
+//! `ShardSim` actors run may be stepped on a worker thread, which has
+//! no collector installed, so it never calls these functions: it keeps
+//! its observations in per-actor state the harness folds after the run.
 //!
 //! ```
 //! use obskit::{Obs, Phase};
@@ -54,6 +59,7 @@
 #![warn(missing_docs)]
 
 mod hist;
+pub mod json;
 mod metrics;
 mod span;
 
@@ -193,13 +199,6 @@ impl Obs {
     /// Latency break-up restricted to descendants of `root`.
     pub fn breakup_under(&self, root: SpanId) -> Breakup {
         self.inner.borrow().spans.breakup_under(root)
-    }
-
-    /// Merges another collector's registry into this one (span logs
-    /// are per-run and intentionally not merged: ids would collide).
-    pub fn merge_registry(&self, other: &Obs) {
-        let other_reg = other.inner.borrow().registry.clone();
-        self.inner.borrow_mut().registry.merge(&other_reg);
     }
 }
 

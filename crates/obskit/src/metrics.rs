@@ -7,6 +7,7 @@
 //! runs) is supported for all three kinds.
 
 use crate::hist::Histogram;
+use crate::json::{escape_into, fmt_f64};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -103,7 +104,8 @@ impl Registry {
                 out.push(',');
             }
             first = false;
-            let _ = write!(out, "\"{}\":{v}", escape_json(name));
+            push_key(&mut out, name);
+            let _ = write!(out, "{v}");
         }
         out.push_str("},\"gauges\":{");
         let mut first = true;
@@ -112,7 +114,8 @@ impl Registry {
                 out.push(',');
             }
             first = false;
-            let _ = write!(out, "\"{}\":{}", escape_json(name), fmt_f64_json(*v));
+            push_key(&mut out, name);
+            out.push_str(&fmt_f64(*v));
         }
         out.push_str("},\"histograms\":{");
         let mut first = true;
@@ -121,16 +124,16 @@ impl Registry {
                 out.push(',');
             }
             first = false;
+            push_key(&mut out, name);
             let _ = write!(
                 out,
-                "\"{}\":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{},\
+                "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{},\
                  \"p50\":{},\"p90\":{},\"p99\":{}}}",
-                escape_json(name),
                 h.count(),
                 h.sum(),
                 h.min(),
                 h.max(),
-                fmt_f64_json(h.mean()),
+                fmt_f64(h.mean()),
                 h.quantile(0.50),
                 h.quantile(0.90),
                 h.quantile(0.99),
@@ -171,34 +174,12 @@ impl Registry {
     }
 }
 
-/// JSON-escapes a metric name (names are plain identifiers in practice,
-/// but the exporter must never emit malformed JSON).
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Formats a float as a JSON number: shortest round-trip representation
-/// (deterministic in Rust), with non-finite values mapped to `null`.
-fn fmt_f64_json(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
+/// Writes `"name":`, a JSON object key (names are plain identifiers
+/// in practice, but the exporter must never emit malformed JSON).
+fn push_key(out: &mut String, name: &str) {
+    out.push('"');
+    escape_into(name, out);
+    out.push_str("\":");
 }
 
 #[cfg(test)]

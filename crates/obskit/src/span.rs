@@ -4,13 +4,13 @@
 //! [`Phase`] (the paper's latency-break-up vocabulary: connection,
 //! serialization, thread switch, transfer, …) with an optional parent,
 //! so per-hop costs nest under their migration and per-query events nest
-//! under their query. Ids are assigned from a monotone counter in
-//! creation order; because the simulation is single-threaded and
-//! event-ordered, the id sequence — and hence the JSONL export — is
-//! byte-deterministic per seed.
+//! under their query. Ids are assigned 1, 2, 3, … in creation order;
+//! because the classic simulation is single-threaded and event-ordered,
+//! the id sequence — and hence the JSONL export — is byte-deterministic
+//! per seed.
 
+use crate::json::escape_into;
 use simkit::{SimDuration, SimTime};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -130,12 +130,11 @@ impl Span {
     }
 }
 
-/// Append-only log of spans with deterministic id assignment.
+/// Append-only log of spans with deterministic id assignment: span
+/// `n` is always `spans[n - 1]`.
 #[derive(Clone, Debug, Default)]
 pub struct SpanLog {
     spans: Vec<Span>,
-    index: BTreeMap<SpanId, usize>,
-    next_id: u64,
 }
 
 impl SpanLog {
@@ -152,9 +151,7 @@ impl SpanLog {
         parent: Option<SpanId>,
         now: SimTime,
     ) -> SpanId {
-        self.next_id += 1;
-        let id = SpanId(self.next_id);
-        self.index.insert(id, self.spans.len());
+        let id = SpanId(self.spans.len() as u64 + 1);
         self.spans.push(Span {
             id,
             parent,
@@ -169,11 +166,9 @@ impl SpanLog {
     /// Closes a span. Closing an unknown or already-closed span is a
     /// no-op (instrumentation must never panic the middleware).
     pub fn end(&mut self, id: SpanId, now: SimTime) {
-        if let Some(&i) = self.index.get(&id) {
-            if let Some(span) = self.spans.get_mut(i) {
-                if span.end.is_none() {
-                    span.end = Some(now.max(span.start));
-                }
+        if let Some(span) = slot(id).and_then(|i| self.spans.get_mut(i)) {
+            if span.end.is_none() {
+                span.end = Some(now.max(span.start));
             }
         }
     }
@@ -227,10 +222,8 @@ impl SpanLog {
             if hops > self.spans.len() {
                 return false; // defensive: malformed parent cycle
             }
-            cur = self
-                .index
-                .get(&id)
-                .and_then(|&i| self.spans.get(i))
+            cur = slot(id)
+                .and_then(|i| self.spans.get(i))
                 .and_then(|s| s.parent);
         }
         false
@@ -278,7 +271,7 @@ impl SpanLog {
             }
             let _ = write!(out, ",\"phase\":\"{}\"", s.phase.as_str());
             out.push_str(",\"label\":\"");
-            escape_json_into(&s.label, &mut out);
+            escape_into(&s.label, &mut out);
             out.push('"');
             let _ = write!(out, ",\"start_us\":{}", s.start.as_micros());
             match s.end {
@@ -293,21 +286,10 @@ impl SpanLog {
     }
 }
 
-/// JSON string-escapes `s` into `out`.
-fn escape_json_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+/// Position of span `id` in a [`SpanLog`]; `None` for `SpanId(0)`,
+/// which is never assigned.
+fn slot(id: SpanId) -> Option<usize> {
+    usize::try_from(id.0.checked_sub(1)?).ok()
 }
 
 /// The paper's four-way latency break-up: connection, serialization,
@@ -416,6 +398,7 @@ mod tests {
         log.end(a, t(3));
         log.end(a, t(99));
         log.end(SpanId(42), t(1));
+        log.end(SpanId(0), t(1));
         assert_eq!(log.spans()[0].end, Some(t(3)));
         assert_eq!(log.len(), 1);
     }

@@ -1,13 +1,13 @@
 //! Causal distributed tracing for the Contory reproduction.
 //!
-//! [`obskit`](obskit) gives every *process* a deterministic span log;
-//! tracekit makes spans *causal across processes*. A [`TraceCtx`] rides
-//! inside every [`brokerd`] context packet (and, behind the compat flag,
-//! inside the Fuego envelope): a 64-bit trace id, the span id of the
-//! hop that forwarded it, a federation hop count, and a **sampling
-//! decision derived purely from the trace id** — no ambient randomness,
-//! so the same seed always samples the same traces and byte-identity
-//! across shard/thread counts is preserved with tracing on.
+//! tracekit makes hop spans *causal across processes*. A [`TraceCtx`]
+//! rides inside every [`brokerd`] context packet (and, behind the
+//! compat flag, inside the Fuego envelope): a 64-bit trace id, the span
+//! id of the hop that forwarded it, a federation hop count, and a
+//! **sampling decision derived purely from the trace id** — no ambient
+//! randomness, so the same seed always samples the same traces and
+//! byte-identity across shard/thread counts is preserved with tracing
+//! on.
 //!
 //! The pieces:
 //!
@@ -16,13 +16,11 @@
 //!   with [`TraceCtx::child`]/[`TraceCtx::hopped`]).
 //! * [`TraceLog`] / [`TraceEvent`] — per-node append-only logs of hop
 //!   events (publish/admit/shed/enqueue/dispatch/federate/gossip/
-//!   deliver). `Send` and mergeable, unlike the thread-local obskit
+//!   deliver). `Send` and mergeable, unlike obskit's thread-local
 //!   collector, so shard-parallel actors record locally and the
 //!   harness folds logs in actor order after the run. Exports a
 //!   canonical JSONL stream ([`TraceLog::export_jsonl`]) and parses
-//!   both its own stream and obskit's span JSONL
-//!   ([`TraceLog::from_obskit_jsonl`], labels carrying `t=<id>`
-//!   markers).
+//!   it back ([`TraceLog::parse_jsonl`]).
 //! * [`assemble`] — reconstructs end-to-end trace trees from a span
 //!   stream, with parent links validated so a parent always precedes
 //!   its child in sim time.

@@ -254,71 +254,14 @@ impl TraceLog {
                 u64::from_str_radix(trace_hex, 16).map_err(|_| bad("bad trace id"))?;
             let stage_name = field_str(line, "stage").ok_or_else(|| bad("missing stage"))?;
             let stage = Stage::from_str(stage_name).ok_or_else(|| bad("unknown stage"))?;
-            let span = field_u64(line, "span").ok_or_else(|| bad("missing span"))? as u32;
-            let parent = field_u64(line, "parent").ok_or_else(|| bad("missing parent"))? as u32;
+            let span = field_u64(line, "span").ok_or_else(|| bad("missing span"))?;
+            let span = u32::try_from(span).map_err(|_| bad("span out of range"))?;
+            let parent = field_u64(line, "parent").ok_or_else(|| bad("missing parent"))?;
+            let parent = u32::try_from(parent).map_err(|_| bad("parent out of range"))?;
             let node = field_u64(line, "node").ok_or_else(|| bad("missing node"))?;
-            let hop = field_u64(line, "hop").ok_or_else(|| bad("missing hop"))? as u8;
+            let hop = field_u64(line, "hop").ok_or_else(|| bad("missing hop"))?;
+            let hop = u8::try_from(hop).map_err(|_| bad("hop out of range"))?;
             let at_us = field_u64(line, "at_us").ok_or_else(|| bad("missing at_us"))?;
-            log.events.push(TraceEvent {
-                trace_id,
-                span,
-                parent,
-                stage,
-                node,
-                hop,
-                at: SimTime::from_micros(at_us),
-            });
-        }
-        Ok(log)
-    }
-
-    /// Ingests obskit's span JSONL stream, lifting spans whose labels
-    /// carry tracekit markers into hop events. Labels follow the
-    /// convention the classic-sim instrumentation emits:
-    ///
-    /// ```text
-    /// <free text> t=<trace id, 16 hex> s=<stage> n=<node> h=<hop> [p=<parent span>]
-    /// ```
-    ///
-    /// Spans without a `t=` marker are not trace hops and are skipped;
-    /// the span/parent ids default to obskit's creation-order ids so
-    /// same-process trees assemble without explicit `p=` markers.
-    pub fn from_obskit_jsonl(text: &str) -> Result<TraceLog, TraceError> {
-        let mut log = TraceLog::new();
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let bad = |detail: &str| TraceError::BadLine {
-                line: i + 1,
-                detail: detail.to_owned(),
-            };
-            let Some(label) = field_str(line, "label") else {
-                continue;
-            };
-            let Some(trace_hex) = marker(label, "t=") else {
-                continue;
-            };
-            let trace_id =
-                u64::from_str_radix(trace_hex, 16).map_err(|_| bad("bad t= marker"))?;
-            let stage = marker(label, "s=")
-                .and_then(Stage::from_str)
-                .ok_or_else(|| bad("missing or unknown s= marker"))?;
-            let node = marker(label, "n=")
-                .and_then(|v| v.parse::<u64>().ok())
-                .unwrap_or(0);
-            let hop = marker(label, "h=")
-                .and_then(|v| v.parse::<u8>().ok())
-                .unwrap_or(0);
-            let span = match marker(label, "sp=") {
-                Some(v) => v.parse::<u32>().map_err(|_| bad("bad sp= marker"))?,
-                None => field_u64(line, "id").ok_or_else(|| bad("missing id"))? as u32,
-            };
-            let parent = match marker(label, "p=") {
-                Some(v) => v.parse::<u32>().map_err(|_| bad("bad p= marker"))?,
-                None => field_u64(line, "parent").unwrap_or(0) as u32,
-            };
-            let at_us = field_u64(line, "start_us").ok_or_else(|| bad("missing start_us"))?;
             log.events.push(TraceEvent {
                 trace_id,
                 span,
@@ -386,16 +329,6 @@ fn field_u64(line: &str, key: &str) -> Option<u64> {
     rest.get(..end)?.parse().ok()
 }
 
-/// Extracts a whitespace-delimited `key=value` marker from a label.
-fn marker<'a>(label: &'a str, key: &str) -> Option<&'a str> {
-    for part in label.split_ascii_whitespace() {
-        if let Some(v) = part.strip_prefix(key) {
-            return Some(v);
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -451,21 +384,17 @@ mod tests {
         let err = TraceLog::parse_jsonl("{\"trace\":\"zz\"}").unwrap_err();
         assert!(matches!(err, TraceError::BadLine { line: 1, .. }));
         assert!(TraceLog::parse_jsonl("").unwrap().is_empty());
-    }
-
-    #[test]
-    fn obskit_stream_lifts_marked_labels() {
-        let jsonl = concat!(
-            "{\"id\":1,\"parent\":null,\"phase\":\"broker\",\"label\":\"store t=00000000000000ab s=admit n=3 h=0\",\"start_us\":10,\"end_us\":12}\n",
-            "{\"id\":2,\"parent\":1,\"phase\":\"dispatch\",\"label\":\"drain t=00000000000000ab s=dispatch n=3 h=0\",\"start_us\":20,\"end_us\":21}\n",
-            "{\"id\":3,\"parent\":null,\"phase\":\"connect\",\"label\":\"unrelated span\",\"start_us\":5,\"end_us\":6}\n",
-        );
-        let log = TraceLog::from_obskit_jsonl(jsonl).unwrap();
-        assert_eq!(log.len(), 2);
-        let evs = log.canonical_events();
-        assert_eq!(evs[0].stage, Stage::Admit);
-        assert_eq!(evs[0].node, 3);
-        assert_eq!(evs[1].parent, 1);
-        assert_eq!(evs[1].at, SimTime::from_micros(20));
+        // Ids wider than their field are refused, not truncated.
+        for line in [
+            "{\"trace\":\"00000000000000ab\",\"span\":4294967299,\"parent\":0,\
+             \"stage\":\"admit\",\"node\":1,\"hop\":256,\"at_us\":2000}",
+            "{\"trace\":\"00000000000000ab\",\"span\":3,\"parent\":4294967296,\
+             \"stage\":\"admit\",\"node\":1,\"hop\":0,\"at_us\":2000}",
+            "{\"trace\":\"00000000000000ab\",\"span\":3,\"parent\":0,\
+             \"stage\":\"admit\",\"node\":1,\"hop\":256,\"at_us\":2000}",
+        ] {
+            let err = TraceLog::parse_jsonl(line).unwrap_err();
+            assert!(matches!(err, TraceError::BadLine { line: 1, .. }), "{line}");
+        }
     }
 }

@@ -5,7 +5,7 @@
 #   ./scripts/trace.sh
 #
 # 1. the tracekit unit suite (TraceCtx sampling/parsing, span logs,
-#    assembly, critical paths, break-up table, obskit lifting);
+#    assembly, critical paths, break-up table);
 # 2. the trace-assembly property tests — span conservation, causal
 #    parent-precedes-child order and fold-order invariance under
 #    adversarial inputs;

@@ -16,7 +16,9 @@
 #    ShardSim engine — the broker-fleet trace transcript and the
 #    scale_city outcome at shard counts {4, 16} x thread counts
 #    {1, max} must be byte-identical to 1 shard on 1 thread, and
-#    scale_city also at 64 threads (DESIGN.md §5f);
+#    scale_city also at 64 threads; the fleet's obskit exports
+#    (metrics snapshot, span stream) must be byte-identical at 1 vs 4
+#    threads (DESIGN.md §5f);
 # 5. the perf gate: perfbench's self-test runs every benchmark workload
 #    at toy size on a held-out seed with its output checks; the fleet
 #    report must be identical at 1 and max(nproc, 2) engine threads

@@ -159,8 +159,6 @@ pub fn run_fig5_transcript(seed: u64) -> String {
     let _ = writeln!(out, "-- benchkit scenario report (json) --");
     let _ = writeln!(out, "{}", ctx.finish().to_json().render());
 
-    // Runs after the obskit sections are rendered, so the spans the
-    // fleet mirrors into obskit cannot perturb them.
     out.push_str(&fleet_trace_transcript(seed, 1, 1));
     out
 }

@@ -10,7 +10,9 @@
 //!   JSONL export, digest and break-up) across shard counts {4, 16} ×
 //!   worker threads {1, max}, against 1 shard on 1 thread;
 //! * the `scale_city` gossip model across the same matrix: event
-//!   totals, deliveries and the folded state checksum.
+//!   totals, deliveries and the folded state checksum;
+//! * the obskit exports (metrics snapshot and span stream) of a run
+//!   under an installed collector, at 1 vs 4 worker threads.
 //!
 //! Three seeds each, so an ordering leak that happens to cancel for one
 //! jitter stream still shows up.
@@ -45,6 +47,58 @@ fn fleet_trace_transcript_is_partition_and_thread_invariant() {
                      --- 1x1 ---\n{reference}\n--- {shards}x{threads} ---\n{got}"
                 );
             }
+        }
+    }
+}
+
+/// One fully-sampled fleet run under a fresh obskit collector: the
+/// collector's metrics and span exports, the fleet report and its
+/// canonical trace export — plus the number of rounds stepped on
+/// worker threads.
+fn observed_fleet(seed: u64, threads: u32) -> ([String; 4], u64) {
+    let obs = obskit::Obs::new();
+    let (out, profile) = {
+        let _guard = obs.install();
+        brokerd::run_fleet_profiled(&brokerd::FleetConfig {
+            seed,
+            brokers: 4,
+            devices: 1_000,
+            shards: 8,
+            threads,
+            run_for: SimDuration::from_secs(5),
+            node: brokerd::NodeConfig {
+                trace_sample_log2: 0,
+                ..brokerd::NodeConfig::default()
+            },
+            ..brokerd::FleetConfig::default()
+        })
+    };
+    let exports = [
+        obs.metrics_snapshot(),
+        obs.spans_jsonl(),
+        out.report(),
+        out.trace.export_jsonl(),
+    ];
+    (exports, profile.parallel_rounds)
+}
+
+/// Observability is thread-invariant too: whatever the fleet records
+/// while an obskit collector is installed is the same at 1 and at 4
+/// worker threads — nothing is recorded on (and lost with) a worker
+/// thread. 4 rather than `max_threads()`, so a 1-CPU host still steps
+/// rounds on workers.
+#[test]
+fn fleet_observability_is_thread_invariant() {
+    const NAMES: [&str; 4] = ["metrics snapshot", "span stream", "report", "trace export"];
+    for seed in SEEDS {
+        let (reference, _) = observed_fleet(seed, 1);
+        let (got, parallel_rounds) = observed_fleet(seed, 4);
+        assert!(
+            parallel_rounds > 0,
+            "seed {seed}: no round stepped on workers — comparison proves nothing"
+        );
+        for ((name, want), got) in NAMES.iter().zip(&reference).zip(&got) {
+            assert!(want == got, "seed {seed}: {name} differs at 4 threads vs 1");
         }
     }
 }
