@@ -15,7 +15,8 @@
 //!   (do this deliberately, and review the diff).
 //!
 //! Everything is seed-driven and sim-clock-only: two runs write
-//! byte-identical files.
+//! byte-identical files on any host, whatever its core count. Wall time
+//! is perfbench's job (`BENCHMARK.json`).
 
 use benchkit::Baseline;
 use std::path::{Path, PathBuf};
@@ -33,29 +34,12 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let check = args.iter().any(|a| a == "--check");
     let write_baseline = args.iter().any(|a| a == "--write-baseline");
-    // `--shards N`: partition count for the scale_city, broker_load and
-    // broker_chaos runs. Outputs are shard-invariant by the engine's
-    // contract; only wall-clock moves.
-    let mut rest = args
+    if let Some(a) = args
         .iter()
-        .filter(|a| *a != "--check" && *a != "--write-baseline");
-    while let Some(a) = rest.next() {
-        if a == "--shards" {
-            let n = rest
-                .next()
-                .and_then(|v| v.parse::<u32>().ok())
-                .filter(|n| *n >= 1)
-                .unwrap_or_else(|| {
-                    eprintln!("--shards needs a positive integer");
-                    std::process::exit(2);
-                });
-            contory_bench::scenarios::scale_city::set_shards(n);
-            contory_bench::scenarios::broker_load::set_shards(n);
-            contory_bench::scenarios::broker_chaos::set_shards(n);
-        } else {
-            eprintln!("unknown flag '{a}' (known: --check, --write-baseline, --shards N)");
-            std::process::exit(2);
-        }
+        .find(|a| *a != "--check" && *a != "--write-baseline")
+    {
+        eprintln!("unknown flag '{a}' (known: --check, --write-baseline)");
+        std::process::exit(2);
     }
 
     let root = repo_root();

@@ -9,48 +9,27 @@
 //! deterministic fraction — throughput, shed rate and fan-out latency
 //! are all pure functions of the seed.
 //!
-//! Rows exported, mirroring `scale_city`'s two-kind scheme:
-//!
-//! * **Deterministic rows** (publishes, deliveries, shed ppm, federation
-//!   forwards, re-homings, fan-out p50/p99, the report digest) — pinned
-//!   near-exactly in `results/baseline.json` and byte-identical across
-//!   engine shard counts, worker-thread counts and broker table shard
-//!   counts (cross-checked in-scenario on a small fleet).
-//! * **Wall-clock rows** (elapsed seconds, events per wall second, and
-//!   the interner micro-benchmark) — measured through
-//!   [`criterion::time_once`], order-of-magnitude bands.
-//!
-//! The micro-benchmark backs the `core::vocab` design note: matching
-//! context types by interned [`Sym`](contory::vocab::Sym) is a single
-//! `u16` compare, where the pre-interner broker matched qualified
-//! vocabulary strings — the `intern_speedup` row records the measured
-//! gap and `sym_compare_not_slower` asserts its direction.
+//! Every row (publishes, deliveries, shed ppm, federation forwards,
+//! re-homings, fan-out p50/p99, the report digest, the trace break-up,
+//! the engine's merge rounds) is a pure function of the seed, pinned
+//! exactly in `results/baseline.json`. The outcome rows are
+//! byte-identical across engine shard counts, worker-thread counts and
+//! broker table shard counts (cross-checked in-scenario on a small
+//! fleet). Wall time is perfbench's `fleet` workload, which runs this
+//! fleet (seed 800 reproduces its counts).
 
 use benchkit::{Measurement, RunCtx, Scenario, Unit};
 use brokerd::{fault_edges, run_fleet, run_fleet_profiled, FleetConfig, NodeConfig};
-use contory::vocab::Interner;
 use tracekit::{assemble, Breakup, Stage};
 use simkit::faults::FaultPlan;
 use simkit::shard::ShardConfig;
 use simkit::{SimDuration, SimTime};
-use std::sync::atomic::{AtomicU32, Ordering};
 
-/// Shard count `bench_all --shards N` overrides (0 ⇒ default 8).
-static SHARDS: AtomicU32 = AtomicU32::new(0);
-
-/// Overrides the engine shard count of the big fleet run
-/// (`bench_all --shards N`). Outputs are shard-count-invariant; only the
-/// wall-clock rows move.
-pub fn set_shards(n: u32) {
-    SHARDS.store(n.max(1), Ordering::SeqCst);
-}
-
-fn shards() -> u32 {
-    match SHARDS.load(Ordering::SeqCst) {
-        0 => 8,
-        n => n,
-    }
-}
+/// Engine shard count of the big fleet run.
+const SHARDS: u32 = 8;
+/// Worker threads of the big fleet run: fixed, not the host's core
+/// count, so the engine profile is the same on every host.
+const THREADS: u32 = 4;
 
 /// The big run's device population.
 pub const FLEET_DEVICES: u64 = 10_000;
@@ -61,18 +40,6 @@ pub const FLEET_HORIZON_SECS: u64 = 20;
 /// The broker the fault plan kills, and when.
 const KILLED_BROKER: &str = "broker:2";
 const KILL_AT_SECS: u64 = 10;
-
-/// Comparisons per interner micro-benchmark batch.
-const CMP_BATCH: usize = 100_000;
-/// Batch repetitions (total comparisons = `CMP_BATCH * CMP_ROUNDS`).
-const CMP_ROUNDS: usize = 40;
-
-fn mix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// The big fleet's configuration: offered load ~4x the drain capacity of
 /// the four bounded broker inboxes, so backpressure sheds deterministically.
@@ -90,70 +57,6 @@ fn big_fleet(seed: u64, shards: u32, threads: u32) -> FleetConfig {
         fault_edges: fault_edges(&plan, FLEET_BROKERS),
         ..FleetConfig::default()
     }
-}
-
-/// Interner micro-benchmark: the same match workload twice — once on
-/// dense [`contory::vocab::Sym`] ids, once on the qualified vocabulary
-/// strings the pre-interner broker compared. Returns
-/// `(sym_secs, string_secs, sym_matches, string_matches)`.
-fn intern_microbench(seed: u64) -> (f64, f64, u64, u64) {
-    // Qualified names share a long prefix, as vocabulary paths do — the
-    // realistic worst case for string equality, the irrelevant case for
-    // a u16 compare.
-    let names: Vec<String> = (0..64u64)
-        .map(|i| format!("org.contory.vocab.context.ctx{i:02}"))
-        .collect();
-    let mut tab = Interner::new();
-    let syms: Vec<_> = names.iter().map(|n| tab.intern(n)).collect();
-
-    let mut s = seed;
-    let pairs: Vec<(usize, usize)> = (0..CMP_BATCH)
-        .map(|i| {
-            s = mix(s ^ i as u64);
-            let a = (s % 64) as usize;
-            let b = ((s >> 16) % 64) as usize;
-            (a, b)
-        })
-        .collect();
-
-    let sym_pairs: Vec<_> = pairs
-        .iter()
-        .filter_map(|&(a, b)| Some((*syms.get(a)?, *syms.get(b)?)))
-        .collect();
-    let (sym_matches, sym_wall) = criterion::time_once(|| {
-        let mut hits = 0u64;
-        for _ in 0..CMP_ROUNDS {
-            for &(a, b) in &sym_pairs {
-                if std::hint::black_box(a) == std::hint::black_box(b) {
-                    hits += 1;
-                }
-            }
-        }
-        hits
-    });
-
-    let str_pairs: Vec<(&str, &str)> = pairs
-        .iter()
-        .filter_map(|&(a, b)| Some((names.get(a)?.as_str(), names.get(b)?.as_str())))
-        .collect();
-    let (str_matches, str_wall) = criterion::time_once(|| {
-        let mut hits = 0u64;
-        for _ in 0..CMP_ROUNDS {
-            for &(a, b) in &str_pairs {
-                if std::hint::black_box(a) == std::hint::black_box(b) {
-                    hits += 1;
-                }
-            }
-        }
-        hits
-    });
-
-    (
-        sym_wall.as_secs_f64().max(1e-9),
-        str_wall.as_secs_f64().max(1e-9),
-        sym_matches,
-        str_matches,
-    )
 }
 
 /// The federated-broker load scenario.
@@ -174,8 +77,8 @@ impl Scenario for BrokerLoad {
     }
 
     fn run(&self, ctx: &mut RunCtx) {
-        let cfg = big_fleet(self.seed(), shards(), ShardConfig::max_threads());
-        let ((out, profile), wall) = criterion::time_once(|| run_fleet_profiled(&cfg));
+        let cfg = big_fleet(self.seed(), SHARDS, THREADS);
+        let (out, profile) = run_fleet_profiled(&cfg);
         let horizon = FLEET_HORIZON_SECS as f64;
         ctx.tally_events(out.events, SimTime::from_secs(FLEET_HORIZON_SECS));
         obskit::count("broker_load_published", out.published);
@@ -192,8 +95,7 @@ impl Scenario for BrokerLoad {
 
         ctx.note(format!(
             "{FLEET_DEVICES} devices on {FLEET_BROKERS} brokers, horizon {horizon} sim-s, \
-             {} shards x {} threads; {KILLED_BROKER} killed at t={KILL_AT_SECS}s \
-             (override shards with `bench_all --shards N`; outputs are shard-invariant)",
+             {} shards x {} threads; {KILLED_BROKER} killed at t={KILL_AT_SECS}s",
             cfg.shards, cfg.threads,
         ));
         ctx.note(
@@ -405,6 +307,17 @@ impl Scenario for BrokerLoad {
         );
         ctx.artifact("trace latency break-up (critical paths)", breakup.table());
         ctx.artifact("trace break-up JSON", breakup.to_json());
+        ctx.push(
+            Measurement::scalar(
+                "merge_rounds",
+                "engine merge-barrier rounds",
+                Unit::Count,
+                profile.rounds as f64,
+            )
+            .with_gate_rel_tol(0.0)
+            .with_gate_abs_tol(0.4)
+            .with_note("one round per distinct event instant; lookahead windows would cut it"),
+        );
         ctx.artifact("engine profile (per-shard)", profile.table());
         ctx.check_true(
             "deliveries_happened",
@@ -427,99 +340,17 @@ impl Scenario for BrokerLoad {
             out.p99_fanout_us >= out.p50_fanout_us,
         );
 
-        // Wall-clock rows: host-dependent, order-of-magnitude bands.
-        let wall_s = wall.as_secs_f64().max(1e-9);
-        ctx.push(
-            Measurement::scalar("wall_secs", "elapsed wall-clock time", Unit::Secs, wall_s)
-                .with_gate_rel_tol(9.0)
-                .with_gate_abs_tol(60.0)
-                .with_note("host-dependent; wide band"),
-        );
-        ctx.push(
-            Measurement::scalar(
-                "events_per_wall_sec",
-                "engine event throughput per wall second",
-                Unit::PerSec,
-                out.events as f64 / wall_s,
-            )
-            .with_gate_rel_tol(9.0)
-            .with_gate_abs_tol(1e7)
-            .with_note("host-dependent; wide band"),
-        );
-
-        // Interner micro-benchmark (core::vocab): dense u16 ids vs the
-        // qualified strings the pre-interner broker compared.
-        let (sym_s, str_s, sym_hits, str_hits) = intern_microbench(self.seed());
-        let total_cmps = (CMP_BATCH * CMP_ROUNDS) as f64;
-        ctx.push(
-            Measurement::scalar(
-                "sym_cmp_per_sec",
-                "interned Sym (u16) comparisons per wall second",
-                Unit::PerSec,
-                total_cmps / sym_s,
-            )
-            .with_gate_rel_tol(9.0)
-            .with_gate_abs_tol(1e10)
-            .with_note("host-dependent; wide band"),
-        );
-        ctx.push(
-            Measurement::scalar(
-                "string_cmp_per_sec",
-                "qualified-string comparisons per wall second",
-                Unit::PerSec,
-                total_cmps / str_s,
-            )
-            .with_gate_rel_tol(9.0)
-            .with_gate_abs_tol(1e10)
-            .with_note("host-dependent; wide band"),
-        );
-        ctx.push(
-            Measurement::scalar(
-                "intern_speedup",
-                "Sym compare speedup over string compare",
-                Unit::Ratio,
-                str_s / sym_s,
-            )
-            .with_gate_rel_tol(9.0)
-            .with_gate_abs_tol(50.0)
-            .with_note("O(1) id compare vs length-dependent string equality"),
-        );
-        ctx.check_true(
-            "intern_match_parity",
-            "Sym matching and string matching agree on every pair",
-            sym_hits == str_hits,
-        );
-        ctx.check_true(
-            "sym_compare_not_slower",
-            "interned compare is at least as fast as string compare",
-            sym_s <= str_s,
-        );
-
-        // Tracing overhead: the same small fleet twice — every publish
+        // Tracing cost: the same small fleet twice — every publish
         // sampled vs effectively none (1 in 2^60). Tracing is pure
-        // observation, so the engine outputs must be byte-identical;
-        // only the wall clock may move, and not by much.
+        // observation, so the engine outputs must be byte-identical.
         let mut traced_cfg = big_fleet(self.seed() ^ 0x7ace, 4, ShardConfig::max_threads());
         traced_cfg.devices = 1_000;
         traced_cfg.run_for = SimDuration::from_secs(10);
         traced_cfg.node.trace_sample_log2 = 0;
         let mut untraced_cfg = traced_cfg.clone();
         untraced_cfg.node.trace_sample_log2 = 60;
-        let (traced, traced_wall) = criterion::time_once(|| run_fleet(&traced_cfg));
-        let (untraced, untraced_wall) = criterion::time_once(|| run_fleet(&untraced_cfg));
-        let traced_s = traced_wall.as_secs_f64().max(1e-9);
-        let untraced_s = untraced_wall.as_secs_f64().max(1e-9);
-        ctx.push(
-            Measurement::scalar(
-                "trace_overhead_ratio",
-                "traced wall time over untraced wall time (full sampling)",
-                Unit::Ratio,
-                traced_s / untraced_s,
-            )
-            .with_gate_rel_tol(2.0)
-            .with_gate_abs_tol(2.0)
-            .with_note("host-dependent; band trips if tracing becomes a multiple of the run"),
-        );
+        let traced = run_fleet(&traced_cfg);
+        let untraced = run_fleet(&untraced_cfg);
         ctx.push(
             Measurement::scalar(
                 "trace_spans_per_kevent",
@@ -587,15 +418,5 @@ mod tests {
         b.devices = 120;
         b.run_for = SimDuration::from_secs(8);
         assert_eq!(run_fleet(&a).report(), run_fleet(&b).report());
-    }
-
-    #[test]
-    fn microbench_workload_is_deterministic_and_consistent() {
-        let (_, _, sym_a, str_a) = intern_microbench(800);
-        let (_, _, sym_b, str_b) = intern_microbench(800);
-        assert_eq!(sym_a, str_a, "sym and string matching disagree");
-        assert_eq!(sym_a, sym_b, "workload not deterministic");
-        assert_eq!(str_a, str_b);
-        assert!(sym_a > 0, "degenerate workload: no matches at all");
     }
 }

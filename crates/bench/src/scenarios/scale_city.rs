@@ -7,17 +7,17 @@
 //! partitioned [`simkit::ShardSim`] engine (per-shard queues merged on
 //! the `(time, actor, seq)` total order — see DESIGN.md §5f).
 //!
-//! Two kinds of rows are exported:
+//! Every row is a pure function of the seed and pinned exactly in
+//! `results/baseline.json`:
 //!
-//! * **Deterministic rows** (event totals, deliveries, events per sim
-//!   second, the folded state checksum): pure functions of the seed,
-//!   identical for every shard/thread count, pinned near-exactly in
-//!   `results/baseline.json`.
-//! * **Wall-clock rows** (elapsed seconds, wall seconds per sim second,
-//!   events per wall second): measured through [`criterion::time_once`], the
-//!   one sanctioned stopwatch. These are host-dependent by nature, so
-//!   their baseline bands are order-of-magnitude wide — the gate only
-//!   trips on a catastrophic (≈10×) slowdown, not on machine jitter.
+//! * **Outcome rows** (event totals, deliveries, events per sim second,
+//!   the folded state checksum): identical for every shard/thread count.
+//! * **Engine-profile rows** (merge rounds, per-shard load, queue peak,
+//!   barrier imbalance): they describe the partition layout, which the
+//!   fixed `SHARDS` × `THREADS` run makes the same on every host.
+//!
+//! Wall time is not measured here; perfbench (`BENCHMARK.json`) is the
+//! repository's one wall-clock harness.
 //!
 //! The scenario also cross-checks the partition-invariance contract on a
 //! small city: 1 shard × 1 thread and 16 shards × max threads must
@@ -26,24 +26,13 @@
 use benchkit::{Measurement, RunCtx, Scenario, Unit};
 use simkit::shard::EngineProfile;
 use simkit::{ActorId, EventCtx, ShardConfig, ShardSim, SimDuration, SimTime};
-use std::sync::atomic::{AtomicU32, Ordering};
 
-/// Shard count `bench_all --shards N` overrides (0 ⇒ default 16).
-static SHARDS: AtomicU32 = AtomicU32::new(0);
-
-/// Overrides the shard count the 100k-device run partitions into
-/// (`bench_all --shards N`). Outputs are shard-count-invariant; only the
-/// wall-clock rows move.
-pub fn set_shards(n: u32) {
-    SHARDS.store(n.max(1), Ordering::SeqCst);
-}
-
-fn shards() -> u32 {
-    match SHARDS.load(Ordering::SeqCst) {
-        0 => 16,
-        n => n,
-    }
-}
+/// Shard count of the 100k-device run.
+const SHARDS: u32 = 16;
+/// Worker threads of the 100k-device run: fixed, not the host's core
+/// count, so the engine profile (`parallel_rounds` included) is the same
+/// on every host.
+const THREADS: u32 = 4;
 
 /// One city run's knobs.
 #[derive(Clone, Copy, Debug)]
@@ -215,15 +204,14 @@ impl Scenario for ScaleCity {
     }
 
     fn run(&self, ctx: &mut RunCtx) {
-        let shard_count = shards();
         let cfg = CityConfig {
             devices: CITY_DEVICES,
-            shards: shard_count,
-            threads: ShardConfig::max_threads(),
+            shards: SHARDS,
+            threads: THREADS,
             seed: self.seed(),
             horizon: SimDuration::from_secs(CITY_HORIZON_SECS),
         };
-        let ((out, profile), wall) = criterion::time_once(|| run_city_profiled(cfg));
+        let (out, profile) = run_city_profiled(cfg);
         let horizon = CITY_HORIZON_SECS as f64;
         ctx.tally_events(out.events, SimTime::from_secs(CITY_HORIZON_SECS));
         obskit::count("scale_city_events", out.events);
@@ -235,8 +223,7 @@ impl Scenario for ScaleCity {
         }
 
         ctx.note(format!(
-            "population {CITY_DEVICES}, horizon {horizon} sim-s, {} shards x {} threads \
-             (override with `bench_all --shards N`; outputs are shard-invariant)",
+            "population {CITY_DEVICES}, horizon {horizon} sim-s, {} shards x {} threads",
             cfg.shards, cfg.threads,
         ));
 
@@ -296,42 +283,8 @@ impl Scenario for ScaleCity {
             out.dead_letters == 0,
         );
 
-        // Wall-clock rows: host-dependent by design (see module docs).
-        // Bands are ~an order of magnitude wide so only catastrophic
-        // slowdowns trip the gate.
-        let wall_s = wall.as_secs_f64().max(1e-9);
-        ctx.push(
-            Measurement::scalar("wall_secs", "elapsed wall-clock time", Unit::Secs, wall_s)
-                .with_gate_rel_tol(9.0)
-                .with_gate_abs_tol(60.0)
-                .with_note("host-dependent; wide band"),
-        );
-        ctx.push(
-            Measurement::scalar(
-                "wall_per_sim_sec",
-                "wall seconds per simulated second",
-                Unit::Ratio,
-                wall_s / horizon,
-            )
-            .with_gate_rel_tol(9.0)
-            .with_gate_abs_tol(2.0)
-            .with_note("host-dependent; gate trips only on ~10x slowdown"),
-        );
-        ctx.push(
-            Measurement::scalar(
-                "events_per_wall_sec",
-                "event throughput per wall second",
-                Unit::PerSec,
-                out.events as f64 / wall_s,
-            )
-            .with_gate_rel_tol(9.0)
-            .with_gate_abs_tol(1e7)
-            .with_note("host-dependent; wide band"),
-        );
-
-        // Engine-profile rows: deterministic for a fixed partition, but
-        // they describe the partition layout itself (`--shards N` moves
-        // them), so they wear wall-style wide bands.
+        // Engine-profile rows: they describe the partition layout itself,
+        // which the fixed SHARDS x THREADS run pins, so they are exact too.
         let shard_n = profile.events_per_shard.len().max(1) as f64;
         ctx.push(
             Measurement::scalar(
@@ -340,9 +293,8 @@ impl Scenario for ScaleCity {
                 Unit::Count,
                 profile.rounds as f64,
             )
-            .with_gate_rel_tol(9.0)
-            .with_gate_abs_tol(1000.0)
-            .with_note("partition-dependent; wide band"),
+            .with_gate_rel_tol(0.0)
+            .with_gate_abs_tol(0.5),
         );
         ctx.push(
             Measurement::scalar(
@@ -351,9 +303,8 @@ impl Scenario for ScaleCity {
                 Unit::Count,
                 profile.total_events() as f64 / shard_n,
             )
-            .with_gate_rel_tol(9.0)
-            .with_gate_abs_tol(1e6)
-            .with_note("partition-dependent; wide band"),
+            .with_gate_rel_tol(0.0)
+            .with_gate_abs_tol(0.5),
         );
         ctx.push(
             Measurement::scalar(
@@ -362,9 +313,8 @@ impl Scenario for ScaleCity {
                 Unit::Count,
                 profile.max_queue_peak() as f64,
             )
-            .with_gate_rel_tol(9.0)
-            .with_gate_abs_tol(1e6)
-            .with_note("partition-dependent; wide band"),
+            .with_gate_rel_tol(0.0)
+            .with_gate_abs_tol(0.5),
         );
         ctx.push(
             Measurement::scalar(
@@ -373,9 +323,8 @@ impl Scenario for ScaleCity {
                 Unit::Count,
                 profile.barrier_imbalance.mean() as f64,
             )
-            .with_gate_rel_tol(9.0)
-            .with_gate_abs_tol(1e5)
-            .with_note("partition-dependent; wide band"),
+            .with_gate_rel_tol(0.0)
+            .with_gate_abs_tol(0.5),
         );
         ctx.check_true(
             "profile_accounts_all_events",

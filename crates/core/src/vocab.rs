@@ -184,5 +184,11 @@ mod tests {
         assert_eq!(tab.resolve(Sym(9)), None);
         assert_eq!(tab.get("location"), Some(b));
         assert_eq!(tab.get("nope"), None);
+        // Qualified names that share a long prefix stay distinct.
+        let c0 = tab.intern("org.contory.vocab.context.ctx00");
+        let c1 = tab.intern("org.contory.vocab.context.ctx01");
+        assert_ne!(c0, c1);
+        assert_eq!(tab.intern("org.contory.vocab.context.ctx00"), c0);
+        assert_eq!(tab.intern("org.contory.vocab.context.ctx01"), c1);
     }
 }

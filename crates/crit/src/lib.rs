@@ -1,104 +1,17 @@
-//! Hermetic benchmarking shim.
+//! The workspace's one sanctioned stopwatch.
 //!
-//! Implements the subset of the `criterion` crate's API that this
-//! workspace's benches use, so `cargo bench` (and `cargo test`, which
-//! compiles benches) works fully offline. Wired in through a Cargo
-//! dependency rename — `criterion = { path = …, package =
-//! "contory-criterion" }` — so bench sources keep idiomatic
-//! `use criterion::{criterion_group, criterion_main, Criterion};`
-//! imports and would compile unchanged against the real crate.
-//!
-//! Scope: wall-clock median/mean over a fixed number of timed samples
-//! after a short warm-up — no outlier analysis, plots, or HTML reports.
-//! Sample counts honor `sample_size` but are clamped by the
-//! `CRITERION_QUICK` env var (any value ⇒ 10 samples) so CI smoke runs
-//! stay fast.
+//! [`time_once`] is the only place outside this crate's own tests that
+//! reads `Instant`, which keeps the `wallclock-ban` lint meaningful
+//! everywhere else. Its one caller is perfbench (`BENCHMARK.json`), the
+//! repository's wall-clock harness: repeated samples at 1 and max
+//! threads plus per-layer rows. Everything `bench_all` exports is a pure
+//! function of the seeds and never reads the wall clock.
 
 #![forbid(unsafe_code)]
 #![deny(warnings)]
 #![warn(missing_docs)]
 
 use std::time::{Duration, Instant};
-
-/// How batched inputs are sized; only a hint in this shim.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BatchSize {
-    /// Inputs are cheap; one setup per routine call.
-    SmallInput,
-    /// Larger inputs (treated identically here).
-    LargeInput,
-    /// Per-iteration setup (treated identically here).
-    PerIteration,
-}
-
-/// Times closures; handed to `bench_function` callbacks.
-pub struct Bencher {
-    samples: Vec<Duration>,
-    sample_count: usize,
-}
-
-impl Bencher {
-    fn new(sample_count: usize) -> Self {
-        Bencher {
-            samples: Vec::with_capacity(sample_count),
-            sample_count,
-        }
-    }
-
-    /// Times `routine` over `sample_count` samples (after one untimed
-    /// warm-up call), auto-scaling iterations per sample so very fast
-    /// routines still get a measurable window.
-    pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
-        let _ = routine(); // warm-up
-        // Calibrate: aim for ≥ ~1ms per sample, capped for slow routines.
-        let probe = Instant::now();
-        let _ = routine();
-        let once = probe.elapsed().max(Duration::from_nanos(1));
-        let iters = (Duration::from_millis(1).as_nanos() / once.as_nanos()).clamp(1, 10_000) as u32;
-        for _ in 0..self.sample_count {
-            let start = Instant::now();
-            for _ in 0..iters {
-                let _ = routine();
-            }
-            self.samples.push(start.elapsed() / iters);
-        }
-    }
-
-    /// Times `routine` over fresh inputs produced by `setup`; setup time
-    /// is excluded from the measurement.
-    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
-    where
-        S: FnMut() -> I,
-        R: FnMut(I) -> O,
-    {
-        let _ = routine(setup()); // warm-up
-        for _ in 0..self.sample_count {
-            let input = setup();
-            let start = Instant::now();
-            let _ = routine(input);
-            self.samples.push(start.elapsed());
-        }
-    }
-
-    fn report(&self, name: &str) {
-        if self.samples.is_empty() {
-            // lint:allow(no-print-in-lib) the criterion shim reports to stdout by design
-            println!("{name:<40} (no samples)");
-            return;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort();
-        let median = sorted.get(sorted.len() / 2).copied().unwrap_or_default();
-        let mean = sorted.iter().sum::<Duration>() / sorted.len() as u32;
-        let lo = sorted.first().copied().unwrap_or_default();
-        let hi = sorted.last().copied().unwrap_or_default();
-        // lint:allow(no-print-in-lib) the criterion shim reports to stdout by design
-        println!(
-            "{name:<40} median {median:>12?}  mean {mean:>12?}  range [{lo:?} .. {hi:?}]  ({} samples)",
-            sorted.len()
-        );
-    }
-}
 
 /// Times one call of `f` on the wall clock, returning its output and the
 /// elapsed real time.
@@ -114,152 +27,9 @@ pub fn time_once<O>(f: impl FnOnce() -> O) -> (O, Duration) {
     (out, start.elapsed())
 }
 
-fn env_sample_cap() -> Option<usize> {
-    std::env::var_os("CRITERION_QUICK").map(|_| 10)
-}
-
-/// The benchmark harness entry point, mirroring `criterion::Criterion`.
-pub struct Criterion {
-    default_samples: usize,
-}
-
-impl Default for Criterion {
-    fn default() -> Self {
-        Criterion {
-            default_samples: 30,
-        }
-    }
-}
-
-impl Criterion {
-    fn effective(&self, samples: usize) -> usize {
-        match env_sample_cap() {
-            Some(cap) => samples.min(cap),
-            None => samples,
-        }
-        .max(1)
-    }
-
-    /// Runs one named benchmark.
-    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, mut f: F) -> &mut Self {
-        let mut b = Bencher::new(self.effective(self.default_samples));
-        f(&mut b);
-        b.report(name);
-        self
-    }
-
-    /// Opens a named group of benchmarks sharing configuration.
-    pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup<'_> {
-        println!("group {name}:"); // lint:allow(no-print-in-lib) criterion shim reports to stdout
-        BenchmarkGroup {
-            parent: self,
-            samples: None,
-        }
-    }
-
-    /// Prints the closing summary (no-op placeholder).
-    pub fn final_summary(&mut self) {}
-}
-
-/// A group of benchmarks with shared settings.
-pub struct BenchmarkGroup<'a> {
-    parent: &'a mut Criterion,
-    samples: Option<usize>,
-}
-
-impl BenchmarkGroup<'_> {
-    /// Sets the per-benchmark sample count for this group.
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.samples = Some(n.max(1));
-        self
-    }
-
-    /// Runs one named benchmark inside the group.
-    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, mut f: F) -> &mut Self {
-        let samples = self.samples.unwrap_or(self.parent.default_samples);
-        let mut b = Bencher::new(self.parent.effective(samples));
-        f(&mut b);
-        b.report(&format!("  {name}"));
-        self
-    }
-
-    /// Closes the group.
-    pub fn finish(self) {}
-}
-
-/// Declares a group of benchmark functions, as in criterion.
-#[macro_export]
-macro_rules! criterion_group {
-    ($group:ident, $($target:path),+ $(,)?) => {
-        fn $group() {
-            let mut criterion = $crate::Criterion::default();
-            $($target(&mut criterion);)+
-        }
-    };
-}
-
-/// Declares the benchmark binary's `main`, as in criterion.
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            $($group();)+
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bench_function_runs_and_reports() {
-        let mut c = Criterion::default();
-        let mut calls = 0u64;
-        c.bench_function("spin", |b| {
-            b.iter(|| {
-                calls += 1;
-                std::hint::black_box(calls)
-            })
-        });
-        assert!(calls > 0);
-    }
-
-    #[test]
-    fn group_honors_sample_size() {
-        let mut c = Criterion::default();
-        let mut group = c.benchmark_group("g");
-        group.sample_size(10);
-        let mut setups = 0u32;
-        group.bench_function("batched", |b| {
-            b.iter_batched(
-                || {
-                    setups += 1;
-                    vec![1u8; 64]
-                },
-                |v| v.len(),
-                BatchSize::SmallInput,
-            )
-        });
-        group.finish();
-        assert!(setups >= 10, "setups {setups}");
-    }
-
-    criterion_group!(benches, sample_target);
-    criterion_main!(main_like);
-
-    fn sample_target(c: &mut Criterion) {
-        c.bench_function("noop", |b| b.iter(|| 1 + 1));
-    }
-
-    fn main_like() {
-        benches();
-    }
-
-    #[test]
-    fn macros_compose() {
-        main();
-    }
 
     #[test]
     fn time_once_returns_output_and_elapsed() {

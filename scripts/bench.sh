@@ -8,14 +8,12 @@
 #                                       # results/baseline.json bands
 #   ./scripts/bench.sh --write-baseline # re-pin the baseline (review the
 #                                       # diff before committing!)
-#   ./scripts/bench.sh --shards N       # run scale_city on an N-shard
-#                                       # engine (deterministic rows must
-#                                       # not move — outputs are
-#                                       # shard-invariant by contract)
 #
 # Everything is seed-driven and sim-clock-only, so two runs write
-# byte-identical artefacts; the tier-1 suite's tests/bench_schema.rs
-# keeps the committed JSON structurally honest in between full runs.
+# byte-identical artefacts on any host; the tier-1 suite's
+# tests/bench_schema.rs keeps the committed JSON structurally honest in
+# between full runs. Wall-clock performance is measured by perfbench
+# (BENCHMARK.json, perfbench/README.md), not here.
 set -eu
 cd "$(dirname "$0")/.."
 

@@ -47,7 +47,12 @@
 #    over 4 brokers, and broker_chaos at 10k devices under lossy
 #    links with a mid-run crash-restart), rewrites results/*.txt +
 #    BENCH_contory.json, and diffs every pinned metric against the
-#    results/baseline.json tolerance bands (DESIGN.md §5e).
+#    results/baseline.json tolerance bands (DESIGN.md §5e). bench_all
+#    reads no clock and runs at fixed shard/thread counts, so its
+#    artefacts are a pure function of the seeds: the step also fails
+#    if the run changed the committed files (a checksum of
+#    BENCH_contory.json and results/*.txt before and after), i.e. if
+#    they are stale.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -87,7 +92,14 @@ echo "==> trace gate (tracekit causal tracing plane, DESIGN.md 5i)"
 echo "==> chaos gate (lossy links, crash-recovery, idempotence, DESIGN.md 5j)"
 ./scripts/chaos.sh
 
-echo "==> bench gate (full 6 suite vs results/baseline.json bands)"
+echo "==> bench gate (full 6 suite vs results/baseline.json bands, stale artefacts)"
+before=$(cksum BENCH_contory.json results/*.txt)
 cargo run -q --release -p contory-bench --bin bench_all -- --check
+after=$(cksum BENCH_contory.json results/*.txt)
+if [ "$before" != "$after" ]; then
+    echo "bench gate FAILED: bench_all changed BENCH_contory.json or results/*.txt;" >&2
+    echo "the committed artefacts are stale: run ./scripts/bench.sh and commit them" >&2
+    exit 1
+fi
 
 echo "==> verify: OK"

@@ -3,8 +3,9 @@
 //! `results/baseline.json` (schema `contory-bench-baseline/1`).
 //!
 //! This test is structural, not value-level: it pins field presence, the
-//! closed unit vocabulary, quantile monotonicity and the baseline's
-//! coverage of every exported measurement, so schema drift is caught by
+//! closed unit vocabulary, quantile monotonicity, the baseline's
+//! coverage of every exported measurement and the strength of its bands
+//! (each must catch a 2× regression), so schema drift is caught by
 //! `cargo test` without re-running the (minutes-long) §6 suite. Value
 //! drift is the bench gate's job (`bench_all --check` in
 //! `scripts/verify.sh`).
@@ -182,6 +183,17 @@ fn baseline_covers_every_exported_measurement() {
             "{}/{}: zero-width band would fail on any float jitter",
             m.scenario,
             m.id
+        );
+        // Gate strength: a pinned row that doubles or drops to zero moves
+        // by |value|, so the band must be narrower than that (and below 1
+        // for rows pinned at or near zero).
+        let allowed = m.rel_tol * m.value.abs() + m.abs_tol;
+        assert!(
+            allowed < m.value.abs().max(1.0),
+            "{}/{}: band ±{allowed} around {} cannot catch a 2x regression",
+            m.scenario,
+            m.id,
+            m.value
         );
     }
 }
