@@ -13,9 +13,8 @@
 //! re-homings, fan-out p50/p99, the report digest, the trace break-up,
 //! the engine's merge rounds) is a pure function of the seed, pinned
 //! exactly in `results/baseline.json`. The outcome rows are
-//! byte-identical across engine shard counts, worker-thread counts and
-//! broker table shard counts (cross-checked in-scenario on a small
-//! fleet). Wall time is perfbench's `fleet` workload, which runs this
+//! byte-identical across engine shard counts and worker-thread counts
+//! (cross-checked in-scenario on a small fleet). Wall time is perfbench's `fleet` workload, which runs this
 //! fleet (seed 800 reproduces its counts).
 
 use benchkit::{Measurement, RunCtx, Scenario, Unit};
@@ -378,27 +377,19 @@ impl Scenario for BrokerLoad {
         ctx.tally_events(traced.events + untraced.events, SimTime::from_secs(2 * 10));
 
         // Partition-invariance cross-check on a small fleet, faults
-        // included: 1 shard x 1 thread x 1 table shard must equal
-        // 4 shards x max threads x 4 table shards byte-for-byte.
+        // included: 1 shard x 1 thread must equal 4 shards x max
+        // threads byte-for-byte.
         let mut seq_cfg = big_fleet(self.seed() ^ 0xb20c, 1, 1);
         seq_cfg.devices = 300;
         seq_cfg.run_for = SimDuration::from_secs(10);
-        seq_cfg.node = NodeConfig {
-            table_shards: 1,
-            ..NodeConfig::default()
-        };
         let mut par_cfg = big_fleet(self.seed() ^ 0xb20c, 4, ShardConfig::max_threads());
         par_cfg.devices = 300;
         par_cfg.run_for = SimDuration::from_secs(10);
-        par_cfg.node = NodeConfig {
-            table_shards: 4,
-            ..NodeConfig::default()
-        };
         let seq = run_fleet(&seq_cfg);
         let par = run_fleet(&par_cfg);
         ctx.check_true(
             "partition_invariance_small_fleet",
-            "300-device fleet: 1x1 engine, 1 table shard == 4x(max) engine, 4 table shards",
+            "300-device fleet: 1x1 engine == 4x(max) engine",
             seq.report() == par.report(),
         );
         ctx.tally_events(seq.events + par.events, SimTime::from_secs(2 * 10));

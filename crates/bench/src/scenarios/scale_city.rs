@@ -24,6 +24,7 @@
 //! produce bit-identical outcomes.
 
 use benchkit::{Measurement, RunCtx, Scenario, Unit};
+use simkit::hash::mix64;
 use simkit::shard::EngineProfile;
 use simkit::{ActorId, EventCtx, ShardConfig, ShardSim, SimDuration, SimTime};
 
@@ -80,13 +81,6 @@ struct Device {
     acc: u64,
 }
 
-fn mix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// 100 ms grid: every tick period, start offset and gossip delay is a
 /// multiple of this, so the engine's merge rounds stay coarse (hundreds
 /// of rounds per run instead of one per microsecond-distinct event).
@@ -100,7 +94,7 @@ fn on_event(dev: &mut Device, ctx: &mut EventCtx<'_, Ev>, ev: Ev, devices: u64) 
                 SimDuration::from_millis(1000 + GRID_MS * (ctx.rng().next_u64() % 21))
             });
             dev.ticks += 1;
-            dev.acc = mix(dev.acc ^ ctx.now().as_micros());
+            dev.acc = mix64(dev.acc ^ ctx.now().as_micros());
             // Gossip one context item to a derived neighbor.
             let jump = 1 + ctx.rng().next_u64() % (devices - 1);
             let dest = ActorId((ctx.actor().0 + jump) % devices);
@@ -110,7 +104,7 @@ fn on_event(dev: &mut Device, ctx: &mut EventCtx<'_, Ev>, ev: Ev, devices: u64) 
         }
         Ev::Gossip { hops } => {
             dev.received += 1;
-            dev.acc = mix(dev.acc ^ ctx.now().as_micros().rotate_left(13));
+            dev.acc = mix64(dev.acc ^ ctx.now().as_micros().rotate_left(13));
             if hops > 0 {
                 let jump = 1 + ctx.rng().next_u64() % (devices - 1);
                 let dest = ActorId((ctx.actor().0 + jump) % devices);
@@ -157,7 +151,7 @@ pub fn run_city_profiled(cfg: CityConfig) -> (CityOutcome, EngineProfile) {
                 period: None,
                 ticks: 0,
                 received: 0,
-                acc: mix(i),
+                acc: mix64(i),
             },
         );
         debug_assert!(added, "duplicate device id");
@@ -169,7 +163,7 @@ pub fn run_city_profiled(cfg: CityConfig) -> (CityOutcome, EngineProfile) {
     let mut checksum = 0u64;
     for i in 0..devices {
         if let Some(dev) = sim.actor_state(ActorId(i)) {
-            checksum = mix(checksum ^ dev.acc ^ (dev.ticks << 17) ^ dev.received);
+            checksum = mix64(checksum ^ dev.acc ^ (dev.ticks << 17) ^ dev.received);
         }
     }
     let out = CityOutcome {

@@ -102,27 +102,12 @@ impl Json {
         }
     }
 
-    /// Object-entries accessor.
-    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(entries) => Some(entries),
-            _ => None,
-        }
-    }
-
     /// Renders the tree pretty-printed (2-space indent, `\n` line ends,
     /// trailing newline). Byte-deterministic for a given tree.
     pub fn render(&self) -> String {
         let mut out = String::new();
         self.write_into(&mut out, 0);
         out.push('\n');
-        out
-    }
-
-    /// Renders the tree on one line (no whitespace).
-    pub fn render_compact(&self) -> String {
-        let mut out = String::new();
-        self.write_compact(&mut out);
         out
     }
 
@@ -194,11 +179,13 @@ impl Json {
     }
 
     /// Parses a JSON document. Errors carry a byte offset and a short
-    /// description.
+    /// description; arrays and objects nested more than 128 deep are
+    /// an error.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -216,9 +203,16 @@ fn push_indent(out: &mut String, depth: usize) {
     }
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Each level
+/// costs a stack frame, so without a bound a hostile document could
+/// overflow the stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -257,8 +251,8 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') if self.eat_literal("true") => Ok(Json::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(Json::Bool(false)),
@@ -267,6 +261,16 @@ impl Parser<'_> {
             Some(b) => Err(format!("unexpected '{}' at byte {}", b as char, self.pos)),
             None => Err("unexpected end of input".to_owned()),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -433,16 +437,34 @@ mod tests {
         o.set("b", Json::num(2.0));
         o.set("a", Json::num(9.0));
         assert_eq!(o.get("a").and_then(Json::as_f64), Some(9.0));
-        assert_eq!(o.as_obj().unwrap().len(), 2);
-        assert_eq!(o.as_obj().unwrap()[0].0, "a", "order preserved on replace");
+        let Json::Obj(entries) = &o else {
+            panic!("not an object: {o:?}");
+        };
+        assert_eq!(entries.len(), 2);
+        assert_eq!(entries[0].0, "a", "order preserved on replace");
     }
 
     #[test]
     fn non_finite_renders_null() {
-        assert_eq!(Json::Num(f64::NAN).render_compact(), "null");
-        assert_eq!(Json::Num(f64::INFINITY).render_compact(), "null");
-        assert_eq!(Json::Num(1.0).render_compact(), "1");
-        assert_eq!(Json::Num(0.078).render_compact(), "0.078");
+        assert_eq!(Json::Num(f64::NAN).render(), "null\n");
+        assert_eq!(Json::Num(f64::INFINITY).render(), "null\n");
+        assert_eq!(Json::Num(1.0).render(), "1\n");
+        assert_eq!(Json::Num(0.078).render(), "0.078\n");
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&ok).is_ok());
+        let deep = "[".repeat(10_000);
+        let res = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || Json::parse(&deep))
+            .expect("spawn parser thread")
+            .join()
+            .expect("parser thread panicked");
+        let err = res.expect_err("10,000 levels must be refused");
+        assert!(err.contains("nesting deeper than 128"), "{err}");
     }
 
     #[test]

@@ -47,15 +47,6 @@ pub use measure::{Measurement, Unit};
 pub use report::{render_measurement_table, Report, ScenarioReport, SCHEMA};
 pub use scenario::{run_scenario, Check, RunCtx, Scenario};
 
-/// Runs every scenario in order and assembles the combined report.
-pub fn run_all(scenarios: &[Box<dyn Scenario>]) -> Report {
-    let mut report = Report::new();
-    for s in scenarios {
-        report.scenarios.push(run_scenario(s.as_ref()));
-    }
-    report
-}
-
 /// Convenience for the thin per-scenario bins: run one scenario and
 /// return its report together with the rendered text.
 pub fn run_and_render(s: &dyn Scenario) -> (ScenarioReport, String) {

@@ -1,19 +1,20 @@
 //! Admission control and bounded-queue backpressure.
 //!
 //! A broker admits a publish only if (a) the packet satisfies the
-//! hygiene contract — attributed, unexpired, source not blocked — and
-//! (b) the bounded inbox has room. Everything else is refused with a
+//! hygiene contract — attributed and unexpired — and (b) the bounded
+//! inbox has room. Everything else is refused with a
 //! typed [`BrokerError`] that maps onto the middleware's [`RefError`],
 //! so a shed publish surfaces through the *existing* retry/backoff/
 //! failover machinery instead of inventing a parallel error path.
 //!
 //! Shedding is load signal, not data loss: the client retries (with
-//! backoff) or the [`InfraCxtProvider`] fails over to a less-loaded
-//! broker via the QoS score gossip carries — see
-//! [`federation`](crate::federation).
+//! backoff) or, behind a [`FederatedCell`], `InfraCxtProvider` fails
+//! over to a less-loaded broker via the QoS score gossip carries — see
+//! [`federation`](crate::federation). (The testbed's `InfraCxtProvider`
+//! talks to fuego, not to brokerd.)
 //!
 //! [`RefError`]: contory::refs::RefError
-//! [`InfraCxtProvider`]: crate::cell::FederatedCell
+//! [`FederatedCell`]: crate::cell::FederatedCell
 
 use contory::refs::RefError;
 use std::fmt;
@@ -30,7 +31,9 @@ pub enum BrokerError {
     Unattributed,
     /// The packet was already past its expiry when it arrived.
     ExpiredOnArrival,
-    /// The packet's source is blocked by the broker's access policy.
+    /// The packet's source is blocked by an access policy. No broker
+    /// blocks sources today; the variant keeps its place in the wire and
+    /// `STATS` vocabulary.
     SourceBlocked(String),
     /// The broker is down (scripted fault or shutdown).
     BrokerDown,
@@ -99,7 +102,8 @@ pub struct AdmissionStats {
     pub unattributed: u64,
     /// Publishes refused as expired on arrival.
     pub expired: u64,
-    /// Publishes refused by source blocking.
+    /// Publishes refused by source blocking (always 0: no broker blocks
+    /// sources today).
     pub blocked: u64,
 }
 

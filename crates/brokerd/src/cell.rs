@@ -1,13 +1,15 @@
 //! [`FederatedCell`]: the cellular reference backed by the broker
 //! federation.
 //!
-//! This is the classic-sim harness — the one the middleware itself talks
+//! This is the classic-sim harness — the one the middleware can talk
 //! to. `InfraCxtProvider` reaches the external infrastructure through
 //! `contory::refs::CellReference`; [`FederatedCell`] implements that
 //! trait over a set of in-process [`BrokerNode`]s wired as a full mesh,
-//! so every `extInfra` query in the testbed exercises the same
+//! so an `extInfra` query served through it exercises the same
 //! admission, matching and federation code as the sharded fleet and the
-//! loopback TCP service.
+//! loopback TCP service. Only brokerd's own tests (the 45 s kill-over
+//! suite) wire it in; the testbed's `extInfra` queries use
+//! `testbed::refs_impl::SimCellReference` over fuego instead.
 //!
 //! Two things happen here that the pure core cannot do on its own:
 //!
@@ -20,7 +22,7 @@
 //!   path the 45 s SLO test drives.
 //! * **Audit-trailed admission** — an optional [`AccessController`]
 //!   vets the source attribution of every `store` before the packet is
-//!   built, so refusals land in the middleware's audit ring as well as
+//!   built, so refusals land in the middleware's audit totals as well as
 //!   the broker's admission counters.
 //!
 //! [`AccessController`]: contory::AccessController
@@ -49,29 +51,12 @@ const CELL_TRACE_NODE: u64 = 0xCE11;
 /// ids disjoint from fleet-device and gossip roots.
 const CELL_TRACE_SALT: u64 = 0x0ce1_1b0c_5eed_0001;
 
-/// Tunables of the federated cell reference.
-#[derive(Clone, Debug)]
-pub struct CellConfig {
-    /// Pump cadence: drains brokers, fires periodics, probes liveness.
-    pub tick: SimDuration,
-    /// Broker-side lifetime of subscriptions the cell opens.
-    pub sub_ttl: SimDuration,
-    /// Modelled uplink latency for `store`/`fetch` completions.
-    pub uplink: SimDuration,
-    /// Per-broker node tunables.
-    pub node: NodeConfig,
-}
-
-impl Default for CellConfig {
-    fn default() -> Self {
-        CellConfig {
-            tick: SimDuration::from_millis(500),
-            sub_ttl: SimDuration::from_secs(3_600),
-            uplink: SimDuration::from_millis(150),
-            node: NodeConfig::default(),
-        }
-    }
-}
+/// Pump cadence: drains brokers, fires periodics, probes liveness.
+const TICK: SimDuration = SimDuration::from_millis(500);
+/// Broker-side lifetime of subscriptions the cell opens.
+const SUB_TTL: SimDuration = SimDuration::from_secs(3_600);
+/// Modelled uplink latency for `store`/`fetch` completions.
+const UPLINK: SimDuration = SimDuration::from_millis(150);
 
 struct BrokerSlot {
     node: BrokerNode,
@@ -89,7 +74,8 @@ struct SubEntry {
 
 struct Inner {
     sim: Sim,
-    cfg: CellConfig,
+    /// Per-broker node tunables.
+    node_cfg: NodeConfig,
     brokers: BTreeMap<BrokerId, BrokerSlot>,
     plan: Option<FaultPlan>,
     access: Option<Rc<AccessController>>,
@@ -165,7 +151,7 @@ impl Inner {
                 InfraPushMode::Periodic(d) => SubMode::Periodic(d),
                 InfraPushMode::OnArrival => SubMode::Event,
             };
-            let ttl = self.cfg.sub_ttl;
+            let ttl = SUB_TTL;
             let sub = slot
                 .node
                 .subscribe(u64::from(sel.0), &entry.spec.cxt_type, mode, now + ttl, now);
@@ -241,12 +227,12 @@ pub struct FederatedCell {
 }
 
 impl FederatedCell {
-    /// Creates the cell and starts its pump on the simulator.
-    pub fn new(sim: &Sim, cfg: CellConfig) -> Self {
-        let tick = cfg.tick;
+    /// Creates the cell and starts its pump on the simulator. `node`
+    /// configures every broker [`FederatedCell::add_broker`] adds.
+    pub fn new(sim: &Sim, node: NodeConfig) -> Self {
         let inner = Rc::new(RefCell::new(Inner {
             sim: sim.clone(),
-            cfg,
+            node_cfg: node,
             brokers: BTreeMap::new(),
             plan: None,
             access: None,
@@ -260,7 +246,7 @@ impl FederatedCell {
         // The pump holds only a weak handle: when the last strong clone
         // of the cell drops, the repeating timer unregisters itself.
         let weak: Weak<RefCell<Inner>> = Rc::downgrade(&inner);
-        sim.schedule_repeating(tick, move || {
+        sim.schedule_repeating(TICK, move || {
             let Some(strong) = weak.upgrade() else {
                 return false;
             };
@@ -280,8 +266,7 @@ impl FederatedCell {
     pub fn add_broker(&self, id: BrokerId, latency_us: u64) {
         let mut inner = self.inner.borrow_mut();
         let now = inner.sim.now();
-        let cfg = inner.cfg.node.clone();
-        let mut node = BrokerNode::new(id, cfg);
+        let mut node = BrokerNode::new(id, inner.node_cfg.clone());
         for (peer_id, slot) in inner.brokers.iter_mut() {
             let inter = slot.latency_us.midpoint(latency_us);
             node.peers_mut().introduce(*peer_id, inter, now);
@@ -296,7 +281,7 @@ impl FederatedCell {
     }
 
     /// Vets every `store`'s attribution through this controller, feeding
-    /// the middleware audit trail.
+    /// the middleware's audit totals.
     pub fn set_access(&self, access: Rc<AccessController>) {
         self.inner.borrow_mut().access = Some(access);
     }
@@ -345,8 +330,7 @@ impl CellReference for FederatedCell {
     fn store(&self, item: &CxtItem, cb: Done<Result<(), RefError>>) {
         let mut inner = self.inner.borrow_mut();
         let now = inner.sim.now();
-        let uplink = inner.cfg.uplink;
-        let result = (|| {
+                let result = (|| {
             if let Some(access) = &inner.access {
                 if access.check_attributed(item.source.as_ref(), None) == AccessDecision::Blocked {
                     return Err(RefError::Denied("source refused by access control".into()));
@@ -359,7 +343,7 @@ impl CellReference for FederatedCell {
                 .ok_or_else(|| RefError::Unavailable("no live broker".into()))?;
             let seq = inner.published;
             inner.published += 1;
-            let root = TraceCtx::root(CELL_TRACE_SALT ^ seq, inner.cfg.node.trace_sample_log2);
+            let root = TraceCtx::root(CELL_TRACE_SALT ^ seq, inner.node_cfg.trace_sample_log2);
             let span = inner.trace.record(root, Stage::Publish, CELL_TRACE_NODE, now);
             if span != 0 {
                 packet = packet.with_trace(root.child(span));
@@ -374,14 +358,13 @@ impl CellReference for FederatedCell {
                 .map(|_| ())
                 .map_err(RefError::from)
         })();
-        inner.sim.schedule_in(uplink, move || cb(result));
+        inner.sim.schedule_in(UPLINK, move || cb(result));
     }
 
     fn fetch(&self, spec: &InfraSpec, cb: Done<ItemsResult>) {
         let mut inner = self.inner.borrow_mut();
         let now = inner.sim.now();
-        let uplink = inner.cfg.uplink;
-        let freshness = spec.freshness;
+                let freshness = spec.freshness;
         let cxt_type = spec.cxt_type.clone();
         let result = (|| {
             let sel = inner
@@ -400,7 +383,7 @@ impl CellReference for FederatedCell {
             }
             Ok(vec![packet.to_cxt_item()])
         })();
-        inner.sim.schedule_in(uplink, move || cb(result));
+        inner.sim.schedule_in(UPLINK, move || cb(result));
     }
 
     fn subscribe(
@@ -455,7 +438,7 @@ mod tests {
     }
 
     fn cell_with_brokers(sim: &Sim, n: u16) -> FederatedCell {
-        let cell = FederatedCell::new(sim, CellConfig::default());
+        let cell = FederatedCell::new(sim, NodeConfig::default());
         for b in 0..n {
             cell.add_broker(BrokerId(b), 5_000 + u64::from(b) * 1_000);
         }
@@ -539,8 +522,10 @@ mod tests {
     #[test]
     fn stores_are_traced_end_to_end() {
         let sim = Sim::new();
-        let mut cfg = CellConfig::default();
-        cfg.node.trace_sample_log2 = 0; // sample every publish
+        let cfg = NodeConfig {
+            trace_sample_log2: 0, // sample every publish
+            ..NodeConfig::default()
+        };
         let cell = FederatedCell::new(&sim, cfg);
         cell.add_broker(BrokerId(0), 5_000);
         cell.add_broker(BrokerId(1), 6_000);

@@ -53,7 +53,7 @@ pub struct LoadDigest {
 
 /// What a peer looks like from here.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PeerStat {
+struct PeerStat {
     /// Measured (or configured) one-way link latency.
     pub latency_us: u64,
     /// Last advertised queue depth.
@@ -108,19 +108,9 @@ impl PeerView {
         stat.last_seen = heard_at;
     }
 
-    /// Removes a peer (e.g. on an administrative leave).
-    pub fn forget(&mut self, broker: BrokerId) {
-        self.peers.remove(&broker);
-    }
-
     /// All known peers in id order.
     pub fn brokers(&self) -> Vec<BrokerId> {
         self.peers.keys().copied().collect()
-    }
-
-    /// A peer's current stat.
-    pub fn stat(&self, broker: BrokerId) -> Option<&PeerStat> {
-        self.peers.get(&broker)
     }
 
     /// Number of known peers.
@@ -131,16 +121,6 @@ impl PeerView {
     /// True when no peer is known.
     pub fn is_empty(&self) -> bool {
         self.peers.is_empty()
-    }
-
-    /// Peers whose digests are fresh at `now` (within `staleness`), in
-    /// id order.
-    pub fn live_peers(&self, now: SimTime, staleness: SimDuration) -> Vec<BrokerId> {
-        self.peers
-            .iter()
-            .filter(|(_, s)| now.since(s.last_seen) <= staleness)
-            .map(|(b, _)| *b)
-            .collect()
     }
 
     /// QoS-aware selection: the live peer with the lowest integer score,
@@ -201,7 +181,6 @@ mod tests {
         // Broker 1 went silent: at t=100 its digest is 100 s old.
         let now = SimTime::from_secs(100);
         assert_eq!(view.select(now, STALE, None), Some(BrokerId(2)));
-        assert_eq!(view.live_peers(now, STALE), vec![BrokerId(2)]);
     }
 
     #[test]

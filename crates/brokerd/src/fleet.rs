@@ -33,6 +33,13 @@ pub const FLEET_TYPES: u16 = 64;
 /// Missed acks before a publisher re-homes to the next broker.
 const REHOME_AFTER_MISSES: u32 = 2;
 
+/// Lifetime stamped on every published packet.
+const LIFETIME: SimDuration = SimDuration::from_secs(30);
+/// Broker sweep cadence.
+const SWEEP_EVERY: SimDuration = SimDuration::from_secs(10);
+/// Broker gossip cadence.
+const GOSSIP_EVERY: SimDuration = SimDuration::from_secs(5);
+
 /// Fleet scenario configuration.
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
@@ -50,15 +57,9 @@ pub struct FleetConfig {
     pub run_for: SimDuration,
     /// Device publish cadence (jittered ±25 % per device).
     pub publish_period: SimDuration,
-    /// Lifetime stamped on every published packet.
-    pub lifetime: SimDuration,
     /// Broker drain cadence.
     pub drain_every: SimDuration,
-    /// Broker sweep cadence.
-    pub sweep_every: SimDuration,
-    /// Broker gossip cadence.
-    pub gossip_every: SimDuration,
-    /// Broker tunables (table shards, inbox bound, drain budget).
+    /// Broker tunables (trace sampling, forward retries).
     pub node: NodeConfig,
     /// Scripted up/down edges `(broker, at, up)`; build with
     /// [`fault_edges`].
@@ -93,10 +94,7 @@ impl Default for FleetConfig {
             threads: 1,
             run_for: SimDuration::from_secs(30),
             publish_period: SimDuration::from_secs(5),
-            lifetime: SimDuration::from_secs(30),
             drain_every: SimDuration::from_millis(50),
-            sweep_every: SimDuration::from_secs(10),
-            gossip_every: SimDuration::from_secs(5),
             node: NodeConfig::default(),
             fault_edges: Vec::new(),
             restarts: Vec::new(),
@@ -498,10 +496,7 @@ pub fn run_fleet_profiled(cfg: &FleetConfig) -> (FleetOutcome, EngineProfile) {
     let seed = cfg.seed;
     let trace_rate = cfg.node.trace_sample_log2;
     let publish_period = cfg.publish_period;
-    let lifetime = cfg.lifetime;
     let drain_every = cfg.drain_every;
-    let sweep_every = cfg.sweep_every;
-    let gossip_every = cfg.gossip_every;
     let horizon = cfg.run_for;
     let chaos_until = cfg.chaos_until;
     let sub_lease = cfg.sub_lease.unwrap_or(horizon + horizon);
@@ -622,7 +617,7 @@ pub fn run_fleet_profiled(cfg: &FleetConfig) -> (FleetOutcome, EngineProfile) {
                     if st.alive {
                         st.node.sweep(ctx.now());
                     }
-                    ctx.schedule_self(sweep_every, FleetEvent::SweepTick);
+                    ctx.schedule_self(SWEEP_EVERY, FleetEvent::SweepTick);
                 }
                 FleetEvent::GossipTick => {
                     if st.alive {
@@ -638,7 +633,7 @@ pub fn run_fleet_profiled(cfg: &FleetConfig) -> (FleetOutcome, EngineProfile) {
                             );
                         }
                     }
-                    ctx.schedule_self(gossip_every, FleetEvent::GossipTick);
+                    ctx.schedule_self(GOSSIP_EVERY, FleetEvent::GossipTick);
                 }
                 FleetEvent::Digest(d) => {
                     if st.alive {
@@ -739,7 +734,7 @@ pub fn run_fleet_profiled(cfg: &FleetConfig) -> (FleetOutcome, EngineProfile) {
                         type_name(dev.type_idx),
                         (ctx.actor().0 as i64 % 1000) * 10,
                         ctx.now(),
-                        lifetime,
+                        LIFETIME,
                         source,
                     );
                     packet.value_milli += (ctx.rng().next_u64() % 1000) as i64;

@@ -22,16 +22,18 @@
 //!   (`std::net::TcpListener`, line protocol in [`wire`]) driven by a
 //!   logical clock carried in every frame — no wall clock anywhere;
 //! * [`cell`] — [`FederatedCell`], a `contory::refs::CellReference`
-//!   backed by classic-sim broker nodes, which is how
-//!   `InfraCxtProvider` reaches the federation and fails over between
-//!   brokers inside the paper's 45 s SLO.
+//!   backed by classic-sim broker nodes, through which
+//!   `InfraCxtProvider` can reach the federation and fail over between
+//!   brokers inside the paper's 45 s SLO. Only brokerd's own kill-over
+//!   suite wires it in: the testbed's `extInfra` leg runs over fuego
+//!   (`testbed::refs_impl::SimCellReference`).
 //!
 //! ## The hygiene contract
 //!
 //! Every packet a broker touches carries a **mandatory expiry** and a
 //! **mandatory source attribution** ([`ContextPacket`] cannot be built
-//! without either); unattributed, expired or blocked publishes are
-//! refused at [admission](admission) with typed errors that map onto the
+//! without either); unattributed or expired publishes are refused at
+//! [admission](admission) with typed errors that map onto the
 //! middleware's retry/backoff/failover taxonomy, and expiry is enforced
 //! at every read *and* by deterministic sweeps — the same contract
 //! `contory::CxtRepository` now enforces device-side.
@@ -53,7 +55,7 @@ pub mod wire;
 pub use admission::{AdmissionStats, BrokerError};
 pub use cell::FederatedCell;
 pub use dedup::{DedupWindow, SeqVerdict, SEQ_WINDOW};
-pub use federation::{qos_score, LoadDigest, PeerStat, PeerView};
+pub use federation::{qos_score, LoadDigest, PeerView};
 pub use fleet::{
     fault_edges, link_faults, link_label, restart_edges, run_fleet, run_fleet_profiled,
     FleetConfig, FleetEvent, FleetOutcome,

@@ -1,7 +1,7 @@
 //! The pure broker core: `(input, now) → effects`.
 //!
-//! [`BrokerNode`] owns a broker's entire state — interner, sharded
-//! subscription table, bounded inbox, peer view, counters — and exposes
+//! [`BrokerNode`] owns a broker's entire state — interner, subscription
+//! table, bounded inbox, peer view, counters — and exposes
 //! transition functions that never touch a clock, a socket or a thread.
 //! Observations stay in that state too: counters in [`NodeStats`]
 //! (exported by [`BrokerNode::telemetry`]) and hop spans in the node's
@@ -31,27 +31,27 @@ use crate::federation::{LoadDigest, PeerView};
 use crate::packet::{BrokerId, ContextPacket, MAX_HOPS};
 use crate::table::{SubId, SubMode, SubscriptionTable, SweepStats};
 use contory::vocab::{Interner, Sym};
+use simkit::hash::{fnv1a, mix64, FNV_OFFSET};
 use simkit::{SimDuration, SimTime};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use tracekit::{Stage, TraceCtx, TraceLog};
 
-/// Broker tunables.
+/// Bounded inbox capacity; publishes beyond it are shed.
+const INBOX_CAPACITY: usize = 64;
+/// Packets processed per [`BrokerNode::drain`] call (the service rate
+/// of the queueing model).
+const DRAIN_BUDGET: usize = 16;
+/// Publisher origins tracked by the dedup window (LRU-bounded).
+const DEDUP_ORIGINS: usize = 4096;
+/// Ack timeout before a tracked federation forward is re-sent.
+const FWD_TIMEOUT: SimDuration = SimDuration::from_millis(150);
+
+/// Broker tunables: the two that the harnesses set differently.
 #[derive(Clone, Debug)]
 pub struct NodeConfig {
-    /// Internal shard count of the subscription table.
-    pub table_shards: usize,
-    /// Bounded inbox capacity; publishes beyond it are shed.
-    pub inbox_capacity: usize,
-    /// Packets processed per [`BrokerNode::drain`] call (the service
-    /// rate of the queueing model).
-    pub drain_budget: usize,
     /// Gossip-plane trace sampling: one digest trace in
     /// `2^trace_sample_log2` is sampled (`0` ⇒ every digest).
     pub trace_sample_log2: u32,
-    /// Publisher origins tracked by the dedup window (LRU-bounded).
-    pub dedup_origins: usize,
-    /// Ack timeout before a tracked federation forward is re-sent.
-    pub fwd_timeout: SimDuration,
     /// Maximum re-sends of one forward after the initial attempt.
     /// `0` disables the retry machinery (legacy fire-and-forget).
     pub fwd_attempts: u32,
@@ -60,12 +60,7 @@ pub struct NodeConfig {
 impl Default for NodeConfig {
     fn default() -> Self {
         NodeConfig {
-            table_shards: 4,
-            inbox_capacity: 64,
-            drain_budget: 16,
             trace_sample_log2: 3,
-            dedup_origins: 4096,
-            fwd_timeout: SimDuration::from_millis(150),
             fwd_attempts: 0,
         }
     }
@@ -104,14 +99,6 @@ struct PendingFwd {
     packet: ContextPacket,
     attempts_used: u32,
     next_retry: SimTime,
-}
-
-/// Deterministic 64-bit mixer for retry jitter (no RNG in the core).
-fn mix(v: u64) -> u64 {
-    let mut z = v.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// A side effect the harness must carry out.
@@ -180,7 +167,6 @@ pub struct BrokerNode {
     table: SubscriptionTable,
     inbox: VecDeque<ContextPacket>,
     peers: PeerView,
-    blocked: BTreeSet<String>,
     stats: NodeStats,
     trace: TraceLog,
     dedup: DedupWindow,
@@ -192,19 +178,16 @@ pub struct BrokerNode {
 impl BrokerNode {
     /// Creates a broker.
     pub fn new(id: BrokerId, cfg: NodeConfig) -> Self {
-        let table = SubscriptionTable::new(cfg.table_shards);
-        let dedup = DedupWindow::new(cfg.dedup_origins);
         BrokerNode {
             id,
             cfg,
             interner: Interner::new(),
-            table,
+            table: SubscriptionTable::new(),
             inbox: VecDeque::new(),
             peers: PeerView::new(),
-            blocked: BTreeSet::new(),
             stats: NodeStats::default(),
             trace: TraceLog::new(),
-            dedup,
+            dedup: DedupWindow::new(DEDUP_ORIGINS),
             pending_fwds: BTreeMap::new(),
             next_fwd_id: 1,
             directory: BTreeMap::new(),
@@ -293,20 +276,10 @@ impl BrokerNode {
         &self.peers
     }
 
-    /// Blocks a source: its publishes are refused from now on.
-    pub fn block_source(&mut self, source: impl Into<String>) {
-        self.blocked.insert(source.into());
-    }
-
     /// Interns a context-type name (admission-time cost only; every hot
     /// path below works on the dense id).
     pub fn intern(&mut self, type_name: &str) -> Sym {
         self.interner.intern(type_name)
-    }
-
-    /// The id of an already-seen type, without inserting.
-    pub fn lookup(&self, type_name: &str) -> Option<Sym> {
-        self.interner.get(type_name)
     }
 
     /// Registers a subscription.
@@ -396,9 +369,6 @@ impl BrokerNode {
         if !packet.is_valid_at(now) {
             return Err(BrokerError::ExpiredOnArrival);
         }
-        if self.blocked.contains(&packet.source) {
-            return Err(BrokerError::SourceBlocked(packet.source.clone()));
-        }
         // The duplicate check runs before the capacity check — a
         // duplicate must be ackable even under backpressure — but the
         // window only *records* the packet once it is actually
@@ -408,9 +378,9 @@ impl BrokerNode {
             let _ = self.dedup.observe(packet.seq);
             return Ok(Admitted::Duplicate);
         }
-        if self.inbox.len() >= self.cfg.inbox_capacity {
+        if self.inbox.len() >= INBOX_CAPACITY {
             return Err(BrokerError::QueueFull {
-                capacity: self.cfg.inbox_capacity,
+                capacity: INBOX_CAPACITY,
             });
         }
         let _ = self.dedup.observe(packet.seq);
@@ -431,13 +401,13 @@ impl BrokerNode {
         }
     }
 
-    /// Service: processes up to `drain_budget` inbox packets — retain,
+    /// Service: processes up to [`DRAIN_BUDGET`] inbox packets — retain,
     /// match local subscribers, forward to peers — and returns the
     /// effects in deterministic order (inbox FIFO × subscription-id
     /// order × peer-id order).
     pub fn drain(&mut self, now: SimTime) -> Vec<Effect> {
         let mut effects = Vec::new();
-        for _ in 0..self.cfg.drain_budget {
+        for _ in 0..DRAIN_BUDGET {
             let Some(mut packet) = self.inbox.pop_front() else {
                 break;
             };
@@ -496,7 +466,7 @@ impl BrokerNode {
                             to: peer,
                             packet: forward.clone(),
                             attempts_used: 0,
-                            next_retry: now + self.cfg.fwd_timeout,
+                            next_retry: now + FWD_TIMEOUT,
                         },
                     );
                     id
@@ -523,11 +493,6 @@ impl BrokerNode {
             return false;
         }
         self.pending_fwds.remove(&fwd_id).is_some()
-    }
-
-    /// Tracked forwards currently awaiting an ack.
-    pub fn pending_forwards(&self) -> usize {
-        self.pending_fwds.len()
     }
 
     /// Re-sends of tracked forwards whose ack timed out by `now`, with
@@ -560,9 +525,9 @@ impl BrokerNode {
             self.stats.retries += 1;
             let node = self.trace_node();
             self.trace.record(p.packet.trace, Stage::Retry, node, now);
-            let timeout_us = self.cfg.fwd_timeout.as_micros().max(1);
+            let timeout_us = FWD_TIMEOUT.as_micros();
             let backoff = timeout_us << p.attempts_used.min(4);
-            let jitter = mix(id ^ (u64::from(p.attempts_used) << 56)) % (timeout_us / 4 + 1);
+            let jitter = mix64(id ^ (u64::from(p.attempts_used) << 56)) % (timeout_us / 4 + 1);
             p.next_retry = now + SimDuration::from_micros(backoff + jitter);
             effects.push(Effect::Forward {
                 to: p.to,
@@ -653,25 +618,19 @@ impl BrokerNode {
     /// keep the digest comparable across brokers with different intern
     /// orders.
     pub fn table_digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut fold = |bytes: &[u8]| {
-            for b in bytes {
-                h ^= u64::from(*b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
+        let mut h = FNV_OFFSET;
         for sub in self.table.live_entries() {
             let name = self.interner.resolve(sub.cxt_type).unwrap_or("");
-            fold(name.as_bytes());
-            fold(&sub.subscriber.to_le_bytes());
             let (mode_tag, period) = match sub.mode {
                 SubMode::OneShot => (0u8, 0u64),
                 SubMode::Periodic(p) => (1, p.as_micros()),
                 SubMode::Event => (2, 0),
             };
-            fold(&[mode_tag]);
-            fold(&period.to_le_bytes());
-            fold(&sub.expires_at.as_micros().to_le_bytes());
+            h = fnv1a(h, name.as_bytes());
+            h = fnv1a(h, &sub.subscriber.to_le_bytes());
+            h = fnv1a(h, &[mode_tag]);
+            h = fnv1a(h, &period.to_le_bytes());
+            h = fnv1a(h, &sub.expires_at.as_micros().to_le_bytes());
         }
         h
     }
@@ -755,30 +714,22 @@ mod tests {
             n.publish(stale, SimTime::from_secs(100)),
             Err(BrokerError::ExpiredOnArrival)
         );
-        n.block_source("src-a");
-        assert!(matches!(
-            n.publish(pkt("wind", 200), SimTime::from_secs(200)),
-            Err(BrokerError::SourceBlocked(_))
-        ));
-        assert_eq!(n.stats().admission.refused(), 3);
+        assert_eq!(n.stats().admission.refused(), 2);
         assert_eq!(n.stats().admission.admitted, 0);
     }
 
     #[test]
     fn bounded_inbox_sheds_beyond_capacity() {
-        let mut n = BrokerNode::new(
-            BrokerId(0),
-            NodeConfig {
-                inbox_capacity: 2,
-                ..NodeConfig::default()
-            },
-        );
+        let mut n = node();
         let now = SimTime::from_secs(1);
-        assert!(n.publish(pkt("a", 1), now).is_ok());
-        assert!(n.publish(pkt("b", 1), now).is_ok());
+        for _ in 0..INBOX_CAPACITY {
+            assert!(n.publish(pkt("a", 1), now).is_ok());
+        }
         assert_eq!(
             n.publish(pkt("c", 1), now),
-            Err(BrokerError::QueueFull { capacity: 2 })
+            Err(BrokerError::QueueFull {
+                capacity: INBOX_CAPACITY
+            })
         );
         assert_eq!(n.stats().admission.shed, 1);
         // Draining frees capacity again.
@@ -896,7 +847,7 @@ mod tests {
             })
             .expect("no forward");
         assert_ne!(fwd_id, 0, "sequenced forwards must be tracked");
-        assert_eq!(n.pending_forwards(), 1);
+        assert_eq!(n.pending_fwds.len(), 1);
         // Not yet due.
         assert!(n.fwd_retries_due(SimTime::from_secs(1)).is_empty());
         // Due: re-send 1 and 2, then exhaustion.
@@ -905,7 +856,7 @@ mod tests {
         let r2 = n.fwd_retries_due(SimTime::from_secs(20));
         assert_eq!(r2.len(), 1);
         assert!(n.fwd_retries_due(SimTime::from_secs(30)).is_empty());
-        assert_eq!(n.pending_forwards(), 0);
+        assert_eq!(n.pending_fwds.len(), 0);
         assert_eq!(n.stats().retries, 2);
         assert_eq!(n.stats().retry_exhausted, 1);
     }
@@ -928,7 +879,7 @@ mod tests {
             .unwrap();
         assert!(n.fwd_ack(fwd_id));
         assert!(!n.fwd_ack(fwd_id), "double-ack must be a no-op");
-        assert_eq!(n.pending_forwards(), 0);
+        assert_eq!(n.pending_fwds.len(), 0);
         assert!(n.fwd_retries_due(SimTime::from_secs(100)).is_empty());
         assert_eq!(n.stats().retries, 0);
     }
@@ -951,7 +902,7 @@ mod tests {
         // Without an idempotence key a retry could double-deliver, so
         // the retry machinery refuses to track it.
         assert_eq!(fwd_id, 0);
-        assert_eq!(n.pending_forwards(), 0);
+        assert_eq!(n.pending_fwds.len(), 0);
     }
 
     #[test]

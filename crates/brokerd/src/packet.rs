@@ -4,7 +4,7 @@
 //! Two fields the middleware treats as optional metadata are *mandatory*
 //! here, by construction: every packet carries an **expiry instant**
 //! (brokers never retain or deliver stale context) and a **source
-//! attribution** (the audit trail [`AccessController`] vets on
+//! attribution** (what [`AccessController`] vets and audits on
 //! delivery). A third field the core has no use for — the **hop list**
 //! — records which brokers federated the packet, bounding forwarding
 //! loops and making the provenance of every delivery auditable.
@@ -155,15 +155,6 @@ impl ContextPacket {
         self
     }
 
-    /// Remaining lifetime at `now` (zero once expired).
-    pub fn ttl_at(&self, now: SimTime) -> SimDuration {
-        if now >= self.expires_at {
-            SimDuration::ZERO
-        } else {
-            self.expires_at.since(now)
-        }
-    }
-
     /// Converts to the middleware's item type, preserving the mandatory
     /// lifetime and attribution.
     pub fn to_cxt_item(&self) -> CxtItem {
@@ -237,8 +228,6 @@ mod tests {
         assert_eq!(p.expires_at, SimTime::from_secs(40));
         assert!(p.is_valid_at(SimTime::from_secs(40)));
         assert!(!p.is_valid_at(SimTime::from_secs(41)));
-        assert_eq!(p.ttl_at(SimTime::from_secs(35)), SimDuration::from_secs(5));
-        assert_eq!(p.ttl_at(SimTime::from_secs(50)), SimDuration::ZERO);
     }
 
     #[test]

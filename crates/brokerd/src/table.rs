@@ -1,14 +1,12 @@
-//! Subscription tables, sharded by interned context type.
+//! Subscription tables, keyed by interned context type.
 //!
-//! A broker holds one [`SubscriptionTable`] split into `N` internal
-//! shards; a subscription or retained packet for type `t` lives on shard
-//! `t.0 % N`. Sharding bounds the scan cost of the hot path (an arriving
-//! packet only consults one shard) and — because [`Sym`] ids are dense
-//! and partition-independent — the shard count never changes any output:
-//! match order is always subscription-id order, sweep order is always
-//! `(shard, type, id)` order over a `BTreeMap`. The fleet determinism
-//! test runs the same scenario at table shard counts 1 and 4 and asserts
-//! byte-identical reports.
+//! A broker holds one [`SubscriptionTable`]: subscriptions and the
+//! retained packet of each type live under the type's [`Sym`] in a
+//! `BTreeMap`, so an arriving packet only consults its own type's list.
+//! Whole-table walks ([`SubscriptionTable::live_entries`],
+//! [`SubscriptionTable::periodic_due`]) visit types in id order and then
+//! sort by subscription id, so delivery order never depends on which
+//! types happen to be registered.
 //!
 //! Three subscription modes mirror the CQL clauses: **one-shot**
 //! (plain `SELECT`, answered once), **periodic** (`EVERY`/freshness,
@@ -72,46 +70,19 @@ pub struct SweepStats {
     pub packets: usize,
 }
 
-struct Shard {
+/// A broker's subscription state, keyed by interned context type.
+#[derive(Debug, Default)]
+pub struct SubscriptionTable {
     subs: BTreeMap<Sym, Vec<Subscription>>,
     retained: BTreeMap<Sym, ContextPacket>,
-}
-
-impl Shard {
-    fn new() -> Shard {
-        Shard {
-            subs: BTreeMap::new(),
-            retained: BTreeMap::new(),
-        }
-    }
-}
-
-/// A broker's subscription state, sharded by interned context type.
-pub struct SubscriptionTable {
-    shards: Vec<Shard>,
     next_id: u64,
     live: usize,
 }
 
 impl SubscriptionTable {
-    /// Creates a table with `shards` internal shards (clamped to ≥ 1).
-    pub fn new(shards: usize) -> Self {
-        let n = shards.max(1);
-        SubscriptionTable {
-            shards: (0..n).map(|_| Shard::new()).collect(),
-            next_id: 0,
-            live: 0,
-        }
-    }
-
-    /// Internal shard count.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard holding a type's subscriptions and retained packet.
-    fn shard_of(&self, sym: Sym) -> usize {
-        usize::from(sym.0) % self.shards.len()
+    /// Creates an empty table.
+    pub fn new() -> Self {
+        SubscriptionTable::default()
     }
 
     /// Registers a subscription and returns its handle.
@@ -129,18 +100,15 @@ impl SubscriptionTable {
             SubMode::Periodic(period) => now + period,
             _ => now,
         };
-        let shard = self.shard_of(cxt_type);
-        if let Some(slot) = self.shards.get_mut(shard) {
-            slot.subs.entry(cxt_type).or_default().push(Subscription {
-                id,
-                subscriber,
-                cxt_type,
-                mode,
-                expires_at,
-                next_due,
-            });
-            self.live += 1;
-        }
+        self.subs.entry(cxt_type).or_default().push(Subscription {
+            id,
+            subscriber,
+            cxt_type,
+            mode,
+            expires_at,
+            next_due,
+        });
+        self.live += 1;
         id
     }
 
@@ -159,12 +127,7 @@ impl SubscriptionTable {
         expires_at: SimTime,
         now: SimTime,
     ) -> (SubId, bool) {
-        let shard = self.shard_of(cxt_type);
-        if let Some(subs) = self
-            .shards
-            .get_mut(shard)
-            .and_then(|s| s.subs.get_mut(&cxt_type))
-        {
+        if let Some(subs) = self.subs.get_mut(&cxt_type) {
             for s in subs.iter_mut() {
                 if s.subscriber == subscriber && s.mode == mode && now <= s.expires_at {
                     s.expires_at = s.expires_at.max(expires_at);
@@ -178,15 +141,12 @@ impl SubscriptionTable {
         )
     }
 
-    /// Every live subscription, cloned, in subscription-id order —
-    /// deterministic regardless of the internal shard count (the input
-    /// to the anti-entropy table digest).
+    /// Every live subscription, cloned, in subscription-id order (the
+    /// input to the anti-entropy table digest).
     pub fn live_entries(&self) -> Vec<Subscription> {
         let mut out = Vec::with_capacity(self.live);
-        for shard in &self.shards {
-            for subs in shard.subs.values() {
-                out.extend(subs.iter().cloned());
-            }
+        for subs in self.subs.values() {
+            out.extend(subs.iter().cloned());
         }
         out.sort_by_key(|s| s.id);
         out
@@ -194,20 +154,18 @@ impl SubscriptionTable {
 
     /// Removes a subscription. Returns whether it existed.
     pub fn unsubscribe(&mut self, id: SubId) -> bool {
-        for shard in &mut self.shards {
-            for subs in shard.subs.values_mut() {
-                let before = subs.len();
-                subs.retain(|s| s.id != id);
-                if subs.len() < before {
-                    self.live -= 1;
-                    return true;
-                }
+        for subs in self.subs.values_mut() {
+            let before = subs.len();
+            subs.retain(|s| s.id != id);
+            if subs.len() < before {
+                self.live -= 1;
+                return true;
             }
         }
         false
     }
 
-    /// Live subscriptions across all shards.
+    /// Live subscriptions.
     pub fn len(&self) -> usize {
         self.live
     }
@@ -220,31 +178,19 @@ impl SubscriptionTable {
     /// Retains `packet` as the latest context of its type (replacing any
     /// older retained packet).
     pub fn retain(&mut self, packet: ContextPacket) {
-        let shard = self.shard_of(packet.cxt_type);
-        if let Some(slot) = self.shards.get_mut(shard) {
-            slot.retained.insert(packet.cxt_type, packet);
-        }
+        self.retained.insert(packet.cxt_type, packet);
     }
 
     /// The retained packet of a type, if still valid at `now`.
     pub fn retained(&self, cxt_type: Sym, now: SimTime) -> Option<&ContextPacket> {
-        self.shards
-            .get(self.shard_of(cxt_type))?
-            .retained
-            .get(&cxt_type)
-            .filter(|p| p.is_valid_at(now))
+        self.retained.get(&cxt_type).filter(|p| p.is_valid_at(now))
     }
 
     /// Matches an arrival against the type's subscriptions: event and
     /// one-shot subscribers still within their duration, in id order.
     /// Matched one-shots are removed (their single answer is spent).
     pub fn on_arrival(&mut self, cxt_type: Sym, now: SimTime) -> Vec<Subscription> {
-        let shard = self.shard_of(cxt_type);
-        let Some(subs) = self
-            .shards
-            .get_mut(shard)
-            .and_then(|s| s.subs.get_mut(&cxt_type))
-        else {
+        let Some(subs) = self.subs.get_mut(&cxt_type) else {
             return Vec::new();
         };
         let mut matched = Vec::new();
@@ -270,18 +216,16 @@ impl SubscriptionTable {
 
     /// Periodic subscriptions due at `now`: each is returned and its
     /// `next_due` advanced by its period. Results are in subscription-id
-    /// order — shard-major collection order would leak the shard count
-    /// into delivery order, breaking the partition-invariance contract.
+    /// order: the walk visits types in id order, which would otherwise
+    /// leak type registration order into delivery order.
     pub fn periodic_due(&mut self, now: SimTime) -> Vec<Subscription> {
         let mut due = Vec::new();
-        for shard in &mut self.shards {
-            for subs in shard.subs.values_mut() {
-                for s in subs.iter_mut() {
-                    if let SubMode::Periodic(period) = s.mode {
-                        if s.next_due <= now && now <= s.expires_at {
-                            due.push(s.clone());
-                            s.next_due = s.next_due + period;
-                        }
+        for subs in self.subs.values_mut() {
+            for s in subs.iter_mut() {
+                if let SubMode::Periodic(period) = s.mode {
+                    if s.next_due <= now && now <= s.expires_at {
+                        due.push(s.clone());
+                        s.next_due = s.next_due + period;
                     }
                 }
             }
@@ -291,31 +235,20 @@ impl SubscriptionTable {
     }
 
     /// Removes expired subscriptions and retained packets,
-    /// deterministically (shard index, then `BTreeMap` type order).
+    /// deterministically (`BTreeMap` type order).
     pub fn sweep(&mut self, now: SimTime) -> SweepStats {
         let mut stats = SweepStats::default();
-        for shard in &mut self.shards {
-            for subs in shard.subs.values_mut() {
-                let before = subs.len();
-                subs.retain(|s| now <= s.expires_at);
-                stats.subscriptions += before - subs.len();
-            }
-            shard.subs.retain(|_, v| !v.is_empty());
-            let before = shard.retained.len();
-            shard.retained.retain(|_, p| p.is_valid_at(now));
-            stats.packets += before - shard.retained.len();
+        for subs in self.subs.values_mut() {
+            let before = subs.len();
+            subs.retain(|s| now <= s.expires_at);
+            stats.subscriptions += before - subs.len();
         }
+        self.subs.retain(|_, v| !v.is_empty());
+        let before = self.retained.len();
+        self.retained.retain(|_, p| p.is_valid_at(now));
+        stats.packets += before - self.retained.len();
         self.live -= stats.subscriptions;
         stats
-    }
-}
-
-impl fmt::Debug for SubscriptionTable {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SubscriptionTable")
-            .field("shards", &self.shards.len())
-            .field("live", &self.live)
-            .finish()
     }
 }
 
@@ -339,7 +272,7 @@ mod tests {
 
     #[test]
     fn event_subs_match_every_arrival_one_shots_once() {
-        let mut tab = SubscriptionTable::new(4);
+        let mut tab = SubscriptionTable::new();
         let t = Sym(3);
         tab.subscribe(1, t, SubMode::Event, FOREVER, SimTime::ZERO);
         tab.subscribe(2, t, SubMode::OneShot, FOREVER, SimTime::ZERO);
@@ -353,7 +286,7 @@ mod tests {
 
     #[test]
     fn periodic_subs_fire_on_cadence_not_arrival() {
-        let mut tab = SubscriptionTable::new(2);
+        let mut tab = SubscriptionTable::new();
         let t = Sym(0);
         tab.subscribe(7, t, SubMode::Periodic(SimDuration::from_secs(10)), FOREVER, SimTime::ZERO);
         assert!(tab.on_arrival(t, SimTime::from_secs(1)).is_empty());
@@ -367,7 +300,7 @@ mod tests {
 
     #[test]
     fn sweep_removes_expired_subs_and_packets() {
-        let mut tab = SubscriptionTable::new(4);
+        let mut tab = SubscriptionTable::new();
         tab.subscribe(1, Sym(0), SubMode::Event, SimTime::from_secs(5), SimTime::ZERO);
         tab.subscribe(2, Sym(1), SubMode::Event, FOREVER, SimTime::ZERO);
         tab.retain(pkt(Sym(0), 0, 3));
@@ -381,46 +314,15 @@ mod tests {
 
     #[test]
     fn retained_respects_expiry_even_before_sweep() {
-        let mut tab = SubscriptionTable::new(1);
+        let mut tab = SubscriptionTable::new();
         tab.retain(pkt(Sym(5), 0, 10));
         assert!(tab.retained(Sym(5), SimTime::from_secs(10)).is_some());
         assert!(tab.retained(Sym(5), SimTime::from_secs(11)).is_none());
     }
 
     #[test]
-    fn shard_count_never_changes_match_results() {
-        let run = |shards: usize| {
-            let mut tab = SubscriptionTable::new(shards);
-            for sub in 0..20u64 {
-                let t = Sym((sub % 7) as u16);
-                let mode = match sub % 3 {
-                    0 => SubMode::Event,
-                    1 => SubMode::OneShot,
-                    _ => SubMode::Periodic(SimDuration::from_secs(5)),
-                };
-                tab.subscribe(sub, t, mode, FOREVER, SimTime::ZERO);
-            }
-            let mut log = Vec::new();
-            for step in 1..5u64 {
-                let now = SimTime::from_secs(step);
-                for t in 0..7u16 {
-                    for m in tab.on_arrival(Sym(t), now) {
-                        log.push(format!("arr {} {} {}", step, m.id, m.subscriber));
-                    }
-                }
-                for m in tab.periodic_due(SimTime::from_secs(step * 5)) {
-                    log.push(format!("due {} {} {}", step, m.id, m.subscriber));
-                }
-            }
-            log
-        };
-        assert_eq!(run(1), run(4));
-        assert_eq!(run(1), run(16));
-    }
-
-    #[test]
     fn renewal_extends_instead_of_stacking() {
-        let mut tab = SubscriptionTable::new(4);
+        let mut tab = SubscriptionTable::new();
         let t = Sym(2);
         let mode = SubMode::Periodic(SimDuration::from_secs(5));
         let (id, renewed) =
@@ -449,25 +351,34 @@ mod tests {
     }
 
     #[test]
-    fn live_entries_are_id_ordered_across_shard_counts() {
-        let fill = |shards: usize| {
-            let mut tab = SubscriptionTable::new(shards);
-            for sub in 0..17u64 {
-                tab.subscribe(sub, Sym((sub % 5) as u16), SubMode::Event, FOREVER, SimTime::ZERO);
-            }
-            tab.live_entries()
-                .iter()
-                .map(|s| (s.id, s.subscriber, s.cxt_type))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(fill(1), fill(4));
-        let ids: Vec<u64> = fill(3).iter().map(|(id, _, _)| id.0).collect();
-        assert!(ids.windows(2).all(|w| w[0] < w[1]));
+    fn live_entries_are_id_ordered_across_types() {
+        let mut tab = SubscriptionTable::new();
+        // Types interleave by id, so type-order iteration alone would
+        // return 0, 5, 10, 15, 1, 6, …
+        for sub in 0..17u64 {
+            tab.subscribe(sub, Sym((sub % 5) as u16), SubMode::Event, FOREVER, SimTime::ZERO);
+        }
+        let ids: Vec<u64> = tab.live_entries().iter().map(|s| s.id.0).collect();
+        assert_eq!(ids, (0..17).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn periodic_due_is_id_ordered_across_types() {
+        let mut tab = SubscriptionTable::new();
+        let period = SubMode::Periodic(SimDuration::from_secs(5));
+        // Registered on descending types, so type-order iteration alone
+        // would return 3, 7, 11, 2, 6, …
+        for sub in 0..12u64 {
+            tab.subscribe(sub, Sym((11 - sub) as u16 % 4), period, FOREVER, SimTime::ZERO);
+        }
+        let due = tab.periodic_due(SimTime::from_secs(5));
+        let ids: Vec<u64> = due.iter().map(|s| s.id.0).collect();
+        assert_eq!(ids, (0..12).collect::<Vec<_>>());
     }
 
     #[test]
     fn unsubscribe_is_idempotent() {
-        let mut tab = SubscriptionTable::new(2);
+        let mut tab = SubscriptionTable::new();
         let id = tab.subscribe(1, Sym(0), SubMode::Event, FOREVER, SimTime::ZERO);
         assert!(tab.unsubscribe(id));
         assert!(!tab.unsubscribe(id));

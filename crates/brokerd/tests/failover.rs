@@ -6,9 +6,9 @@
 //! [`FaultPlan`] kills the selected broker mid-run. The paper's §6
 //! failover experiments bound infrastructure failover at 45 s — this
 //! test asserts the delivery gap around the kill stays inside that SLO,
-//! across 3 seeds and broker table shard counts {1, 4}.
+//! across 3 seeds.
 
-use brokerd::cell::{CellConfig, FederatedCell};
+use brokerd::cell::FederatedCell;
 use brokerd::{BrokerId, NodeConfig};
 use contory::refs::{CellReference, References};
 use contory::{Client, ContextFactory, CxtItem, CxtValue, FactoryConfig, QueryId};
@@ -45,18 +45,9 @@ struct Outcome {
     selected: Option<BrokerId>,
 }
 
-fn run_scenario(seed: u64, table_shards: usize) -> Outcome {
+fn run_scenario(seed: u64) -> Outcome {
     let sim = Sim::new();
-    let cell = FederatedCell::new(
-        &sim,
-        CellConfig {
-            node: NodeConfig {
-                table_shards,
-                ..NodeConfig::default()
-            },
-            ..CellConfig::default()
-        },
-    );
+    let cell = FederatedCell::new(&sim, NodeConfig::default());
     // broker0 has the best link, so QoS selection pins it first — and
     // the fault plan kills exactly that broker mid-run.
     for b in 0..4u16 {
@@ -106,49 +97,43 @@ fn run_scenario(seed: u64, table_shards: usize) -> Outcome {
 #[test]
 fn broker_kill_over_meets_the_45s_slo_across_seeds_and_shards() {
     for seed in [3u64, 5, 9] {
-        for table_shards in [1usize, 4] {
-            let out = run_scenario(seed, table_shards);
-            let label = format!("seed={seed} table_shards={table_shards}");
+        let out = run_scenario(seed);
+        let label = format!("seed={seed}");
 
-            // The federation failed over away from the dead broker.
-            assert!(out.reselects >= 1, "{label}: no reselection happened");
-            assert_ne!(
-                out.selected,
-                Some(BrokerId(0)),
-                "{label}: still pinned to the killed broker"
-            );
+        // The federation failed over away from the dead broker.
+        assert!(out.reselects >= 1, "{label}: no reselection happened");
+        assert_ne!(
+            out.selected,
+            Some(BrokerId(0)),
+            "{label}: still pinned to the killed broker"
+        );
 
-            // Deliveries on both sides of the kill.
-            let before: Vec<_> = out.arrivals.iter().filter(|t| **t < KILL_AT).collect();
-            let after: Vec<_> = out.arrivals.iter().filter(|t| **t >= KILL_AT).collect();
-            assert!(!before.is_empty(), "{label}: no deliveries before the kill");
-            assert!(!after.is_empty(), "{label}: no deliveries after the kill");
+        // Deliveries on both sides of the kill.
+        let before: Vec<_> = out.arrivals.iter().filter(|t| **t < KILL_AT).collect();
+        let after: Vec<_> = out.arrivals.iter().filter(|t| **t >= KILL_AT).collect();
+        assert!(!before.is_empty(), "{label}: no deliveries before the kill");
+        assert!(!after.is_empty(), "{label}: no deliveries after the kill");
 
-            // The SLO: no delivery gap anywhere in the run — including
-            // straddling the kill — exceeds 45 s.
-            let max_gap = out
-                .arrivals
-                .windows(2)
-                .map(|w| w[1].since(w[0]))
-                .max()
-                .expect("at least two deliveries");
-            assert!(
-                max_gap <= FAILOVER_SLO,
-                "{label}: delivery gap {}s exceeds the 45s SLO",
-                max_gap.as_secs()
-            );
-        }
+        // The SLO: no delivery gap anywhere in the run — including
+        // straddling the kill — exceeds 45 s.
+        let max_gap = out
+            .arrivals
+            .windows(2)
+            .map(|w| w[1].since(w[0]))
+            .max()
+            .expect("at least two deliveries");
+        assert!(
+            max_gap <= FAILOVER_SLO,
+            "{label}: delivery gap {}s exceeds the 45s SLO",
+            max_gap.as_secs()
+        );
     }
 }
 
 #[test]
 fn same_seed_same_shard_count_is_deterministic() {
-    let a = run_scenario(5, 1);
-    let b = run_scenario(5, 1);
+    let a = run_scenario(5);
+    let b = run_scenario(5);
     assert_eq!(a.arrivals, b.arrivals);
     assert_eq!(a.reselects, b.reselects);
-    // Table shard count changes layout, never behavior.
-    let c = run_scenario(5, 4);
-    assert_eq!(a.arrivals, c.arrivals);
-    assert_eq!(a.reselects, c.reselects);
 }

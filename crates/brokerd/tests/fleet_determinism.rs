@@ -1,13 +1,13 @@
 //! Partition-invariance of the broker fleet: the same scenario must
 //! produce a byte-identical [`FleetOutcome::report`] across engine
-//! shard counts, worker-thread counts and broker table shard counts —
-//! including under scripted broker faults.
+//! shard counts and worker-thread counts — including under scripted
+//! broker faults.
 
-use brokerd::{fault_edges, run_fleet, FleetConfig, NodeConfig};
+use brokerd::{fault_edges, run_fleet, FleetConfig};
 use simkit::faults::FaultPlan;
 use simkit::{SimDuration, SimTime};
 
-fn cfg(seed: u64, shards: u32, threads: u32, table_shards: usize) -> FleetConfig {
+fn cfg(seed: u64, shards: u32, threads: u32) -> FleetConfig {
     FleetConfig {
         seed,
         brokers: 4,
@@ -15,10 +15,6 @@ fn cfg(seed: u64, shards: u32, threads: u32, table_shards: usize) -> FleetConfig
         shards,
         threads,
         run_for: SimDuration::from_secs(30),
-        node: NodeConfig {
-            table_shards,
-            ..NodeConfig::default()
-        },
         ..FleetConfig::default()
     }
 }
@@ -26,16 +22,13 @@ fn cfg(seed: u64, shards: u32, threads: u32, table_shards: usize) -> FleetConfig
 #[test]
 fn report_is_byte_identical_across_the_partition_matrix() {
     for seed in [1u64, 17] {
-        let reference = run_fleet(&cfg(seed, 1, 1, 1)).report();
+        let reference = run_fleet(&cfg(seed, 1, 1)).report();
         for (shards, threads) in [(1u32, 2u32), (4, 1), (4, 4)] {
-            for table_shards in [1usize, 4] {
-                let got = run_fleet(&cfg(seed, shards, threads, table_shards)).report();
-                assert_eq!(
-                    got, reference,
-                    "diverged: seed={seed} shards={shards} threads={threads} \
-                     table_shards={table_shards}"
-                );
-            }
+            let got = run_fleet(&cfg(seed, shards, threads)).report();
+            assert_eq!(
+                got, reference,
+                "diverged: seed={seed} shards={shards} threads={threads}"
+            );
         }
     }
 }
@@ -46,7 +39,7 @@ fn trace_export_is_byte_identical_across_partitions() {
     // canonical JSONL export (not just its digest) must be the same
     // bytes for every partition of the engine.
     let traced = |shards, threads| {
-        let mut c = cfg(29, shards, threads, 4);
+        let mut c = cfg(29, shards, threads);
         c.node.trace_sample_log2 = 0;
         run_fleet(&c)
     };
@@ -71,13 +64,13 @@ fn faulted_runs_are_equally_partition_invariant() {
     plan.down_between("broker:3", SimTime::from_secs(5), SimTime::from_secs(15));
     let edges = fault_edges(&plan, 4);
 
-    let mut base = cfg(23, 1, 1, 4);
+    let mut base = cfg(23, 1, 1);
     base.fault_edges = edges.clone();
     let reference = run_fleet(&base).report();
     assert!(reference.contains("rehomes="), "report shape changed");
 
     for (shards, threads) in [(2u32, 2u32), (4, 4)] {
-        let mut c = cfg(23, shards, threads, 4);
+        let mut c = cfg(23, shards, threads);
         c.fault_edges = edges.clone();
         assert_eq!(
             run_fleet(&c).report(),
@@ -88,7 +81,7 @@ fn faulted_runs_are_equally_partition_invariant() {
 
     // And the faults actually bit: re-homing happened.
     let out = {
-        let mut c = cfg(23, 1, 1, 4);
+        let mut c = cfg(23, 1, 1);
         c.fault_edges = edges;
         run_fleet(&c)
     };

@@ -34,9 +34,6 @@ pub enum AccessDecision {
     Blocked,
 }
 
-/// Application hook consulted for unknown sources in high-security mode.
-pub type Decider = Rc<dyn Fn(&SourceId) -> bool>;
-
 /// What the controller concluded about one vetted interaction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AuditVerdict {
@@ -60,52 +57,24 @@ impl fmt::Display for AuditVerdict {
     }
 }
 
-/// One line of the controller's audit trail: who was vetted, in which
-/// admission order, with what outcome.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct AuditEntry {
-    /// Monotonic decision sequence number (deterministic admission
-    /// order; the controller has no clock of its own).
-    pub seq: u64,
-    /// The vetted source (`None` for unattributed context).
-    pub source: Option<SourceId>,
-    /// The outcome.
-    pub verdict: AuditVerdict,
-}
-
 struct Inner {
     mode: SecurityMode,
     /// Most-recently-used list of known-good sources, newest at the back.
     known: Vec<SourceId>,
     capacity: usize,
     blocked: BTreeSet<SourceId>,
-    decider: Option<Decider>,
-    /// Bounded audit ring, newest at the back.
-    audit: std::collections::VecDeque<AuditEntry>,
-    audit_capacity: usize,
-    audit_seq: u64,
     granted_total: u64,
     blocked_total: u64,
     unattributed_total: u64,
 }
 
 impl Inner {
-    fn record(&mut self, source: Option<SourceId>, verdict: AuditVerdict) {
+    fn record(&mut self, verdict: AuditVerdict) {
         match verdict {
             AuditVerdict::Granted => self.granted_total += 1,
             AuditVerdict::Blocked => self.blocked_total += 1,
             AuditVerdict::Unattributed => self.unattributed_total += 1,
         }
-        let seq = self.audit_seq;
-        self.audit_seq += 1;
-        if self.audit.len() >= self.audit_capacity {
-            self.audit.pop_front();
-        }
-        self.audit.push_back(AuditEntry {
-            seq,
-            source,
-            verdict,
-        });
     }
 }
 
@@ -138,31 +107,11 @@ impl AccessController {
                 known: Vec::new(),
                 capacity,
                 blocked: BTreeSet::new(),
-                decider: None,
-                audit: std::collections::VecDeque::new(),
-                audit_capacity: 256,
-                audit_seq: 0,
                 granted_total: 0,
                 blocked_total: 0,
                 unattributed_total: 0,
             })),
         }
-    }
-
-    /// Installs the application's validation hook (wired to
-    /// `Client::make_decision` by the factory).
-    pub fn set_decider(&self, f: impl Fn(&SourceId) -> bool + 'static) {
-        self.inner.borrow_mut().decider = Some(Rc::new(f));
-    }
-
-    /// Switches security mode.
-    pub fn set_mode(&self, mode: SecurityMode) {
-        self.inner.borrow_mut().mode = mode;
-    }
-
-    /// Current security mode.
-    pub fn mode(&self) -> SecurityMode {
-        self.inner.borrow().mode
     }
 
     /// Checks whether interaction with `source` is allowed, updating the
@@ -171,11 +120,11 @@ impl AccessController {
         self.check_with(source, None)
     }
 
-    /// Like [`AccessController::check`], but when the controller has no
-    /// installed decider, `fallback` is consulted for unknown sources in
-    /// high-security mode — this is how the factory routes the decision
-    /// to the `Client::make_decision` of the query that encountered the
-    /// source (§4.4).
+    /// Like [`AccessController::check`], but `fallback` is consulted for
+    /// unknown sources in high-security mode (without one they are
+    /// blocked) — this is how the factory routes the decision to the
+    /// `Client::make_decision` of the query that encountered the source
+    /// (§4.4).
     pub fn check_with(
         &self,
         source: &SourceId,
@@ -183,37 +132,33 @@ impl AccessController {
     ) -> AccessDecision {
         let mut inner = self.inner.borrow_mut();
         if inner.blocked.contains(source) {
-            inner.record(Some(source.clone()), AuditVerdict::Blocked);
+            inner.record(AuditVerdict::Blocked);
             return AccessDecision::Blocked;
         }
         if let Some(pos) = inner.known.iter().position(|s| s == source) {
             // Refresh: move to most-recent position.
             let s = inner.known.remove(pos);
             inner.known.push(s);
-            inner.record(Some(source.clone()), AuditVerdict::Granted);
+            inner.record(AuditVerdict::Granted);
             return AccessDecision::Granted;
         }
         match inner.mode {
             SecurityMode::Low => {
                 Self::admit(&mut inner, source.clone());
-                inner.record(Some(source.clone()), AuditVerdict::Granted);
+                inner.record(AuditVerdict::Granted);
                 AccessDecision::Granted
             }
             SecurityMode::High => {
-                let decider = inner.decider.clone();
                 drop(inner);
-                let allowed = match decider {
-                    Some(d) => d(source),
-                    None => fallback.map(|f| f(source)).unwrap_or(false),
-                };
+                let allowed = fallback.is_some_and(|f| f(source));
                 let mut inner = self.inner.borrow_mut();
                 if allowed {
                     Self::admit(&mut inner, source.clone());
-                    inner.record(Some(source.clone()), AuditVerdict::Granted);
+                    inner.record(AuditVerdict::Granted);
                     AccessDecision::Granted
                 } else {
                     inner.blocked.insert(source.clone());
-                    inner.record(Some(source.clone()), AuditVerdict::Blocked);
+                    inner.record(AuditVerdict::Blocked);
                     AccessDecision::Blocked
                 }
             }
@@ -233,21 +178,13 @@ impl AccessController {
         match source {
             Some(s) => self.check_with(s, fallback),
             None => {
-                self.inner
-                    .borrow_mut()
-                    .record(None, AuditVerdict::Unattributed);
+                self.inner.borrow_mut().record(AuditVerdict::Unattributed);
                 AccessDecision::Blocked
             }
         }
     }
 
-    /// The retained audit trail, oldest first (bounded ring).
-    pub fn audit_trail(&self) -> Vec<AuditEntry> {
-        self.inner.borrow().audit.iter().cloned().collect()
-    }
-
-    /// Lifetime decision totals `(granted, blocked, unattributed)` —
-    /// unaffected by the ring bound.
+    /// Lifetime decision totals `(granted, blocked, unattributed)`.
     pub fn audit_totals(&self) -> (u64, u64, u64) {
         let inner = self.inner.borrow();
         (
@@ -275,11 +212,6 @@ impl AccessController {
     pub fn unblock(&self, source: &SourceId) {
         self.inner.borrow_mut().blocked.remove(source);
     }
-
-    /// Currently known (recently granted) sources, oldest first.
-    pub fn known_sources(&self) -> Vec<SourceId> {
-        self.inner.borrow().known.clone()
-    }
 }
 
 impl fmt::Debug for AccessController {
@@ -301,11 +233,16 @@ mod tests {
         SourceId::new(s)
     }
 
+    /// Currently known (recently granted) sources, oldest first.
+    fn known(ac: &AccessController) -> Vec<SourceId> {
+        ac.inner.borrow().known.clone()
+    }
+
     #[test]
     fn low_mode_trusts_everyone() {
         let ac = AccessController::new(SecurityMode::Low, 4);
         assert_eq!(ac.check(&src("a")), AccessDecision::Granted);
-        assert_eq!(ac.known_sources(), vec![src("a")]);
+        assert_eq!(known(&ac), vec![src("a")]);
     }
 
     #[test]
@@ -314,9 +251,9 @@ mod tests {
         // No decider installed: block by default.
         assert_eq!(ac.check(&src("a")), AccessDecision::Blocked);
         ac.unblock(&src("a"));
-        ac.set_decider(|s| s.0.starts_with("boat"));
-        assert_eq!(ac.check(&src("boat-1")), AccessDecision::Granted);
-        assert_eq!(ac.check(&src("a")), AccessDecision::Blocked);
+        let decide = |s: &SourceId| s.0.starts_with("boat");
+        assert_eq!(ac.check_with(&src("boat-1"), Some(&decide)), AccessDecision::Granted);
+        assert_eq!(ac.check_with(&src("a"), Some(&decide)), AccessDecision::Blocked);
         // Once blocked, stays blocked without another decision.
         assert_eq!(ac.check(&src("a")), AccessDecision::Blocked);
         // Once admitted, no more decisions needed.
@@ -330,7 +267,7 @@ mod tests {
         ac.check(&src("b"));
         ac.check(&src("a")); // refresh a
         ac.check(&src("c")); // evicts b
-        assert_eq!(ac.known_sources(), vec![src("a"), src("c")]);
+        assert_eq!(known(&ac), vec![src("a"), src("c")]);
         // b is unknown again but low mode re-admits it.
         assert_eq!(ac.check(&src("b")), AccessDecision::Granted);
     }
@@ -341,42 +278,15 @@ mod tests {
         ac.check(&src("a"));
         ac.block(src("a"));
         assert_eq!(ac.check(&src("a")), AccessDecision::Blocked);
-        assert!(ac.known_sources().is_empty());
+        assert!(known(&ac).is_empty());
         ac.unblock(&src("a"));
         assert_eq!(ac.check(&src("a")), AccessDecision::Granted);
-    }
-
-    #[test]
-    fn mode_switching() {
-        let ac = AccessController::new(SecurityMode::Low, 4);
-        assert_eq!(ac.mode(), SecurityMode::Low);
-        ac.set_mode(SecurityMode::High);
-        assert_eq!(ac.mode(), SecurityMode::High);
-        assert_eq!(ac.check(&src("new")), AccessDecision::Blocked);
     }
 
     #[test]
     #[should_panic(expected = "non-zero")]
     fn zero_capacity_panics() {
         let _ = AccessController::new(SecurityMode::Low, 0);
-    }
-
-    #[test]
-    fn audit_trail_records_decisions_in_order() {
-        let ac = AccessController::new(SecurityMode::Low, 4);
-        ac.check(&src("a"));
-        ac.block(src("b"));
-        ac.check(&src("b"));
-        ac.check_attributed(None, None);
-        let trail = ac.audit_trail();
-        assert_eq!(trail.len(), 3); // block() itself is not a vetting event
-        assert_eq!(trail[0].seq, 0);
-        assert_eq!(trail[0].verdict, AuditVerdict::Granted);
-        assert_eq!(trail[1].verdict, AuditVerdict::Blocked);
-        assert_eq!(trail[1].source, Some(src("b")));
-        assert_eq!(trail[2].verdict, AuditVerdict::Unattributed);
-        assert_eq!(trail[2].source, None);
-        assert_eq!(ac.audit_totals(), (1, 1, 1));
     }
 
     #[test]
@@ -387,17 +297,9 @@ mod tests {
             ac.check_attributed(Some(&src("boat-1")), None),
             AccessDecision::Granted
         );
-    }
-
-    #[test]
-    fn audit_ring_is_bounded_but_totals_are_not() {
-        let ac = AccessController::new(SecurityMode::Low, 4);
-        for i in 0..300 {
-            ac.check(&src(&format!("s{}", i % 3)));
-        }
-        let trail = ac.audit_trail();
-        assert_eq!(trail.len(), 256);
-        assert_eq!(trail.last().unwrap().seq, 299);
-        assert_eq!(ac.audit_totals().0, 300);
+        ac.block(src("b"));
+        ac.check(&src("b"));
+        // block() itself is not a vetting event.
+        assert_eq!(ac.audit_totals(), (1, 1, 1));
     }
 }

@@ -92,11 +92,6 @@ impl BackoffState {
         self.attempt = self.attempt.saturating_add(1);
         d
     }
-
-    /// Success: the next failure restarts from the initial delay.
-    pub fn reset(&mut self) {
-        self.attempt = 0;
-    }
 }
 
 impl fmt::Display for BackoffState {
@@ -171,7 +166,9 @@ mod tests {
         assert_eq!(s.next_delay(&p, &mut rng), SimDuration::from_secs(4));
         assert_eq!(s.next_delay(&p, &mut rng), SimDuration::from_secs(8));
         assert_eq!(s.attempts(), 3);
-        s.reset();
+        // Success drops the state (the factory removes its entry), so the
+        // next failure starts over from the initial delay.
+        s = BackoffState::default();
         assert_eq!(s.attempts(), 0);
         assert_eq!(s.next_delay(&p, &mut rng), SimDuration::from_secs(2));
     }

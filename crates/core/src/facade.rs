@@ -265,15 +265,6 @@ impl Facade {
         true
     }
 
-    /// Whether a member query is served here.
-    pub fn has_query(&self, id: QueryId) -> bool {
-        self.inner
-            .borrow()
-            .entries
-            .iter()
-            .any(|e| e.members.iter().any(|m| m.id == id))
-    }
-
     /// All member queries currently served, with their texts.
     pub fn members(&self) -> Vec<(QueryId, CxtQuery)> {
         self.inner
@@ -299,16 +290,6 @@ impl Facade {
                 entry.provider.update_query(&entry.merged.clone());
             }
         }
-    }
-
-    /// Stops every provider and clears all entries (used when a device
-    /// shuts the middleware down).
-    pub fn stop_all(&self) {
-        let mut inner = self.inner.borrow_mut();
-        for entry in &inner.entries {
-            entry.provider.stop();
-        }
-        inner.entries.clear();
     }
 }
 

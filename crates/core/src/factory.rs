@@ -89,19 +89,20 @@ impl fmt::Display for Mechanism {
     }
 }
 
+/// Local repository capacity per context type.
+const REPO_CAPACITY: usize = 32;
+/// Access-controller known-source capacity.
+const ACCESS_CAPACITY: usize = 64;
+/// Seed of the retry jitter stream (deterministic per factory).
+const RETRY_JITTER_SEED: u64 = 0x5EED_CAFE;
+
 /// Factory configuration.
 #[derive(Clone, Debug)]
 pub struct FactoryConfig {
     /// Access-control posture.
     pub security: SecurityMode,
-    /// Local repository capacity per context type.
-    pub repo_capacity: usize,
-    /// Access-controller known-source capacity.
-    pub access_capacity: usize,
     /// How often to probe a failed preferred mechanism for recovery.
     pub recovery_probe: SimDuration,
-    /// Whether publishers must register before publishing (§4.4).
-    pub require_registration: bool,
     /// Failure detection, retry and backoff tunables.
     pub failover: FailoverConfig,
 }
@@ -110,10 +111,7 @@ impl Default for FactoryConfig {
     fn default() -> Self {
         FactoryConfig {
             security: SecurityMode::Low,
-            repo_capacity: 32,
-            access_capacity: 64,
             recovery_probe: SimDuration::from_secs(30),
-            require_registration: true,
             failover: FailoverConfig::default(),
         }
     }
@@ -157,8 +155,8 @@ impl ContextFactory {
     /// Builds a factory over the device's references.
     pub fn new(sim: &Sim, refs: References, config: FactoryConfig) -> Self {
         let monitor = ResourcesMonitor::new();
-        let access = AccessController::new(config.security, config.access_capacity);
-        let repo = CxtRepository::new(config.repo_capacity);
+        let access = AccessController::new(config.security, ACCESS_CAPACITY);
+        let repo = CxtRepository::new(REPO_CAPACITY);
         {
             // Lifetime enforcement (§4.3): queries never see expired
             // items, and a periodic sweep evicts them deterministically.
@@ -177,7 +175,7 @@ impl ContextFactory {
         let publisher = CxtPublisher::new(refs.bt.clone(), refs.wifi.clone());
         let failover = FailoverTracker::new();
         monitor.attach_failover(failover.clone());
-        let rng = DetRng::new(config.failover.rng_seed);
+        let rng = DetRng::new(RETRY_JITTER_SEED);
         let factory = ContextFactory {
             inner: Rc::new(RefCell::new(Inner {
                 sim: sim.clone(),
@@ -531,14 +529,14 @@ impl ContextFactory {
     ///
     /// # Errors
     ///
-    /// Returns [`ContoryError::AccessDenied`] when registration is
-    /// required and no context server is registered, or
+    /// Returns [`ContoryError::AccessDenied`] when no context server is
+    /// registered (publishers must register first, §4.4), or
     /// [`ContoryError::Reference`] when no ad hoc reference accepted the
     /// item.
     pub fn publish_cxt_item(&self, item: CxtItem, key: Option<String>) -> Result<(), ContoryError> {
         {
             let inner = self.inner.borrow();
-            if inner.config.require_registration && inner.registered_servers.is_empty() {
+            if inner.registered_servers.is_empty() {
                 return Err(ContoryError::AccessDenied(
                     "publisher is not a registered context server".into(),
                 ));

@@ -32,8 +32,6 @@ pub struct FailoverConfig {
     /// consecutive periods is declared failed on its current mechanism.
     /// `0` disables the watchdog.
     pub silence_periods: u32,
-    /// Seed for the retry jitter stream (deterministic per factory).
-    pub rng_seed: u64,
 }
 
 impl Default for FailoverConfig {
@@ -42,7 +40,6 @@ impl Default for FailoverConfig {
             max_retries: 0,
             backoff: BackoffPolicy::default(),
             silence_periods: 0,
-            rng_seed: 0x5EED_CAFE,
         }
     }
 }

@@ -202,12 +202,6 @@ impl ResourcesMonitor {
         self.inner.borrow_mut().listeners.push(Rc::new(f));
     }
 
-    /// Whether a module is currently healthy (unknown modules are
-    /// presumed healthy until a failure is reported).
-    pub fn is_healthy(&self, kind: RefKind) -> bool {
-        *self.inner.borrow().ref_health.get(&kind).unwrap_or(&true)
-    }
-
     /// Snapshot of the status view rules are evaluated against.
     pub fn status(&self) -> SystemStatus {
         self.inner.borrow().status.clone()
@@ -255,10 +249,16 @@ mod tests {
     use super::*;
     use std::cell::Cell;
 
+    /// Whether a module is healthy in the gauge view (unknown modules
+    /// are presumed healthy until a failure is reported).
+    fn healthy(m: &ResourcesMonitor, kind: RefKind) -> bool {
+        *m.inner.borrow().ref_health.get(&kind).unwrap_or(&true)
+    }
+
     #[test]
     fn failures_flip_health_and_notify() {
         let m = ResourcesMonitor::new();
-        assert!(m.is_healthy(RefKind::Bt));
+        assert!(healthy(&m, RefKind::Bt));
         let seen = Rc::new(Cell::new(0));
         let s = seen.clone();
         m.on_event(move |_e| s.set(s.get() + 1));
@@ -266,9 +266,9 @@ mod tests {
             kind: RefKind::Bt,
             reason: "gps link lost".into(),
         });
-        assert!(!m.is_healthy(RefKind::Bt));
+        assert!(!healthy(&m, RefKind::Bt));
         m.report(ResourceEvent::RefRecovered { kind: RefKind::Bt });
-        assert!(m.is_healthy(RefKind::Bt));
+        assert!(healthy(&m, RefKind::Bt));
         assert_eq!(seen.get(), 2);
     }
 
@@ -296,6 +296,6 @@ mod tests {
             m.status().get("batteryLevel"),
             Some(&RuleValue::Text("high".into()))
         );
-        assert!(m.is_healthy(RefKind::Cell));
+        assert!(healthy(&m, RefKind::Cell));
     }
 }

@@ -7,33 +7,20 @@
 use crate::item::CxtItem;
 use crate::refs::{BtReference, RefError, WifiReference};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
-
-struct Inner {
-    bt: Option<Rc<dyn BtReference>>,
-    wifi: Option<Rc<dyn WifiReference>>,
-    /// Items currently published, by context type.
-    published: BTreeMap<String, (CxtItem, Option<String>)>,
-}
 
 /// Shared handle to the publisher.
 #[derive(Clone)]
 pub struct CxtPublisher {
-    inner: Rc<RefCell<Inner>>,
+    bt: Option<Rc<dyn BtReference>>,
+    wifi: Option<Rc<dyn WifiReference>>,
 }
 
 impl CxtPublisher {
     /// Creates a publisher over the available ad hoc references.
     pub fn new(bt: Option<Rc<dyn BtReference>>, wifi: Option<Rc<dyn WifiReference>>) -> Self {
-        CxtPublisher {
-            inner: Rc::new(RefCell::new(Inner {
-                bt,
-                wifi,
-                published: BTreeMap::new(),
-            })),
-        }
+        CxtPublisher { bt, wifi }
     }
 
     /// Publishes (or refreshes) an item on every available ad hoc
@@ -50,16 +37,9 @@ impl CxtPublisher {
         if key.is_some() {
             obskit::count("publisher_authenticated", 1);
         }
-        let (bt, wifi) = {
-            let mut inner = self.inner.borrow_mut();
-            inner
-                .published
-                .insert(item.cxt_type.clone(), (item.clone(), key.clone()));
-            (inner.bt.clone(), inner.wifi.clone())
-        };
         let targets: Vec<Target> = [
-            bt.map(Target::Bt),
-            wifi.map(Target::Wifi),
+            self.bt.clone().map(Target::Bt),
+            self.wifi.clone().map(Target::Wifi),
         ]
         .into_iter()
         .flatten()
@@ -115,22 +95,12 @@ impl CxtPublisher {
     /// Withdraws a published item from every reference.
     pub fn unpublish(&self, cxt_type: &str) {
         obskit::count("publisher_unpublishes", 1);
-        let (bt, wifi) = {
-            let mut inner = self.inner.borrow_mut();
-            inner.published.remove(cxt_type);
-            (inner.bt.clone(), inner.wifi.clone())
-        };
-        if let Some(bt) = bt {
+        if let Some(bt) = &self.bt {
             bt.unpublish(cxt_type);
         }
-        if let Some(wifi) = wifi {
+        if let Some(wifi) = &self.wifi {
             wifi.unpublish(cxt_type);
         }
-    }
-
-    /// Context types currently published.
-    pub fn published_types(&self) -> Vec<String> {
-        self.inner.borrow().published.keys().cloned().collect()
     }
 }
 
@@ -149,7 +119,8 @@ struct PublishState {
 impl fmt::Debug for CxtPublisher {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CxtPublisher")
-            .field("published", &self.inner.borrow().published.len())
+            .field("bt", &self.bt.is_some())
+            .field("wifi", &self.wifi.is_some())
             .finish()
     }
 }

@@ -53,12 +53,6 @@ impl QueryBuilder {
         self
     }
 
-    /// FROM extInfra.
-    pub fn from_infra(mut self) -> Self {
-        self.query.from = Some(Source::ExtInfra);
-        self
-    }
-
     /// FROM adHocNetwork(numNodes, numHops).
     ///
     /// # Panics
@@ -70,12 +64,6 @@ impl QueryBuilder {
             num_nodes,
             num_hops,
         });
-        self
-    }
-
-    /// FROM entity(id).
-    pub fn from_entity(mut self, entity: impl Into<String>) -> Self {
-        self.query.from = Some(Source::Entity(entity.into()));
         self
     }
 
@@ -96,21 +84,6 @@ impl QueryBuilder {
             key: key.into(),
             op,
             value: PredValue::Number(value),
-        });
-        self
-    }
-
-    /// Adds a textual WHERE predicate (e.g. `trust = trusted`).
-    pub fn where_text(
-        mut self,
-        key: impl Into<String>,
-        op: CmpOp,
-        value: impl Into<String>,
-    ) -> Self {
-        self.query.where_clause.push(WherePredicate {
-            key: key.into(),
-            op,
-            value: PredValue::Text(value.into()),
         });
         self
     }
@@ -194,11 +167,6 @@ mod tests {
 
     #[test]
     fn entity_and_region_builders() {
-        let q = QueryBuilder::select("location")
-            .from_entity("friend-7")
-            .duration_samples(3)
-            .build();
-        assert_eq!(q.from, Some(Source::Entity("friend-7".into())));
         let q = QueryBuilder::select("wind")
             .from_region(100.0, 200.0, 50.0)
             .duration(SimDuration::from_mins(1))

@@ -30,20 +30,33 @@ impl CxtQuery {
     ///
     /// Returns [`ParseQueryError`] when the text is not a valid query —
     /// including a missing mandatory SELECT or DURATION clause, clauses
-    /// out of order, or both EVERY and EVENT present (they are mutually
-    /// exclusive).
+    /// out of order, both EVERY and EVENT present (they are mutually
+    /// exclusive), or an EVENT expression nested more than 128
+    /// parentheses deep.
     pub fn parse(input: &str) -> Result<CxtQuery, ParseQueryError> {
         let tokens = lex(input).map_err(|e| ParseQueryError {
             offset: e.offset,
             message: e.message,
         })?;
-        Parser { tokens, pos: 0 }.query()
+        Parser {
+            tokens,
+            pos: 0,
+            depth: 0,
+        }
+        .query()
     }
 }
+
+/// Deepest parenthesis nesting an EVENT expression may have. Each level
+/// costs stack frames, so without a bound a hostile query could overflow
+/// the stack.
+const MAX_DEPTH: usize = 128;
 
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Parentheses currently open in the EVENT expression.
+    depth: usize,
 }
 
 impl Parser {
@@ -315,7 +328,12 @@ impl Parser {
     /// `cmp := term op term | '(' or ')'`
     fn event_cmp(&mut self) -> Result<EventExpr, ParseQueryError> {
         if self.eat(&TokenKind::LParen) {
+            if self.depth == MAX_DEPTH {
+                return Err(self.err(format!("EVENT expression nested deeper than {MAX_DEPTH}")));
+            }
+            self.depth += 1;
             let inner = self.event_or()?;
+            self.depth -= 1;
             if !self.eat(&TokenKind::RParen) {
                 return Err(self.err("expected ')' in EVENT expression"));
             }
@@ -524,6 +542,27 @@ mod tests {
         assert!(CxtQuery::parse("SELECT t DURATION 1 min banana").is_err());
         // negative freshness
         assert!(CxtQuery::parse("SELECT t FRESHNESS -5 sec DURATION 1 min").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let query = |levels: usize| {
+            format!(
+                "SELECT temperature FROM intSensor DURATION 1 hour EVENT {}AVG(temperature)>25{}",
+                "(".repeat(levels),
+                ")".repeat(levels)
+            )
+        };
+        assert!(CxtQuery::parse(&query(MAX_DEPTH)).is_ok());
+        let deep = query(10_000);
+        let res = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || CxtQuery::parse(&deep))
+            .expect("spawn parser thread")
+            .join()
+            .expect("parser thread panicked");
+        let err = res.expect_err("10,000 levels must be refused");
+        assert!(err.message.contains("nested deeper than 128"), "{err}");
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //!
 //! Lifetimes are **enforced**, not decorative: once a clock is wired
 //! (the factory installs the simulation clock), items past
-//! `timestamp + lifetime` are never returned by [`CxtRepository::recent`]
-//! or [`CxtRepository::latest`], and [`CxtRepository::sweep_expired`]
+//! `timestamp + lifetime` are never returned by
+//! [`CxtRepository::latest`], and [`CxtRepository::sweep_expired`]
 //! evicts them deterministically (oldest first, types in `BTreeMap`
 //! order) — the same lifetime-bound contract brokerd's context packets
 //! carry on the wire.
@@ -36,7 +36,7 @@ struct Inner {
 ///
 /// let repo = CxtRepository::new(4);
 /// repo.store_local(CxtItem::new("wind", CxtValue::number(5.0), SimTime::ZERO));
-/// assert_eq!(repo.recent("wind", 10).len(), 1);
+/// assert_eq!(repo.latest("wind").unwrap().value.as_f64(), Some(5.0));
 /// assert!(repo.latest("temperature").is_none());
 /// ```
 #[derive(Clone)]
@@ -103,28 +103,6 @@ impl CxtRepository {
             None => cb(Err(RefError::Unavailable(
                 "no remote repository configured".into(),
             ))),
-        }
-    }
-
-    /// The `n` most recent locally stored items of a type, oldest first.
-    /// Items past their lifetime at the wired clock's `now` are never
-    /// returned.
-    pub fn recent(&self, cxt_type: &str, n: usize) -> Vec<CxtItem> {
-        let inner = self.inner.borrow();
-        let now = inner.clock.as_ref().map(|c| c());
-        match inner.per_type.get(cxt_type) {
-            Some(ring) => {
-                let mut out: Vec<CxtItem> = ring
-                    .iter()
-                    .rev()
-                    .filter(|i| now.is_none_or(|t| i.is_valid_at(t)))
-                    .take(n)
-                    .cloned()
-                    .collect();
-                out.reverse();
-                out
-            }
-            None => Vec::new(),
         }
     }
 
@@ -204,28 +182,21 @@ mod tests {
         CxtItem::new(t, CxtValue::number(v), SimTime::from_secs(at))
     }
 
+    /// The values stored in a type's ring, oldest first, unfiltered.
+    fn stored(repo: &CxtRepository, t: &str) -> Vec<f64> {
+        let inner = repo.inner.borrow();
+        let ring = inner.per_type.get(t).into_iter().flatten();
+        ring.filter_map(|i| i.value.as_f64()).collect()
+    }
+
     #[test]
     fn ring_keeps_only_recent() {
         let repo = CxtRepository::new(3);
         for i in 0..5 {
             repo.store_local(item("wind", i as f64, i));
         }
-        let recent = repo.recent("wind", 10);
-        assert_eq!(recent.len(), 3);
-        assert_eq!(recent[0].value.as_f64(), Some(2.0));
+        assert_eq!(stored(&repo, "wind"), vec![2.0, 3.0, 4.0]);
         assert_eq!(repo.latest("wind").unwrap().value.as_f64(), Some(4.0));
-    }
-
-    #[test]
-    fn recent_n_limits_from_the_newest_side() {
-        let repo = CxtRepository::new(10);
-        for i in 0..5 {
-            repo.store_local(item("t", i as f64, i));
-        }
-        let two = repo.recent("t", 2);
-        assert_eq!(two.len(), 2);
-        assert_eq!(two[0].value.as_f64(), Some(3.0));
-        assert_eq!(two[1].value.as_f64(), Some(4.0));
     }
 
     #[test]
@@ -234,7 +205,7 @@ mod tests {
         repo.store_local(item("a", 1.0, 1));
         repo.store_local(item("b", 2.0, 1));
         assert_eq!(repo.len(), 2);
-        assert_eq!(repo.recent("a", 10).len(), 1);
+        assert_eq!(stored(&repo, "a"), vec![1.0]);
     }
 
     #[test]
@@ -285,21 +256,20 @@ mod tests {
     fn expired_items_are_never_returned_by_queries() {
         let now = Rc::new(std::cell::Cell::new(0u64));
         let repo = clocked(8, now.clone());
-        repo.store_local(expiring("wind", 1.0, 0, 10));
-        repo.store_local(expiring("wind", 2.0, 5, 10));
-        repo.store_local(item("wind", 3.0, 6)); // eternal
+        repo.store_local(item("wind", 3.0, 0)); // eternal
+        repo.store_local(expiring("wind", 1.0, 5, 10)); // valid through t=15
+        repo.store_local(expiring("wind", 2.0, 6, 3)); // valid through t=9
         now.set(8);
-        assert_eq!(repo.recent("wind", 10).len(), 3);
+        assert_eq!(repo.latest("wind").unwrap().value.as_f64(), Some(2.0));
         now.set(12);
-        // First item (valid through t=10) is out; the rest remain.
-        let live = repo.recent("wind", 10);
-        assert_eq!(live.len(), 2);
-        assert_eq!(live[0].value.as_f64(), Some(2.0));
+        // The newest item is out; the next-newest live one answers.
+        assert_eq!(repo.latest("wind").unwrap().value.as_f64(), Some(1.0));
         now.set(20);
         // Only the eternal item survives; `latest` skips the expired
         // newer-but-dead entries transparently.
-        assert_eq!(repo.recent("wind", 10).len(), 1);
         assert_eq!(repo.latest("wind").unwrap().value.as_f64(), Some(3.0));
+        // Expired items stay stored until a sweep.
+        assert_eq!(repo.len(), 3);
     }
 
     #[test]
@@ -335,7 +305,6 @@ mod tests {
         repo.store_local(expiring("t", 1.0, 0, 1));
         // No clock wired: the repository cannot know `now`, so the item
         // is still visible (storage-only behaviour).
-        assert_eq!(repo.recent("t", 10).len(), 1);
         assert!(repo.latest("t").is_some());
     }
 }

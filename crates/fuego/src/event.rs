@@ -7,6 +7,7 @@
 //! UMTS provisioning pay off only when items are batched.
 
 use crate::xml::XmlElement;
+use simkit::hash::{fnv1a, FNV_OFFSET};
 use simkit::SimTime;
 use std::any::Any;
 use std::fmt;
@@ -81,11 +82,7 @@ impl EventNotification {
         // from cheap hashing, standing in for the integrity header real
         // deployments carry.
         let digest = {
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            for b in self.body.to_xml().bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
+            let h = fnv1a(FNV_OFFSET, self.body.to_xml().as_bytes());
             format!("{h:016x}{:016x}{h:016x}{:016x}", h.rotate_left(17), h.rotate_right(23))
         };
         XmlElement::new("fg:notification")

@@ -231,8 +231,6 @@ struct InfraInner {
     capacity: usize,
     subs: Vec<ServerSub>,
     next_sub: u64,
-    stores: u64,
-    queries: u64,
 }
 
 /// The context infrastructure service.
@@ -256,8 +254,6 @@ impl ContextInfrastructure {
                 capacity: 10_000,
                 subs: Vec::new(),
                 next_sub: 0,
-                stores: 0,
-                queries: 0,
             })),
         };
         // cxt/store: push a record in.
@@ -289,7 +285,6 @@ impl ContextInfrastructure {
             broker.register_service("cxt/query", move |_from, ev| {
                 let query = InfraQuery::from_xml(&ev.body)?;
                 let results = me.eval(&query);
-                me.inner.borrow_mut().queries += 1;
                 Some(me.results_event(&results, ev.timestamp))
             });
         }
@@ -335,7 +330,6 @@ impl ContextInfrastructure {
     pub fn store(&self, record: InfraRecord) {
         let on_store_pushes: Vec<(String, InfraRecord)> = {
             let mut inner = self.inner.borrow_mut();
-            inner.stores += 1;
             if inner.records.len() >= inner.capacity {
                 inner.records.remove(0);
             }
@@ -376,16 +370,6 @@ impl ContextInfrastructure {
     /// Number of records currently stored.
     pub fn record_count(&self) -> usize {
         self.inner.borrow().records.len()
-    }
-
-    /// Total store operations processed.
-    pub fn store_count(&self) -> u64 {
-        self.inner.borrow().stores
-    }
-
-    /// Total on-demand queries processed.
-    pub fn query_count(&self) -> u64 {
-        self.inner.borrow().queries
     }
 
     fn register_sub(&self, topic: String, query: InfraQuery, mode: PushMode) -> u64 {

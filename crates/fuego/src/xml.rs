@@ -143,11 +143,13 @@ impl XmlElement {
     /// # Errors
     ///
     /// Returns [`ParseXmlError`] on malformed input, including mismatched
-    /// or unterminated tags and bad entities.
+    /// or unterminated tags, bad entities and elements nested more than
+    /// 128 deep.
     pub fn parse(input: &str) -> Result<XmlElement, ParseXmlError> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         if p.peek_str("<?") {
@@ -182,9 +184,16 @@ fn escape_into(s: &str, out: &mut String) {
     }
 }
 
+/// Deepest element nesting [`XmlElement::parse`] accepts. Each level
+/// costs a stack frame, so without a bound a hostile document could
+/// overflow the stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Ancestors of the element being parsed.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -334,7 +343,13 @@ impl<'a> Parser<'a> {
                         self.expect_byte(b'>')?;
                         return Ok(el);
                     }
-                    el.children.push(self.element()?);
+                    if self.depth == MAX_DEPTH {
+                        return Err(self.err(format!("elements nested deeper than {MAX_DEPTH}")));
+                    }
+                    self.depth += 1;
+                    let child = self.element()?;
+                    self.depth -= 1;
+                    el.children.push(child);
                 }
                 Some(b'&') => {
                     self.pos += 1;
@@ -421,6 +436,21 @@ mod tests {
         assert!(XmlElement::parse("no xml here").is_err());
         let err = XmlElement::parse("<a></b>").unwrap_err();
         assert!(err.to_string().contains("mismatched"));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let ok = format!("{}{}", "<a>".repeat(MAX_DEPTH + 1), "</a>".repeat(MAX_DEPTH + 1));
+        assert!(XmlElement::parse(&ok).is_ok());
+        let deep = "<a>".repeat(10_000);
+        let res = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || XmlElement::parse(&deep))
+            .expect("spawn parser thread")
+            .join()
+            .expect("parser thread panicked");
+        let err = res.expect_err("10,000 levels must be refused");
+        assert!(err.message.contains("nested deeper than 128"), "{err}");
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!   of `impl ShardSim` / `impl EventCtx`, any function referencing
 //!   the `ShardSim` type (it builds or drives a partitioned engine and
 //!   its handler closures run on worker threads), and callers of the
-//!   sharded scheduling surface (`schedule_self`, `send_many`).
+//!   sharded scheduling surface (`schedule_self`).
 //! - **hot** — code reachable from the provisioning hot paths: the
 //!   public functions of the `core` crate (package `contory`), i.e.
 //!   the middleware surface a phone application calls. `panic-reachable`
@@ -47,7 +47,7 @@ const SCHEDULE_NAMES: &[&str] = &[
 ];
 
 /// Sharded scheduling surface: callers join the shard taint roots.
-const SHARD_SCHEDULE_NAMES: &[&str] = &["schedule_self", "send_many"];
+const SHARD_SCHEDULE_NAMES: &[&str] = &["schedule_self"];
 
 /// Self types whose impl methods are simulation-engine entry points.
 const ENGINE_TYPES: &[&str] = &["Sim", "ShardSim", "EventCtx"];

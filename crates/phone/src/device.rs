@@ -1,13 +1,12 @@
 //! The assembled phone.
 //!
-//! [`Phone`] ties together profile, power model, battery, optional
-//! multimeter and memory budget, and implements the protection-circuit
+//! [`Phone`] ties together profile, power model, battery and optional
+//! multimeter, and implements the protection-circuit
 //! brown-out the paper ran into: with the meter in series, sustained high
 //! current sags the supply below the battery's protection threshold and
 //! the phone switches itself off within ~30 s.
 
 use crate::battery::Battery;
-use crate::memory::MemoryBudget;
 use crate::meter::{Multimeter, MultimeterConfig};
 use crate::power::{baseline, Consumer, PowerModel};
 use crate::profiles::PhoneModel;
@@ -66,7 +65,6 @@ struct Inner {
     on: bool,
     battery: Battery,
     brownout_pending: bool,
-    off_listeners: Vec<Rc<dyn Fn()>>,
 }
 
 /// Shared handle to a simulated smart phone.
@@ -86,7 +84,6 @@ pub struct Phone {
     sim: Sim,
     model: PhoneModel,
     power: PowerModel,
-    memory: MemoryBudget,
     meter: Option<Multimeter>,
     inner: Rc<RefCell<Inner>>,
 }
@@ -98,7 +95,6 @@ impl Phone {
         let mut rng = DetRng::new(cfg.seed);
         let power = PowerModel::new(sim);
         power.set(Consumer::Baseline, baseline::IDLE);
-        let spec = cfg.model.spec();
         let meter = if cfg.with_meter {
             Some(Multimeter::new(
                 sim,
@@ -112,13 +108,11 @@ impl Phone {
             sim: sim.clone(),
             model: cfg.model,
             power: power.clone(),
-            memory: MemoryBudget::new(spec.ram_kb as u64 * 1024),
             meter,
             inner: Rc::new(RefCell::new(Inner {
                 on: true,
                 battery: Battery::nokia_pack(),
                 brownout_pending: false,
-                off_listeners: Vec::new(),
             })),
         };
         phone.set_display(cfg.display_on || cfg.backlight_on);
@@ -188,19 +182,15 @@ impl Phone {
     }
 
     fn power_off_inner(inner_rc: &Rc<RefCell<Inner>>, power: &PowerModel) {
-        let listeners = {
+        {
             let mut inner = inner_rc.borrow_mut();
             if !inner.on {
                 return;
             }
             inner.on = false;
-            inner.off_listeners.clone()
-        };
+        }
         for c in power.breakdown() {
             power.clear(c.0);
-        }
-        for l in listeners {
-            l();
         }
     }
 
@@ -212,11 +202,6 @@ impl Phone {
     /// The power accounting handle (radios register their draws here).
     pub fn power(&self) -> &PowerModel {
         &self.power
-    }
-
-    /// The RAM budget handle.
-    pub fn memory(&self) -> &MemoryBudget {
-        &self.memory
     }
 
     /// The series multimeter, if one was wired in.
@@ -235,7 +220,7 @@ impl Phone {
     }
 
     /// Immediately powers the phone off (also used by the protection
-    /// circuit). All consumers drop to zero and off-listeners fire.
+    /// circuit). All consumers drop to zero.
     pub fn power_off(&self) {
         Phone::power_off_inner(&self.inner, &self.power);
     }
@@ -252,11 +237,6 @@ impl Phone {
             inner.brownout_pending = false;
         }
         self.power.set(Consumer::Baseline, baseline::IDLE);
-    }
-
-    /// Registers a callback fired when the phone switches off.
-    pub fn on_power_off(&self, f: impl Fn() + 'static) {
-        self.inner.borrow_mut().off_listeners.push(Rc::new(f));
     }
 
     /// Turns the display panel on or off.
@@ -370,15 +350,11 @@ mod tests {
 
     #[test]
     fn off_listener_fires_and_power_cycle_restores_baseline() {
-        use std::cell::Cell;
         let sim = Sim::new();
         let p = Phone::new(&sim, PhoneConfig::default());
-        let fired = Rc::new(Cell::new(false));
-        let f = fired.clone();
-        p.on_power_off(move || f.set(true));
         p.power_off();
-        assert!(fired.get());
         assert!(!p.is_on());
+        assert_eq!(p.power().total().0, 0.0);
         p.power_on();
         assert!(p.is_on());
         assert!((p.power().total().0 - 5.75).abs() < 1e-9);

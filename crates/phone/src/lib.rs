@@ -19,7 +19,6 @@
 //!   resistance (hence the `>` lower bounds in Table 2).
 //! - [`Multimeter`]: samples current every 500 ms with the Fluke 189's
 //!   accuracy (0.75 %), precision (0.15 %) and 1.8 mV/mA shunt.
-//! - [`MemoryBudget`]: RAM accounting backing the `reduceMemory` policy.
 //! - [`Phone`]: the assembled device handle used by the radio models.
 
 #![forbid(unsafe_code)]
@@ -27,7 +26,6 @@
 
 mod battery;
 mod device;
-mod memory;
 mod meter;
 mod power;
 mod profiles;
@@ -35,7 +33,6 @@ mod units;
 
 pub use battery::Battery;
 pub use device::{Phone, PhoneConfig};
-pub use memory::{MemoryBudget, OutOfMemory};
 pub use meter::{Multimeter, MultimeterConfig};
 pub use power::{baseline, Consumer, PowerModel};
 pub use profiles::{PhoneModel, PhoneSpec};

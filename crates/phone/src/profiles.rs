@@ -61,12 +61,6 @@ impl PhoneModel {
             },
         }
     }
-
-    /// Factor by which CPU-bound latencies stretch relative to the fastest
-    /// phone in the testbed (the 220 MHz Nokia 6630).
-    pub fn cpu_slowdown(self) -> f64 {
-        220.0 / self.spec().cpu_mhz as f64
-    }
 }
 
 impl fmt::Display for PhoneModel {
@@ -94,12 +88,6 @@ mod tests {
         let s = PhoneModel::Nokia7610.spec();
         assert_eq!(s.cpu_mhz, 123);
         assert!(!s.has_wifi && !s.has_umts);
-    }
-
-    #[test]
-    fn slowdown_is_relative_to_6630() {
-        assert_eq!(PhoneModel::Nokia6630.cpu_slowdown(), 1.0);
-        assert!(PhoneModel::Nokia7610.cpu_slowdown() > 1.5);
     }
 
     #[test]

@@ -51,11 +51,6 @@ impl Millijoules {
     /// Zero energy.
     pub const ZERO: Millijoules = Millijoules(0.0);
 
-    /// Creates from joules.
-    pub fn from_joules(j: f64) -> Self {
-        Millijoules(j * 1e3)
-    }
-
     /// Value in joules — the unit of the paper's Table 2.
     pub fn as_joules(self) -> f64 {
         self.0 / 1e3

@@ -418,12 +418,6 @@ impl BtRadio {
         s.on && s.phone.is_on()
     }
 
-    /// Sets whether this device answers inquiries (page/inquiry scan).
-    pub fn set_discoverable(&self, discoverable: bool) {
-        self.state().borrow_mut().discoverable = discoverable;
-        self.refresh_power();
-    }
-
     /// Installs the receive handler: `(link, from, payload)`.
     pub fn on_receive(&self, f: impl Fn(LinkId, NodeId, Payload) + 'static) {
         self.state().borrow_mut().on_receive = Some(Rc::new(f));
@@ -771,12 +765,6 @@ impl BtRadio {
         }
     }
 
-    /// Simulates a spontaneous link failure (the paper saw roughly one
-    /// BT-GPS disconnection per hour in the field trials).
-    pub fn inject_disconnect(&self, link: LinkId) {
-        self.disconnect(link);
-    }
-
     /// Open links and their peers.
     pub fn links(&self) -> Vec<(LinkId, NodeId)> {
         self.state().borrow().links.iter().map(|(&l, &p)| (l, p)).collect()
@@ -837,6 +825,12 @@ mod tests {
         Rig { sim, world, medium }
     }
 
+    /// Stops `radio` answering inquiries (page/inquiry scan off).
+    fn hide(radio: &BtRadio) {
+        radio.state().borrow_mut().discoverable = false;
+        radio.refresh_power();
+    }
+
     fn phone_at(rig: &Rig, x: f64) -> (NodeId, Phone) {
         let node = rig.world.add_node(Position::new(x, 0.0));
         let phone = Phone::new(&rig.sim, PhoneConfig::default());
@@ -869,7 +863,7 @@ mod tests {
         let (b, pb) = phone_at(&r, 5.0);
         let ra = r.medium.attach(a, &pa, 1);
         let rb = r.medium.attach(b, &pb, 2);
-        rb.set_discoverable(false);
+        hide(&rb);
         let found = Rc::new(StdRefCell::new(vec![NodeId(999)]));
         let f = found.clone();
         ra.inquiry(move |res| *f.borrow_mut() = res.unwrap());
@@ -949,8 +943,8 @@ mod tests {
         let ra = r.medium.attach(a, &pa, 1);
         let rb = r.medium.attach(b, &pb, 2);
         // Not discoverable: isolate the active-window energy from scan draw.
-        ra.set_discoverable(false);
-        rb.set_discoverable(false);
+        hide(&ra);
+        hide(&rb);
         let link = Rc::new(Cell::new(None));
         let l = link.clone();
         rb.connect(a, move |res| l.set(Some(res.unwrap())));
@@ -1050,7 +1044,7 @@ mod tests {
         let (b, pb) = phone_at(&r, 5.0);
         let ra = r.medium.attach(a, &pa, 1);
         let rb = r.medium.attach(b, &pb, 2);
-        ra.set_discoverable(false); // requester needn't answer scans
+        hide(&ra); // requester needn't answer scans
         rb.register_service(ServiceRecord::new("uuid-ctx", "contory"), |_res| {});
         r.sim.run_until_idle();
         let t0 = r.sim.now();

@@ -227,9 +227,8 @@ impl World {
 
     /// Marks a node's radio dead or alive (fault injection: churn, crash,
     /// partition). A down node keeps its position and mobility but stops
-    /// appearing in [`World::neighbors`], [`World::in_range`] and
-    /// [`World::nodes_in_region`]. Nodes start up; unknown ids are a
-    /// no-op.
+    /// appearing in [`World::neighbors`] and [`World::in_range`]. Nodes
+    /// start up; unknown ids are a no-op.
     pub fn set_node_up(&self, node: NodeId, up: bool) {
         let mut inner = self.inner.borrow_mut();
         if up {
@@ -243,14 +242,6 @@ impl World {
     pub fn is_node_up(&self, node: NodeId) -> bool {
         let inner = self.inner.borrow();
         inner.nodes.contains_key(&node) && !inner.down.contains(&node)
-    }
-
-    /// Partitions the world: every node in `nodes` goes down at once
-    /// (convenience for scripted partitions).
-    pub fn partition_down(&self, nodes: &[NodeId]) {
-        for &n in nodes {
-            self.set_node_up(n, false);
-        }
     }
 
     /// All registered nodes.
@@ -277,18 +268,6 @@ impl World {
                     && !inner.down.contains(&id)
                     && m.position_at(now).distance_to(origin) <= range
             })
-            .map(|(&id, _)| id)
-            .collect()
-    }
-
-    /// Up nodes currently inside a region.
-    pub fn nodes_in_region(&self, region: Region) -> Vec<NodeId> {
-        let inner = self.inner.borrow();
-        let now = inner.sim.now();
-        inner
-            .nodes
-            .iter()
-            .filter(|&(&id, m)| !inner.down.contains(&id) && region.contains(m.position_at(now)))
             .map(|(&id, _)| id)
             .collect()
     }
@@ -360,14 +339,10 @@ mod tests {
 
     #[test]
     fn region_membership() {
-        let sim = Sim::new();
-        let w = World::new(&sim);
-        let inside = w.add_node(Position::new(1.0, 1.0));
-        let outside = w.add_node(Position::new(50.0, 50.0));
         let r = Region::new(Position::ORIGIN, 5.0);
-        let members = w.nodes_in_region(r);
-        assert!(members.contains(&inside));
-        assert!(!members.contains(&outside));
+        assert!(r.contains(Position::new(1.0, 1.0)));
+        assert!(r.contains(Position::new(3.0, 4.0)), "the edge is inside");
+        assert!(!r.contains(Position::new(50.0, 50.0)));
     }
 
     #[test]
@@ -393,10 +368,6 @@ mod tests {
         assert!(!w.is_node_up(b));
         assert!(!w.in_range(a, b, 100.0));
         assert_eq!(w.neighbors(a, 100.0), vec![c]);
-        assert_eq!(
-            w.nodes_in_region(Region::new(Position::ORIGIN, 100.0)),
-            vec![a, c]
-        );
         // Position survives the outage; distance still answers.
         assert_eq!(w.distance(a, b), Some(5.0));
         w.set_node_up(b, true);
@@ -419,7 +390,8 @@ mod tests {
         let w = World::new(&sim);
         let a = w.add_node(Position::ORIGIN);
         let b = w.add_node(Position::new(1.0, 0.0));
-        w.partition_down(&[a, b]);
+        w.set_node_up(a, false);
+        w.set_node_up(b, false);
         assert!(!w.is_node_up(a) && !w.is_node_up(b));
         // Unknown ids: no-op / false.
         w.set_node_up(NodeId(77), false);

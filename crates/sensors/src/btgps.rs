@@ -138,11 +138,6 @@ impl BtGpsDevice {
         &self.bt
     }
 
-    /// Whether the puck is switched on.
-    pub fn is_powered(&self) -> bool {
-        self.inner.borrow().powered
-    }
-
     /// NMEA bursts streamed so far (to any link).
     pub fn bursts_sent(&self) -> u64 {
         self.inner.borrow().bursts_sent

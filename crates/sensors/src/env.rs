@@ -172,11 +172,6 @@ impl Environment {
         }
         field.clamp(base + amplitude * v / weight_sum)
     }
-
-    /// Printable value with unit, e.g. `"14.3C"`.
-    pub fn sample_text(&self, field: EnvField, pos: Position, t: SimTime) -> String {
-        format!("{:.1}{}", self.sample(field, pos, t), field.unit())
-    }
 }
 
 #[cfg(test)]
@@ -239,13 +234,6 @@ mod tests {
         let a = env.sample(EnvField::PressureHpa, Position::new(500.0, 500.0), t);
         let b = env.sample(EnvField::PressureHpa, Position::new(510.0, 500.0), t);
         assert!((a - b).abs() < 1.0, "{a} vs {b}");
-    }
-
-    #[test]
-    fn sample_text_formats_unit() {
-        let env = Environment::new(1);
-        let s = env.sample_text(EnvField::WindKnots, Position::ORIGIN, SimTime::ZERO);
-        assert!(s.ends_with("kn"), "{s}");
     }
 
     #[test]

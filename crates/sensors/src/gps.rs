@@ -73,11 +73,6 @@ impl GpsReceiver {
         self.powered = on;
     }
 
-    /// Whether the receiver is powered.
-    pub fn is_powered(&self) -> bool {
-        self.powered
-    }
-
     /// Current fix state.
     pub fn fix(&self) -> GpsFix {
         if self.powered {
@@ -142,11 +137,6 @@ impl GpsReceiver {
             burst.push(nmea(body));
         }
         burst
-    }
-
-    /// Total byte size of a burst including CR/LF per sentence.
-    pub fn burst_size(burst: &[String]) -> usize {
-        burst.iter().map(|s| s.len() + 2).sum()
     }
 }
 
@@ -243,7 +233,8 @@ mod tests {
     fn burst_is_about_340_bytes() {
         let mut g = gps(5.0);
         let burst = g.nmea_burst(SimTime::from_secs(3_600));
-        let size = GpsReceiver::burst_size(&burst);
+        // Each sentence goes out with a CR/LF.
+        let size: usize = burst.iter().map(|s| s.len() + 2).sum();
         assert!(
             (300..=400).contains(&size),
             "burst size {size}, paper says ~340"

@@ -67,9 +67,9 @@ pub struct EnvSensor {
     position: PositionSource,
     accuracy: f64,
     rng: DetRng,
-    /// Shared dropout switch (fault injection): when `false`, the sensor
-    /// is dead and [`EnvSensor::try_sample`] yields nothing.
-    online: Rc<Cell<bool>>,
+    /// Dropout switch (fault injection): when `false`, the sensor is
+    /// dead and [`EnvSensor::try_sample`] yields nothing.
+    online: Cell<bool>,
 }
 
 impl EnvSensor {
@@ -92,7 +92,7 @@ impl EnvSensor {
             position,
             accuracy,
             rng: DetRng::new(seed ^ 0x5e45),
-            online: Rc::new(Cell::new(true)),
+            online: Cell::new(true),
         }
     }
 
@@ -121,12 +121,6 @@ impl EnvSensor {
     /// keeps its state and noise stream; only delivery stops.
     pub fn set_online(&self, up: bool) {
         self.online.set(up);
-    }
-
-    /// The shared dropout switch, for wiring into a fault injector while
-    /// the sensor itself is owned elsewhere.
-    pub fn online_switch(&self) -> Rc<Cell<bool>> {
-        self.online.clone()
     }
 
     /// Fault-aware sampling: `None` while the sensor is offline.
@@ -216,22 +210,12 @@ impl WeatherStation {
     }
 
     /// Takes one reading per configured *online* field (offline sensors
-    /// are skipped — see [`WeatherStation::set_field_online`]).
+    /// are skipped — see [`WeatherStation::set_online`]).
     pub fn observe(&mut self, now: SimTime) -> Vec<Reading> {
         self.sensors
             .iter_mut()
             .filter_map(|s| s.try_sample(now))
             .collect()
-    }
-
-    /// Flips the dropout switch of one field's sensor (fault injection).
-    /// Unknown fields are a no-op.
-    pub fn set_field_online(&self, field: EnvField, up: bool) {
-        for s in &self.sensors {
-            if s.field() == field {
-                s.set_online(up);
-            }
-        }
     }
 
     /// Flips the dropout switch of *every* sensor at once (a station
@@ -348,15 +332,14 @@ mod tests {
         let t = SimTime::from_secs(10);
         assert!(s.is_online());
         assert!(s.try_sample(t).is_some());
-        let switch = s.online_switch();
-        switch.set(false);
+        s.set_online(false);
         assert!(!s.is_online());
         assert!(s.try_sample(t).is_none());
         // The noise stream did not advance while offline: the next
         // reading equals what a never-offline twin would produce.
         let mut twin = EnvSensor::fixed(&env, EnvField::TemperatureC, Position::ORIGIN, 0.2, 3);
         let _ = twin.sample(t); // mirror the one pre-outage sample
-        switch.set(true);
+        s.set_online(true);
         assert_eq!(s.try_sample(t).unwrap().value, twin.sample(t).value);
     }
 
@@ -370,7 +353,7 @@ mod tests {
             &[EnvField::TemperatureC, EnvField::WindKnots],
             9,
         );
-        st.set_field_online(EnvField::WindKnots, false);
+        st.sensors[1].set_online(false); // wind
         let obs = st.observe(SimTime::from_secs(60));
         assert_eq!(obs.len(), 1);
         assert_eq!(obs[0].quantity, "temperature");

@@ -49,6 +49,7 @@
 
 #![deny(warnings)]
 
+use crate::hash::{fnv1a, FNV_OFFSET};
 use crate::rng::DetRng;
 use crate::sim::Sim;
 use crate::time::{SimDuration, SimTime};
@@ -95,15 +96,6 @@ pub struct FaultPlan {
     restarts: BTreeMap<String, Vec<SimTime>>,
     /// Per-link lossy-delivery models, keyed by link label.
     links: BTreeMap<String, LinkFault>,
-}
-
-fn fnv1a(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 impl FaultPlan {
@@ -200,63 +192,6 @@ impl FaultPlan {
         self.links.get(label).copied()
     }
 
-    /// All link labels with a scripted lossy-delivery model.
-    pub fn link_labels(&self) -> Vec<&str> {
-        self.links.keys().map(String::as_str).collect()
-    }
-
-    /// A runtime chaos stream for the link labelled `label`, or `None`
-    /// when the link has no scripted fault model. The stream is derived
-    /// from `(plan seed, label)` only, so two runs of the same plan make
-    /// identical per-link decisions regardless of other links.
-    pub fn link_chaos(&self, label: &str) -> Option<LinkChaos> {
-        self.link_fault(label)
-            .map(|fault| LinkChaos::new(self.seed, label, fault))
-    }
-
-    /// Scripts a deterministic square-wave outage pattern over
-    /// `[from, until)`: each `period` starts with an up phase of
-    /// `duty * period` followed by a down phase filling the rest, so
-    /// `duty` is the fraction of each period the target is reachable.
-    /// No randomness is involved — chaos scenarios and the fig5 suite
-    /// use this instead of hand-scheduling kill/revive pairs.
-    ///
-    /// `duty` is clamped to `[0, 1]`; `duty >= 1` scripts nothing and
-    /// `duty <= 0` scripts one solid outage over the window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from >= until` or `period` is zero.
-    pub fn flap(
-        &mut self,
-        target: &str,
-        from: SimTime,
-        until: SimTime,
-        period: SimDuration,
-        duty: f64,
-    ) -> &mut Self {
-        assert!(from < until, "flap requires from < until");
-        assert!(!period.is_zero(), "flap requires a non-zero period");
-        let duty = if duty.is_finite() { duty.clamp(0.0, 1.0) } else { 1.0 };
-        let up_len = SimDuration::from_micros((period.as_micros() as f64 * duty) as u64);
-        let mut t = from;
-        while t < until {
-            let down_start = (t + up_len).min(until);
-            let down_end = (t + period).min(until);
-            if down_end > down_start {
-                self.downtimes
-                    .entry(target.to_owned())
-                    .or_default()
-                    .push(Downtime {
-                        start: down_start,
-                        end: Some(down_end),
-                    });
-            }
-            t = t + period;
-        }
-        self
-    }
-
     /// Scripts probabilistic link flapping over `[from, until)`:
     /// alternating up/down phases with exponentially distributed
     /// durations of the given means, starting up. The phase boundaries
@@ -285,7 +220,7 @@ impl FaultPlan {
         let stream = self
             .seed
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ fnv1a(target)
+            ^ fnv1a(FNV_OFFSET, target.as_bytes())
             ^ call.wrapping_mul(0xD1B5_4A32_D192_ED03);
         *call += 1;
         let mut rng = DetRng::new(stream);
@@ -331,19 +266,6 @@ impl FaultPlan {
         }
     }
 
-    /// The first instant `>= at` at which `target` is up again, or
-    /// `None` if it never recovers. Returns `at` itself when the target
-    /// is already up.
-    pub fn next_up(&self, target: &str, at: SimTime) -> Option<SimTime> {
-        if self.is_up(target, at) {
-            return Some(at);
-        }
-        self.edges(target)
-            .into_iter()
-            .find(|e| e.up && e.at > at)
-            .map(|e| e.at)
-    }
-
     /// The compiled, merged up/down edge sequence for `target`
     /// (chronological; alternating `down, up, down, …` after merging
     /// overlapping scripts). Empty for unknown targets.
@@ -379,34 +301,6 @@ impl FaultPlan {
             }
         }
         edges
-    }
-
-    /// Total scripted downtime for `target` inside `[from, until)`,
-    /// counting unhealed kills up to `until`.
-    pub fn downtime_within(&self, target: &str, from: SimTime, until: SimTime) -> SimDuration {
-        let mut total = SimDuration::ZERO;
-        let edges = self.edges(target);
-        let mut down_since: Option<SimTime> = None;
-        for e in &edges {
-            if e.up {
-                if let Some(s) = down_since.take() {
-                    let lo = s.max(from);
-                    let hi = e.at.min(until);
-                    if hi > lo {
-                        total = total + hi.since(lo);
-                    }
-                }
-            } else if down_since.is_none() {
-                down_since = Some(e.at);
-            }
-        }
-        if let Some(s) = down_since {
-            let lo = s.max(from);
-            if until > lo {
-                total = total + until.since(lo);
-            }
-        }
-        total
     }
 }
 
@@ -487,7 +381,7 @@ impl LinkChaos {
     pub fn new(seed: u64, label: &str, fault: LinkFault) -> Self {
         LinkChaos {
             fault,
-            rng: DetRng::derive(seed, LINK_SALT ^ fnv1a(label)),
+            rng: DetRng::derive(seed, LINK_SALT ^ fnv1a(FNV_OFFSET, label.as_bytes())),
             stats: LinkStats::default(),
         }
     }
@@ -695,7 +589,6 @@ mod tests {
         assert!(p.is_up("x", secs(4)));
         assert!(!p.is_up("x", secs(5)));
         assert!(!p.is_up("x", secs(1_000_000)));
-        assert_eq!(p.next_up("x", secs(6)), None);
         assert_eq!(
             p.edges("x"),
             vec![FaultEdge {
@@ -720,12 +613,6 @@ mod tests {
                 FaultEdge { at: secs(40), up: false },
                 FaultEdge { at: secs(45), up: true },
             ]
-        );
-        assert_eq!(p.next_up("x", secs(12)), Some(secs(30)));
-        assert_eq!(p.next_up("x", secs(35)), Some(secs(35)));
-        assert_eq!(
-            p.downtime_within("x", SimTime::ZERO, secs(100)),
-            SimDuration::from_secs(25)
         );
     }
 
@@ -794,38 +681,6 @@ mod tests {
     }
 
     #[test]
-    fn square_wave_flap_is_exact() {
-        let mut p = FaultPlan::new(1);
-        // 10 s period, 60 % duty: up [0,6), down [6,10), repeating.
-        p.flap("x", secs(0), secs(25), SimDuration::from_secs(10), 0.6);
-        assert_eq!(
-            p.edges("x"),
-            vec![
-                FaultEdge { at: secs(6), up: false },
-                FaultEdge { at: secs(10), up: true },
-                FaultEdge { at: secs(16), up: false },
-                FaultEdge { at: secs(20), up: true },
-            ]
-        );
-        // The final period is clipped by the window: up [20,25) only.
-        assert!(p.is_up("x", secs(24)));
-        // duty is seed-independent and build-order independent.
-        let mut q = FaultPlan::new(777);
-        q.flap("x", secs(0), secs(25), SimDuration::from_secs(10), 0.6);
-        assert_eq!(p.edges("x"), q.edges("x"));
-        // Degenerate duties.
-        let mut full = FaultPlan::new(1);
-        full.flap("y", secs(0), secs(30), SimDuration::from_secs(10), 1.0);
-        assert!(full.edges("y").is_empty());
-        let mut none = FaultPlan::new(1);
-        none.flap("y", secs(0), secs(30), SimDuration::from_secs(10), 0.0);
-        assert_eq!(
-            none.downtime_within("y", secs(0), secs(30)),
-            SimDuration::from_secs(30)
-        );
-    }
-
-    #[test]
     fn crash_restart_records_recovery_instants() {
         let mut p = FaultPlan::new(5);
         p.crash_restart("broker:2", secs(10), SimDuration::from_secs(8));
@@ -853,11 +708,12 @@ mod tests {
         p.lossy_link("link:1->0", fault);
         assert_eq!(p.link_fault("link:0->1"), Some(fault));
         assert_eq!(p.link_fault("link:9->9"), None);
-        assert!(p.link_chaos("link:9->9").is_none());
-        assert_eq!(p.link_labels(), vec!["link:0->1", "link:1->0"]);
+        let chaos = |label: &str| {
+            LinkChaos::new(p.seed(), label, p.link_fault(label).expect("configured link"))
+        };
 
         let run = |label: &str| {
-            let mut c = p.link_chaos(label).expect("configured link");
+            let mut c = chaos(label);
             (0..2_000).map(|_| c.decide()).collect::<Vec<_>>()
         };
         // Same label replays identically; different labels diverge.
@@ -865,7 +721,7 @@ mod tests {
         assert_ne!(run("link:0->1"), run("link:1->0"));
 
         // Observed rates land near the configured ppm.
-        let mut c = p.link_chaos("link:0->1").expect("configured link");
+        let mut c = chaos("link:0->1");
         for _ in 0..10_000 {
             let copies = c.decide();
             assert!(copies.len() <= 2);
@@ -962,26 +818,5 @@ mod tests {
         inj.apply("x", false);
         inj.apply("x", true);
         assert_eq!(count.get(), 6);
-    }
-
-    #[test]
-    fn downtime_within_clips_to_window() {
-        let mut p = FaultPlan::new(1);
-        p.down_between("x", secs(10), secs(30));
-        assert_eq!(
-            p.downtime_within("x", secs(20), secs(25)),
-            SimDuration::from_secs(5)
-        );
-        assert_eq!(
-            p.downtime_within("x", secs(0), secs(15)),
-            SimDuration::from_secs(5)
-        );
-        assert_eq!(p.downtime_within("x", secs(40), secs(50)), SimDuration::ZERO);
-        let mut k = FaultPlan::new(1);
-        k.kill_at("x", secs(90));
-        assert_eq!(
-            k.downtime_within("x", secs(0), secs(100)),
-            SimDuration::from_secs(10)
-        );
     }
 }

@@ -36,6 +36,8 @@
 //!   [`FaultPlan`]s compiled to up/down edges and applied to registered
 //!   kill-switches by a [`FaultInjector`] (paper Fig. 5's source
 //!   failures, made reproducible).
+//! - [`hash`]: the one FNV-1a and the one SplitMix64 mixer every
+//!   digest and derived stream in the workspace uses.
 //!
 //! # Example
 //!
@@ -57,6 +59,7 @@
 #![warn(missing_docs)]
 
 pub mod faults;
+pub mod hash;
 mod rng;
 pub mod shard;
 mod sim;

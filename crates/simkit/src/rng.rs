@@ -9,17 +9,16 @@
 //! platform, which is what keeps the benchmark tables reproducible in
 //! hermetic (offline) builds.
 
+use crate::hash::{mix64, GOLDEN_GAMMA};
 use crate::time::SimDuration;
 
 /// SplitMix64 step; used for seeding so that nearby seeds (0, 1, 2, …)
 /// still yield well-separated xoshiro states.
 #[inline]
 fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    let out = mix64(*state);
+    *state = state.wrapping_add(GOLDEN_GAMMA);
+    out
 }
 
 /// A deterministic random number generator (xoshiro256++).
@@ -51,7 +50,7 @@ impl DetRng {
     /// Derives an independent child generator; used to give each node its
     /// own stream so adding a node never perturbs the others.
     pub fn fork(&mut self, salt: u64) -> DetRng {
-        let s = self.next_u64() ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let s = self.next_u64() ^ salt.wrapping_mul(GOLDEN_GAMMA);
         DetRng::new(s)
     }
 
@@ -63,10 +62,8 @@ impl DetRng {
     /// random draws independent of registration order and of the
     /// physical partition layout.
     pub fn derive(seed: u64, salt: u64) -> DetRng {
-        let mut sm = seed;
-        let a = splitmix64(&mut sm);
-        let mut sm2 = salt ^ 0xD6E8_FEB8_6659_FD93;
-        let b = splitmix64(&mut sm2);
+        let a = mix64(seed);
+        let b = mix64(salt ^ 0xD6E8_FEB8_6659_FD93);
         DetRng::new(a ^ b.rotate_left(17))
     }
 
@@ -132,11 +129,6 @@ impl DetRng {
     pub fn index(&mut self, len: usize) -> usize {
         assert!(len > 0, "index requires a non-empty range");
         self.range_u64(0, len as u64) as usize
-    }
-
-    /// Bernoulli trial with probability `p` (clamped to `[0, 1]`).
-    pub fn chance(&mut self, p: f64) -> bool {
-        self.unit() < p.clamp(0.0, 1.0)
     }
 
     /// Gaussian sample (Box–Muller).
@@ -245,13 +237,6 @@ mod tests {
         let n = 20_000;
         let mean = (0..n).map(|_| r.exp(3.0)).sum::<f64>() / n as f64;
         assert!((mean - 3.0).abs() < 0.1, "mean {mean}");
-    }
-
-    #[test]
-    fn chance_extremes() {
-        let mut r = DetRng::new(19);
-        assert!(!(0..100).any(|_| r.chance(0.0)));
-        assert!((0..100).all(|_| r.chance(1.0)));
     }
 
     #[test]

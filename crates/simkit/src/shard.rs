@@ -60,6 +60,7 @@
 //! — a count the barrier takes anyway. Neither the worker count nor
 //! which rounds go parallel influences outputs, only wall-clock speed.
 
+use crate::hash::{fnv1a, FNV_OFFSET};
 use crate::rng::DetRng;
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
@@ -149,17 +150,6 @@ pub struct ShardConfig {
 }
 
 impl ShardConfig {
-    /// A 1-shard, 1-thread, transcript-recording config — the sequential
-    /// fallback profile.
-    pub fn sequential(seed: u64) -> ShardConfig {
-        ShardConfig {
-            seed,
-            shards: 1,
-            threads: 1,
-            record_transcript: true,
-        }
-    }
-
     /// The largest worker count worth configuring on this host.
     pub fn max_threads() -> u32 {
         std::thread::available_parallelism().map_or(1, |n| n.get() as u32)
@@ -433,21 +423,6 @@ impl<'a, E> EventCtx<'a, E> {
         self.send_index += 1;
     }
 
-    /// Sends one event to each destination, in the given order —
-    /// the broadcast/multicast primitive radio-style fan-out uses.
-    pub fn send_many(
-        &mut self,
-        dests: impl IntoIterator<Item = ActorId>,
-        delay: SimDuration,
-        ev: E,
-    ) where
-        E: Clone,
-    {
-        for dest in dests {
-            self.send(dest, delay, ev.clone());
-        }
-    }
-
     /// Appends a record to the run transcript (merged across shards in
     /// key order; always folded into the digest).
     pub fn emit(&mut self, record: impl Into<String>) {
@@ -461,8 +436,12 @@ impl<'a, E> EventCtx<'a, E> {
 /// use simkit::shard::{ActorId, ShardConfig, ShardSim};
 /// use simkit::SimDuration;
 ///
-/// let mut cfg = ShardConfig::sequential(42);
-/// cfg.shards = 4;
+/// let cfg = ShardConfig {
+///     seed: 42,
+///     shards: 4,
+///     threads: 1,
+///     record_transcript: true,
+/// };
 /// let mut sim = ShardSim::new(cfg, |count: &mut u64, ctx, hop: u32| {
 ///     *count += 1;
 ///     ctx.emit(format!("hop {hop} at {}", ctx.now()));
@@ -494,19 +473,6 @@ pub struct ShardSim<A, E, H> {
     emitted: u64,
     digest: u64,
     profile: EngineProfile,
-}
-
-/// FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
 }
 
 impl<A, E, H> ShardSim<A, E, H>
@@ -656,11 +622,6 @@ where
     /// [`ShardConfig::record_transcript`]).
     pub fn transcript(&self) -> &[String] {
         &self.transcript
-    }
-
-    /// Physical shard count.
-    pub fn shard_count(&self) -> u32 {
-        self.cfg.shards
     }
 
     /// Worker threads a round large enough to go parallel will use.
@@ -876,6 +837,16 @@ where
 mod tests {
     use super::*;
 
+    /// A 1-shard, 1-thread, transcript-recording config.
+    fn sequential(seed: u64) -> ShardConfig {
+        ShardConfig {
+            seed,
+            shards: 1,
+            threads: 1,
+            record_transcript: true,
+        }
+    }
+
     /// A toy world: each actor counts events and forwards a decrementing
     /// hop counter to the next actor.
     fn ring_handler(n: u64) -> impl Fn(&mut u64, &mut EventCtx<'_, u32>, u32) + Sync {
@@ -955,8 +926,9 @@ mod tests {
                 ctx.schedule_self(SimDuration::ZERO, hop - 1);
             } else {
                 let a = ctx.actor().0;
-                let dests = [ActorId((a * 7 + 1) % n), ActorId(a / 2)];
-                ctx.send_many(dests, SimDuration::from_millis(1), hop - 1);
+                for dest in [ActorId((a * 7 + 1) % n), ActorId(a / 2)] {
+                    ctx.send(dest, SimDuration::from_millis(1), hop - 1);
+                }
             }
         };
         let mut sim = ShardSim::new(cfg, handler);
@@ -1092,7 +1064,7 @@ mod tests {
 
     #[test]
     fn same_time_self_schedules_run_within_the_round() {
-        let cfg = ShardConfig::sequential(1);
+        let cfg = sequential(1);
         let mut sim = ShardSim::new(cfg, |state: &mut u32, ctx: &mut EventCtx<'_, u32>, ev| {
             *state += 1;
             if ev > 0 {
@@ -1109,7 +1081,7 @@ mod tests {
 
     #[test]
     fn zero_delay_sends_are_quantised_to_the_next_step() {
-        let cfg = ShardConfig::sequential(1);
+        let cfg = sequential(1);
         let mut sim = ShardSim::new(cfg, |_: &mut (), ctx: &mut EventCtx<'_, u32>, ev| {
             if ev > 0 {
                 ctx.send(ActorId(1), SimDuration::ZERO, ev - 1);
@@ -1126,7 +1098,7 @@ mod tests {
 
     #[test]
     fn dead_letters_are_counted_not_lost_silently() {
-        let cfg = ShardConfig::sequential(1);
+        let cfg = sequential(1);
         let mut sim = ShardSim::new(cfg, |_: &mut (), ctx: &mut EventCtx<'_, u32>, _| {
             ctx.send(ActorId(999), SimDuration::from_millis(1), 0);
         });
@@ -1140,7 +1112,7 @@ mod tests {
     #[test]
     fn duplicate_actor_registration_is_rejected() {
         let mut sim = ShardSim::new(
-            ShardConfig::sequential(0),
+            sequential(0),
             |_: &mut u8, _: &mut EventCtx<'_, u8>, _| {},
         );
         assert!(sim.add_actor(ActorId(4), 1));
@@ -1152,7 +1124,7 @@ mod tests {
     #[test]
     fn scheduling_on_unknown_actor_errors() {
         let mut sim = ShardSim::new(
-            ShardConfig::sequential(0),
+            sequential(0),
             |_: &mut u8, _: &mut EventCtx<'_, u8>, _| {},
         );
         assert_eq!(sim.schedule(ActorId(7), SimTime::ZERO, 1), Err(ActorId(7)));
@@ -1161,7 +1133,7 @@ mod tests {
     #[test]
     fn run_until_respects_the_deadline() {
         let mut sim = ShardSim::new(
-            ShardConfig::sequential(5),
+            sequential(5),
             |hits: &mut u32, ctx: &mut EventCtx<'_, u8>, _| {
                 *hits += 1;
                 ctx.schedule_self(SimDuration::from_secs(10), 0);

@@ -92,16 +92,6 @@ impl TimeSeries {
         })
     }
 
-    /// Smallest recorded value (`None` if empty).
-    pub fn min_value(&self) -> Option<f64> {
-        self.points.iter().map(|&(_, v)| v).fold(None, |acc, v| {
-            Some(match acc {
-                None => v,
-                Some(m) => m.min(v),
-            })
-        })
-    }
-
     /// Integral of the step function over `[from, to]`, in value × seconds.
     /// With values in milliwatts this yields millijoules.
     ///
@@ -152,17 +142,6 @@ impl TimeSeries {
             t += period;
         }
         out
-    }
-
-    /// Renders the series as a CSV document with `time_s` and the series
-    /// name as columns.
-    pub fn to_csv(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "time_s,{}", self.name);
-        for &(t, v) in &self.points {
-            let _ = writeln!(s, "{:.6},{v:.6}", t.as_secs_f64());
-        }
-        s
     }
 
     /// Renders an ASCII plot (`width` columns × `height` rows) of the series
@@ -292,16 +271,6 @@ mod tests {
         ts.record(SimTime::ZERO, 3.0);
         ts.record(secs(1), -1.0);
         assert_eq!(ts.max_value(), Some(3.0));
-        assert_eq!(ts.min_value(), Some(-1.0));
-    }
-
-    #[test]
-    fn csv_output() {
-        let mut ts = TimeSeries::new("power_mw");
-        ts.record(SimTime::ZERO, 1.5);
-        let csv = ts.to_csv();
-        assert!(csv.starts_with("time_s,power_mw\n"));
-        assert!(csv.contains("0.000000,1.500000"));
     }
 
     #[test]

@@ -606,26 +606,9 @@ impl SmNode {
         self.state().borrow().tags.read(name, now, key).cloned()
     }
 
-    /// Names of live local tags.
-    pub fn tag_names(&self) -> Vec<String> {
-        let now = self.platform.sim().now();
-        self.state()
-            .borrow()
-            .tags
-            .names(now)
-            .into_iter()
-            .map(str::to_owned)
-            .collect()
-    }
-
     /// Adjacent participating nodes right now.
     pub fn neighbors(&self) -> Vec<NodeId> {
         self.platform.participating_neighbors(self.node)
-    }
-
-    /// Clears this node's content-route table (used by ablations).
-    pub fn clear_routes(&self) {
-        self.state().borrow_mut().routes.clear();
     }
 
     /// Injects an SM at this node. The outcome (completion, failure, or

@@ -96,14 +96,6 @@ impl SimInternalReference {
         }
     }
 
-    /// Whether the named sensor exists and is online.
-    pub fn sensor_online(&self, cxt_type: &str) -> bool {
-        self.sensors
-            .borrow()
-            .get(cxt_type)
-            .is_some_and(|s| s.is_online())
-    }
-
     /// Context types this reference has sensors for (fault wiring
     /// enumerates them to register per-sensor dropout switches).
     pub fn sensor_types(&self) -> Vec<String> {

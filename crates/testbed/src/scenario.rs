@@ -251,11 +251,6 @@ impl Testbed {
         self.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ s
     }
 
-    /// Resolves an entity name to its node.
-    pub fn entity_node(&self, name: &str) -> Option<NodeId> {
-        self.entities.borrow().get(name).copied()
-    }
-
     /// Assembles a device per the setup and registers its entity name.
     /// The testbed keeps the device alive; the returned handle is shared.
     pub fn add_phone(&self, setup: PhoneSetup) -> Rc<TestbedPhone> {

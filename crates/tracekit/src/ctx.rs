@@ -1,17 +1,7 @@
 //! The propagated trace context and its deterministic sampling rule.
 
+use simkit::hash::mix64;
 use std::fmt;
-
-/// SplitMix64 finalizer: the deterministic bit mixer trace ids and the
-/// sampling decision are derived from. Public so every layer that mints
-/// root contexts (fleet devices, the TCP service, the classic-sim cell)
-/// derives ids the same way.
-pub fn mix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Salt separating the sampling decision from the id itself, so
 /// sampling is not simply "low bits of the id" (which adjacent

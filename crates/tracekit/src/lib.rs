@@ -1,10 +1,10 @@
 //! Causal distributed tracing for the Contory reproduction.
 //!
 //! tracekit makes hop spans *causal across processes*. A [`TraceCtx`]
-//! rides inside every [`brokerd`] context packet (and, behind the
-//! compat flag, inside the Fuego envelope): a 64-bit trace id, the span
-//! id of the hop that forwarded it, a federation hop count, and a
-//! **sampling decision derived purely from the trace id** — no ambient
+//! rides inside every [`brokerd`] context packet (and, when a
+//! `fuego::compat` frame carries one, inside the Fuego envelope's
+//! padding): a 64-bit trace id, the span id of the hop that forwarded
+//! it, a federation hop count, and a **sampling decision derived purely from the trace id** — no ambient
 //! randomness, so the same seed always samples the same traces and
 //! byte-identity across shard/thread counts is preserved with tracing
 //! on.
@@ -42,5 +42,5 @@ mod log;
 pub use assemble::{
     assemble, summaries, Breakup, Delivery, TraceNode, TraceSummary, TraceTree,
 };
-pub use ctx::{mix64, ParseCtxError, TraceCtx};
+pub use ctx::{ParseCtxError, TraceCtx};
 pub use log::{Stage, TraceError, TraceEvent, TraceLog};

@@ -9,7 +9,8 @@
 //! its JSONL export, which additionally canonicalises the order — is
 //! byte-identical across shard and thread counts.
 
-use crate::ctx::{mix64, TraceCtx};
+use crate::ctx::TraceCtx;
+use simkit::hash::{fnv1a, mix64, FNV_OFFSET};
 use simkit::SimTime;
 use std::fmt;
 use std::fmt::Write as _;
@@ -229,12 +230,7 @@ impl TraceLog {
     /// FNV-1a digest of the canonical export — the compact byte-identity
     /// witness determinism transcripts embed.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.export_jsonl().bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        fnv1a(FNV_OFFSET, self.export_jsonl().as_bytes())
     }
 
     /// Parses a `contory-trace/1` JSONL stream back into a log
