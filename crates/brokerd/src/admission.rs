@@ -2,21 +2,12 @@
 //!
 //! A broker admits a publish only if (a) the packet satisfies the
 //! hygiene contract — attributed and unexpired — and (b) the bounded
-//! inbox has room. Everything else is refused with a
-//! typed [`BrokerError`] that maps onto the middleware's [`RefError`],
-//! so a shed publish surfaces through the *existing* retry/backoff/
-//! failover machinery instead of inventing a parallel error path.
-//!
-//! Shedding is load signal, not data loss: the client retries (with
-//! backoff) or, behind a [`FederatedCell`], `InfraCxtProvider` fails
-//! over to a less-loaded broker via the QoS score gossip carries — see
-//! [`federation`](crate::federation). (The testbed's `InfraCxtProvider`
-//! talks to fuego, not to brokerd.)
-//!
-//! [`RefError`]: contory::refs::RefError
-//! [`FederatedCell`]: crate::cell::FederatedCell
+//! inbox has room. Everything else is refused with a typed
+//! [`BrokerError`] and counted in [`AdmissionStats`]. The TCP harness
+//! answers a refusal with an `ERR` frame; in the fleet a shed publish
+//! goes unacked, and a device whose publishes keep going unacked
+//! re-homes to the next broker.
 
-use contory::refs::RefError;
 use std::fmt;
 
 /// Why a broker refused an operation.
@@ -69,28 +60,6 @@ impl fmt::Display for BrokerError {
 
 impl std::error::Error for BrokerError {}
 
-/// Maps broker refusals onto the middleware's reference errors so they
-/// ride the PR 1 retry/backoff/failover path unchanged: backpressure is
-/// retryable ([`RefError::Timeout`]), hygiene violations are terminal
-/// ([`RefError::Denied`]), downtime triggers failover
-/// ([`RefError::Unavailable`]).
-impl From<BrokerError> for RefError {
-    fn from(e: BrokerError) -> RefError {
-        match e {
-            BrokerError::QueueFull { .. } | BrokerError::RetryExhausted { .. } => {
-                RefError::Timeout
-            }
-            BrokerError::Unattributed
-            | BrokerError::ExpiredOnArrival
-            | BrokerError::SourceBlocked(_) => RefError::Denied(e.to_string()),
-            BrokerError::BrokerDown | BrokerError::PeerUnreachable(_) => {
-                RefError::Unavailable(e.to_string())
-            }
-            BrokerError::NoSuchContext(t) => RefError::NotFound(t),
-        }
-    }
-}
-
 /// Running admission counters (deterministic; folded into reports).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AdmissionStats {
@@ -128,33 +97,6 @@ impl AdmissionStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn errors_map_onto_the_failover_taxonomy() {
-        assert_eq!(RefError::from(BrokerError::QueueFull { capacity: 8 }), RefError::Timeout);
-        assert!(matches!(
-            RefError::from(BrokerError::BrokerDown),
-            RefError::Unavailable(_)
-        ));
-        assert!(matches!(
-            RefError::from(BrokerError::Unattributed),
-            RefError::Denied(_)
-        ));
-        assert!(matches!(
-            RefError::from(BrokerError::NoSuchContext("t".into())),
-            RefError::NotFound(_)
-        ));
-        // Retry exhaustion is retryable upstream; an unreachable peer
-        // triggers failover like downtime.
-        assert_eq!(
-            RefError::from(BrokerError::RetryExhausted { attempts: 3 }),
-            RefError::Timeout
-        );
-        assert!(matches!(
-            RefError::from(BrokerError::PeerUnreachable(crate::packet::BrokerId(2))),
-            RefError::Unavailable(_)
-        ));
-    }
 
     #[test]
     fn shed_ppm_is_integer_exact() {

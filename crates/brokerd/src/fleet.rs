@@ -311,11 +311,7 @@ fn fresh_node(b: u16, brokers: u16, cfg: &NodeConfig) -> BrokerNode {
     let mut node = BrokerNode::new(BrokerId(b), cfg.clone());
     for peer in 0..brokers {
         if peer != b {
-            // Link latency asymmetry drives QoS selection: peers
-            // further around the ring cost more.
-            let dist = u64::from((peer + brokers - b) % brokers);
-            node.peers_mut()
-                .introduce(BrokerId(peer), 5_000 * dist, SimTime::ZERO);
+            node.peers_mut().introduce(BrokerId(peer), 0, SimTime::ZERO);
         }
     }
     node

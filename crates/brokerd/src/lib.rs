@@ -4,15 +4,14 @@
 //! *context infrastructure*: a service that absorbs published context,
 //! matches it against subscriptions and survives when local sensing and
 //! ad hoc networking fail. This crate is that service, grown from the
-//! paper's single XML broker into the federated, QoS-aware design of the
-//! cloud-brokering follow-up work: several brokers gossip load digests,
-//! forward published context to each other, and are ranked by an integer
-//! latency+load score when a phone must (re)select one.
+//! paper's single XML broker into the federated design of the
+//! cloud-brokering follow-up work: several brokers gossip load digests
+//! and forward published context to each other.
 //!
-//! ## One core, three harnesses
+//! ## One core, two harnesses
 //!
 //! The broker itself is the *pure* [`BrokerNode`]: `(input, now) →`
-//! [`Effect`]s, no clock, no socket, no thread. Three harnesses
+//! [`Effect`]s, no clock, no socket, no thread. Two harnesses
 //! interpret it:
 //!
 //! * [`fleet`] — brokers and 10k-device populations as
@@ -20,29 +19,25 @@
 //!   thread counts, gated by the `broker_load` benchkit scenario;
 //! * [`net`] — a real multi-threaded loopback TCP service
 //!   (`std::net::TcpListener`, line protocol in [`wire`]) driven by a
-//!   logical clock carried in every frame — no wall clock anywhere;
-//! * [`cell`] — [`FederatedCell`], a `contory::refs::CellReference`
-//!   backed by classic-sim broker nodes, through which
-//!   `InfraCxtProvider` can reach the federation and fail over between
-//!   brokers inside the paper's 45 s SLO. Only brokerd's own kill-over
-//!   suite wires it in: the testbed's `extInfra` leg runs over fuego
-//!   (`testbed::refs_impl::SimCellReference`).
+//!   logical clock carried in every frame — no wall clock anywhere.
+//!
+//! Neither harness is wired into the device middleware: the testbed's
+//! `extInfra` leg runs over fuego (`testbed::refs_impl::SimCellReference`),
+//! and the only middleware module this crate uses is `contory::vocab`.
 //!
 //! ## The hygiene contract
 //!
 //! Every packet a broker touches carries a **mandatory expiry** and a
 //! **mandatory source attribution** ([`ContextPacket`] cannot be built
 //! without either); unattributed or expired publishes are refused at
-//! [admission](admission) with typed errors that map onto the
-//! middleware's retry/backoff/failover taxonomy, and expiry is enforced
-//! at every read *and* by deterministic sweeps — the same contract
-//! `contory::CxtRepository` now enforces device-side.
+//! [`admission`] with typed errors, and expiry is enforced at every read
+//! *and* by deterministic sweeps — the same contract
+//! `contory::CxtRepository` enforces device-side.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod admission;
-pub mod cell;
 pub mod dedup;
 pub mod federation;
 pub mod fleet;
@@ -53,14 +48,13 @@ pub mod table;
 pub mod wire;
 
 pub use admission::{AdmissionStats, BrokerError};
-pub use cell::FederatedCell;
 pub use dedup::{DedupWindow, SeqVerdict, SEQ_WINDOW};
-pub use federation::{qos_score, LoadDigest, PeerView};
+pub use federation::{LoadDigest, PeerView};
 pub use fleet::{
     fault_edges, link_faults, link_label, restart_edges, run_fleet, run_fleet_profiled,
     FleetConfig, FleetEvent, FleetOutcome,
 };
 pub use node::{Admitted, BrokerNode, DirEntry, Effect, NodeConfig, NodeStats};
-pub use packet::{BrokerId, ContextPacket, PacketError, PacketSeq, MAX_HOPS};
+pub use packet::{BrokerId, ContextPacket, PacketSeq, MAX_HOPS};
 pub use table::{SubId, SubMode, Subscription, SubscriptionTable, SweepStats};
 pub use wire::{pct_decode, pct_encode, Request, Response, WireError, MAX_FRAME_BYTES};

@@ -123,16 +123,16 @@ impl BrokerServer {
         lock(&self.shared.node).id()
     }
 
-    /// Links two servers as federation peers (both directions), with a
-    /// nominal link latency feeding the QoS score.
+    /// Links two servers as federation peers (both directions). The
+    /// nominal link latency is not kept (see [`PeerView::introduce`]).
+    ///
+    /// [`PeerView::introduce`]: crate::federation::PeerView::introduce
     pub fn federate(a: &BrokerServer, b: &BrokerServer, latency_us: u64) {
         let (ida, idb) = (a.id(), b.id());
-        let now_a = a.shared.now();
-        let now_b = b.shared.now();
         lock(&a.shared.peers).insert(idb, Arc::downgrade(&b.shared));
         lock(&b.shared.peers).insert(ida, Arc::downgrade(&a.shared));
-        lock(&a.shared.node).peers_mut().introduce(idb, latency_us, now_a);
-        lock(&b.shared.node).peers_mut().introduce(ida, latency_us, now_b);
+        lock(&a.shared.node).peers_mut().introduce(idb, latency_us, SimTime::ZERO);
+        lock(&b.shared.node).peers_mut().introduce(ida, latency_us, SimTime::ZERO);
     }
 
     /// Broker counters (snapshot).

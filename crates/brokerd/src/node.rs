@@ -15,11 +15,9 @@
 //!   `EventCtx::send`s between actors;
 //! * the loopback TCP service ([`net`](crate::net)) turns them into
 //!   `EVT` frames on subscriber sockets and lock-step forwards to peer
-//!   servers;
-//! * the classic-sim [`FederatedCell`](crate::cell::FederatedCell) turns
-//!   them into `OnItems` callbacks for `InfraCxtProvider`.
+//!   servers.
 //!
-//! One core, three harnesses — the smoke test and the benchmark gate
+//! One core, two harnesses — the smoke test and the benchmark gate
 //! therefore exercise the same matching, admission and federation code.
 //!
 //! `BrokerNode` is `Send` (no `Rc`, no interior mutability) so shard
@@ -401,7 +399,7 @@ impl BrokerNode {
         }
     }
 
-    /// Service: processes up to [`DRAIN_BUDGET`] inbox packets — retain,
+    /// Service: processes up to `DRAIN_BUDGET` inbox packets — retain,
     /// match local subscribers, forward to peers — and returns the
     /// effects in deterministic order (inbox FIFO × subscription-id
     /// order × peer-id order).
@@ -597,7 +595,7 @@ impl BrokerNode {
             self.stats.gossip_heard += 1;
             let node = self.trace_node();
             self.trace.record(digest.trace, Stage::Gossip, node, now);
-            self.peers.absorb(digest, now);
+            self.peers.absorb(digest);
             let version = digest.at.as_micros();
             let slot = self.directory.entry(digest.broker).or_default();
             if version > slot.version || (slot.version == 0 && version == 0) {
@@ -666,11 +664,6 @@ impl BrokerNode {
             .retained(sym, now)
             .cloned()
             .ok_or_else(|| BrokerError::NoSuchContext(type_name.to_owned()))
-    }
-
-    /// Resolves an interned id back to its name (for wire encoding).
-    pub fn resolve(&self, sym: Sym) -> Option<&str> {
-        self.interner.resolve(sym)
     }
 }
 

@@ -1,22 +1,19 @@
 //! The context packet: the broker-side representation of a published
-//! [`CxtItem`], with the hygiene contract made unskippable.
+//! context item, with the hygiene contract made unskippable.
 //!
-//! Two fields the middleware treats as optional metadata are *mandatory*
-//! here, by construction: every packet carries an **expiry instant**
-//! (brokers never retain or deliver stale context) and a **source
-//! attribution** (what [`AccessController`] vets and audits on
-//! delivery). A third field the core has no use for — the **hop list**
-//! — records which brokers federated the packet, bounding forwarding
-//! loops and making the provenance of every delivery auditable.
+//! Two fields the middleware's `CxtItem` treats as optional metadata are
+//! *mandatory* here, by construction: every packet carries an **expiry
+//! instant** (brokers never retain or deliver stale context) and a
+//! **source attribution** (admission refuses a packet without one). A
+//! third field — the **hop list** — records which brokers federated the
+//! packet, bounding forwarding loops and making the provenance of every
+//! delivery auditable.
 //!
 //! Values travel as fixed-point milli-units (`i64`), never floats: the
 //! broker fan-out path is shared with the sharded simulation engine,
 //! whose byte-identity contract floats would undermine.
-//!
-//! [`AccessController`]: contory::AccessController
 
 use contory::vocab::Sym;
-use contory::{CxtItem, CxtValue};
 use simkit::{SimDuration, SimTime};
 use std::fmt;
 use tracekit::TraceCtx;
@@ -154,63 +151,7 @@ impl ContextPacket {
         self.hops.push(broker);
         self
     }
-
-    /// Converts to the middleware's item type, preserving the mandatory
-    /// lifetime and attribution.
-    pub fn to_cxt_item(&self) -> CxtItem {
-        CxtItem::new(
-            self.type_name.clone(),
-            CxtValue::number(self.value_milli as f64 / 1000.0),
-            self.published_at,
-        )
-        .with_lifetime(self.expires_at.since(self.published_at))
-        .with_source(self.source.clone())
-    }
-
-    /// Builds a packet from a middleware item, enforcing the hygiene
-    /// contract: items without a lifetime or a source are refused.
-    pub fn from_cxt_item(item: &CxtItem) -> Result<Self, PacketError> {
-        let lifetime = item.lifetime.ok_or(PacketError::MissingLifetime)?;
-        let source = item
-            .source
-            .as_ref()
-            .map(|s| s.0.clone())
-            .filter(|s| !s.is_empty())
-            .ok_or(PacketError::MissingSource)?;
-        let value_milli = item
-            .value
-            .as_f64()
-            .map(|v| (v * 1000.0).round() as i64)
-            .unwrap_or(0);
-        Ok(ContextPacket::new(
-            item.cxt_type.clone(),
-            value_milli,
-            item.timestamp,
-            lifetime,
-            source,
-        ))
-    }
 }
-
-/// Why a [`CxtItem`] could not become a [`ContextPacket`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PacketError {
-    /// The item has no lifetime; brokers only accept time-bound context.
-    MissingLifetime,
-    /// The item has no (or an empty) source attribution.
-    MissingSource,
-}
-
-impl fmt::Display for PacketError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PacketError::MissingLifetime => f.write_str("context item carries no lifetime"),
-            PacketError::MissingSource => f.write_str("context item carries no source attribution"),
-        }
-    }
-}
-
-impl std::error::Error for PacketError {}
 
 #[cfg(test)]
 mod tests {
@@ -238,39 +179,5 @@ mod tests {
         assert!(p.visited(BrokerId(2)));
         assert!(!p.visited(BrokerId(3)));
         assert_eq!(p.hops.len(), 2);
-    }
-
-    #[test]
-    fn cxt_item_round_trip_preserves_the_contract() {
-        let p = ContextPacket::new(
-            "temperature",
-            21_500,
-            SimTime::from_secs(3),
-            SimDuration::from_secs(60),
-            "station-9",
-        );
-        let item = p.to_cxt_item();
-        assert_eq!(item.lifetime, Some(SimDuration::from_secs(60)));
-        assert_eq!(item.source.as_ref().map(|s| s.0.as_str()), Some("station-9"));
-        let back = ContextPacket::from_cxt_item(&item).unwrap();
-        assert_eq!(back.value_milli, 21_500);
-        assert_eq!(back.expires_at, p.expires_at);
-    }
-
-    #[test]
-    fn unhygienic_items_are_refused() {
-        use contory::CxtValue;
-        let eternal = CxtItem::new("t", CxtValue::number(1.0), SimTime::ZERO)
-            .with_source("s");
-        assert_eq!(
-            ContextPacket::from_cxt_item(&eternal),
-            Err(PacketError::MissingLifetime)
-        );
-        let anonymous = CxtItem::new("t", CxtValue::number(1.0), SimTime::ZERO)
-            .with_lifetime(SimDuration::from_secs(1));
-        assert_eq!(
-            ContextPacket::from_cxt_item(&anonymous),
-            Err(PacketError::MissingSource)
-        );
     }
 }

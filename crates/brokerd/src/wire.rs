@@ -255,6 +255,7 @@ pub fn pct_decode(token: &str) -> Result<String, WireError> {
         if b == b'%' {
             let hex = bytes
                 .get(i + 1..i + 3)
+                .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
                 .and_then(|h| std::str::from_utf8(h).ok())
                 .and_then(|h| u8::from_str_radix(h, 16).ok())
                 .ok_or_else(|| malformed("dangling percent escape"))?;
@@ -732,10 +733,10 @@ mod tests {
             Response::decode("TRACE 2 only%20one").unwrap_err().code(),
             "malformed"
         );
-        assert_eq!(
-            Response::decode("STATS bad%zz").unwrap_err().code(),
-            "malformed"
-        );
+        // `u8::from_str_radix` alone would accept the sign in `%+f`.
+        for bad in ["STATS bad%zz", "STATS bad%+f"] {
+            assert_eq!(Response::decode(bad).unwrap_err().code(), "malformed", "{bad}");
+        }
     }
 
     #[test]

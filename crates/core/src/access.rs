@@ -34,48 +34,12 @@ pub enum AccessDecision {
     Blocked,
 }
 
-/// What the controller concluded about one vetted interaction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AuditVerdict {
-    /// The source was admitted.
-    Granted,
-    /// The source was refused (blocklist or application decision).
-    Blocked,
-    /// The context carried no source attribution at all — refused under
-    /// the brokerd hygiene contract (every context packet must be
-    /// attributable).
-    Unattributed,
-}
-
-impl fmt::Display for AuditVerdict {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            AuditVerdict::Granted => "granted",
-            AuditVerdict::Blocked => "blocked",
-            AuditVerdict::Unattributed => "unattributed",
-        })
-    }
-}
-
 struct Inner {
     mode: SecurityMode,
     /// Most-recently-used list of known-good sources, newest at the back.
     known: Vec<SourceId>,
     capacity: usize,
     blocked: BTreeSet<SourceId>,
-    granted_total: u64,
-    blocked_total: u64,
-    unattributed_total: u64,
-}
-
-impl Inner {
-    fn record(&mut self, verdict: AuditVerdict) {
-        match verdict {
-            AuditVerdict::Granted => self.granted_total += 1,
-            AuditVerdict::Blocked => self.blocked_total += 1,
-            AuditVerdict::Unattributed => self.unattributed_total += 1,
-        }
-    }
 }
 
 /// Shared handle to the access controller.
@@ -107,9 +71,6 @@ impl AccessController {
                 known: Vec::new(),
                 capacity,
                 blocked: BTreeSet::new(),
-                granted_total: 0,
-                blocked_total: 0,
-                unattributed_total: 0,
             })),
         }
     }
@@ -132,20 +93,17 @@ impl AccessController {
     ) -> AccessDecision {
         let mut inner = self.inner.borrow_mut();
         if inner.blocked.contains(source) {
-            inner.record(AuditVerdict::Blocked);
             return AccessDecision::Blocked;
         }
         if let Some(pos) = inner.known.iter().position(|s| s == source) {
             // Refresh: move to most-recent position.
             let s = inner.known.remove(pos);
             inner.known.push(s);
-            inner.record(AuditVerdict::Granted);
             return AccessDecision::Granted;
         }
         match inner.mode {
             SecurityMode::Low => {
                 Self::admit(&mut inner, source.clone());
-                inner.record(AuditVerdict::Granted);
                 AccessDecision::Granted
             }
             SecurityMode::High => {
@@ -154,44 +112,13 @@ impl AccessController {
                 let mut inner = self.inner.borrow_mut();
                 if allowed {
                     Self::admit(&mut inner, source.clone());
-                    inner.record(AuditVerdict::Granted);
                     AccessDecision::Granted
                 } else {
                     inner.blocked.insert(source.clone());
-                    inner.record(AuditVerdict::Blocked);
                     AccessDecision::Blocked
                 }
             }
         }
-    }
-
-    /// Vets a possibly-unattributed piece of context: attribution is
-    /// mandatory (the brokerd hygiene contract), so `None` is refused
-    /// outright and recorded as [`AuditVerdict::Unattributed`]; a named
-    /// source goes through the normal [`AccessController::check_with`]
-    /// path.
-    pub fn check_attributed(
-        &self,
-        source: Option<&SourceId>,
-        fallback: Option<&dyn Fn(&SourceId) -> bool>,
-    ) -> AccessDecision {
-        match source {
-            Some(s) => self.check_with(s, fallback),
-            None => {
-                self.inner.borrow_mut().record(AuditVerdict::Unattributed);
-                AccessDecision::Blocked
-            }
-        }
-    }
-
-    /// Lifetime decision totals `(granted, blocked, unattributed)`.
-    pub fn audit_totals(&self) -> (u64, u64, u64) {
-        let inner = self.inner.borrow();
-        (
-            inner.granted_total,
-            inner.blocked_total,
-            inner.unattributed_total,
-        )
     }
 
     fn admit(inner: &mut Inner, source: SourceId) {
@@ -287,19 +214,5 @@ mod tests {
     #[should_panic(expected = "non-zero")]
     fn zero_capacity_panics() {
         let _ = AccessController::new(SecurityMode::Low, 0);
-    }
-
-    #[test]
-    fn unattributed_context_is_refused() {
-        let ac = AccessController::new(SecurityMode::Low, 4);
-        assert_eq!(ac.check_attributed(None, None), AccessDecision::Blocked);
-        assert_eq!(
-            ac.check_attributed(Some(&src("boat-1")), None),
-            AccessDecision::Granted
-        );
-        ac.block(src("b"));
-        ac.check(&src("b"));
-        // block() itself is not a vetting event.
-        assert_eq!(ac.audit_totals(), (1, 1, 1));
     }
 }

@@ -65,7 +65,7 @@ pub mod refs;
 mod repository;
 pub mod vocab;
 
-pub use access::{AccessController, AccessDecision, AuditVerdict, SecurityMode};
+pub use access::{AccessController, AccessDecision, SecurityMode};
 pub use aggregator::{AggregationStrategy, CxtAggregator};
 pub use backoff::{BackoffPolicy, BackoffState};
 pub use client::{Client, ClientEvent, CollectingClient};

@@ -50,8 +50,6 @@ pub enum RefError {
     NotFound(String),
     /// The operation did not complete in time.
     Timeout,
-    /// The remote side refused.
-    Denied(String),
 }
 
 impl fmt::Display for RefError {
@@ -60,7 +58,6 @@ impl fmt::Display for RefError {
             RefError::Unavailable(why) => write!(f, "unavailable: {why}"),
             RefError::NotFound(what) => write!(f, "not found: {what}"),
             RefError::Timeout => write!(f, "timed out"),
-            RefError::Denied(why) => write!(f, "denied: {why}"),
         }
     }
 }

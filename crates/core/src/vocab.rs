@@ -2,8 +2,8 @@
 //! `CxtVocabulary` (context and metadata types), `QueryVocabulary`
 //! (query clause keywords) and `CxtRulesVocabulary` (control-policy
 //! operators and actions) — plus the [`Interner`] that maps vocabulary
-//! strings to dense [`Sym`] ids for hot-path matching (ROADMAP item 3;
-//! the brokerd subscription tables shard on these ids).
+//! strings to dense [`Sym`] ids for hot-path matching (brokerd's
+//! subscription table is one map keyed by these ids).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -11,8 +11,8 @@ use std::fmt;
 /// A dense interned symbol for a context type or source name.
 ///
 /// Comparing two `Sym`s is a single `u16` compare — the broker hot path
-/// uses this instead of string equality, and subscription tables index
-/// directly by the id.
+/// uses this instead of string equality, and the subscription table is
+/// keyed by the id.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Sym(pub u16);
 

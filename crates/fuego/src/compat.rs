@@ -1,15 +1,15 @@
 //! Compatibility path between the `brokerd` federation and the classic
 //! Fuego XML wire format.
 //!
-//! The brokerd rewiring moved the `extInfra` leg's routing and admission
-//! onto [`ContextPacket`](../../brokerd/struct.ContextPacket.html)s, but
 //! Table 1's paper numbers are calibrated against Fuego's framing: every
 //! context item or query crosses the cellular link inside an event
-//! notification the paper measured at **1696 bytes**. This module keeps
-//! that contract alive — a broker packet is rendered into the same
-//! `fg:notification` envelope, padded to the fixed [`ENVELOPE_BYTES`]
-//! frame, so wire-size accounting (and with it the UMTS latency/energy
-//! rows) is unchanged by where the packet came from.
+//! notification the paper measured at **1696 bytes**. This module renders
+//! a brokerd [`ContextPacket`](../../brokerd/struct.ContextPacket.html)
+//! into the same `fg:notification` envelope, padded to the fixed
+//! [`ENVELOPE_BYTES`] frame, so a broker packet costs exactly the frame
+//! the paper measured. The `extInfra` leg itself still runs over this
+//! crate's own broker and record store ([`crate::ContextInfrastructure`]);
+//! nothing on that path calls this module.
 //!
 //! The API is field-level rather than taking the brokerd type directly,
 //! keeping this crate free of a brokerd dependency; the umbrella crate's

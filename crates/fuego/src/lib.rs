@@ -20,9 +20,10 @@
 //!   broker — stores context records pushed by phones and answers
 //!   on-demand, periodic and event-based context queries (the paper's
 //!   `extInfra` provisioning).
-//! - [`compat`]: the brokerd bridge — federation context packets rendered
-//!   into the same fixed 1696-byte envelope, so Table 1's wire-size
-//!   accounting survives the brokerd rewiring.
+//! - [`compat`]: brokerd context packets rendered into the same fixed
+//!   1696-byte envelope, so a broker packet costs the frame Table 1
+//!   measured (the `extInfra` leg itself runs over
+//!   [`ContextInfrastructure`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -172,15 +172,6 @@ impl TagSpace {
         self.tags.get(name).is_some_and(|t| !t.is_expired(now))
     }
 
-    /// Names of all live tags.
-    pub fn names(&self, now: SimTime) -> Vec<&str> {
-        self.tags
-            .values()
-            .filter(|t| !t.is_expired(now))
-            .map(|t| t.name.as_str())
-            .collect()
-    }
-
     /// Drops expired tags (housekeeping).
     pub fn sweep(&mut self, now: SimTime) {
         self.tags.retain(|_, t| !t.is_expired(now));
@@ -250,16 +241,6 @@ mod tests {
         assert!(ts.read("location", t(1), Some("secret")).is_some());
         // the name is still exposed for routing
         assert!(ts.exposes("location", t(1)));
-    }
-
-    #[test]
-    fn names_lists_live_tags() {
-        let mut ts = TagSpace::new();
-        ts.publish(Tag::new("a", TagValue::text("1"), t(0)));
-        ts.publish(
-            Tag::new("b", TagValue::text("2"), t(0)).with_lifetime(SimDuration::from_secs(1)),
-        );
-        assert_eq!(ts.names(t(10)), vec!["a"]);
     }
 
     #[test]

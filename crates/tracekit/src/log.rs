@@ -238,13 +238,17 @@ impl TraceLog {
     pub fn parse_jsonl(text: &str) -> Result<TraceLog, TraceError> {
         let mut log = TraceLog::new();
         for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
+            let line = line.trim();
+            if line.is_empty() {
                 continue;
             }
             let bad = |detail: &str| TraceError::BadLine {
                 line: i + 1,
                 detail: detail.to_owned(),
             };
+            if !(line.starts_with('{') && line.ends_with('}')) {
+                return Err(bad("not one JSON object"));
+            }
             let trace_hex = field_str(line, "trace").ok_or_else(|| bad("missing trace"))?;
             let trace_id =
                 u64::from_str_radix(trace_hex, 16).map_err(|_| bad("bad trace id"))?;
@@ -314,15 +318,18 @@ fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     None
 }
 
-/// Extracts the numeric value of `"key":123` from a flat JSON line.
+/// Extracts the numeric value of `"key":123` from a flat JSON line. The
+/// value must be all digits up to the next `,` or `}`, so `2000.75` or
+/// `3abc` is refused rather than truncated.
 fn field_u64(line: &str, key: &str) -> Option<u64> {
     let needle = format!("\"{key}\":");
     let start = line.find(&needle)? + needle.len();
     let rest = line.get(start..)?;
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest.get(..end)?.parse().ok()
+    let digits = rest.get(..rest.find([',', '}'])?)?;
+    if !digits.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    digits.parse().ok()
 }
 
 #[cfg(test)]
@@ -390,6 +397,22 @@ mod tests {
              \"stage\":\"admit\",\"node\":1,\"hop\":256,\"at_us\":2000}",
         ] {
             let err = TraceLog::parse_jsonl(line).unwrap_err();
+            assert!(matches!(err, TraceError::BadLine { line: 1, .. }), "{line}");
+        }
+        // A number ends at `,` or `}`, and a line is one object.
+        let canonical = "{\"trace\":\"00000000000000ab\",\"span\":3,\"parent\":0,\
+                         \"stage\":\"admit\",\"node\":1,\"hop\":0,\"at_us\":2000}";
+        assert_eq!(TraceLog::parse_jsonl(canonical).unwrap().len(), 1);
+        for line in [
+            canonical.replace("2000", "2000.75"),
+            canonical.replace("\"span\":3", "\"span\":3abc"),
+            canonical.replace("\"hop\":0", "\"hop\":0e9"),
+            canonical.trim_end_matches('}').to_owned(),
+            "garbage \"trace\":\"ab\" \"stage\":\"admit\" \"span\":4 \"parent\":0 \
+             \"node\":1 \"hop\":0 \"at_us\":5"
+                .to_owned(),
+        ] {
+            let err = TraceLog::parse_jsonl(&line).unwrap_err();
             assert!(matches!(err, TraceError::BadLine { line: 1, .. }), "{line}");
         }
     }

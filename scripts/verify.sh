@@ -29,10 +29,9 @@
 #    latency break-up from obskit spans and asserts each phase share
 #    (connection 4-5 %, serialization 26-33 %, thread switching
 #    12-14 %, transfer 51-54 %) within ±3 pp (DESIGN.md §5d);
-# 8. the broker gate: the brokerd subsystem in all three harnesses —
-#    unit suite, loopback TCP smoke, fleet partition invariance, the
-#    45 s kill-over SLO and the 1696 B envelope golden test
-#    (scripts/broker.sh, DESIGN.md §5h);
+# 8. the broker gate: the brokerd subsystem in its two harnesses —
+#    unit suite, loopback TCP smoke, fleet partition invariance and
+#    the 1696 B envelope golden test (scripts/broker.sh, DESIGN.md §5h);
 # 9. the trace gate: the tracekit causal-tracing plane — unit suite,
 #    assembly property tests, golden JSONL/break-up schemas, fleet
 #    trace partition invariance and the STATS/TRACE ops surface
@@ -83,7 +82,7 @@ cargo run -q --release -p contory-bench --bin fig5_failover
 echo "==> obs gate (span-measured 6.1 break-up within +/-3pp)"
 cargo run -q --release -p contory-bench --bin sm_breakup
 
-echo "==> broker gate (brokerd in all three harnesses, DESIGN.md 5h)"
+echo "==> broker gate (brokerd in its two harnesses, DESIGN.md 5h)"
 ./scripts/broker.sh
 
 echo "==> trace gate (tracekit causal tracing plane, DESIGN.md 5i)"

@@ -1,13 +1,13 @@
 //! Cross-crate property-based tests (proptest): invariants of the query
 //! language, query merging, statistics, traces, the XML codec, NMEA,
 //! the event windows, the fault-injection/failover machinery, the
-//! partitioned engine's `(time, actor, seq)` merge, and the brokerd
+//! partitioned engine's `(time, actor, seq)` merge, the brokerd
 //! chaos layer (dedup idempotence, restart recovery, chaos-transcript
-//! partition invariance).
+//! partition invariance) and the broker wire format's percent codec.
 
 use brokerd::{
-    fault_edges, link_faults, link_label, restart_edges, run_fleet, BrokerId, BrokerNode,
-    DedupWindow, FleetConfig, NodeConfig, PacketSeq, SubMode,
+    fault_edges, link_faults, link_label, pct_decode, pct_encode, restart_edges, run_fleet,
+    BrokerId, BrokerNode, DedupWindow, FleetConfig, NodeConfig, PacketSeq, SubMode,
 };
 use contory::backoff::BackoffPolicy;
 use contory::merge::{post_extract, try_merge};
@@ -853,6 +853,36 @@ proptest! {
                 "chaos transcript diverged at {shards} shards x {threads} threads"
             );
             prop_assert_eq!(got.trace_digest, reference.trace_digest);
+        }
+    }
+
+    /// `pct_encode` then `pct_decode` is the identity on any text:
+    /// spaces, controls, `%`, `-` and multi-byte UTF-8 included, plus the
+    /// three tokens the encoder special-cases.
+    #[test]
+    fn pct_codec_round_trips(text in "[ -~\t\n\r\u{0}\u{7f}-\u{24f}€😀]{0,24}") {
+        for t in [text.as_str(), "", "-", "%2d"] {
+            prop_assert_eq!(pct_decode(&pct_encode(t)), Ok(t.to_owned()));
+        }
+    }
+}
+
+/// Exhaustive over every byte pair `X`,`Y` that forms valid UTF-8:
+/// `pct_decode("%XY")` succeeds only when both are ASCII hex digits.
+#[test]
+fn pct_decode_accepts_only_hex_escapes() {
+    for x in 0..=u8::MAX {
+        for y in 0..=u8::MAX {
+            let bytes = [b'%', x, y];
+            let Ok(token) = std::str::from_utf8(&bytes) else {
+                continue;
+            };
+            if pct_decode(token).is_ok() {
+                assert!(
+                    x.is_ascii_hexdigit() && y.is_ascii_hexdigit(),
+                    "{token:?} decoded"
+                );
+            }
         }
     }
 }
