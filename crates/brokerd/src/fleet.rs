@@ -25,6 +25,7 @@ use simkit::faults::{FaultPlan, LinkChaos, LinkFault};
 use simkit::shard::{ActorId, EngineProfile, EventCtx, ShardConfig, ShardSim};
 use simkit::{SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use tracekit::{Stage, TraceCtx, TraceLog};
 
 /// Number of distinct context types the fleet publishes.
@@ -157,6 +158,10 @@ pub fn link_label(from: u16, to: u16) -> String {
 }
 
 /// Events exchanged by fleet actors.
+///
+/// Payloads larger than a few words ride behind pointers, so the engine
+/// moves a small event through its queues and barrier: a packet in
+/// transit is boxed, and a delivery shares its arrival's packet.
 #[derive(Clone, Debug)]
 pub enum FleetEvent {
     /// Device: subscribe and start the publish cadence.
@@ -166,7 +171,7 @@ pub enum FleetEvent {
     /// Broker: a packet arrives (device publish or federation forward).
     Packet {
         /// The published packet.
-        packet: ContextPacket,
+        packet: Box<ContextPacket>,
         /// Publishing device actor for direct publishes (acked/nacked);
         /// `None` for unattributed transports. The transport knows its
         /// sender even when the packet itself lacks attribution.
@@ -176,7 +181,7 @@ pub enum FleetEvent {
     /// inter-broker link.
     Fwd {
         /// The forwarded packet.
-        packet: ContextPacket,
+        packet: Box<ContextPacket>,
         /// Forwarding broker (where the ack goes).
         from: u16,
         /// Retry-tracking handle minted by the forwarder; `0` for
@@ -212,9 +217,10 @@ pub enum FleetEvent {
     /// Broker: broadcast a load digest to peers.
     GossipTick,
     /// Broker: a peer's digest arrives.
-    Digest(LoadDigest),
-    /// Device: a delivery arrives.
-    Delivery(ContextPacket),
+    Digest(Box<LoadDigest>),
+    /// Device: a delivery arrives (the packet every delivery of one
+    /// broker arrival shares).
+    Delivery(Arc<ContextPacket>),
     /// Device: the home broker admitted the last publish.
     Ack,
     /// Device: the home broker shed the last publish.
@@ -346,7 +352,8 @@ pub struct FleetOutcome {
     pub published: u64,
     /// Publishes acked by a live broker.
     pub acked: u64,
-    /// Publishes shed by backpressure (nacked).
+    /// Packets shed by backpressure: device publishes (nacked) and
+    /// federation forwards shed at full peer inboxes.
     pub shed: u64,
     /// Deliveries received by devices.
     pub delivered: u64,
@@ -537,7 +544,7 @@ pub fn run_fleet_profiled(cfg: &FleetConfig) -> (FleetOutcome, EngineProfile) {
                     let origin = origin.map(ActorId);
                     // Duplicate admits are acked positively too — an
                     // at-least-once sender must stop retrying.
-                    match st.node.publish(packet, ctx.now()) {
+                    match st.node.publish(*packet, ctx.now()) {
                         Ok(_) => {
                             if let Some(dev) = origin {
                                 ctx.send(dev, SimDuration::from_millis(2), FleetEvent::Ack);
@@ -561,7 +568,7 @@ pub fn run_fleet_profiled(cfg: &FleetConfig) -> (FleetOutcome, EngineProfile) {
                     // Fresh *and* duplicate admits ack (idempotent
                     // at-least-once); sheds stay silent so the
                     // sender's retry clock keeps running.
-                    if st.node.publish(packet, ctx.now()).is_ok() && fwd_id != 0 {
+                    if st.node.publish(*packet, ctx.now()).is_ok() && fwd_id != 0 {
                         send_link(
                             &mut st.chaos,
                             ctx,
@@ -624,7 +631,7 @@ pub fn run_fleet_profiled(cfg: &FleetConfig) -> (FleetOutcome, EngineProfile) {
                                 ctx,
                                 peer.0,
                                 SimDuration::from_millis(10),
-                                FleetEvent::Digest(digest),
+                                FleetEvent::Digest(Box::new(digest)),
                                 chaos_until,
                             );
                         }
@@ -752,7 +759,7 @@ pub fn run_fleet_profiled(cfg: &FleetConfig) -> (FleetOutcome, EngineProfile) {
                         broker_actor(dev.home),
                         SimDuration::from_millis(2),
                         FleetEvent::Packet {
-                            packet,
+                            packet: Box::new(packet),
                             origin: Some(ctx.actor().0),
                         },
                     );
@@ -966,6 +973,16 @@ mod tests {
             run_for: SimDuration::from_secs(20),
             ..FleetConfig::default()
         }
+    }
+
+    #[test]
+    fn engine_events_and_effects_stay_four_words() {
+        // The engine moves every event through its heap and barrier, so
+        // a packet inline would be copied on each move.
+        let event = std::mem::size_of::<FleetEvent>();
+        let effect = std::mem::size_of::<Effect>();
+        assert!(event <= 32, "FleetEvent is {event} bytes");
+        assert!(effect <= 32, "Effect is {effect} bytes");
     }
 
     #[test]

@@ -195,6 +195,7 @@ fn pump(shared: &Arc<Shared>, now: SimTime) {
                     packet,
                 } => {
                     lock(&shared.node).note_delivery(packet.trace, now);
+                    let packet = Arc::unwrap_or_clone(packet);
                     let line = Response::Evt { sub, packet }.encode();
                     if let Ok(line) = line {
                         let sessions = lock(&shared.sessions);
@@ -211,7 +212,7 @@ fn pump(shared: &Arc<Shared>, now: SimTime) {
                             // successful publish *is* the ack. A shed
                             // or a vanished peer leaves the pending
                             // entry to re-fire on a later pump.
-                            if accept_forward(&peer, packet, now) && fwd_id != 0 {
+                            if accept_forward(&peer, *packet, now) && fwd_id != 0 {
                                 lock(&shared.node).fwd_ack(fwd_id);
                             }
                         }

@@ -32,6 +32,7 @@ use contory::vocab::{Interner, Sym};
 use simkit::hash::{fnv1a, mix64, FNV_OFFSET};
 use simkit::{SimDuration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 use tracekit::{Stage, TraceCtx, TraceLog};
 
 /// Bounded inbox capacity; publishes beyond it are shed.
@@ -94,12 +95,16 @@ pub struct DirEntry {
 #[derive(Clone, Debug)]
 struct PendingFwd {
     to: BrokerId,
-    packet: ContextPacket,
+    packet: Box<ContextPacket>,
     attempts_used: u32,
     next_retry: SimTime,
 }
 
 /// A side effect the harness must carry out.
+///
+/// Packets ride behind pointers, so an effect stays a few words wide:
+/// every delivery of one arrival shares that arrival's packet, and a
+/// forward owns its boxed copy (its hop list differs from the arrival's).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Effect {
     /// Deliver a packet to a local subscriber.
@@ -108,15 +113,16 @@ pub enum Effect {
         subscriber: u64,
         /// The subscription being served.
         sub: SubId,
-        /// The packet (hops included, for provenance).
-        packet: ContextPacket,
+        /// The packet (hops included, for provenance), shared by every
+        /// delivery of the same arrival and by the retained slot.
+        packet: Arc<ContextPacket>,
     },
     /// Forward a packet to a federation peer.
     Forward {
         /// Destination broker.
         to: BrokerId,
         /// The packet, with this broker appended to its hop list.
-        packet: ContextPacket,
+        packet: Box<ContextPacket>,
         /// Retry-tracking handle: non-zero when the sender expects a
         /// [`BrokerNode::fwd_ack`] and will re-send on timeout; `0` for
         /// untracked (fire-and-forget) forwards.
@@ -425,19 +431,22 @@ impl BrokerNode {
     }
 
     fn fan_out(&mut self, packet: ContextPacket, now: SimTime, effects: &mut Vec<Effect>) {
+        // One shared packet per arrival: every local delivery and the
+        // retained slot hold the same `Arc`.
+        let packet = Arc::new(packet);
         // Local matching first (event + one-shot subscribers).
         for sub in self.table.on_arrival(packet.cxt_type, now) {
             self.stats.delivered += 1;
             effects.push(Effect::Deliver {
                 subscriber: sub.subscriber,
                 sub: sub.id,
-                packet: packet.clone(),
+                packet: Arc::clone(&packet),
             });
         }
         // Federation: forward to every peer not already on the hop list,
         // bounded by MAX_HOPS.
         if packet.hops.len() < MAX_HOPS {
-            let stamped = packet.clone().with_hop(self.id);
+            let stamped = ContextPacket::clone(&packet).with_hop(self.id);
             for peer in self.peers.brokers() {
                 if stamped.visited(peer) {
                     self.stats.loops_dropped += 1;
@@ -446,7 +455,7 @@ impl BrokerNode {
                 self.stats.forwarded += 1;
                 let node = self.trace_node();
                 let fed = self.trace.record(stamped.trace, Stage::Federate, node, now);
-                let mut forward = stamped.clone();
+                let mut forward = Box::new(stamped.clone());
                 // The peer's admit hop parents under this federate hop,
                 // one federation hop further from the publisher.
                 if fed != 0 {
@@ -543,7 +552,7 @@ impl BrokerNode {
     pub fn periodic_fire(&mut self, now: SimTime) -> Vec<Effect> {
         let mut effects = Vec::new();
         for sub in self.table.periodic_due(now) {
-            let Some(packet) = self.table.retained(sub.cxt_type, now).cloned() else {
+            let Some(packet) = self.table.retained(sub.cxt_type, now).map(Arc::clone) else {
                 continue;
             };
             self.stats.delivered += 1;
@@ -654,7 +663,8 @@ impl BrokerNode {
     }
 
     /// On-demand lookup of the freshest retained context for a type
-    /// (the broker side of `fetch`). Lifetime enforcement applies.
+    /// (the broker side of `fetch`), returned as an owned copy.
+    /// Lifetime enforcement applies.
     pub fn fetch(&self, type_name: &str, now: SimTime) -> Result<ContextPacket, BrokerError> {
         let sym = self
             .interner
@@ -662,7 +672,7 @@ impl BrokerNode {
             .ok_or_else(|| BrokerError::NoSuchContext(type_name.to_owned()))?;
         self.table
             .retained(sym, now)
-            .cloned()
+            .map(|p| ContextPacket::clone(p))
             .ok_or_else(|| BrokerError::NoSuchContext(type_name.to_owned()))
     }
 }
@@ -751,7 +761,8 @@ mod tests {
         // The peer must not forward it back.
         let mut b = BrokerNode::new(BrokerId(1), NodeConfig::default());
         b.peers_mut().introduce(BrokerId(0), 10, SimTime::ZERO);
-        b.publish(fwd.clone(), SimTime::from_secs(1)).unwrap();
+        b.publish(ContextPacket::clone(fwd), SimTime::from_secs(1))
+            .unwrap();
         let back = b.drain(SimTime::from_secs(1));
         assert!(back.iter().all(|e| !matches!(e, Effect::Forward { .. })));
         assert_eq!(b.stats().loops_dropped, 1);

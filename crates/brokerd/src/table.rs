@@ -20,6 +20,7 @@ use contory::vocab::Sym;
 use simkit::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Handle to a registered subscription, unique per broker.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -74,7 +75,7 @@ pub struct SweepStats {
 #[derive(Debug, Default)]
 pub struct SubscriptionTable {
     subs: BTreeMap<Sym, Vec<Subscription>>,
-    retained: BTreeMap<Sym, ContextPacket>,
+    retained: BTreeMap<Sym, Arc<ContextPacket>>,
     next_id: u64,
     live: usize,
 }
@@ -176,13 +177,14 @@ impl SubscriptionTable {
     }
 
     /// Retains `packet` as the latest context of its type (replacing any
-    /// older retained packet).
-    pub fn retain(&mut self, packet: ContextPacket) {
+    /// older retained packet). The slot shares the packet with the
+    /// deliveries of the arrival that brought it.
+    pub fn retain(&mut self, packet: Arc<ContextPacket>) {
         self.retained.insert(packet.cxt_type, packet);
     }
 
     /// The retained packet of a type, if still valid at `now`.
-    pub fn retained(&self, cxt_type: Sym, now: SimTime) -> Option<&ContextPacket> {
+    pub fn retained(&self, cxt_type: Sym, now: SimTime) -> Option<&Arc<ContextPacket>> {
         self.retained.get(&cxt_type).filter(|p| p.is_valid_at(now))
     }
 
@@ -258,7 +260,7 @@ mod tests {
 
     const FOREVER: SimTime = SimTime::from_secs(1_000_000);
 
-    fn pkt(sym: Sym, at: u64, life: u64) -> ContextPacket {
+    fn pkt(sym: Sym, at: u64, life: u64) -> Arc<ContextPacket> {
         let mut p = ContextPacket::new(
             "t",
             1,
@@ -267,7 +269,7 @@ mod tests {
             "src",
         );
         p.cxt_type = sym;
-        p
+        Arc::new(p)
     }
 
     #[test]

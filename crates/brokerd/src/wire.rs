@@ -5,7 +5,8 @@
 //! **logical-clock microseconds**: the service has no wall clock (the
 //! repo-wide determinism lint bans one), so every request carries the
 //! client's logical `now` and the server's clock is the max it has
-//! heard. Sources and type names are percent-free tokens; spaces are
+//! heard. Sources and type names are percent-free tokens; any
+//! whitespace in them (the decoder splits on `char::is_whitespace`) is
 //! rejected at encode time.
 //!
 //! Frames:
@@ -293,10 +294,14 @@ fn decode_hops(text: &str) -> Result<Vec<BrokerId>, WireError> {
         .collect()
 }
 
+/// Refuses tokens the decoder would split or drop: it splits frames
+/// with `split_whitespace`, so any `char::is_whitespace` character
+/// (tab, CR, no-break space, ideographic space, …) is refused, not only
+/// `' '` and `'\n'`.
 fn check_token(t: &str, what: &'static str) -> Result<(), WireError> {
-    if t.is_empty() || t.contains(' ') || t.contains('\n') {
+    if t.is_empty() || t.chars().any(char::is_whitespace) {
         Err(malformed(format!(
-            "{what} must be a non-empty spaceless token"
+            "{what} must be a non-empty token without whitespace"
         )))
     } else {
         Ok(())
@@ -399,7 +404,7 @@ impl Request {
     ///
     /// # Errors
     ///
-    /// Refuses tokens containing spaces and frames over
+    /// Refuses tokens containing whitespace and frames over
     /// [`MAX_FRAME_BYTES`].
     pub fn encode(&self) -> Result<String, WireError> {
         let line = match self {
@@ -495,7 +500,7 @@ impl Response {
     ///
     /// # Errors
     ///
-    /// Refuses tokens containing spaces and frames over
+    /// Refuses tokens containing whitespace and frames over
     /// [`MAX_FRAME_BYTES`].
     pub fn encode(&self) -> Result<String, WireError> {
         let line = match self {
@@ -508,7 +513,7 @@ impl Response {
                 let detail = if detail.is_empty() {
                     "-".to_owned()
                 } else {
-                    detail.replace([' ', '\n'], "_")
+                    detail.replace(char::is_whitespace, "_")
                 };
                 format!("ERR {code} {detail}")
             }
@@ -774,8 +779,35 @@ mod tests {
 
     #[test]
     fn tokens_with_spaces_are_refused_at_encode_time() {
+        // Every whitespace the decoder splits on, not only ' ': a tab
+        // would decode as source "buoy" plus a phantom hop, and a
+        // no-break space would encode a frame that fails to decode.
+        for source in ["two words", "buoy\t1", "buoy\r1", "x\u{3000}2", "a\u{a0}b"] {
+            let mut p = sample_packet();
+            p.source = source.into();
+            assert!(
+                Request::Pub(p.clone()).encode().is_err(),
+                "PUB source {source:?}"
+            );
+            let evt = Response::Evt {
+                sub: SubId(1),
+                packet: p,
+            };
+            assert!(evt.encode().is_err(), "EVT source {source:?}");
+        }
         let mut p = sample_packet();
-        p.source = "two words".into();
+        p.type_name = "wi\tnd".into();
         assert!(Request::Pub(p).encode().is_err());
+        let fetch = Request::Fetch {
+            type_name: "a\tb".into(),
+            now: SimTime::ZERO,
+        };
+        assert!(fetch.encode().is_err());
+        // Free-text details are kept whole instead, whitespace replaced.
+        let err = Response::Err {
+            code: "x".into(),
+            detail: "a\tb\u{a0}c d".into(),
+        };
+        assert_eq!(err.encode().unwrap(), "ERR x a_b_c_d");
     }
 }

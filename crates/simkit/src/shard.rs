@@ -59,12 +59,20 @@
 //! previous round processed at least `PARALLEL_CROSSOVER_EVENTS` events
 //! — a count the barrier takes anyway. Neither the worker count nor
 //! which rounds go parallel influences outputs, only wall-clock speed.
+//!
+//! # Data layout
+//!
+//! A shard keeps its actors in two parallel vectors sorted by id, found
+//! by binary search, and keeps its round buffers (sends, emits, the
+//! executing event's self-schedules) across rounds. The barrier appends
+//! every shard's output into two buffers of its own, sorts them and
+//! drains them, so once capacities settle a round allocates nothing.
 
 use crate::hash::{fnv1a, FNV_OFFSET};
 use crate::rng::DetRng;
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::fmt;
 
 /// Events the previous round must have processed for a round to be
@@ -72,14 +80,15 @@ use std::fmt;
 ///
 /// Spawning and joining a round's scoped workers costs ~70 µs on a
 /// 2-vCPU host (perfbench `simkit.shard.barrier_us` at 2 threads),
-/// against ~1 µs for a round stepped sequentially. Two workers at best
-/// halve a round's event work, so a round of `n` events at `c` per event
-/// repays the hand-off once `n · c / 2 > barrier`, i.e.
-/// `n > 2 · barrier / c`: ≈ 90 events at the broker fleet's ~1.5 µs
-/// per event (`simkit.shard.event_ns`, handler included) and ≈ 900 at
-/// the bare engine's ~150 ns (`simkit.shard.engine_event_ns`). 512 sits
-/// between the two: the fleet's ~5-event rounds stay on the calling
-/// thread, scale_city's 8k–32k-event rounds go parallel.
+/// against ~0.35 µs for a round stepped sequentially. Two workers at
+/// best halve a round's event work, so a round of `n` events at `c` per
+/// event repays the hand-off once `n · c / 2 > barrier`, i.e.
+/// `n > 2 · barrier / c`: ≈ 140 events at the broker fleet's ~1.0 µs
+/// per event (`simkit.shard.event_ns`, handler included; ≈ 180 at the
+/// 0.77 µs a quieter host measures) and ≈ 950 at the bare engine's
+/// ~150 ns (`simkit.shard.engine_event_ns`). 512 sits between the two:
+/// the fleet's ~5-event rounds stay on the calling thread, scale_city's
+/// 8k–32k-event rounds go parallel.
 const PARALLEL_CROSSOVER_EVENTS: u64 = 512;
 
 /// Identifier of a physical shard (a group of actors stepped together).
@@ -325,21 +334,49 @@ struct ActorSlot<A> {
     next_seq: u64,
 }
 
+/// One physical shard: its event queue, its actors, and the buffers a
+/// round fills (kept across rounds).
 struct ShardState<A, E> {
     queue: BinaryHeap<Entry<E>>,
-    actors: BTreeMap<u64, ActorSlot<A>>,
+    /// Registered actor ids, ascending; `slots[i]` belongs to `ids[i]`.
+    ids: Vec<u64>,
+    slots: Vec<ActorSlot<A>>,
+    /// Cross-actor messages sent this round (emptied by the barrier).
+    sends: Vec<Outgoing<E>>,
+    /// Transcript records emitted this round (emptied by the barrier).
+    emits: Vec<(EventKey, String)>,
+    /// Events executed this round.
+    processed: u64,
+    /// Self-schedules of the executing event, pushed onto `queue` after
+    /// its handler returns.
+    local: Vec<Entry<E>>,
 }
 
 impl<A, E> ShardState<A, E> {
     fn new() -> Self {
         ShardState {
             queue: BinaryHeap::new(),
-            actors: BTreeMap::new(),
+            ids: Vec::new(),
+            slots: Vec::new(),
+            sends: Vec::new(),
+            emits: Vec::new(),
+            processed: 0,
+            local: Vec::new(),
         }
     }
 
     fn head_time(&self) -> Option<SimTime> {
         self.queue.peek().map(|e| e.key.time)
+    }
+
+    fn slot(&self, actor: ActorId) -> Option<&ActorSlot<A>> {
+        let i = self.ids.binary_search(&actor.0).ok()?;
+        self.slots.get(i)
+    }
+
+    fn slot_mut(&mut self, actor: ActorId) -> Option<&mut ActorSlot<A>> {
+        let i = self.ids.binary_search(&actor.0).ok()?;
+        self.slots.get_mut(i)
     }
 }
 
@@ -353,13 +390,6 @@ struct Outgoing<E> {
     ev: E,
 }
 
-/// What one shard produced during one time-step round.
-struct RoundOut<E> {
-    sends: Vec<Outgoing<E>>,
-    emits: Vec<(EventKey, String)>,
-    processed: u64,
-}
-
 /// The per-event context handed to the handler: the only way an event
 /// interacts with the engine.
 pub struct EventCtx<'a, E> {
@@ -369,7 +399,7 @@ pub struct EventCtx<'a, E> {
     next_seq: &'a mut u64,
     sends: &'a mut Vec<Outgoing<E>>,
     emits: &'a mut Vec<(EventKey, String)>,
-    local: Vec<Entry<E>>,
+    local: &'a mut Vec<Entry<E>>,
     send_index: u32,
 }
 
@@ -473,6 +503,10 @@ pub struct ShardSim<A, E, H> {
     emitted: u64,
     digest: u64,
     profile: EngineProfile,
+    /// The barrier's merge buffers: every shard's round output is
+    /// appended here, sorted and drained, so they too are reused.
+    sends: Vec<Outgoing<E>>,
+    emits: Vec<(EventKey, String)>,
 }
 
 impl<A, E, H> ShardSim<A, E, H>
@@ -507,39 +541,44 @@ where
                 queue_peak_per_shard: vec![0; shards as usize],
                 ..EngineProfile::default()
             },
+            sends: Vec::new(),
+            emits: Vec::new(),
         }
     }
 
     /// The physical shard an actor lives on (round-robin by id — stable
     /// for a given shard count, irrelevant to every output).
     pub fn shard_of(&self, actor: ActorId) -> ShardId {
-        ShardId((actor.0 % u64::from(self.cfg.shards)) as u32)
+        ShardId(shard_index(actor, self.cfg.shards) as u32)
     }
 
     /// Registers an actor. Its RNG stream derives from `(seed, actor)`
     /// only. Returns `false` (and changes nothing) if the id is taken.
+    /// Ids may come in any order; ascending registration appends.
     pub fn add_actor(&mut self, actor: ActorId, state: A) -> bool {
-        let shard = self.shard_of(actor).0 as usize;
+        let shard = shard_index(actor, self.cfg.shards);
         let rng = DetRng::for_actor(self.cfg.seed, actor);
         let Some(home) = self.shards.get_mut(shard) else {
             return false;
         };
-        match home.actors.entry(actor.0) {
-            std::collections::btree_map::Entry::Occupied(_) => false,
-            std::collections::btree_map::Entry::Vacant(v) => {
-                v.insert(ActorSlot {
-                    state,
-                    rng,
-                    next_seq: 0,
-                });
-                true
-            }
-        }
+        let Err(at) = home.ids.binary_search(&actor.0) else {
+            return false;
+        };
+        home.ids.insert(at, actor.0);
+        home.slots.insert(
+            at,
+            ActorSlot {
+                state,
+                rng,
+                next_seq: 0,
+            },
+        );
+        true
     }
 
     /// Number of registered actors.
     pub fn actors(&self) -> u64 {
-        self.shards.iter().map(|s| s.actors.len() as u64).sum()
+        self.shards.iter().map(|s| s.ids.len() as u64).sum()
     }
 
     /// Schedules an initial event on an actor at an absolute time (events
@@ -549,11 +588,11 @@ where
     /// Returns `Err` if the actor is unknown.
     pub fn schedule(&mut self, actor: ActorId, at: SimTime, ev: E) -> Result<(), ActorId> {
         let at = at.max(self.now);
-        let shard = self.shard_of(actor).0 as usize;
+        let shard = shard_index(actor, self.cfg.shards);
         let Some(home) = self.shards.get_mut(shard) else {
             return Err(actor);
         };
-        let Some(slot) = home.actors.get_mut(&actor.0) else {
+        let Some(slot) = home.slot_mut(actor) else {
             return Err(actor);
         };
         let key = EventKey {
@@ -568,8 +607,8 @@ where
 
     /// Read access to an actor's state (e.g. for post-run assertions).
     pub fn actor_state(&self, actor: ActorId) -> Option<&A> {
-        let shard = self.shard_of(actor).0 as usize;
-        let slot = self.shards.get(shard)?.actors.get(&actor.0)?;
+        let shard = shard_index(actor, self.cfg.shards);
+        let slot = self.shards.get(shard)?.slot(actor)?;
         Some(&slot.state)
     }
 
@@ -679,50 +718,48 @@ where
             1
         };
         let handler = &self.handler;
-        let outs: Vec<RoundOut<E>> =
-            run_shards(&mut self.shards, threads, |shard| drain_step(shard, t, handler));
+        run_shards(&mut self.shards, threads, |shard| {
+            drain_step(shard, t, handler)
+        });
 
         // ---- barrier: the deterministic cross-shard merge ----
         // Everything below is ordered by partition-independent keys, so
         // the merged result is identical for any shard/thread layout.
-        // Profile pass first (outs is consumed by the merge below).
         self.profile.rounds += 1;
         if threads > 1 {
             self.profile.parallel_rounds += 1;
         }
         let mut batch_max = 0u64;
         let mut batch_min = u64::MAX;
-        for (i, out) in outs.iter().enumerate() {
+        let processed_before = self.processed;
+        for (i, shard) in self.shards.iter_mut().enumerate() {
             if let Some(n) = self.profile.events_per_shard.get_mut(i) {
-                *n += out.processed;
+                *n += shard.processed;
             }
-            self.profile.batch_events.record(out.processed);
-            batch_max = batch_max.max(out.processed);
-            batch_min = batch_min.min(out.processed);
+            self.profile.batch_events.record(shard.processed);
+            batch_max = batch_max.max(shard.processed);
+            batch_min = batch_min.min(shard.processed);
+            self.processed += shard.processed;
+            self.sends.append(&mut shard.sends);
+            self.emits.append(&mut shard.emits);
         }
-        if !outs.is_empty() {
+        if !self.shards.is_empty() {
             self.profile.barrier_imbalance.record(batch_max - batch_min);
         }
-
-        let mut sends: Vec<Outgoing<E>> = Vec::new();
-        let mut emits: Vec<(EventKey, String)> = Vec::new();
-        let processed_before = self.processed;
-        for out in outs {
-            self.processed += out.processed;
-            sends.extend(out.sends);
-            emits.extend(out.emits);
-        }
         self.last_round_events = self.processed - processed_before;
-        sends.sort_by_key(|m| (m.from_key, m.index));
-        emits.sort_by_key(|e| e.0);
+        // `(sender key, send index)` is unique per message, so an
+        // unstable sort yields the one order a stable sort would. Emits
+        // keep the stable sort: one event may emit several records under
+        // its single key, and they must stay in emission order.
+        self.sends.sort_unstable_by_key(|m| (m.from_key, m.index));
+        self.emits.sort_by_key(|e| e.0);
 
-        for m in sends {
-            let shard = self.shard_of(m.dest).0 as usize;
-            let Some(home) = self.shards.get_mut(shard) else {
+        for m in self.sends.drain(..) {
+            let Some(home) = self.shards.get_mut(shard_index(m.dest, self.cfg.shards)) else {
                 self.dead_letters += 1;
                 continue;
             };
-            let Some(slot) = home.actors.get_mut(&m.dest.0) else {
+            let Some(slot) = home.slot_mut(m.dest) else {
                 self.dead_letters += 1;
                 continue;
             };
@@ -744,7 +781,7 @@ where
             }
         }
 
-        for (key, record) in emits {
+        for (key, record) in self.emits.drain(..) {
             self.digest = fnv1a(self.digest, &key.time.as_micros().to_le_bytes());
             self.digest = fnv1a(self.digest, &key.actor.0.to_le_bytes());
             self.digest = fnv1a(self.digest, &key.seq.to_le_bytes());
@@ -757,25 +794,33 @@ where
     }
 }
 
-/// Drains one shard's events due exactly at `t`, in key order.
-fn drain_step<A, E, H>(shard: &mut ShardState<A, E>, t: SimTime, handler: &H) -> RoundOut<E>
+/// Drains one shard's events due exactly at `t`, in key order, into the
+/// shard's round buffers.
+fn drain_step<A, E, H>(shard: &mut ShardState<A, E>, t: SimTime, handler: &H)
 where
     H: Fn(&mut A, &mut EventCtx<'_, E>, E),
 {
-    let mut out = RoundOut {
-        sends: Vec::new(),
-        emits: Vec::new(),
-        processed: 0,
-    };
-    while shard.head_time() == Some(t) {
-        let entry = match shard.queue.pop() {
-            Some(e) => e,
-            None => break, // unreachable: head_time just said non-empty
+    let ShardState {
+        queue,
+        ids,
+        slots,
+        sends,
+        emits,
+        processed,
+        local,
+    } = shard;
+    *processed = 0;
+    while queue.peek().is_some_and(|e| e.key.time == t) {
+        let Some(entry) = queue.pop() else {
+            break; // unreachable: peek just said non-empty
         };
-        let Some(slot) = shard.actors.get_mut(&entry.key.actor.0) else {
-            // Actor vanished between scheduling and firing — only
-            // possible for externally scheduled plans; count as a dead
-            // letter equivalent by dropping (callers observe counts).
+        let Some(slot) = ids
+            .binary_search(&entry.key.actor.0)
+            .ok()
+            .and_then(|i| slots.get_mut(i))
+        else {
+            // Unreachable: events are only ever scheduled on registered
+            // actors, and actors are never removed. Nothing counts it.
             continue;
         };
         let mut ctx = EventCtx {
@@ -783,54 +828,51 @@ where
             key: entry.key,
             rng: &mut slot.rng,
             next_seq: &mut slot.next_seq,
-            sends: &mut out.sends,
-            emits: &mut out.emits,
-            local: Vec::new(),
+            sends,
+            emits,
+            local,
             send_index: 0,
         };
         handler(&mut slot.state, &mut ctx, entry.ev);
-        let local = std::mem::take(&mut ctx.local);
-        for e in local {
+        for e in local.drain(..) {
             debug_assert!(e.key.time >= t, "self-schedule went backwards");
-            shard.queue.push(e);
+            queue.push(e);
         }
-        out.processed += 1;
+        *processed += 1;
     }
-    out
+}
+
+/// The physical shard index of `actor` among `shards` (round-robin by id).
+fn shard_index(actor: ActorId, shards: u32) -> usize {
+    (actor.0 % u64::from(shards)) as usize
 }
 
 /// Steps every shard through `f`, sequentially or on `threads` scoped
-/// workers over contiguous chunks; results are returned in shard index
-/// order either way.
-fn run_shards<A, E, F>(
-    shards: &mut [ShardState<A, E>],
-    threads: usize,
-    f: F,
-) -> Vec<RoundOut<E>>
+/// workers over contiguous chunks. Each shard keeps its own round
+/// output, so the layout cannot reorder it.
+fn run_shards<A, E, F>(shards: &mut [ShardState<A, E>], threads: usize, f: F)
 where
     A: Send,
     E: Send,
-    F: Fn(&mut ShardState<A, E>) -> RoundOut<E> + Sync,
+    F: Fn(&mut ShardState<A, E>) + Sync,
 {
     if threads <= 1 || shards.len() <= 1 {
-        return shards.iter_mut().map(f).collect();
+        shards.iter_mut().for_each(f);
+        return;
     }
     let chunk = shards.len().div_ceil(threads);
     let f = &f;
     std::thread::scope(|scope| {
         let handles: Vec<_> = shards
             .chunks_mut(chunk)
-            .map(|chunk| scope.spawn(move || chunk.iter_mut().map(f).collect::<Vec<_>>()))
+            .map(|chunk| scope.spawn(move || chunk.iter_mut().for_each(f)))
             .collect();
-        let mut outs = Vec::new();
         for h in handles {
-            match h.join() {
-                Ok(part) => outs.extend(part),
-                Err(payload) => std::panic::resume_unwind(payload),
+            if let Err(payload) = h.join() {
+                std::panic::resume_unwind(payload);
             }
         }
-        outs
-    })
+    });
 }
 
 #[cfg(test)]
@@ -1119,6 +1161,28 @@ mod tests {
         assert!(!sim.add_actor(ActorId(4), 2));
         assert_eq!(sim.actor_state(ActorId(4)), Some(&1));
         assert_eq!(sim.actors(), 1);
+    }
+
+    #[test]
+    fn actors_registered_in_any_order_are_found() {
+        let mut sim = ShardSim::new(
+            sequential(0),
+            |hits: &mut u32, _: &mut EventCtx<'_, u8>, _| *hits += 1,
+        );
+        let ids = [9u64, 2, 40, 0, 17, 3];
+        for a in ids {
+            assert!(sim.add_actor(ActorId(a), 0));
+        }
+        assert!(!sim.add_actor(ActorId(17), 5));
+        assert_eq!(sim.actors(), 6);
+        for a in ids {
+            sim.schedule(ActorId(a), SimTime::ZERO, 0).unwrap();
+        }
+        sim.run_until_idle();
+        for a in ids {
+            assert_eq!(sim.actor_state(ActorId(a)), Some(&1), "actor {a}");
+        }
+        assert_eq!(sim.actor_state(ActorId(4)), None);
     }
 
     #[test]

@@ -22,7 +22,10 @@
 # 5. the perf gate: perfbench's self-test runs every benchmark workload
 #    at toy size on a held-out seed with its output checks; the fleet
 #    report must be identical at 1 and max(nproc, 2) engine threads
-#    (perfbench/README.md);
+#    (perfbench/README.md). Then brokerd's alloc_budget test counts the
+#    heap allocations and bytes of a seeded 2,000-device fleet run and
+#    fails above its budget: a cost check that, unlike wall time, does
+#    not swing with the host's load;
 # 6. the Fig. 5 failover bench, which asserts the recovery SLO
 #    (worst provisioning gap <= 45 s) from the FailoverReport;
 # 7. the obs gate: the sm_breakup bench re-measures the paper's §6.1
@@ -73,8 +76,9 @@ cargo test -q --test proptests
 echo "==> shard gate (partition/thread invariance, DESIGN.md 5f)"
 cargo test -q --test shard_determinism
 
-echo "==> perf gate (perfbench self-test: workload output checks at 1 and max(nproc, 2) threads)"
+echo "==> perf gate (perfbench self-test: output checks at 1 and max(nproc, 2) threads; fleet allocation budget)"
 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --selftest
+cargo test -q --release -p contory-brokerd --test alloc_budget
 
 echo "==> Fig. 5 failover bench (recovery SLO)"
 cargo run -q --release -p contory-bench --bin fig5_failover

@@ -3,11 +3,13 @@
 //! the event windows, the fault-injection/failover machinery, the
 //! partitioned engine's `(time, actor, seq)` merge, the brokerd
 //! chaos layer (dedup idempotence, restart recovery, chaos-transcript
-//! partition invariance) and the broker wire format's percent codec.
+//! partition invariance) and the broker wire format: its packet frames
+//! and its percent codec.
 
 use brokerd::{
     fault_edges, link_faults, link_label, pct_decode, pct_encode, restart_edges, run_fleet,
-    BrokerId, BrokerNode, DedupWindow, FleetConfig, NodeConfig, PacketSeq, SubMode,
+    BrokerId, BrokerNode, ContextPacket, DedupWindow, FleetConfig, NodeConfig, PacketSeq, Request,
+    Response, SubId, SubMode, MAX_HOPS,
 };
 use contory::backoff::BackoffPolicy;
 use contory::merge::{post_extract, try_merge};
@@ -22,6 +24,7 @@ use proptest::prelude::*;
 use simkit::stats::Summary;
 use simkit::trace::TimeSeries;
 use simkit::{ActorId, EventCtx, ShardConfig, ShardSim, SimDuration, SimTime};
+use tracekit::TraceCtx;
 
 // ------------------------------------------------------------------
 // Strategies
@@ -258,6 +261,40 @@ fn run_plan(plan: &[PlanRoot], shards: u32, threads: u32) -> (Vec<Vec<u32>>, u64
 /// downtime (3 s) exceeds the forward-retry horizon (~2.25 s at the
 /// default 150 ms timeout × 4 attempts), matching the `broker_chaos`
 /// scenario's sizing rule.
+/// A broker packet as a wire peer may hand it over: names drawn from
+/// printable ASCII plus the whitespace the decoder splits on beyond
+/// `' '`, any value, up to `MAX_HOPS` hops, traced or not, sequenced or
+/// not.
+fn wire_packet() -> impl Strategy<Value = ContextPacket> {
+    let name = || "[ -~\t\r\u{a0}\u{3000}]{0,10}";
+    (
+        (name(), name(), i64::MIN..i64::MAX),
+        (0u64..1 << 40, 0u64..1 << 40),
+        proptest::collection::vec(0u16..u16::MAX, 0..MAX_HOPS + 1),
+        proptest::option::of((0u64..u64::MAX, 0u32..u32::MAX)),
+        proptest::option::of((0u64..u64::MAX, 1u64..u64::MAX)),
+    )
+        .prop_map(
+            |((type_name, source, value), (at, life), hops, trace, seq)| {
+                let mut p = ContextPacket::new(
+                    type_name,
+                    value,
+                    SimTime::from_micros(at),
+                    SimDuration::from_micros(life),
+                    source,
+                );
+                p.hops = hops.into_iter().map(BrokerId).collect();
+                if let Some((material, span)) = trace {
+                    p.trace = TraceCtx::root(material, 0).child(span);
+                }
+                if let Some((origin, n)) = seq {
+                    p.seq = PacketSeq::new(origin, n);
+                }
+                p
+            },
+        )
+}
+
 fn chaos_fleet(seed: u64, shards: u32, threads: u32) -> FleetConfig {
     let mut plan = simkit::FaultPlan::new(seed);
     let fault = simkit::faults::LinkFault {
@@ -863,6 +900,21 @@ proptest! {
     fn pct_codec_round_trips(text in "[ -~\t\n\r\u{0}\u{7f}-\u{24f}€😀]{0,24}") {
         for t in [text.as_str(), "", "-", "%2d"] {
             prop_assert_eq!(pct_decode(&pct_encode(t)), Ok(t.to_owned()));
+        }
+    }
+
+    /// Print→parse is the identity for broker packet frames: a `PUB`
+    /// request or `EVT` response either refuses to encode or decodes
+    /// back to the very packet, attribution and hop list included.
+    #[test]
+    fn wire_packet_frames_round_trip_or_refuse(p in wire_packet()) {
+        let publish = Request::Pub(p.clone());
+        if let Ok(line) = publish.encode() {
+            prop_assert_eq!(Request::decode(&line), Ok(publish));
+        }
+        let evt = Response::Evt { sub: SubId(3), packet: p };
+        if let Ok(line) = evt.encode() {
+            prop_assert_eq!(Response::decode(&line), Ok(evt));
         }
     }
 }
