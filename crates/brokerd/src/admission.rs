@@ -81,31 +81,4 @@ impl AdmissionStats {
     pub fn refused(&self) -> u64 {
         self.shed + self.unattributed + self.expired + self.blocked
     }
-
-    /// Shed rate in parts-per-million of offered load (integer, so
-    /// reports stay float-free).
-    pub fn shed_ppm(&self) -> u64 {
-        let offered = self.admitted + self.refused();
-        if offered == 0 {
-            0
-        } else {
-            self.shed * 1_000_000 / offered
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn shed_ppm_is_integer_exact() {
-        let stats = AdmissionStats {
-            admitted: 75,
-            shed: 25,
-            ..AdmissionStats::default()
-        };
-        assert_eq!(stats.shed_ppm(), 250_000);
-        assert_eq!(AdmissionStats::default().shed_ppm(), 0);
-    }
 }

@@ -15,7 +15,6 @@
 //! broker, and its peers see its digests go stale. No wall clock, no
 //! floats, no unordered maps anywhere on this path.
 
-use crate::dedup::{DedupWindow, SeqVerdict};
 use crate::federation::LoadDigest;
 use crate::node::{BrokerNode, DirEntry, Effect, NodeConfig, NodeStats};
 use crate::packet::{BrokerId, ContextPacket, PacketSeq};
@@ -253,13 +252,12 @@ struct DeviceState {
     awaiting_ack: bool,
     rehomes: u64,
     fanout_us: Histogram,
-    /// End-to-end idempotence witness: deliveries already seen, by
-    /// `(origin, seq)`. Periodic re-delivery of retained context is
-    /// intentional, so only event/one-shot devices consult it.
-    dedup: DedupWindow,
-    /// Sequenced deliveries that reached this device more than once —
-    /// the chaos scenario pins this to exactly zero fleet-wide.
-    dup_deliveries: u64,
+    /// End-to-end idempotence witness: the `(origin, seq)` of every
+    /// sequenced delivery, in arrival order. The fold counts its repeats
+    /// exactly; the chaos scenario pins that count to zero fleet-wide.
+    /// Periodic re-delivery of retained context is intentional, so only
+    /// event/one-shot devices record.
+    arrivals: Vec<PacketSeq>,
     /// Device-side hop spans (publish roots, delivery terminals).
     /// Plain `Send` data: shard workers record locally, the fold below
     /// merges in actor order.
@@ -473,6 +471,16 @@ impl FleetOutcome {
             self.trace_digest,
         )
     }
+}
+
+/// Copies of a sequence tag beyond its first in `seen`: sorts a copy in
+/// `scratch` (reused across calls) and counts what `dedup` removes.
+fn repeats(seen: &[PacketSeq], scratch: &mut Vec<PacketSeq>) -> u64 {
+    scratch.clear();
+    scratch.extend_from_slice(seen);
+    scratch.sort_unstable();
+    scratch.dedup();
+    (seen.len() - scratch.len()) as u64
 }
 
 fn type_name(idx: u16) -> String {
@@ -742,7 +750,7 @@ pub fn run_fleet_profiled(cfg: &FleetConfig) -> (FleetOutcome, EngineProfile) {
                     );
                     packet.value_milli += (ctx.rng().next_u64() % 1000) as i64;
                     // Sequence-number the publish: `(device, n)` is the
-                    // idempotence key dedup windows track end to end.
+                    // idempotence key brokers filter on and devices log.
                     packet.seq = PacketSeq::new(ctx.actor().0, dev.published);
                     // Root the trace from pure (seed, actor, seq)
                     // material — sampling is a function of the id, so
@@ -780,11 +788,8 @@ pub fn run_fleet_profiled(cfg: &FleetConfig) -> (FleetOutcome, EngineProfile) {
                     // Periodic devices re-receive retained context by
                     // design; event/one-shot devices must see each
                     // `(origin, seq)` exactly once, chaos or not.
-                    if dev.mode_tag != 0
-                        && packet.seq.is_some()
-                        && dev.dedup.observe(packet.seq) == SeqVerdict::Duplicate
-                    {
-                        dev.dup_deliveries += 1;
+                    if dev.mode_tag != 0 && packet.seq.is_some() {
+                        dev.arrivals.push(packet.seq);
                     }
                     let latency = ctx.now().since(packet.published_at);
                     dev.fanout_us.record(latency.as_micros());
@@ -844,8 +849,7 @@ pub fn run_fleet_profiled(cfg: &FleetConfig) -> (FleetOutcome, EngineProfile) {
             awaiting_ack: false,
             rehomes: 0,
             fanout_us: Histogram::new(),
-            dedup: DedupWindow::new(1024),
-            dup_deliveries: 0,
+            arrivals: Vec::new(),
             trace: TraceLog::new(),
         };
         sim.add_actor(id, FleetActor::Device(Box::new(dev)));
@@ -935,6 +939,7 @@ pub fn run_fleet_profiled(cfg: &FleetConfig) -> (FleetOutcome, EngineProfile) {
         }
         views.iter().skip(1).all(|v| Some(v) == views.first())
     });
+    let mut scratch = Vec::new();
     for d in 0..cfg.devices {
         let id = ActorId(u64::from(brokers) + d);
         if let Some(FleetActor::Device(dev)) = sim.actor_state(id) {
@@ -942,7 +947,7 @@ pub fn run_fleet_profiled(cfg: &FleetConfig) -> (FleetOutcome, EngineProfile) {
             out.acked += dev.acked;
             out.delivered += dev.received;
             out.rehomes += dev.rehomes;
-            out.duplicate_deliveries += dev.dup_deliveries;
+            out.duplicate_deliveries += repeats(&dev.arrivals, &mut scratch);
             fanout.merge(&dev.fanout_us);
             out.trace.merge(&dev.trace);
         }
@@ -983,6 +988,37 @@ mod tests {
         let effect = std::mem::size_of::<Effect>();
         assert!(event <= 32, "FleetEvent is {event} bytes");
         assert!(effect <= 32, "Effect is {effect} bytes");
+    }
+
+    #[test]
+    fn the_witness_counts_what_a_bounded_window_misjudges() {
+        use crate::dedup::DedupWindow;
+        let seq = PacketSeq::new;
+        let mut scratch = Vec::new();
+        assert_eq!(repeats(&[seq(7, 1), seq(9, 1), seq(7, 1)], &mut scratch), 1);
+        assert_eq!(repeats(&[seq(7, 1); 3], &mut scratch), 2);
+
+        // A straggler far behind its origin's newest packet is fresh,
+        // but a window suppresses it as below its bitmap.
+        let straggler = [seq(3, 1000), seq(3, 1)];
+        assert_eq!(repeats(&straggler, &mut scratch), 0);
+        let mut window = DedupWindow::new(1024);
+        for s in straggler {
+            window.observe(s);
+        }
+        assert_eq!(window.suppressed(), 1);
+
+        // A repeat after 1,024 other origins is still a repeat, but the
+        // window has evicted its origin by then.
+        let mut evicted = vec![seq(3, 1)];
+        evicted.extend((100..1124).map(|o| seq(o, 1)));
+        evicted.push(seq(3, 1));
+        assert_eq!(repeats(&evicted, &mut scratch), 1);
+        let mut window = DedupWindow::new(1024);
+        for s in &evicted {
+            window.observe(*s);
+        }
+        assert_eq!(window.suppressed(), 0);
     }
 
     #[test]

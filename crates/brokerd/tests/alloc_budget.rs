@@ -5,15 +5,17 @@
 //! seed and the engine thread count. This test counts it with a
 //! std-only counting allocator and fails when a change makes the fleet
 //! allocate clearly more: one extra `String` copy per delivered packet
-//! is enough to trip it.
+//! is enough to trip it. It also tracks the live heap, so a change that
+//! holds more memory at once fails even if it allocates less often.
 //!
 //! The counters live in a `const` thread-local, so only allocations made
 //! on the thread running the fleet count. At one engine thread every
 //! round is stepped on the calling thread.
 //!
 //! Run it on its own with
-//! `cargo test -q --release -p contory-brokerd --test alloc_budget`.
-//! Debug and release builds count the same.
+//! `cargo test -q --release -p contory-brokerd --test alloc_budget`;
+//! add `-- --nocapture` to print the measured figures. Debug and release
+//! builds count the same.
 
 use brokerd::{fault_edges, run_fleet, FleetConfig, NodeConfig};
 use simkit::faults::FaultPlan;
@@ -21,25 +23,57 @@ use simkit::{SimDuration, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// Allocation budget: the measured 265,532 plus just under 5 %.
+/// Allocation budget: just under 5 % over the 265,532 measured when it
+/// was set; the fleet now makes 266,262.
 const MAX_ALLOCS: u64 = 278_800;
-/// Budget of bytes requested: the measured 38,549,067 plus just under 5 %.
+/// Budget of bytes requested: just under 5 % over the 38,549,067
+/// measured when it was set; the fleet now requests 38,941,659.
 const MAX_BYTES: u64 = 40_430_000;
+/// Budget of peak live heap bytes over the run: the measured 8,648,590
+/// plus just under 5 %.
+const MAX_PEAK_BYTES: i64 = 9_080_000;
 
-thread_local! {
-    /// `(allocations, bytes requested)` on this thread.
-    static COUNTS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+/// Heap traffic on one thread. `live` is signed: a block allocated on
+/// another thread may be freed on this one.
+#[derive(Clone, Copy)]
+struct Counts {
+    /// Allocations and reallocations.
+    allocs: u64,
+    /// Bytes requested by them.
+    bytes: u64,
+    /// Bytes allocated and not yet freed.
+    live: i64,
+    /// The largest `live` seen.
+    peak: i64,
 }
 
-fn note(bytes: usize) {
+thread_local! {
+    static COUNTS: Cell<Counts> = const {
+        Cell::new(Counts {
+            allocs: 0,
+            bytes: 0,
+            live: 0,
+            peak: 0,
+        })
+    };
+}
+
+/// Adds `allocs` allocations requesting `requested` bytes in all, and
+/// moves the live heap by `requested - freed`.
+fn note(allocs: u64, requested: usize, freed: usize) {
     // `try_with`: a thread being torn down may still free and allocate.
     let _ = COUNTS.try_with(|c| {
-        let (n, b) = c.get();
-        c.set((n + 1, b + bytes as u64));
+        let mut n = c.get();
+        n.allocs += allocs;
+        n.bytes += requested as u64;
+        n.live += requested as i64 - freed as i64;
+        n.peak = n.peak.max(n.live);
+        c.set(n);
     });
 }
 
-/// Counts every allocation and reallocation, then defers to `System`.
+/// Counts every allocation, reallocation and free, then defers to
+/// `System`.
 struct Counting;
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -47,21 +81,22 @@ struct Counting;
 // a thread-local `Cell` and never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
+        note(1, layout.size(), 0);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
+        note(1, layout.size(), 0);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note(0, 0, layout.size());
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
+        note(1, new_size, layout.size());
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -91,12 +126,21 @@ fn fleet() -> FleetConfig {
 #[test]
 fn fleet_run_stays_within_its_allocation_budget() {
     let cfg = fleet();
-    let before = COUNTS.with(Cell::get);
+    // The peak counts from the run's start: reset it to the live heap.
+    let before = COUNTS.with(|c| {
+        let mut n = c.get();
+        n.peak = n.live;
+        c.set(n);
+        n
+    });
     let out = run_fleet(&cfg);
     let after = COUNTS.with(Cell::get);
-    let (allocs, bytes) = (after.0 - before.0, after.1 - before.1);
+    let allocs = after.allocs - before.allocs;
+    let bytes = after.bytes - before.bytes;
+    let peak = after.peak - before.live;
     let summary = format!(
-        "{allocs} allocations, {bytes} bytes for {} deliveries",
+        "{allocs} allocations, {bytes} bytes, peak live heap {peak} bytes \
+         for {} deliveries",
         out.delivered
     );
     assert!(out.delivered > 40_000, "the fleet barely ran: {summary}");
@@ -108,4 +152,9 @@ fn fleet_run_stays_within_its_allocation_budget() {
         bytes <= MAX_BYTES,
         "byte budget {MAX_BYTES} exceeded: {summary}"
     );
+    assert!(
+        peak <= MAX_PEAK_BYTES,
+        "peak live heap budget {MAX_PEAK_BYTES} exceeded: {summary}"
+    );
+    eprintln!("{summary}");
 }

@@ -62,11 +62,14 @@
 //!
 //! # Data layout
 //!
-//! A shard keeps its actors in two parallel vectors sorted by id, found
-//! by binary search, and keeps its round buffers (sends, emits, the
-//! executing event's self-schedules) across rounds. The barrier appends
-//! every shard's output into two buffers of its own, sorts them and
-//! drains them, so once capacities settle a round allocates nothing.
+//! A shard keeps its actors in two parallel vectors sorted by id. A
+//! lookup first tries the dense index `id / shards`, where ids
+//! registered as `0..n` sit, and checks the id found there; a miss falls
+//! back to binary search, so ids may still come in any order. A shard
+//! keeps its round buffers (sends, emits, the executing event's
+//! self-schedules) across rounds. The barrier appends every shard's
+//! output into two buffers of its own, sorts them and drains them, so
+//! once capacities settle a round allocates nothing.
 
 use crate::hash::{fnv1a, FNV_OFFSET};
 use crate::rng::DetRng;
@@ -83,11 +86,12 @@ use std::fmt;
 /// against ~0.35 µs for a round stepped sequentially. Two workers at
 /// best halve a round's event work, so a round of `n` events at `c` per
 /// event repays the hand-off once `n · c / 2 > barrier`, i.e.
-/// `n > 2 · barrier / c`: ≈ 140 events at the broker fleet's ~1.0 µs
-/// per event (`simkit.shard.event_ns`, handler included; ≈ 180 at the
-/// 0.77 µs a quieter host measures) and ≈ 950 at the bare engine's
-/// ~150 ns (`simkit.shard.engine_event_ns`). 512 sits between the two:
-/// the fleet's ~5-event rounds stay on the calling thread, scale_city's
+/// `n > 2 · barrier / c`: ≈ 210 events at the broker fleet's ~0.67 µs
+/// per event (`simkit.shard.event_ns`, handler included, median of four
+/// traced runs; ≈ 175 at the 0.80 µs a noisier run measures) and
+/// ≈ 1,400 at the bare engine's ~100 ns
+/// (`simkit.shard.engine_event_ns`). 512 sits between the two: the
+/// fleet's ~5-event rounds stay on the calling thread, scale_city's
 /// 8k–32k-event rounds go parallel.
 const PARALLEL_CROSSOVER_EVENTS: u64 = 512;
 
@@ -369,15 +373,27 @@ impl<A, E> ShardState<A, E> {
         self.queue.peek().map(|e| e.key.time)
     }
 
-    fn slot(&self, actor: ActorId) -> Option<&ActorSlot<A>> {
-        let i = self.ids.binary_search(&actor.0).ok()?;
+    fn slot(&self, shards: u64, actor: ActorId) -> Option<&ActorSlot<A>> {
+        let i = position(&self.ids, shards, actor)?;
         self.slots.get(i)
     }
 
-    fn slot_mut(&mut self, actor: ActorId) -> Option<&mut ActorSlot<A>> {
-        let i = self.ids.binary_search(&actor.0).ok()?;
+    fn slot_mut(&mut self, shards: u64, actor: ActorId) -> Option<&mut ActorSlot<A>> {
+        let i = position(&self.ids, shards, actor)?;
         self.slots.get_mut(i)
     }
+}
+
+/// Where `actor` sits in a shard's ascending `ids`, among `shards`
+/// shards. Ids registered as `0..n` put shard `s`'s k-th id at
+/// `s + k·shards`, so the dense guess `id / shards` is checked first;
+/// a hole or a sparse id falls back to binary search.
+fn position(ids: &[u64], shards: u64, actor: ActorId) -> Option<usize> {
+    let guess = (actor.0 / shards) as usize;
+    if ids.get(guess) == Some(&actor.0) {
+        return Some(guess);
+    }
+    ids.binary_search(&actor.0).ok()
 }
 
 /// One buffered cross-actor message: ordered by `(sender key, index)`,
@@ -592,7 +608,7 @@ where
         let Some(home) = self.shards.get_mut(shard) else {
             return Err(actor);
         };
-        let Some(slot) = home.slot_mut(actor) else {
+        let Some(slot) = home.slot_mut(u64::from(self.cfg.shards), actor) else {
             return Err(actor);
         };
         let key = EventKey {
@@ -608,7 +624,10 @@ where
     /// Read access to an actor's state (e.g. for post-run assertions).
     pub fn actor_state(&self, actor: ActorId) -> Option<&A> {
         let shard = shard_index(actor, self.cfg.shards);
-        let slot = self.shards.get(shard)?.slot(actor)?;
+        let slot = self
+            .shards
+            .get(shard)?
+            .slot(u64::from(self.cfg.shards), actor)?;
         Some(&slot.state)
     }
 
@@ -718,8 +737,9 @@ where
             1
         };
         let handler = &self.handler;
+        let shards = u64::from(self.cfg.shards);
         run_shards(&mut self.shards, threads, |shard| {
-            drain_step(shard, t, handler)
+            drain_step(shard, shards, t, handler)
         });
 
         // ---- barrier: the deterministic cross-shard merge ----
@@ -759,7 +779,7 @@ where
                 self.dead_letters += 1;
                 continue;
             };
-            let Some(slot) = home.slot_mut(m.dest) else {
+            let Some(slot) = home.slot_mut(shards, m.dest) else {
                 self.dead_letters += 1;
                 continue;
             };
@@ -795,8 +815,8 @@ where
 }
 
 /// Drains one shard's events due exactly at `t`, in key order, into the
-/// shard's round buffers.
-fn drain_step<A, E, H>(shard: &mut ShardState<A, E>, t: SimTime, handler: &H)
+/// shard's round buffers. `shards` is the engine's shard count.
+fn drain_step<A, E, H>(shard: &mut ShardState<A, E>, shards: u64, t: SimTime, handler: &H)
 where
     H: Fn(&mut A, &mut EventCtx<'_, E>, E),
 {
@@ -814,9 +834,7 @@ where
         let Some(entry) = queue.pop() else {
             break; // unreachable: peek just said non-empty
         };
-        let Some(slot) = ids
-            .binary_search(&entry.key.actor.0)
-            .ok()
+        let Some(slot) = position(ids, shards, entry.key.actor)
             .and_then(|i| slots.get_mut(i))
         else {
             // Unreachable: events are only ever scheduled on registered
@@ -1165,24 +1183,45 @@ mod tests {
 
     #[test]
     fn actors_registered_in_any_order_are_found() {
-        let mut sim = ShardSim::new(
-            sequential(0),
-            |hits: &mut u32, _: &mut EventCtx<'_, u8>, _| *hits += 1,
-        );
-        let ids = [9u64, 2, 40, 0, 17, 3];
-        for a in ids {
-            assert!(sim.add_actor(ActorId(a), 0));
+        // At 4 shards, 0..16 without 5 plus a far id: in shard 1 the
+        // dense guess for 9 lands on 13 and 13's is out of range, and the
+        // far id's misses, so each takes the fallback.
+        let holey: Vec<u64> = (0..16).rev().filter(|a| *a != 5).chain([1_000_003]).collect();
+        for (shards, ids, taken, unknown) in [
+            (1, vec![9u64, 2, 40, 0, 17, 3], 17, 4),
+            (4, holey, 9, 5),
+        ] {
+            // Each actor's state starts with its own id, so an event run
+            // on another actor's slot shows up directly.
+            let mut sim = ShardSim::new(
+                ShardConfig {
+                    shards,
+                    ..sequential(0)
+                },
+                |state: &mut (u64, u32), ctx: &mut EventCtx<'_, u8>, ev| {
+                    assert_eq!(state.0, ctx.actor().0, "ran on another actor's slot");
+                    state.1 += 1;
+                    if ev == 0 {
+                        ctx.send(ctx.actor(), SimDuration::from_millis(1), 1);
+                    }
+                },
+            );
+            for &a in &ids {
+                assert!(sim.add_actor(ActorId(a), (a, 0)));
+            }
+            assert!(!sim.add_actor(ActorId(taken), (taken, 5)));
+            assert_eq!(sim.actors(), ids.len() as u64);
+            for &a in &ids {
+                sim.schedule(ActorId(a), SimTime::ZERO, 0).unwrap();
+            }
+            sim.run_until_idle();
+            assert_eq!(sim.messages_delivered(), ids.len() as u64);
+            for &a in &ids {
+                let state = sim.actor_state(ActorId(a));
+                assert_eq!(state, Some(&(a, 2)), "actor {a} at {shards} shards");
+            }
+            assert_eq!(sim.actor_state(ActorId(unknown)), None);
         }
-        assert!(!sim.add_actor(ActorId(17), 5));
-        assert_eq!(sim.actors(), 6);
-        for a in ids {
-            sim.schedule(ActorId(a), SimTime::ZERO, 0).unwrap();
-        }
-        sim.run_until_idle();
-        for a in ids {
-            assert_eq!(sim.actor_state(ActorId(a)), Some(&1), "actor {a}");
-        }
-        assert_eq!(sim.actor_state(ActorId(4)), None);
     }
 
     #[test]

@@ -23,9 +23,9 @@
 #    at toy size on a held-out seed with its output checks; the fleet
 #    report must be identical at 1 and max(nproc, 2) engine threads
 #    (perfbench/README.md). Then brokerd's alloc_budget test counts the
-#    heap allocations and bytes of a seeded 2,000-device fleet run and
-#    fails above its budget: a cost check that, unlike wall time, does
-#    not swing with the host's load;
+#    heap allocations, bytes and peak live heap of a seeded 2,000-device
+#    fleet run and fails above any of its budgets: a cost check that,
+#    unlike wall time, does not swing with the host's load;
 # 6. the Fig. 5 failover bench, which asserts the recovery SLO
 #    (worst provisioning gap <= 45 s) from the FailoverReport;
 # 7. the obs gate: the sm_breakup bench re-measures the paper's §6.1
