@@ -33,6 +33,7 @@ use brokerd::{
     fault_edges, link_faults, link_label, restart_edges, run_fleet, FleetConfig, NodeConfig,
 };
 use simkit::faults::{FaultPlan, LinkFault};
+use simkit::hash::{fnv1a, FNV_OFFSET};
 use simkit::shard::ShardConfig;
 use simkit::{SimDuration, SimTime};
 use tracekit::Stage;
@@ -331,13 +332,24 @@ impl Scenario for BrokerChaos {
         ctx.push(
             Measurement::scalar(
                 "report_digest32",
-                "fleet report digest (low 32 bits)",
+                "engine transcript digest (low 32 bits)",
                 Unit::Count,
                 (out.digest & 0xffff_ffff) as f64,
             )
             .with_gate_rel_tol(0.0)
             .with_gate_abs_tol(0.4)
-            .with_note("byte-identity witness across shard/thread counts"),
+            .with_note("FNV-1a over the records the engine emits: broker down, up and restart"),
+        );
+        ctx.push(
+            Measurement::scalar(
+                "report_fnv32",
+                "fleet report digest (low 32 bits)",
+                Unit::Count,
+                (fnv1a(FNV_OFFSET, out.report().as_bytes()) & 0xffff_ffff) as f64,
+            )
+            .with_gate_rel_tol(0.0)
+            .with_gate_abs_tol(0.4)
+            .with_note("FNV-1a over the whole report line: every counter, both digests"),
         );
 
         // The chaos-path trace spans: retries, duplicate suppressions

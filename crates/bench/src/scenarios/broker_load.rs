@@ -21,6 +21,7 @@ use benchkit::{Measurement, RunCtx, Scenario, Unit};
 use brokerd::{fault_edges, run_fleet, run_fleet_profiled, FleetConfig, NodeConfig};
 use tracekit::{assemble, Breakup, Stage};
 use simkit::faults::FaultPlan;
+use simkit::hash::{fnv1a, FNV_OFFSET};
 use simkit::shard::ShardConfig;
 use simkit::{SimDuration, SimTime};
 
@@ -217,13 +218,24 @@ impl Scenario for BrokerLoad {
         ctx.push(
             Measurement::scalar(
                 "report_digest32",
-                "fleet report digest (low 32 bits)",
+                "engine transcript digest (low 32 bits)",
                 Unit::Count,
                 (out.digest & 0xffff_ffff) as f64,
             )
             .with_gate_rel_tol(0.0)
             .with_gate_abs_tol(0.4)
-            .with_note("byte-identity witness across shard/thread/table-shard counts"),
+            .with_note("FNV-1a over the records the engine emits: broker down, up and restart"),
+        );
+        ctx.push(
+            Measurement::scalar(
+                "report_fnv32",
+                "fleet report digest (low 32 bits)",
+                Unit::Count,
+                (fnv1a(FNV_OFFSET, out.report().as_bytes()) & 0xffff_ffff) as f64,
+            )
+            .with_gate_rel_tol(0.0)
+            .with_gate_abs_tol(0.4)
+            .with_note("FNV-1a over the whole report line: every counter, both digests"),
         );
 
         // Trace-measured broker delivery break-up: the sampled trace

@@ -409,7 +409,9 @@ pub struct FleetOutcome {
     pub digest: u64,
     /// Hop spans recorded across all actors (sampled traces only).
     pub trace_spans: u64,
-    /// FNV digest of the canonical trace JSONL export.
+    /// Order-independent digest of every hop event in `trace`
+    /// ([`TraceLog::digest`]); `trace.export_jsonl()` is the byte-level
+    /// witness.
     pub trace_digest: u64,
     /// The folded trace log itself (brokers then devices, actor-id
     /// order), ready for [`tracekit::assemble`]/[`tracekit::Breakup`].
@@ -958,8 +960,8 @@ pub fn run_fleet_profiled(cfg: &FleetConfig) -> (FleetOutcome, EngineProfile) {
     out.messages = sim.messages_delivered();
     out.digest = sim.digest();
     out.trace_spans = out.trace.len() as u64;
-    // The digest hashes the *canonical* export, so it is invariant to
-    // the fold order above and comparable across partition layouts.
+    // The digest sums one hash per event, so it is invariant to the
+    // fold order above and comparable across partition layouts.
     out.trace_digest = out.trace.digest();
     (out, sim.profile().clone())
 }

@@ -280,12 +280,9 @@ impl FaultPlan {
             match merged.last_mut() {
                 Some(prev) if prev.end.is_none() => break, // swallowed by a kill
                 Some(prev) if prev.end.map_or(false, |e| d.start <= e) => {
-                    // Overlapping or adjacent: extend.
-                    prev.end = match (prev.end, d.end) {
-                        (_, None) => None,
-                        (Some(a), Some(b)) => Some(a.max(b)),
-                        (None, _) => unreachable!(),
-                    };
+                    // Overlapping or adjacent: extend (a kill, `None`,
+                    // swallows the rest).
+                    prev.end = prev.end.zip(d.end).map(|(a, b)| a.max(b));
                 }
                 _ => merged.push(d),
             }

@@ -65,11 +65,13 @@
 //! A shard keeps its actors in two parallel vectors sorted by id. A
 //! lookup first tries the dense index `id / shards`, where ids
 //! registered as `0..n` sit, and checks the id found there; a miss falls
-//! back to binary search, so ids may still come in any order. A shard
-//! keeps its round buffers (sends, emits, the executing event's
-//! self-schedules) across rounds. The barrier appends every shard's
-//! output into two buffers of its own, sorts them and drains them, so
-//! once capacities settle a round allocates nothing.
+//! back to binary search, so ids may still come in any order. A shard's
+//! queue heap sifts 32-byte `(key, slot)` pairs; the events wait in a
+//! slab whose slots are reused as events pop. A shard keeps its round
+//! buffers (sends, emits, the executing event's self-schedules) across
+//! rounds. The barrier appends every shard's output into two buffers of
+//! its own, sorts them and drains them, so once capacities settle a
+//! round allocates nothing.
 
 use crate::hash::{fnv1a, FNV_OFFSET};
 use crate::rng::DetRng;
@@ -81,15 +83,16 @@ use std::fmt;
 /// Events the previous round must have processed for a round to be
 /// stepped on worker threads; smaller rounds run on the calling thread.
 ///
-/// Spawning and joining a round's scoped workers costs ~70 µs on a
-/// 2-vCPU host (perfbench `simkit.shard.barrier_us` at 2 threads),
-/// against ~0.35 µs for a round stepped sequentially. Two workers at
-/// best halve a round's event work, so a round of `n` events at `c` per
-/// event repays the hand-off once `n · c / 2 > barrier`, i.e.
-/// `n > 2 · barrier / c`: ≈ 210 events at the broker fleet's ~0.67 µs
-/// per event (`simkit.shard.event_ns`, handler included, median of four
-/// traced runs; ≈ 175 at the 0.80 µs a noisier run measures) and
-/// ≈ 1,400 at the bare engine's ~100 ns
+/// A round handed to scoped workers costs ≈ 150 µs more than one
+/// stepped on the calling thread on a 2-vCPU host (the 10k-device
+/// fleet's 2-thread run over its 288 parallel rounds), against ~0.4 µs
+/// for a round stepped sequentially (perfbench
+/// `simkit.shard.barrier_us`). Two workers at best halve a round's
+/// event work, so a round of `n` events at `c` per event repays a
+/// hand-off of `h` once `n · c / 2 > h`, i.e. `n > 2 · h / c`: ≈ 400
+/// events at the broker fleet's ~0.76 µs per event
+/// (`simkit.shard.event_ns`, handler included, median of four traced
+/// runs) and ≈ 2,100 at the bare engine's ~140 ns
 /// (`simkit.shard.engine_event_ns`). 512 sits between the two: the
 /// fleet's ~5-event rounds stay on the calling thread, scale_city's
 /// 8k–32k-event rounds go parallel.
@@ -309,26 +312,78 @@ impl EngineProfile {
     }
 }
 
-struct Entry<E> {
+/// A heap slot: an event's key and where its payload waits. The heap
+/// sifts these 32 bytes, never the event itself. (A
+/// `Reverse<(EventKey, usize)>` would spare the impls below but ran
+/// ~2 % slower.)
+struct Slot {
     key: EventKey,
-    ev: E,
+    at: usize,
 }
 
-impl<E> PartialEq for Entry<E> {
+impl PartialEq for Slot {
     fn eq(&self, other: &Self) -> bool {
         self.key == other.key
     }
 }
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
+impl Eq for Slot {}
+impl PartialOrd for Slot {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<E> Ord for Entry<E> {
+impl Ord for Slot {
     // BinaryHeap is a max-heap; invert so the smallest key pops first.
     fn cmp(&self, other: &Self) -> Ordering {
         other.key.cmp(&self.key)
+    }
+}
+
+/// A shard's event queue: a min-heap of keys, with each payload in a
+/// slab slot that is reused once its event pops. Keys are unique, so it
+/// pops in the one total order a heap of whole events would.
+struct Queue<E> {
+    heap: BinaryHeap<Slot>,
+    events: Vec<Option<E>>,
+    /// Slab slots whose events have popped.
+    free: Vec<usize>,
+}
+
+impl<E> Queue<E> {
+    fn new() -> Self {
+        Queue {
+            heap: BinaryHeap::new(),
+            events: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    fn peek_key(&self) -> Option<EventKey> {
+        self.heap.peek().map(|s| s.key)
+    }
+
+    /// Queues `ev` under `key` in a free slot, or in a new one.
+    fn push(&mut self, key: EventKey, ev: E) {
+        let at = self.free.pop().unwrap_or(self.events.len());
+        match self.events.get_mut(at) {
+            Some(slot) => *slot = Some(ev),
+            None => self.events.push(Some(ev)),
+        }
+        self.heap.push(Slot { key, at });
+    }
+
+    /// Removes the smallest key with its payload and frees its slot.
+    /// The payload is `None` only if the slab lost it, which no `push`
+    /// does.
+    fn pop(&mut self) -> Option<(EventKey, Option<E>)> {
+        let Slot { key, at } = self.heap.pop()?;
+        let ev = self.events.get_mut(at).and_then(Option::take);
+        self.free.push(at);
+        Some((key, ev))
     }
 }
 
@@ -341,7 +396,7 @@ struct ActorSlot<A> {
 /// One physical shard: its event queue, its actors, and the buffers a
 /// round fills (kept across rounds).
 struct ShardState<A, E> {
-    queue: BinaryHeap<Entry<E>>,
+    queue: Queue<E>,
     /// Registered actor ids, ascending; `slots[i]` belongs to `ids[i]`.
     ids: Vec<u64>,
     slots: Vec<ActorSlot<A>>,
@@ -353,13 +408,13 @@ struct ShardState<A, E> {
     processed: u64,
     /// Self-schedules of the executing event, pushed onto `queue` after
     /// its handler returns.
-    local: Vec<Entry<E>>,
+    local: Vec<(EventKey, E)>,
 }
 
 impl<A, E> ShardState<A, E> {
     fn new() -> Self {
         ShardState {
-            queue: BinaryHeap::new(),
+            queue: Queue::new(),
             ids: Vec::new(),
             slots: Vec::new(),
             sends: Vec::new(),
@@ -370,7 +425,7 @@ impl<A, E> ShardState<A, E> {
     }
 
     fn head_time(&self) -> Option<SimTime> {
-        self.queue.peek().map(|e| e.key.time)
+        self.queue.peek_key().map(|k| k.time)
     }
 
     fn slot(&self, shards: u64, actor: ActorId) -> Option<&ActorSlot<A>> {
@@ -415,7 +470,7 @@ pub struct EventCtx<'a, E> {
     next_seq: &'a mut u64,
     sends: &'a mut Vec<Outgoing<E>>,
     emits: &'a mut Vec<(EventKey, String)>,
-    local: &'a mut Vec<Entry<E>>,
+    local: &'a mut Vec<(EventKey, E)>,
     send_index: u32,
 }
 
@@ -451,7 +506,7 @@ impl<'a, E> EventCtx<'a, E> {
             seq: *self.next_seq,
         };
         *self.next_seq += 1;
-        self.local.push(Entry { key, ev });
+        self.local.push((key, ev));
     }
 
     /// Sends an event to another actor (or this one), batched at the
@@ -617,7 +672,7 @@ where
             seq: slot.next_seq,
         };
         slot.next_seq += 1;
-        home.queue.push(Entry { key, ev });
+        home.queue.push(key, ev);
         Ok(())
     }
 
@@ -790,7 +845,7 @@ where
             };
             slot.next_seq += 1;
             self.messages += 1;
-            home.queue.push(Entry { key, ev: m.ev });
+            home.queue.push(key, m.ev);
         }
 
         // Queue peaks after the merge landed its deliveries.
@@ -830,20 +885,20 @@ where
         local,
     } = shard;
     *processed = 0;
-    while queue.peek().is_some_and(|e| e.key.time == t) {
-        let Some(entry) = queue.pop() else {
-            break; // unreachable: peek just said non-empty
+    while queue.peek_key().is_some_and(|k| k.time == t) {
+        // Unreachable miss: the head was just peeked, and every queued
+        // key has its payload. An empty queue ends the loop.
+        let Some((key, Some(ev))) = queue.pop() else {
+            continue;
         };
-        let Some(slot) = position(ids, shards, entry.key.actor)
-            .and_then(|i| slots.get_mut(i))
-        else {
+        let Some(slot) = position(ids, shards, key.actor).and_then(|i| slots.get_mut(i)) else {
             // Unreachable: events are only ever scheduled on registered
             // actors, and actors are never removed. Nothing counts it.
             continue;
         };
         let mut ctx = EventCtx {
             now: t,
-            key: entry.key,
+            key,
             rng: &mut slot.rng,
             next_seq: &mut slot.next_seq,
             sends,
@@ -851,10 +906,10 @@ where
             local,
             send_index: 0,
         };
-        handler(&mut slot.state, &mut ctx, entry.ev);
-        for e in local.drain(..) {
-            debug_assert!(e.key.time >= t, "self-schedule went backwards");
-            queue.push(e);
+        handler(&mut slot.state, &mut ctx, ev);
+        for (key, ev) in local.drain(..) {
+            debug_assert!(key.time >= t, "self-schedule went backwards");
+            queue.push(key, ev);
         }
         *processed += 1;
     }
@@ -950,6 +1005,77 @@ mod tests {
         assert!(k(1, 1, 9) < k(1, 2, 0));
         assert!(k(1, 1, 1) < k(1, 1, 2));
         assert_eq!(k(3, 3, 3), k(3, 3, 3));
+    }
+
+    #[test]
+    fn queue_pops_in_key_order_and_reuses_its_slots() {
+        use std::cmp::Reverse;
+        // Each payload is its own key, so a payload fetched from another
+        // slot shows up as a mismatched pair.
+        let mut queue: Queue<EventKey> = Queue::new();
+        let mut reference = BinaryHeap::new();
+        let mut rng = DetRng::new(0x51ab);
+        let mut next_seq = [0u64; 4];
+        let mut last: Option<EventKey> = None;
+        let mut peak = 0;
+        let mut popped = 0;
+        for step in 0..20_000 {
+            // Five pushes to four pops: the queue grows as it churns.
+            let draw = rng.range_u64(0, 9);
+            let key = match (draw, last) {
+                // Push at the last popped instant or just after it: most
+                // keys share a time and differ in actor and seq.
+                (0..=3, _) | (4, None) => {
+                    let actor = rng.index(4);
+                    let time = last.map_or(0, |k| k.time.as_micros()) + rng.range_u64(0, 3) / 2;
+                    let seq = next_seq[actor];
+                    next_seq[actor] += 1;
+                    Some(EventKey {
+                        time: SimTime::from_micros(time),
+                        actor: ActorId(actor as u64),
+                        seq,
+                    })
+                }
+                // A zero-delay self-schedule: just above the last key
+                // popped, on its actor at its instant.
+                (4, Some(k)) => {
+                    let actor = k.actor.0 as usize;
+                    let seq = next_seq[actor];
+                    next_seq[actor] += 1;
+                    Some(EventKey { seq, ..k })
+                }
+                _ => None,
+            };
+            match key {
+                Some(key) => {
+                    queue.push(key, key);
+                    reference.push(Reverse(key));
+                }
+                None => {
+                    let want = reference.pop().map(|Reverse(k)| (k, Some(k)));
+                    let got = queue.pop();
+                    assert_eq!(got, want, "pop {popped} at step {step}");
+                    last = got.map(|(k, _)| k).or(last);
+                    popped += 1;
+                }
+            }
+            assert_eq!(queue.len(), reference.len());
+            assert_eq!(queue.peek_key(), reference.peek().map(|r| r.0));
+            peak = peak.max(queue.len());
+            assert!(
+                queue.events.len() <= peak,
+                "slab grew to {} slots, peak queue {peak}",
+                queue.events.len()
+            );
+        }
+        while let Some(Reverse(k)) = reference.pop() {
+            assert_eq!(queue.pop(), Some((k, Some(k))));
+        }
+        assert_eq!(queue.pop(), None);
+        assert!(
+            popped > 5_000 && peak > 1_000,
+            "popped {popped}, peak {peak}"
+        );
     }
 
     #[test]

@@ -113,8 +113,9 @@ impl Summary {
         if self.n < 2 {
             return 0.0;
         }
+        // `n ≥ 2`, so `df ≥ 1`; beyond the table the normal value holds.
         let df = (self.n - 1) as usize;
-        let crit = if df <= 30 { T90[df - 1] } else { Z90 };
+        let crit = T90.get(df - 1).copied().unwrap_or(Z90);
         crit * self.sem()
     }
 

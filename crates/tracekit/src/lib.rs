@@ -19,8 +19,10 @@
 //!   deliver). `Send` and mergeable, unlike obskit's thread-local
 //!   collector, so shard-parallel actors record locally and the
 //!   harness folds logs in actor order after the run. Exports a
-//!   canonical JSONL stream ([`TraceLog::export_jsonl`]) and parses
-//!   it back ([`TraceLog::parse_jsonl`]).
+//!   canonical JSONL stream ([`TraceLog::export_jsonl`]), the
+//!   byte-level witness, and parses it back
+//!   ([`TraceLog::parse_jsonl`]); [`TraceLog::digest`] is an
+//!   order-independent hash of the events that needs no export.
 //! * [`assemble`] — reconstructs end-to-end trace trees from a span
 //!   stream, with parent links validated so a parent always precedes
 //!   its child in sim time.

@@ -7,10 +7,12 @@
 //! logs **in actor-id order** after the run. Each node's recording
 //! order is a pure function of the seed, so the folded stream — and
 //! its JSONL export, which additionally canonicalises the order — is
-//! byte-identical across shard and thread counts.
+//! byte-identical across shard and thread counts. The digest sums a
+//! hash per event, so it needs neither the canonical order nor the
+//! export.
 
 use crate::ctx::TraceCtx;
-use simkit::hash::{fnv1a, mix64, FNV_OFFSET};
+use simkit::hash::mix64;
 use simkit::SimTime;
 use std::fmt;
 use std::fmt::Write as _;
@@ -123,6 +125,20 @@ pub struct TraceEvent {
 }
 
 impl TraceEvent {
+    /// One [`mix64`] chain over every field. Each link is a bijection of
+    /// the field xor the running value, so changing any one field
+    /// changes the hash. `span`/`parent` and stage/`hop` share a word;
+    /// a stage's discriminant is its index in [`Stage::ALL`].
+    fn hash(&self) -> u64 {
+        let ids = u64::from(self.span) << 32 | u64::from(self.parent);
+        let stage_hop = (self.stage as u64) << 8 | u64::from(self.hop);
+        let mut h = mix64(self.trace_id);
+        for word in [ids, stage_hop, self.node, self.at.as_micros()] {
+            h = mix64(h ^ word);
+        }
+        h
+    }
+
     /// Canonical sort key: trace, then time, then pipeline position.
     fn key(&self) -> (u64, u64, u8, u8, u64, u32) {
         (
@@ -227,10 +243,15 @@ impl TraceLog {
         out
     }
 
-    /// FNV-1a digest of the canonical export — the compact byte-identity
-    /// witness determinism transcripts embed.
+    /// Order-independent digest of every recorded event: the wrapping
+    /// sum of one [`mix64`] chain per event over all its fields. Addition
+    /// commutes, so any fold order of the same events gives the same
+    /// value without sorting or printing them; the byte-level witness
+    /// stays [`TraceLog::export_jsonl`].
     pub fn digest(&self) -> u64 {
-        fnv1a(FNV_OFFSET, self.export_jsonl().as_bytes())
+        self.events
+            .iter()
+            .fold(0u64, |sum, ev| sum.wrapping_add(ev.hash()))
     }
 
     /// Parses a `contory-trace/1` JSONL stream back into a log
@@ -380,6 +401,53 @@ mod tests {
         }
         assert_eq!(log.export_jsonl(), reversed.export_jsonl());
         assert_eq!(log.digest(), reversed.digest());
+    }
+
+    #[test]
+    fn digest_known_answer() {
+        // Pins the definition (a separate model of it, outside this
+        // crate, gives the same value): a new value is a new digest,
+        // not a refactor.
+        assert_eq!(TraceLog::new().digest(), 0);
+        assert_eq!(sample_log().digest(), 0xba86_6b44_966d_c4a9);
+        // The hash takes a stage's discriminant as its `Stage::ALL` index.
+        for (i, stage) in Stage::ALL.into_iter().enumerate() {
+            assert_eq!(stage as usize, i, "{stage}");
+        }
+    }
+
+    #[test]
+    fn digest_sees_every_field_and_every_event() {
+        let log = sample_log();
+        let base = log.digest();
+        let edits: [(&str, fn(&mut TraceEvent)); 7] = [
+            ("trace_id", |e| e.trace_id ^= 1 << 40),
+            ("span", |e| e.span ^= 2),
+            ("parent", |e| e.parent ^= 2),
+            ("stage", |e| {
+                e.stage = Stage::ALL[(e.stage as usize + 1) % Stage::ALL.len()]
+            }),
+            ("node", |e| e.node += 1),
+            ("hop", |e| e.hop += 1),
+            ("at", |e| e.at = e.at + SimDuration::from_micros(1)),
+        ];
+        for i in 0..log.len() {
+            for (field, edit) in edits {
+                let mut changed = log.clone();
+                edit(&mut changed.events[i]);
+                assert_ne!(changed.digest(), base, "{field} of event {i}");
+            }
+            let mut dropped = log.clone();
+            dropped.events.remove(i);
+            assert_ne!(dropped.digest(), base, "event {i} dropped");
+            let mut duplicated = log.clone();
+            duplicated.events.push(log.events[i]);
+            assert_ne!(duplicated.digest(), base, "event {i} duplicated");
+        }
+        // Swapping two events' places is not a change.
+        let mut swapped = log.clone();
+        swapped.events.swap(0, 4);
+        assert_eq!(swapped.digest(), base);
     }
 
     #[test]
