@@ -68,7 +68,7 @@ struct Downtime {
 
 impl Downtime {
     fn covers(&self, at: SimTime) -> bool {
-        at >= self.start && self.end.map_or(true, |e| at < e)
+        at >= self.start && self.end.is_none_or(|e| at < e)
     }
 }
 
@@ -228,7 +228,7 @@ impl FaultPlan {
         loop {
             // Up phase.
             let up_len = SimDuration::from_secs_f64(rng.exp(mean_up.as_secs_f64()));
-            t = t + up_len;
+            t += up_len;
             if t >= until {
                 break;
             }
@@ -279,7 +279,7 @@ impl FaultPlan {
         for d in intervals {
             match merged.last_mut() {
                 Some(prev) if prev.end.is_none() => break, // swallowed by a kill
-                Some(prev) if prev.end.map_or(false, |e| d.start <= e) => {
+                Some(prev) if prev.end.is_some_and(|e| d.start <= e) => {
                     // Overlapping or adjacent: extend (a kill, `None`,
                     // swallows the rest).
                     prev.end = prev.end.zip(d.end).map(|(a, b)| a.max(b));
@@ -418,7 +418,7 @@ impl LinkChaos {
         }
         if reorder_draw < u64::from(self.fault.reorder_ppm) {
             self.stats.reordered += 1;
-            delay = delay + self.fault.reorder_delay;
+            delay += self.fault.reorder_delay;
         }
         let mut copies = vec![delay];
         if dup_draw < u64::from(self.fault.dup_ppm) {
@@ -637,7 +637,7 @@ mod tests {
                 .iter()
                 .take_while(|e| e.at <= t)
                 .last()
-                .map_or(true, |e| e.up);
+                .is_none_or(|e| e.up);
             assert_eq!(state_from_edges, p.is_up("x", t), "mismatch at {t}");
         }
     }

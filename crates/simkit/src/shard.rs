@@ -20,19 +20,35 @@
 //!   the key**;
 //! * `seq` — a per-actor sequence number.
 //!
-//! Because the key mentions only partition-independent data, the total
-//! order over executed events — and therefore the transcript, the
-//! per-actor RNG streams and every metric derived from a run — is
+//! The key mentions only partition-independent data, and every output
+//! is put in key order: the barrier sorts sends by `(sender key, send
+//! index)` and emits by key, so every `seq` draw, the transcript, the
+//! per-actor RNG streams and every metric derived from a run are
 //! byte-identical for any physical shard count and any worker-thread
 //! count. `tests/shard_determinism.rs` enforces exactly that matrix.
 //!
+//! A shard's queue is not popped in key order, though: it pops by time
+//! and, within one instant, in the order the events were queued. That
+//! lets the barrier land a burst of deliveries behind one heap slot (see
+//! *Data layout*), and no output can see it:
+//!
+//! 1. one actor's events still run in key order. Its seqs are drawn in
+//!    queueing order: [`ShardSim::schedule`] queues each at once, a
+//!    handler's self-schedules are queued right after it returns, in
+//!    draw order, and the merge draws and queues deliveries in its one
+//!    sorted order. So of an actor's events due at one instant, the one
+//!    with the lower seq was queued first;
+//! 2. events of different actors at one instant commute: a handler
+//!    touches only its own actor's state, its RNG and its [`EventCtx`],
+//!    whose sends and emits the barrier sorts by key.
+//!
 //! # Why the cross-shard merge is deterministic
 //!
-//! Within a time step `T` a shard executes its local events in key
-//! order. An event may freely mutate *its own actor* (state, RNG,
-//! same-actor schedules); effects on **other** actors must go through
-//! [`EventCtx::send`], which only buffers the message. At the barrier
-//! the engine gathers every buffered message, sorts them by
+//! Within a time step `T` a shard executes its local events due at `T`,
+//! each actor's in key order. An event may freely mutate *its own actor*
+//! (state, RNG, same-actor schedules); effects on **other** actors must
+//! go through [`EventCtx::send`], which only buffers the message. At the
+//! barrier the engine gathers every buffered message, sorts them by
 //! `(sender key, send index)` — again partition-independent — and
 //! delivers them in that order, drawing each delivery's `seq` from the
 //! destination actor's counter. Two invariants follow:
@@ -65,18 +81,27 @@
 //! A shard keeps its actors in two parallel vectors sorted by id. A
 //! lookup first tries the dense index `id / shards`, where ids
 //! registered as `0..n` sit, and checks the id found there; a miss falls
-//! back to binary search, so ids may still come in any order. A shard's
-//! queue heap sifts 32-byte `(key, slot)` pairs; the events wait in a
-//! slab whose slots are reused as events pop. A shard keeps its round
-//! buffers (sends, emits, the executing event's self-schedules) across
-//! rounds. The barrier appends every shard's output into two buffers of
-//! its own, sorts them and drains them, so once capacities settle a
-//! round allocates nothing.
+//! back to binary search, so ids may still come in any order.
+//!
+//! A shard's queue heap sifts 24-byte slots ordered by `(time, stamp)`,
+//! where the stamp counts the shard's heap pushes. The events wait with
+//! their keys in a slab whose slots are reused as events pop. The
+//! barrier stages each delivery on its destination shard in merge order,
+//! and each stretch of deliveries due at one instant lands as one *run*:
+//! a list of slab slots behind a single heap slot, popped without
+//! touching the heap until it empties, then recycled. `schedule` and
+//! self-schedules get plain slots.
+//!
+//! A shard keeps its round buffers (sends, emits, the executing event's
+//! self-schedules) across rounds. The barrier appends every shard's
+//! output into two buffers of its own, sorts them and drains them, so
+//! once capacities settle a round allocates nothing.
 
 use crate::hash::{fnv1a, FNV_OFFSET};
 use crate::rng::DetRng;
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 use std::fmt;
 
@@ -85,14 +110,14 @@ use std::fmt;
 ///
 /// A round handed to scoped workers costs ≈ 150 µs more than one
 /// stepped on the calling thread on a 2-vCPU host (the 10k-device
-/// fleet's 2-thread run over its 288 parallel rounds), against ~0.4 µs
+/// fleet's 2-thread run over its 288 parallel rounds), against ~0.5 µs
 /// for a round stepped sequentially (perfbench
 /// `simkit.shard.barrier_us`). Two workers at best halve a round's
 /// event work, so a round of `n` events at `c` per event repays a
-/// hand-off of `h` once `n · c / 2 > h`, i.e. `n > 2 · h / c`: ≈ 400
-/// events at the broker fleet's ~0.76 µs per event
+/// hand-off of `h` once `n · c / 2 > h`, i.e. `n > 2 · h / c`: ≈ 490
+/// events at the broker fleet's ~0.61 µs per event
 /// (`simkit.shard.event_ns`, handler included, median of four traced
-/// runs) and ≈ 2,100 at the bare engine's ~140 ns
+/// runs at seed 1301) and ≈ 3,200 at the bare engine's ~94 ns
 /// (`simkit.shard.engine_event_ns`). 512 sits between the two: the
 /// fleet's ~5-event rounds stay on the calling thread, scale_city's
 /// 8k–32k-event rounds go parallel.
@@ -231,11 +256,7 @@ impl Log2Hist {
 
     /// Integer mean of recorded values (0 when empty).
     pub fn mean(&self) -> u64 {
-        if self.total == 0 {
-            0
-        } else {
-            self.sum / self.total
-        }
+        self.sum.checked_div(self.total).unwrap_or(0)
     }
 
     /// Non-empty buckets as `(exclusive_upper_bound, count)`, ascending.
@@ -312,18 +333,23 @@ impl EngineProfile {
     }
 }
 
-/// A heap slot: an event's key and where its payload waits. The heap
-/// sifts these 32 bytes, never the event itself. (A
-/// `Reverse<(EventKey, usize)>` would spare the impls below but ran
-/// ~2 % slower.)
+/// Tags a heap slot's `at` as an index into the run list rather than
+/// the slab.
+const RUN: usize = 1 << (usize::BITS - 1);
+
+/// A heap slot, 24 bytes: an instant, a queueing stamp, and where the
+/// slot's events wait: one slab slot, or a run (`at` tagged with
+/// [`RUN`]). Stamps are unique within a queue, so `(time, stamp)` is a
+/// total order over slots.
 struct Slot {
-    key: EventKey,
+    time: SimTime,
+    stamp: u64,
     at: usize,
 }
 
 impl PartialEq for Slot {
     fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
+        (self.time, self.stamp) == (other.time, other.stamp)
     }
 }
 impl Eq for Slot {}
@@ -333,20 +359,35 @@ impl PartialOrd for Slot {
     }
 }
 impl Ord for Slot {
-    // BinaryHeap is a max-heap; invert so the smallest key pops first.
+    // BinaryHeap is a max-heap; invert so the earliest slot pops first.
     fn cmp(&self, other: &Self) -> Ordering {
-        other.key.cmp(&self.key)
+        (other.time, other.stamp).cmp(&(self.time, self.stamp))
     }
 }
 
-/// A shard's event queue: a min-heap of keys, with each payload in a
-/// slab slot that is reused once its event pops. Keys are unique, so it
-/// pops in the one total order a heap of whole events would.
+/// A shard's event queue. Events pop by time and, within one instant,
+/// in the order they were queued. Each event waits with its key in a
+/// slab slot that is reused once it pops; the min-heap holds one slot
+/// per pushed event, or one per *run*: a stretch of merged deliveries
+/// due at one instant, landed behind a single heap slot, whose pops
+/// touch no heap level until it empties.
 struct Queue<E> {
     heap: BinaryHeap<Slot>,
-    events: Vec<Option<E>>,
+    events: Vec<Option<(EventKey, E)>>,
     /// Slab slots whose events have popped.
     free: Vec<usize>,
+    /// Each run's slab slots in queueing order, the next one last.
+    runs: Vec<Vec<usize>>,
+    /// Runs that have emptied.
+    free_runs: Vec<usize>,
+    /// The slab slots of the stretch [`Queue::stage`] is filling, in
+    /// queueing order, all due at `staged_at`.
+    staged: Vec<usize>,
+    staged_at: SimTime,
+    /// Stamps handed out; the next slot gets this one.
+    stamp: u64,
+    /// Queued events, staged ones included (not heap slots).
+    len: usize,
 }
 
 impl<E> Queue<E> {
@@ -355,35 +396,105 @@ impl<E> Queue<E> {
             heap: BinaryHeap::new(),
             events: Vec::new(),
             free: Vec::new(),
+            runs: Vec::new(),
+            free_runs: Vec::new(),
+            staged: Vec::new(),
+            staged_at: SimTime::ZERO,
+            stamp: 0,
+            len: 0,
         }
     }
 
     fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
-    fn peek_key(&self) -> Option<EventKey> {
-        self.heap.peek().map(|s| s.key)
+    fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|s| s.time)
     }
 
-    /// Queues `ev` under `key` in a free slot, or in a new one.
-    fn push(&mut self, key: EventKey, ev: E) {
+    /// Stores `(key, ev)` in a free slab slot, or in a new one.
+    fn store(&mut self, key: EventKey, ev: E) -> usize {
+        self.len += 1;
         let at = self.free.pop().unwrap_or(self.events.len());
         match self.events.get_mut(at) {
-            Some(slot) => *slot = Some(ev),
-            None => self.events.push(Some(ev)),
+            Some(slot) => *slot = Some((key, ev)),
+            None => self.events.push(Some((key, ev))),
         }
-        self.heap.push(Slot { key, at });
+        at
     }
 
-    /// Removes the smallest key with its payload and frees its slot.
-    /// The payload is `None` only if the slab lost it, which no `push`
-    /// does.
-    fn pop(&mut self) -> Option<(EventKey, Option<E>)> {
-        let Slot { key, at } = self.heap.pop()?;
-        let ev = self.events.get_mut(at).and_then(Option::take);
+    fn push_slot(&mut self, time: SimTime, at: usize) {
+        self.heap.push(Slot {
+            time,
+            stamp: self.stamp,
+            at,
+        });
+        self.stamp += 1;
+    }
+
+    /// Queues `ev` under `key` behind a heap slot of its own. A stretch
+    /// still staged would pop after it though queued before it, so the
+    /// barrier lands every shard before anything pushes again.
+    fn push(&mut self, key: EventKey, ev: E) {
+        debug_assert!(self.staged.is_empty(), "push while a stretch is staged");
+        let at = self.store(key, ev);
+        self.push_slot(key.time, at);
+    }
+
+    /// Queues `ev` under `key` as the last event of the staged stretch
+    /// when it is due at the stretch's instant, or else lands that
+    /// stretch and opens a new one. Nothing pops a staged event before
+    /// [`Queue::land`].
+    fn stage(&mut self, key: EventKey, ev: E) {
+        if key.time != self.staged_at {
+            self.land();
+            self.staged_at = key.time;
+        }
+        let at = self.store(key, ev);
+        self.staged.push(at);
+    }
+
+    /// Lands the staged stretch: one event becomes a plain slot, more
+    /// become a run behind one slot. The run takes the staging buffer,
+    /// and an emptied run's buffer takes its place.
+    fn land(&mut self) {
+        if self.staged.len() > 1 {
+            self.staged.reverse();
+            let r = self.free_runs.pop().unwrap_or(self.runs.len());
+            if r == self.runs.len() {
+                self.runs.push(Vec::new());
+            }
+            if let Some(run) = self.runs.get_mut(r) {
+                std::mem::swap(run, &mut self.staged);
+            }
+            self.push_slot(self.staged_at, r | RUN);
+        } else if let Some(at) = self.staged.pop() {
+            self.push_slot(self.staged_at, at);
+        }
+    }
+
+    /// Removes the next event due at `t` and frees its slot, and its
+    /// run if that empties. `None` when the earliest slot is later
+    /// than `t` or the queue is empty (or if the slab lost the event,
+    /// which nothing does).
+    fn pop_at(&mut self, t: SimTime) -> Option<(EventKey, E)> {
+        let top = self.heap.peek_mut().filter(|s| s.time == t)?;
+        let at = if top.at & RUN == 0 {
+            PeekMut::pop(top).at
+        } else {
+            let r = top.at & !RUN;
+            let run = self.runs.get_mut(r)?;
+            let at = run.pop()?;
+            if run.is_empty() {
+                PeekMut::pop(top);
+                self.free_runs.push(r);
+            }
+            at
+        };
+        self.len -= 1;
         self.free.push(at);
-        Some((key, ev))
+        self.events.get_mut(at)?.take()
     }
 }
 
@@ -425,7 +536,7 @@ impl<A, E> ShardState<A, E> {
     }
 
     fn head_time(&self) -> Option<SimTime> {
-        self.queue.peek_key().map(|k| k.time)
+        self.queue.peek_time()
     }
 
     fn slot(&self, shards: u64, actor: ActorId) -> Option<&ActorSlot<A>> {
@@ -780,10 +891,11 @@ where
         }
     }
 
-    /// One time step: every shard drains its events at `t` (in key
-    /// order; across shards in parallel when the previous round was big
-    /// enough to repay the hand-off), then the barrier merges
-    /// cross-shard traffic and transcript records deterministically.
+    /// One time step: every shard drains its events at `t` (in queueing
+    /// order, so each actor's in key order; across shards in parallel
+    /// when the previous round was big enough to repay the hand-off),
+    /// then the barrier merges cross-shard traffic and transcript
+    /// records deterministically.
     fn round(&mut self, t: SimTime) {
         self.rounds += 1;
         let threads = if self.last_round_events >= PARALLEL_CROSSOVER_EVENTS {
@@ -845,11 +957,17 @@ where
             };
             slot.next_seq += 1;
             self.messages += 1;
-            home.queue.push(key, m.ev);
+            home.queue.stage(key, m.ev);
         }
 
-        // Queue peaks after the merge landed its deliveries.
-        for (peak, shard) in self.profile.queue_peak_per_shard.iter_mut().zip(&self.shards) {
+        // Land each shard's staged deliveries, then take its queue peak.
+        for (peak, shard) in self
+            .profile
+            .queue_peak_per_shard
+            .iter_mut()
+            .zip(&mut self.shards)
+        {
+            shard.queue.land();
             let depth = shard.queue.len() as u64;
             if depth > *peak {
                 *peak = depth;
@@ -869,8 +987,8 @@ where
     }
 }
 
-/// Drains one shard's events due exactly at `t`, in key order, into the
-/// shard's round buffers. `shards` is the engine's shard count.
+/// Drains one shard's events due exactly at `t`, in queueing order, into
+/// the shard's round buffers. `shards` is the engine's shard count.
 fn drain_step<A, E, H>(shard: &mut ShardState<A, E>, shards: u64, t: SimTime, handler: &H)
 where
     H: Fn(&mut A, &mut EventCtx<'_, E>, E),
@@ -885,12 +1003,7 @@ where
         local,
     } = shard;
     *processed = 0;
-    while queue.peek_key().is_some_and(|k| k.time == t) {
-        // Unreachable miss: the head was just peeked, and every queued
-        // key has its payload. An empty queue ends the loop.
-        let Some((key, Some(ev))) = queue.pop() else {
-            continue;
-        };
+    while let Some((key, ev)) = queue.pop_at(t) {
         let Some(slot) = position(ids, shards, key.actor).and_then(|i| slots.get_mut(i)) else {
             // Unreachable: events are only ever scheduled on registered
             // actors, and actors are never removed. Nothing counts it.
@@ -1008,74 +1121,219 @@ mod tests {
     }
 
     #[test]
-    fn queue_pops_in_key_order_and_reuses_its_slots() {
-        use std::cmp::Reverse;
+    fn queue_pops_each_instant_in_queueing_order() {
+        use std::collections::BTreeMap;
         // Each payload is its own key, so a payload fetched from another
-        // slot shows up as a mismatched pair.
+        // slot shows up as a mismatched pair. The reference orders every
+        // queued key by `(time, queueing order)` and notes the staged
+        // stretch it came in (0 for a push); a landed stretch of two or
+        // more is a live run until its last event pops.
         let mut queue: Queue<EventKey> = Queue::new();
-        let mut reference = BinaryHeap::new();
+        let mut reference: BTreeMap<(SimTime, u64), (EventKey, u64)> = BTreeMap::new();
+        let mut live_runs: BTreeMap<u64, usize> = BTreeMap::new();
         let mut rng = DetRng::new(0x51ab);
         let mut next_seq = [0u64; 4];
-        let mut last: Option<EventKey> = None;
-        let mut peak = 0;
-        let mut popped = 0;
+        let mut queued = 0u64;
+        let mut stretches = 0u64;
+        let mut now = SimTime::ZERO;
+        let mut last_popped: Option<EventKey> = None;
+        let mut last_of_actor = [None::<EventKey>; 4];
+        let (mut peak, mut peak_runs, mut popped, mut run_pops) = (0, 0, 0, 0);
+        let mut key_on = |actor: usize, time: SimTime| {
+            let seq = next_seq[actor];
+            next_seq[actor] += 1;
+            EventKey {
+                time,
+                actor: ActorId(actor as u64),
+                seq,
+            }
+        };
         for step in 0..20_000 {
-            // Five pushes to four pops: the queue grows as it churns.
-            let draw = rng.range_u64(0, 9);
-            let key = match (draw, last) {
-                // Push at the last popped instant or just after it: most
-                // keys share a time and differ in actor and seq.
-                (0..=3, _) | (4, None) => {
-                    let actor = rng.index(4);
-                    let time = last.map_or(0, |k| k.time.as_micros()) + rng.range_u64(0, 3) / 2;
-                    let seq = next_seq[actor];
-                    next_seq[actor] += 1;
-                    Some(EventKey {
-                        time: SimTime::from_micros(time),
-                        actor: ActorId(actor as u64),
-                        seq,
-                    })
-                }
-                // A zero-delay self-schedule: just above the last key
-                // popped, on its actor at its instant.
-                (4, Some(k)) => {
-                    let actor = k.actor.0 as usize;
-                    let seq = next_seq[actor];
-                    next_seq[actor] += 1;
-                    Some(EventKey { seq, ..k })
-                }
-                _ => None,
-            };
-            match key {
-                Some(key) => {
+            // Phases of 2,000 steps alternately grow and shrink the queue,
+            // so the slab and the run list must reuse what has popped.
+            let draws = if (step / 2_000) % 2 == 0 { 10 } else { 30 };
+            match rng.range_u64(0, draws) {
+                // A push at the last popped instant or just after it.
+                0..=2 => {
+                    let dt = SimDuration::from_micros(rng.range_u64(0, 3) / 2);
+                    let key = key_on(rng.index(4), now + dt);
                     queue.push(key, key);
-                    reference.push(Reverse(key));
+                    reference.insert((key.time, queued), (key, 0));
+                    queued += 1;
                 }
-                None => {
-                    let want = reference.pop().map(|Reverse(k)| (k, Some(k)));
-                    let got = queue.pop();
-                    assert_eq!(got, want, "pop {popped} at step {step}");
-                    last = got.map(|(k, _)| k).or(last);
-                    popped += 1;
+                // A zero-delay self-schedule of the last popped event.
+                3 => {
+                    if let Some(k) = last_popped {
+                        let key = key_on(k.actor.0 as usize, k.time);
+                        queue.push(key, key);
+                        reference.insert((key.time, queued), (key, 0));
+                        queued += 1;
+                    }
+                }
+                // A merge: stages on random actors, mostly at the previous
+                // stage's instant, one to three microseconds ahead.
+                4 => {
+                    let mut open: Option<(SimTime, usize)> = None;
+                    for _ in 0..rng.range_u64(1, 13) {
+                        let time = match open {
+                            Some((t, _)) if rng.index(4) > 0 => t,
+                            _ => now + SimDuration::from_micros(rng.range_u64(1, 4)),
+                        };
+                        match open {
+                            Some((t, n)) if t == time => open = Some((t, n + 1)),
+                            _ => {
+                                if let Some((_, n)) = open.filter(|o| o.1 > 1) {
+                                    live_runs.insert(stretches, n);
+                                }
+                                stretches += 1;
+                                open = Some((time, 1));
+                            }
+                        }
+                        let key = key_on(rng.index(4), time);
+                        queue.stage(key, key);
+                        reference.insert((time, queued), (key, stretches));
+                        queued += 1;
+                    }
+                    if let Some((_, n)) = open.filter(|o| o.1 > 1) {
+                        live_runs.insert(stretches, n);
+                    }
+                    queue.land();
+                }
+                _ => {
+                    let head = queue.peek_time();
+                    if let Some(t) = head {
+                        let later = t + SimDuration::from_micros(1);
+                        assert_eq!(queue.pop_at(later), None, "popped past the head");
+                    }
+                    let want = reference.pop_first().map(|(_, entry)| entry);
+                    let got = head.and_then(|t| queue.pop_at(t));
+                    assert_eq!(
+                        got,
+                        want.map(|(k, _)| (k, k)),
+                        "pop {popped} at step {step}"
+                    );
+                    if let Some((key, stretch)) = want {
+                        let last = &mut last_of_actor[key.actor.0 as usize];
+                        assert!(last.is_none_or(|l| l < key), "{key} popped after {last:?}");
+                        *last = Some(key);
+                        if let Some(n) = live_runs.get_mut(&stretch) {
+                            run_pops += 1;
+                            *n -= 1;
+                            if *n == 0 {
+                                live_runs.remove(&stretch);
+                            }
+                        }
+                        now = key.time;
+                        last_popped = Some(key);
+                        popped += 1;
+                    }
                 }
             }
-            assert_eq!(queue.len(), reference.len());
-            assert_eq!(queue.peek_key(), reference.peek().map(|r| r.0));
+            assert_eq!(queue.len(), reference.len(), "len counts events");
+            assert_eq!(
+                queue.peek_time(),
+                reference.first_key_value().map(|((t, _), _)| *t)
+            );
             peak = peak.max(queue.len());
+            peak_runs = peak_runs.max(live_runs.len());
             assert!(
                 queue.events.len() <= peak,
                 "slab grew to {} slots, peak queue {peak}",
                 queue.events.len()
             );
+            assert!(
+                queue.runs.len() <= peak_runs,
+                "run list grew to {} runs, peak live {peak_runs}",
+                queue.runs.len()
+            );
         }
-        while let Some(Reverse(k)) = reference.pop() {
-            assert_eq!(queue.pop(), Some((k, Some(k))));
+        while let Some((_, (k, _))) = reference.pop_first() {
+            assert_eq!(queue.pop_at(k.time), Some((k, k)));
         }
-        assert_eq!(queue.pop(), None);
+        assert_eq!((queue.peek_time(), queue.len()), (None, 0));
         assert!(
-            popped > 5_000 && peak > 1_000,
-            "popped {popped}, peak {peak}"
+            popped > 5_000 && peak > 1_000 && run_pops > 2_000 && peak_runs > 10,
+            "popped {popped}, peak {peak}, run pops {run_pops}, peak runs {peak_runs}"
         );
+    }
+
+    #[test]
+    fn engine_runs_match_their_known_answers() {
+        // Pinned from the engine that ran each instant's events in
+        // `(actor, seq)` order: the queueing-order pop must not move them.
+        let (digest, _, events) = ring_run(7, 24, 1, 1);
+        assert_eq!((digest, events), (0xb4d5_3f00_7987_afe5, 144));
+        let ((digest, _, events), profile) = busy_run(1, 1);
+        assert_eq!(
+            (digest, events, profile.rounds),
+            (0xd4b4_b924_d224_f2f2, 13_461, 5)
+        );
+    }
+
+    /// A fan-in world: every actor first messages one of four sinks, so
+    /// ten senders with distinct payloads land on each at one instant;
+    /// later hops re-run their actor at once, message a sink, or fan out
+    /// to three actors. Every handler checks that its actor's keys run in
+    /// ascending order.
+    fn fan_in_run(shards: u32, threads: u32) -> (u64, Vec<String>, u64) {
+        const N: u64 = 40;
+        const HOPS: u32 = 6;
+        let cfg = ShardConfig {
+            seed: 29,
+            shards,
+            threads,
+            record_transcript: true,
+        };
+        let handler = |last: &mut Option<EventKey>,
+                       ctx: &mut EventCtx<'_, (u64, u32)>,
+                       (from, hop): (u64, u32)| {
+            let key = ctx.key();
+            assert!(last.is_none_or(|l| l < key), "{key} ran after {last:?}");
+            *last = Some(key);
+            let draw = ctx.rng().next_u64() & 0xffff;
+            ctx.emit(format!("from={from} hop={hop} draw={draw}"));
+            let me = ctx.actor().0;
+            let delay = SimDuration::from_millis(2);
+            match (hop, draw % 3) {
+                (0, _) => {}
+                (HOPS, _) | (_, 1) => ctx.send(ActorId(me % 4), delay, (me, hop - 1)),
+                (_, 0) => ctx.schedule_self(SimDuration::ZERO, (me, hop - 1)),
+                _ => {
+                    for k in 1..=3 {
+                        ctx.send(ActorId((me * 7 + k) % N), delay, (me, hop - 1));
+                    }
+                }
+            }
+        };
+        let mut sim = ShardSim::new(cfg, handler);
+        for a in 0..N {
+            sim.add_actor(ActorId(a), None);
+        }
+        for a in 0..N {
+            sim.schedule(ActorId(a), SimTime::ZERO, (a, HOPS)).unwrap();
+        }
+        sim.run_until_idle();
+        (
+            sim.digest(),
+            sim.transcript().to_vec(),
+            sim.events_processed(),
+        )
+    }
+
+    #[test]
+    fn fan_in_keeps_each_actors_key_order_at_any_layout() {
+        let reference = fan_in_run(1, 1);
+        // Pinned from the key-ordered engine, like the runs above.
+        assert_eq!((reference.0, reference.2), (0x7e49_1f05_95f8_0b4b, 1_138));
+        for shards in [1u32, 4, 16] {
+            for threads in [1u32, ShardConfig::max_threads()] {
+                let got = fan_in_run(shards, threads);
+                assert_eq!(
+                    got, reference,
+                    "diverged at shards={shards} threads={threads}"
+                );
+            }
+        }
     }
 
     #[test]

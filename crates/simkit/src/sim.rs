@@ -189,10 +189,7 @@ impl Sim {
         loop {
             let due = {
                 let inner = self.inner.borrow();
-                match inner.queue.peek() {
-                    Some(e) if e.at <= deadline => true,
-                    _ => false,
-                }
+                inner.queue.peek().is_some_and(|e| e.at <= deadline)
             };
             if !due {
                 break;

@@ -52,7 +52,9 @@ impl TimeSeries {
         if let Some(&(last, _)) = self.points.last() {
             assert!(t >= last, "samples must be time-ordered");
             if t == last {
-                self.points.last_mut().expect("nonempty").1 = value;
+                if let Some(p) = self.points.last_mut() {
+                    p.1 = value;
+                }
                 return;
             }
         }
@@ -76,20 +78,20 @@ impl TimeSeries {
 
     /// Value in effect at time `t` (`None` before the first sample).
     pub fn value_at(&self, t: SimTime) -> Option<f64> {
-        match self.points.partition_point(|&(pt, _)| pt <= t) {
-            0 => None,
-            i => Some(self.points[i - 1].1),
-        }
+        let i = self.points.partition_point(|&(pt, _)| pt <= t);
+        self.points.get(i.checked_sub(1)?).map(|&(_, v)| v)
     }
 
     /// Largest recorded value (`None` if empty).
     pub fn max_value(&self) -> Option<f64> {
-        self.points.iter().map(|&(_, v)| v).fold(None, |acc, v| {
-            Some(match acc {
+        let mut max = None;
+        for &(_, v) in &self.points {
+            max = Some(match max {
                 None => v,
-                Some(m) => m.max(v),
-            })
-        })
+                Some(m) => f64::max(m, v),
+            });
+        }
+        max
     }
 
     /// Integral of the step function over `[from, to]`, in value × seconds.
@@ -162,7 +164,9 @@ impl TimeSeries {
                 // row 0 is the top of the plot
                 let level = height - 1 - row;
                 if level <= bar && v > 0.0 || (level == 0) {
-                    grid_row[col] = if level == bar { '*' } else { '.' };
+                    if let Some(cell) = grid_row.get_mut(col) {
+                        *cell = if level == bar { '*' } else { '.' };
+                    }
                 }
             }
         }
