@@ -91,7 +91,10 @@ impl std::fmt::Display for Violation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Violation::Missing { scenario, id } => {
-                write!(f, "{scenario}/{id}: pinned in the baseline but missing from this run")
+                write!(
+                    f,
+                    "{scenario}/{id}: pinned in the baseline but missing from this run"
+                )
             }
             Violation::UnitChanged {
                 scenario,

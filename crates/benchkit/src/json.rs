@@ -230,7 +230,7 @@ impl Parser<'_> {
         self.bytes.get(self.pos).copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), String> {
+    fn expect_byte(&mut self, b: u8) -> Result<(), String> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
@@ -240,7 +240,11 @@ impl Parser<'_> {
     }
 
     fn eat_literal(&mut self, lit: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self
+            .bytes
+            .get(self.pos..)
+            .is_some_and(|rest| rest.starts_with(lit.as_bytes()))
+        {
             self.pos += lit.len();
             true
         } else {
@@ -265,7 +269,10 @@ impl Parser<'_> {
 
     fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
         if self.depth == MAX_DEPTH {
-            return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
         }
         self.depth += 1;
         let v = parse(self);
@@ -274,7 +281,7 @@ impl Parser<'_> {
     }
 
     fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
+        self.expect_byte(b'{')?;
         let mut entries = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
@@ -285,7 +292,7 @@ impl Parser<'_> {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
-            self.expect(b':')?;
+            self.expect_byte(b':')?;
             let v = self.value()?;
             entries.push((key, v));
             self.skip_ws();
@@ -301,7 +308,7 @@ impl Parser<'_> {
     }
 
     fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
+        self.expect_byte(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
@@ -323,7 +330,7 @@ impl Parser<'_> {
     }
 
     fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
+        self.expect_byte(b'"')?;
         let mut out = String::new();
         loop {
             let start = self.pos;
@@ -334,8 +341,10 @@ impl Parser<'_> {
                 self.pos += 1;
             }
             out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| format!("invalid UTF-8 near byte {start}"))?,
+                self.bytes
+                    .get(start..self.pos)
+                    .and_then(|run| std::str::from_utf8(run).ok())
+                    .ok_or_else(|| format!("invalid UTF-8 near byte {start}"))?,
             );
             match self.peek() {
                 Some(b'"') => {
@@ -358,10 +367,11 @@ impl Parser<'_> {
                         b'b' => out.push('\u{8}'),
                         b'f' => out.push('\u{c}'),
                         b'u' => {
-                            if self.pos + 4 > self.bytes.len() {
-                                return Err("truncated \\u escape".to_owned());
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
+                            let hex = self
+                                .bytes
+                                .get(self.pos..self.pos + 4)
+                                .ok_or_else(|| "truncated \\u escape".to_owned())?;
+                            let hex = std::str::from_utf8(hex)
                                 .map_err(|_| "bad \\u escape".to_owned())?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| format!("bad \\u escape '{hex}'"))?;
@@ -390,8 +400,11 @@ impl Parser<'_> {
                 break;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "non-UTF-8 number".to_owned())?;
+        let text = self
+            .bytes
+            .get(start..self.pos)
+            .and_then(|digits| std::str::from_utf8(digits).ok())
+            .ok_or_else(|| "non-UTF-8 number".to_owned())?;
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| format!("bad number '{text}' at byte {start}"))

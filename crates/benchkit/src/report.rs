@@ -189,9 +189,24 @@ pub fn render_measurement_table(rows: &[Measurement]) -> String {
             )
         })
         .collect();
-    let w_label = cells.iter().map(|c| c.0.len()).chain([9]).max().unwrap_or(9);
-    let w_meas = cells.iter().map(|c| c.1.len()).chain([8]).max().unwrap_or(8);
-    let w_paper = cells.iter().map(|c| c.2.len()).chain([5]).max().unwrap_or(5);
+    let w_label = cells
+        .iter()
+        .map(|c| c.0.len())
+        .chain([9])
+        .max()
+        .unwrap_or(9);
+    let w_meas = cells
+        .iter()
+        .map(|c| c.1.len())
+        .chain([8])
+        .max()
+        .unwrap_or(8);
+    let w_paper = cells
+        .iter()
+        .map(|c| c.2.len())
+        .chain([5])
+        .max()
+        .unwrap_or(5);
     let _ = writeln!(
         out,
         "{:<w_label$}  {:>w_meas$}  {:>w_paper$}  note",
@@ -199,7 +214,10 @@ pub fn render_measurement_table(rows: &[Measurement]) -> String {
     );
     let _ = writeln!(out, "{}", "-".repeat(w_label + w_meas + w_paper + 10));
     for (label, meas, paper, note) in &cells {
-        let _ = writeln!(out, "{label:<w_label$}  {meas:>w_meas$}  {paper:>w_paper$}  {note}");
+        let _ = writeln!(
+            out,
+            "{label:<w_label$}  {meas:>w_meas$}  {paper:>w_paper$}  {note}"
+        );
     }
     out
 }
@@ -258,9 +276,8 @@ mod tests {
 
     fn toy_report() -> ScenarioReport {
         let mut r = ScenarioReport::new("toy", "Toy", "Table 0", 42);
-        r.measurements.push(
-            Measurement::scalar("m", "a metric", Unit::Millis, 1.5).with_paper(1.4),
-        );
+        r.measurements
+            .push(Measurement::scalar("m", "a metric", Unit::Millis, 1.5).with_paper(1.4));
         r.checks.push(Check {
             id: "c".into(),
             label: "a check".into(),
@@ -285,7 +302,10 @@ mod tests {
         assert!(text.contains("--- plot ---"));
         let j = r.to_json();
         assert_eq!(j.get("seed").and_then(Json::as_f64), Some(42.0));
-        assert_eq!(j.get("measurements").and_then(Json::as_arr).unwrap().len(), 1);
+        assert_eq!(
+            j.get("measurements").and_then(Json::as_arr).unwrap().len(),
+            1
+        );
         assert_eq!(j.get("checks").and_then(Json::as_arr).unwrap().len(), 1);
     }
 
@@ -295,7 +315,10 @@ mod tests {
         rep.scenarios.push(toy_report());
         let doc = Json::parse(&rep.to_json_string()).expect("valid JSON");
         assert_eq!(doc.get("schema").and_then(Json::as_str), Some(SCHEMA));
-        assert_eq!(doc.get("scenarios").and_then(Json::as_arr).unwrap().len(), 1);
+        assert_eq!(
+            doc.get("scenarios").and_then(Json::as_arr).unwrap().len(),
+            1
+        );
     }
 
     #[test]

@@ -225,12 +225,7 @@ mod tests {
         fn run(&self, ctx: &mut RunCtx) {
             obskit::count("toy_runs", 1);
             obskit::observe("toy_lat_us", 1234);
-            let root = obskit::start(
-                obskit::Phase::Transfer,
-                "t",
-                None,
-                simkit::SimTime::ZERO,
-            );
+            let root = obskit::start(obskit::Phase::Transfer, "t", None, simkit::SimTime::ZERO);
             obskit::end(root, simkit::SimTime::from_millis(4));
             ctx.push(Measurement::scalar("m", "metric", Unit::Millis, 4.0));
             assert!(ctx.check_band("b", "band", 4.0, Some(1.0), Some(10.0), Unit::Millis));

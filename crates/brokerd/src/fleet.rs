@@ -19,10 +19,9 @@ use crate::federation::LoadDigest;
 use crate::node::{BrokerNode, DirEntry, Effect, NodeConfig, NodeStats};
 use crate::packet::{BrokerId, ContextPacket, PacketSeq};
 use crate::table::SubMode;
-use obskit::Histogram;
 use simkit::faults::{FaultPlan, LinkChaos, LinkFault};
 use simkit::shard::{ActorId, EngineProfile, EventCtx, ShardConfig, ShardSim};
-use simkit::{SimDuration, SimTime};
+use simkit::{Histogram, SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use tracekit::{Stage, TraceCtx, TraceLog};

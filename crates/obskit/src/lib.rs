@@ -8,7 +8,9 @@
 //! that lets the reproduction make the same attributions:
 //!
 //! * [`Registry`] — counters, gauges and log2-bucketed [`Histogram`]s,
-//!   BTree-ordered with exact merge and quantile support;
+//!   BTree-ordered with exact merge and quantile support (the histogram
+//!   is simkit's, re-exported here: the engine profile records into the
+//!   same type, and simkit cannot depend on obskit);
 //! * [`SpanLog`] — spans keyed on [`SimTime`] with parent/child ids and
 //!   typed [`Phase`] labels;
 //! * exporters — JSONL span stream ([`SpanLog::export_jsonl`]),
@@ -58,13 +60,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod hist;
 pub mod json;
 mod metrics;
 mod span;
 
-pub use hist::Histogram;
 pub use metrics::Registry;
+pub use simkit::Histogram;
 pub use span::{Breakup, Phase, Span, SpanId, SpanLog};
 
 use simkit::SimTime;
@@ -122,7 +123,10 @@ impl Obs {
         parent: Option<SpanId>,
         now: SimTime,
     ) -> SpanId {
-        self.inner.borrow_mut().spans.start(phase, label, parent, now)
+        self.inner
+            .borrow_mut()
+            .spans
+            .start(phase, label, parent, now)
     }
 
     /// Closes a span (no-op for unknown/closed ids).
@@ -138,7 +142,10 @@ impl Obs {
         parent: Option<SpanId>,
         now: SimTime,
     ) -> SpanId {
-        self.inner.borrow_mut().spans.event(phase, label, parent, now)
+        self.inner
+            .borrow_mut()
+            .spans
+            .event(phase, label, parent, now)
     }
 
     // --- inspection ---

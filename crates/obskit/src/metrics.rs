@@ -6,8 +6,8 @@
 //! insertion history. Merging registries (for roll-ups across phones or
 //! runs) is supported for all three kinds.
 
-use crate::hist::Histogram;
 use crate::json::{escape_into, fmt_f64};
+use simkit::Histogram;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -38,7 +38,10 @@ impl Registry {
 
     /// Records `v` into the histogram `name` (creating it if absent).
     pub fn observe(&mut self, name: &str, v: u64) {
-        self.histograms.entry(name.to_owned()).or_default().record(v);
+        self.histograms
+            .entry(name.to_owned())
+            .or_default()
+            .record(v);
     }
 
     /// Current value of a counter (0 if never touched).
@@ -133,7 +136,7 @@ impl Registry {
                 h.sum(),
                 h.min(),
                 h.max(),
-                fmt_f64(h.mean()),
+                fmt_f64(h.mean_f64()),
                 h.quantile(0.50),
                 h.quantile(0.90),
                 h.quantile(0.99),

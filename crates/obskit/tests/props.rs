@@ -1,5 +1,5 @@
-//! Property tests for the obskit histogram and a same-seed determinism
-//! check over the exporters.
+//! Property tests for the histogram obskit re-exports and a same-seed
+//! determinism check over the exporters.
 //!
 //! The histogram properties pin down the invariants the break-up and
 //! snapshot reports rely on: recording never loses mass, merging two
@@ -97,7 +97,7 @@ fn workload(seed: u64) -> Obs {
     let mut open = Vec::new();
     for i in 0..200u64 {
         let step = SimDuration::from_micros(1 + rng.range_u64(0, 5_000));
-        now = now + step;
+        now += step;
         let phase = phases[(rng.range_u64(0, phases.len() as u64 - 1)) as usize];
         obskit::count("ops", 1);
         obskit::count(&format!("ops_{}", phase.as_str()), 1);
@@ -109,13 +109,13 @@ fn workload(seed: u64) -> Obs {
         }
         if rng.range_u64(0, 2) == 0 {
             if let Some(span) = open.pop() {
-                now = now + SimDuration::from_micros(rng.range_u64(0, 2_000));
+                now += SimDuration::from_micros(rng.range_u64(0, 2_000));
                 obskit::end(Some(span), now);
             }
         }
     }
     while let Some(span) = open.pop() {
-        now = now + SimDuration::from_micros(17);
+        now += SimDuration::from_micros(17);
         obskit::end(Some(span), now);
     }
     obs

@@ -157,13 +157,11 @@ impl FaultPlan {
     /// # Panics
     ///
     /// Panics if `down_for` is zero.
-    pub fn crash_restart(
-        &mut self,
-        target: &str,
-        at: SimTime,
-        down_for: SimDuration,
-    ) -> &mut Self {
-        assert!(!down_for.is_zero(), "crash_restart requires non-zero downtime");
+    pub fn crash_restart(&mut self, target: &str, at: SimTime, down_for: SimDuration) -> &mut Self {
+        assert!(
+            !down_for.is_zero(),
+            "crash_restart requires non-zero downtime"
+        );
         let back = at + down_for;
         self.down_between(target, at, back);
         let slot = self.restarts.entry(target.to_owned()).or_default();
@@ -217,9 +215,7 @@ impl FaultPlan {
             "flap_random requires non-zero mean phase durations"
         );
         let call = self.flap_calls.entry(target.to_owned()).or_insert(0);
-        let stream = self
-            .seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        let stream = self.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
             ^ fnv1a(FNV_OFFSET, target.as_bytes())
             ^ call.wrapping_mul(0xD1B5_4A32_D192_ED03);
         *call += 1;
@@ -503,7 +499,8 @@ impl FaultInjector {
                 let this = self.clone();
                 let label = target.to_owned();
                 let up = edge.up;
-                self.sim.schedule_at(edge.at, move || this.apply(&label, up));
+                self.sim
+                    .schedule_at(edge.at, move || this.apply(&label, up));
             }
         }
     }
@@ -605,10 +602,22 @@ mod tests {
         assert_eq!(
             edges,
             vec![
-                FaultEdge { at: secs(10), up: false },
-                FaultEdge { at: secs(30), up: true },
-                FaultEdge { at: secs(40), up: false },
-                FaultEdge { at: secs(45), up: true },
+                FaultEdge {
+                    at: secs(10),
+                    up: false
+                },
+                FaultEdge {
+                    at: secs(30),
+                    up: true
+                },
+                FaultEdge {
+                    at: secs(40),
+                    up: false
+                },
+                FaultEdge {
+                    at: secs(45),
+                    up: true
+                },
             ]
         );
     }
@@ -706,7 +715,11 @@ mod tests {
         assert_eq!(p.link_fault("link:0->1"), Some(fault));
         assert_eq!(p.link_fault("link:9->9"), None);
         let chaos = |label: &str| {
-            LinkChaos::new(p.seed(), label, p.link_fault(label).expect("configured link"))
+            LinkChaos::new(
+                p.seed(),
+                label,
+                p.link_fault(label).expect("configured link"),
+            )
         };
 
         let run = |label: &str| {
@@ -749,7 +762,10 @@ mod tests {
             assert_eq!(c.decide(), vec![SimDuration::ZERO]);
         }
         let s = c.stats();
-        assert_eq!((s.dropped, s.duplicated, s.reordered, s.delayed), (0, 0, 0, 0));
+        assert_eq!(
+            (s.dropped, s.duplicated, s.reordered, s.delayed),
+            (0, 0, 0, 0)
+        );
     }
 
     #[test]

@@ -30,6 +30,8 @@
 //!   models need (uniform, Gaussian, log-normal, exponential).
 //! - [`stats`]: online mean/variance and the 90 % confidence intervals the
 //!   paper reports next to every measurement.
+//! - [`Histogram`]: the one log2-bucketed histogram, shared by the
+//!   engine profile and (re-exported) obskit's metrics registry.
 //! - [`trace::TimeSeries`]: step-function time series used for power traces
 //!   (paper Figs. 4 and 5), with integration and ASCII rendering.
 //! - [`faults`]: deterministic fault injection — scripted
@@ -60,6 +62,7 @@
 
 pub mod faults;
 pub mod hash;
+mod hist;
 mod rng;
 pub mod shard;
 mod sim;
@@ -68,7 +71,8 @@ mod time;
 pub mod trace;
 
 pub use faults::{FaultInjector, FaultPlan};
+pub use hist::Histogram;
 pub use rng::DetRng;
-pub use shard::{ActorId, EventCtx, EventKey, ShardConfig, ShardId, ShardSim};
+pub use shard::{ActorId, EventCtx, EventKey, ShardConfig, ShardSim};
 pub use sim::Sim;
 pub use time::{SimDuration, SimTime};

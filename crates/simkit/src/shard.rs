@@ -98,6 +98,7 @@
 //! once capacities settle a round allocates nothing.
 
 use crate::hash::{fnv1a, FNV_OFFSET};
+use crate::hist::Histogram;
 use crate::rng::DetRng;
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
@@ -122,21 +123,6 @@ use std::fmt;
 /// fleet's ~5-event rounds stay on the calling thread, scale_city's
 /// 8k–32k-event rounds go parallel.
 const PARALLEL_CROSSOVER_EVENTS: u64 = 512;
-
-/// Identifier of a physical shard (a group of actors stepped together).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ShardId(pub u32);
-
-impl fmt::Display for ShardId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "shard{}", self.0)
-    }
-}
-
-impl ShardId {
-    /// The default shard every unsharded component lives on.
-    pub const ZERO: ShardId = ShardId(0);
-}
 
 /// Stable logical identity of an actor (device, broker, station…).
 ///
@@ -197,82 +183,6 @@ impl ShardConfig {
     }
 }
 
-/// A minimal log2-bucketed histogram for engine self-profiling.
-///
-/// Lives here (not in `obskit`) because `obskit` depends on `simkit`;
-/// the engine must not close that cycle. Pure integers, no wall clock —
-/// safe inside sim-visible code under the determinism lint.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Log2Hist {
-    counts: [u64; 65],
-    total: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl Default for Log2Hist {
-    fn default() -> Self {
-        Log2Hist {
-            counts: [0; 65],
-            total: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-}
-
-impl Log2Hist {
-    /// An empty histogram.
-    pub fn new() -> Log2Hist {
-        Log2Hist::default()
-    }
-
-    /// Records one value (bucket `b` holds values in `[2^(b-1), 2^b)`;
-    /// zero lands in bucket 0).
-    pub fn record(&mut self, v: u64) {
-        let b = (64 - v.leading_zeros()) as usize;
-        if let Some(c) = self.counts.get_mut(b) {
-            *c += 1;
-        }
-        self.total += 1;
-        self.sum = self.sum.saturating_add(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Samples recorded.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Sum of recorded values.
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Largest recorded value.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Integer mean of recorded values (0 when empty).
-    pub fn mean(&self) -> u64 {
-        self.sum.checked_div(self.total).unwrap_or(0)
-    }
-
-    /// Non-empty buckets as `(exclusive_upper_bound, count)`, ascending.
-    pub fn buckets(&self) -> Vec<(u64, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| **n > 0)
-            .map(|(b, n)| {
-                let upper = if b >= 64 { u64::MAX } else { 1u64 << b };
-                (upper, *n)
-            })
-            .collect()
-    }
-}
-
 /// Per-shard engine counters accumulated during a run.
 ///
 /// Profile data is **partition-dependent by nature** (it describes the
@@ -292,11 +202,11 @@ pub struct EngineProfile {
     pub queue_peak_per_shard: Vec<u64>,
     /// Events one shard executed in one round (batch size between
     /// merge barriers).
-    pub batch_events: Log2Hist,
+    pub batch_events: Histogram,
     /// Per-round shard imbalance `max(batch) − min(batch)`: how long
     /// the fastest shard idles at the merge barrier, in event units —
     /// the engine's wall-clock-free merge-stall measure.
-    pub barrier_imbalance: Log2Hist,
+    pub barrier_imbalance: Histogram,
 }
 
 impl EngineProfile {
@@ -728,12 +638,6 @@ where
         }
     }
 
-    /// The physical shard an actor lives on (round-robin by id — stable
-    /// for a given shard count, irrelevant to every output).
-    pub fn shard_of(&self, actor: ActorId) -> ShardId {
-        ShardId(shard_index(actor, self.cfg.shards) as u32)
-    }
-
     /// Registers an actor. Its RNG stream derives from `(seed, actor)`
     /// only. Returns `false` (and changes nothing) if the id is taken.
     /// Ids may come in any order; ascending registration appends.
@@ -887,7 +791,10 @@ where
             self.now = t;
             self.round(t);
             guard -= 1;
-            assert!(guard > 0, "run_until_idle exceeded 100M rounds; runaway schedule?");
+            assert!(
+                guard > 0,
+                "run_until_idle exceeded 100M rounds; runaway schedule?"
+            );
         }
     }
 
@@ -1101,10 +1008,15 @@ mod tests {
             sim.add_actor(ActorId(a), 0u64);
         }
         for a in 0..actors {
-            sim.schedule(ActorId(a), SimTime::from_millis(a % 7), 5).unwrap();
+            sim.schedule(ActorId(a), SimTime::from_millis(a % 7), 5)
+                .unwrap();
         }
         sim.run_until_idle();
-        (sim.digest(), sim.transcript().to_vec(), sim.events_processed())
+        (
+            sim.digest(),
+            sim.transcript().to_vec(),
+            sim.events_processed(),
+        )
     }
 
     #[test]
@@ -1342,7 +1254,10 @@ mod tests {
         for shards in [2u32, 4, 16, 64] {
             for threads in [1u32, 4, ShardConfig::max_threads()] {
                 let got = ring_run(7, 24, shards, threads);
-                assert_eq!(got, reference, "diverged at shards={shards} threads={threads}");
+                assert_eq!(
+                    got, reference,
+                    "diverged at shards={shards} threads={threads}"
+                );
             }
         }
     }
@@ -1429,7 +1344,8 @@ mod tests {
             sim.add_actor(ActorId(a), 0u64);
         }
         for a in 0..24 {
-            sim.schedule(ActorId(a), SimTime::from_millis(a % 7), 5).unwrap();
+            sim.schedule(ActorId(a), SimTime::from_millis(a % 7), 5)
+                .unwrap();
         }
         sim.run_until_idle();
         let p = sim.profile();
@@ -1442,22 +1358,6 @@ mod tests {
         // Profile varies with layout; the run digest must not.
         let (digest_1shard, _, _) = ring_run(7, 24, 1, 1);
         assert_eq!(sim.digest(), digest_1shard);
-    }
-
-    #[test]
-    fn log2_hist_buckets_and_moments() {
-        let mut h = Log2Hist::new();
-        for v in [0, 1, 1, 3, 8, 1000] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 6);
-        assert_eq!(h.sum(), 1013);
-        assert_eq!(h.max(), 1000);
-        assert_eq!(h.mean(), 168);
-        let buckets = h.buckets();
-        // 0 → bucket 0 (upper 1); 1,1 → upper 2; 3 → upper 4;
-        // 8 → upper 16; 1000 → upper 1024.
-        assert_eq!(buckets, vec![(1, 1), (2, 2), (4, 1), (16, 1), (1024, 1)]);
     }
 
     #[test]
@@ -1503,7 +1403,10 @@ mod tests {
         sim.run_until_idle();
         let lines = sim.transcript();
         assert_eq!(lines.len(), 27);
-        assert!(lines.windows(2).all(|w| w[0] < w[1]), "merge out of key order");
+        assert!(
+            lines.windows(2).all(|w| w[0] < w[1]),
+            "merge out of key order"
+        );
     }
 
     #[test]
@@ -1520,7 +1423,11 @@ mod tests {
         sim.run_until_idle();
         assert_eq!(sim.now(), SimTime::from_secs(1));
         assert_eq!(sim.actor_state(ActorId(0)), Some(&5));
-        assert_eq!(sim.rounds(), 1, "zero-delay self-schedules stay in the round");
+        assert_eq!(
+            sim.rounds(),
+            1,
+            "zero-delay self-schedules stay in the round"
+        );
     }
 
     #[test]
@@ -1555,10 +1462,7 @@ mod tests {
 
     #[test]
     fn duplicate_actor_registration_is_rejected() {
-        let mut sim = ShardSim::new(
-            sequential(0),
-            |_: &mut u8, _: &mut EventCtx<'_, u8>, _| {},
-        );
+        let mut sim = ShardSim::new(sequential(0), |_: &mut u8, _: &mut EventCtx<'_, u8>, _| {});
         assert!(sim.add_actor(ActorId(4), 1));
         assert!(!sim.add_actor(ActorId(4), 2));
         assert_eq!(sim.actor_state(ActorId(4)), Some(&1));
@@ -1570,11 +1474,14 @@ mod tests {
         // At 4 shards, 0..16 without 5 plus a far id: in shard 1 the
         // dense guess for 9 lands on 13 and 13's is out of range, and the
         // far id's misses, so each takes the fallback.
-        let holey: Vec<u64> = (0..16).rev().filter(|a| *a != 5).chain([1_000_003]).collect();
-        for (shards, ids, taken, unknown) in [
-            (1, vec![9u64, 2, 40, 0, 17, 3], 17, 4),
-            (4, holey, 9, 5),
-        ] {
+        let holey: Vec<u64> = (0..16)
+            .rev()
+            .filter(|a| *a != 5)
+            .chain([1_000_003])
+            .collect();
+        for (shards, ids, taken, unknown) in
+            [(1, vec![9u64, 2, 40, 0, 17, 3], 17, 4), (4, holey, 9, 5)]
+        {
             // Each actor's state starts with its own id, so an event run
             // on another actor's slot shows up directly.
             let mut sim = ShardSim::new(
@@ -1610,10 +1517,7 @@ mod tests {
 
     #[test]
     fn scheduling_on_unknown_actor_errors() {
-        let mut sim = ShardSim::new(
-            sequential(0),
-            |_: &mut u8, _: &mut EventCtx<'_, u8>, _| {},
-        );
+        let mut sim = ShardSim::new(sequential(0), |_: &mut u8, _: &mut EventCtx<'_, u8>, _| {});
         assert_eq!(sim.schedule(ActorId(7), SimTime::ZERO, 1), Err(ActorId(7)));
     }
 

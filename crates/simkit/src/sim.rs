@@ -179,7 +179,10 @@ impl Sim {
         let mut guard: u64 = 100_000_000;
         while self.step() {
             guard -= 1;
-            assert!(guard > 0, "run_until_idle exceeded 100M events; runaway timer?");
+            assert!(
+                guard > 0,
+                "run_until_idle exceeded 100M events; runaway timer?"
+            );
         }
     }
 

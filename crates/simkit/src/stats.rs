@@ -173,29 +173,6 @@ impl FromIterator<f64> for Summary {
     }
 }
 
-/// Returns the `p`-th percentile (0–100) of a sample set using linear
-/// interpolation. Sorts a copy; intended for end-of-run reporting.
-///
-/// # Panics
-///
-/// Panics if `samples` is empty, `p` is outside `[0, 100]`, or any sample
-/// is NaN.
-pub fn percentile(samples: &[f64], p: f64) -> f64 {
-    assert!(!samples.is_empty(), "percentile of empty sample set");
-    assert!((0.0..=100.0).contains(&p), "percentile must be in [0,100]");
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in samples"));
-    let rank = p / 100.0 * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    if lo == hi {
-        sorted[lo]
-    } else {
-        let w = rank - lo as f64;
-        sorted[lo] * (1.0 - w) + sorted[hi] * w
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,20 +240,6 @@ mod tests {
     fn display_is_paper_style() {
         let s = Summary::of(&[1.0, 1.0, 1.0]);
         assert_eq!(s.to_string(), "1.000 [0.000]");
-    }
-
-    #[test]
-    fn percentile_interpolates() {
-        let data = [10.0, 20.0, 30.0, 40.0];
-        assert_eq!(percentile(&data, 0.0), 10.0);
-        assert_eq!(percentile(&data, 100.0), 40.0);
-        assert_eq!(percentile(&data, 50.0), 25.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty")]
-    fn percentile_empty_panics() {
-        percentile(&[], 50.0);
     }
 
     #[test]

@@ -319,7 +319,10 @@ mod tests {
             SimDuration::from_millis(10) * 3,
             SimDuration::from_millis(30)
         );
-        assert_eq!(SimDuration::from_millis(30) / 3, SimDuration::from_millis(10));
+        assert_eq!(
+            SimDuration::from_millis(30) / 3,
+            SimDuration::from_millis(10)
+        );
     }
 
     #[test]

@@ -9,8 +9,9 @@
 # 2. the lintkit gate: the offline determinism/robustness lint pass
 #    must report zero findings above the checked-in ratchet baseline
 #    (results/lint_baseline.json) and zero stale pragmas
-#    (DESIGN.md §5c, §5g); then clippy over simkit's every target
-#    with warnings as errors;
+#    (DESIGN.md §5c, §5g); then clippy over every target of simkit,
+#    obskit and benchkit with warnings as errors, and rustfmt's check
+#    over the same three crates;
 # 3. the failure-scenario suite in isolation — every scenario runs
 #    across the three fixed seeds baked into the suite (11, 22, 33);
 # 4. the shard gate: the partition-invariance suite on the partitioned
@@ -68,8 +69,11 @@ cargo test -q
 echo "==> lintkit gate (determinism & robustness lints, ratchet baseline)"
 cargo run -q --release -p lintkit -- --workspace --baseline results/lint_baseline.json
 
-echo "==> clippy gate (simkit, every target, warnings are errors)"
-cargo clippy -q -p contory-simkit --all-targets -- -D warnings
+echo "==> clippy gate (simkit, obskit, benchkit; every target, warnings are errors)"
+cargo clippy -q -p contory-simkit -p contory-obskit -p contory-benchkit --all-targets -- -D warnings
+
+echo "==> fmt gate (simkit, obskit, benchkit)"
+cargo fmt --check -p contory-simkit -p contory-obskit -p contory-benchkit
 
 echo "==> failure-scenario suite (seeds 11, 22, 33)"
 cargo test -q --test failover_scenarios
