@@ -229,8 +229,12 @@ impl Facade {
     /// pushes the update to the provider. Caller holds the borrow.
     fn remerge_locked(entry_id: u64, inner: &mut Inner) {
         if let Some(entry) = inner.entries.iter_mut().find(|e| e.id == entry_id) {
-            let mut merged = entry.members[0].query.clone();
-            for m in &entry.members[1..] {
+            let mut members = entry.members.iter();
+            let Some(first) = members.next() else {
+                return;
+            };
+            let mut merged = first.query.clone();
+            for m in members {
                 if let Some(next) = try_merge(&merged, &m.query) {
                     merged = next;
                 }
@@ -244,19 +248,17 @@ impl Facade {
     /// Returns true if the member was found here.
     pub(crate) fn cancel(&self, id: QueryId) -> bool {
         let mut inner = self.inner.borrow_mut();
-        let Some(entry_pos) = inner
+        let Some((entry_pos, entry)) = inner
             .entries
-            .iter()
-            .position(|e| e.members.iter().any(|m| m.id == id))
+            .iter_mut()
+            .enumerate()
+            .find(|(_, e)| e.members.iter().any(|m| m.id == id))
         else {
             return false;
         };
-        let entry_id = inner.entries[entry_pos].id;
-        {
-            let entry = &mut inner.entries[entry_pos];
-            entry.members.retain(|m| m.id != id);
-        }
-        if inner.entries[entry_pos].members.is_empty() {
+        entry.members.retain(|m| m.id != id);
+        let entry_id = entry.id;
+        if entry.members.is_empty() {
             let entry = inner.entries.remove(entry_pos);
             entry.provider.stop();
         } else {

@@ -41,7 +41,10 @@ pub(crate) enum Frame {
         event: Option<EventNotification>,
     },
     /// Broker → client: delivery for a subscription.
-    Deliver { sub: SubId, event: EventNotification },
+    Deliver {
+        sub: SubId,
+        event: EventNotification,
+    },
 }
 
 impl Frame {
@@ -105,7 +108,7 @@ impl EventBroker {
         let b = broker.clone();
         net.on_uplink(move |from, payload| {
             if let Ok(frame) = payload.downcast::<Frame>() {
-                b.handle(from, frame.as_ref().clone());
+                b.handle(from, Rc::unwrap_or_clone(frame));
             }
         });
         broker
@@ -154,28 +157,30 @@ impl EventBroker {
             }
             inner.published += 1;
             obskit::count("fuego_broker_published", 1);
-            inner
-                .subs
-                .get(&event.topic)
-                .cloned()
-                .unwrap_or_default()
+            inner.subs.get(&event.topic).cloned().unwrap_or_default()
         };
-        for (node, sub) in subscribers {
-            let frame = Frame::Deliver {
-                sub,
-                event: event.clone(),
-            };
-            self.inner.borrow_mut().delivered += 1;
-            obskit::count("fuego_broker_deliveries", 1);
-            obskit::event(
-                obskit::Phase::Deliver,
-                &format!("fuego_fanout:{}->{node}", event.topic),
-                None,
-                self.sim.now(),
-            );
-            let size = frame.wire_size();
-            self.net.send_downlink(node, size, Rc::new(frame));
+        // Every subscriber but the last gets a copy; the last takes the
+        // event itself.
+        if let Some((&(node, sub), others)) = subscribers.split_last() {
+            for &(node, sub) in others {
+                self.deliver(node, sub, event.clone());
+            }
+            self.deliver(node, sub, event);
         }
+    }
+
+    fn deliver(&self, node: NodeId, sub: SubId, event: EventNotification) {
+        self.inner.borrow_mut().delivered += 1;
+        obskit::count("fuego_broker_deliveries", 1);
+        obskit::event(
+            obskit::Phase::Deliver,
+            &format!("fuego_fanout:{}->{node}", event.topic),
+            None,
+            self.sim.now(),
+        );
+        let frame = Frame::Deliver { sub, event };
+        let size = frame.wire_size();
+        self.net.send_downlink(node, size, Rc::new(frame));
     }
 
     /// Events published through the broker so far.

@@ -80,7 +80,7 @@ impl FuegoClient {
         let c = client.clone();
         modem.on_receive(move |payload| {
             if let Ok(frame) = payload.downcast::<Frame>() {
-                c.handle_downlink(frame.as_ref().clone());
+                c.handle_downlink(Rc::unwrap_or_clone(frame));
             }
         });
         client
@@ -101,7 +101,9 @@ impl FuegoClient {
         // Encoding cost accounting: the XML envelope's wire size is what
         // the cellular legs pay for.
         obskit::count("fuego_events_encoded", 1);
-        obskit::observe("fuego_event_bytes", event.wire_size() as u64);
+        if obskit::enabled() {
+            obskit::observe("fuego_event_bytes", event.wire_size() as u64);
+        }
         event
     }
 

@@ -61,7 +61,10 @@ fn packet_body(f: &PacketFields<'_>) -> XmlElement {
     }
     let mut item = XmlElement::new("cxtItem")
         .attr("type", f.type_name)
-        .attr("timestamp", (f.published_at.as_micros() / 1_000).to_string())
+        .attr(
+            "timestamp",
+            (f.published_at.as_micros() / 1_000).to_string(),
+        )
         .attr("lifetime", lifetime_ms.to_string())
         .attr("source", f.source)
         .child(
@@ -149,7 +152,11 @@ mod tests {
         // the variation, so every §6-shaped packet costs the same.
         for (ty, src, hops) in [
             ("t", "s", &[][..]),
-            ("temperature", "extSensor://weatherstation-helsinki-kumpula/t9", &[0, 1, 2][..]),
+            (
+                "temperature",
+                "extSensor://weatherstation-helsinki-kumpula/t9",
+                &[0, 1, 2][..],
+            ),
         ] {
             let f = PacketFields {
                 type_name: ty,
@@ -160,7 +167,11 @@ mod tests {
                 hops,
                 trace: None,
             };
-            assert_eq!(envelope_for_packet(&f, 7).wire_size(), ENVELOPE_BYTES, "{ty}");
+            assert_eq!(
+                envelope_for_packet(&f, 7).wire_size(),
+                ENVELOPE_BYTES,
+                "{ty}"
+            );
         }
     }
 
@@ -178,7 +189,10 @@ mod tests {
         };
         let classic = envelope_for_packet(&f, id);
         assert_eq!(classic.wire_size(), ENVELOPE_BYTES);
-        assert!(!classic.to_xml().contains("<trace"), "untraced layout grew a trace element");
+        assert!(
+            !classic.to_xml().contains("<trace"),
+            "untraced layout grew a trace element"
+        );
 
         // An inactive context renders the classic layout byte-for-byte.
         f.trace = Some(tracekit::TraceCtx::NONE);
@@ -188,11 +202,19 @@ mod tests {
         let ctx = tracekit::TraceCtx::root(0xabcd, 0).child(7);
         f.trace = Some(ctx);
         let traced = envelope_for_packet(&f, id);
-        assert_eq!(traced.wire_size(), ENVELOPE_BYTES, "trace element broke the pinned frame");
-        let parsed = XmlElement::parse(&traced.to_xml()).expect("traced envelope stays well-formed");
+        assert_eq!(
+            traced.wire_size(),
+            ENVELOPE_BYTES,
+            "trace element broke the pinned frame"
+        );
+        let parsed =
+            XmlElement::parse(&traced.to_xml()).expect("traced envelope stays well-formed");
         let back = EventNotification::from_envelope(&parsed).expect("envelope shape intact");
         let trace = back.body.find("trace").expect("trace element");
-        assert_eq!(trace.attribute("id"), Some(format!("{:016x}", ctx.trace_id).as_str()));
+        assert_eq!(
+            trace.attribute("id"),
+            Some(format!("{:016x}", ctx.trace_id).as_str())
+        );
         assert_eq!(trace.attribute("span"), Some("7"));
         assert_eq!(trace.attribute("hop"), Some("0"));
     }

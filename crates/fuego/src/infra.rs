@@ -83,7 +83,9 @@ impl InfraRecord {
             .attr("ts", self.timestamp.as_millis().to_string())
             .child(XmlElement::new("value").text(&self.value_text));
         if let Some(p) = self.position {
-            el = el.attr("x", format!("{:.1}", p.x)).attr("y", format!("{:.1}", p.y));
+            el = el
+                .attr("x", format!("{:.1}", p.x))
+                .attr("y", format!("{:.1}", p.y));
         }
         for (k, v) in &self.metadata {
             el = el.child(XmlElement::new("meta").attr("k", k).text(v));
@@ -107,7 +109,8 @@ impl InfraRecord {
         }
         for m in el.find_all("meta") {
             if let Some(k) = m.attribute("k") {
-                rec.metadata.insert(k.to_owned(), m.text_content().to_owned());
+                rec.metadata
+                    .insert(k.to_owned(), m.text_content().to_owned());
             }
         }
         Some(rec)
@@ -261,7 +264,10 @@ impl ContextInfrastructure {
             let me = infra.clone();
             broker.register_service("cxt/store", move |_from, ev| {
                 let mut record = match ev.payload.as_ref().and_then(|p| {
-                    p.clone().downcast::<InfraRecord>().ok().map(|r| r.as_ref().clone())
+                    p.clone()
+                        .downcast::<InfraRecord>()
+                        .ok()
+                        .map(|r| r.as_ref().clone())
                 }) {
                     Some(r) => Some(r),
                     None => InfraRecord::from_xml(&ev.body),
@@ -284,8 +290,7 @@ impl ContextInfrastructure {
             let me = infra.clone();
             broker.register_service("cxt/query", move |_from, ev| {
                 let query = InfraQuery::from_xml(&ev.body)?;
-                let results = me.eval(&query);
-                Some(me.results_event(&results, ev.timestamp))
+                Some(me.results_event(me.eval(&query), ev.timestamp))
             });
         }
         // cxt/subscribe: long-running query registration.
@@ -333,19 +338,20 @@ impl ContextInfrastructure {
             if inner.records.len() >= inner.capacity {
                 inner.records.remove(0);
             }
-            inner.records.push(record.clone());
             let now = self.sim.now();
-            inner
+            let pushes = inner
                 .subs
                 .iter()
                 .filter(|s| {
                     s.active.get() && s.mode == PushMode::OnStore && s.query.matches(&record, now)
                 })
                 .map(|s| (s.topic.clone(), record.clone()))
-                .collect()
+                .collect();
+            inner.records.push(record);
+            pushes
         };
         for (topic, rec) in on_store_pushes {
-            let ev = self.results_event(&[rec], self.sim.now()).retopic(topic);
+            let ev = self.results_event(vec![rec], self.sim.now()).retopic(topic);
             self.broker.publish_from_server(ev);
         }
     }
@@ -396,7 +402,7 @@ impl ContextInfrastructure {
                 let results = me.eval(&query);
                 if !results.is_empty() {
                     let ev = me
-                        .results_event(&results, me.sim.now())
+                        .results_event(results, me.sim.now())
                         .retopic(topic.clone());
                     me.broker.publish_from_server(ev);
                 }
@@ -414,13 +420,13 @@ impl ContextInfrastructure {
         inner.subs.retain(|s| s.id != id);
     }
 
-    fn results_event(&self, results: &[InfraRecord], timestamp: SimTime) -> EventNotification {
+    fn results_event(&self, results: Vec<InfraRecord>, timestamp: SimTime) -> EventNotification {
         let mut body = XmlElement::new("results").attr("n", results.len().to_string());
-        for r in results {
+        for r in &results {
             body = body.child(r.to_xml());
         }
         EventNotification::new("cxt/results", "infra", body, timestamp)
-            .with_payload(Rc::new(results.to_vec()))
+            .with_payload(Rc::new(results))
     }
 }
 
@@ -491,11 +497,7 @@ impl InfraClient {
     }
 
     /// Stores a record remotely (`storeCxtItem`). `cb` observes the ack.
-    pub fn store(
-        &self,
-        record: InfraRecord,
-        cb: impl FnOnce(Result<(), RequestError>) + 'static,
-    ) {
+    pub fn store(&self, record: InfraRecord, cb: impl FnOnce(Result<(), RequestError>) + 'static) {
         let payload = Rc::new(record.clone());
         let ev = self
             .fuego
@@ -516,7 +518,7 @@ impl InfraClient {
     ) {
         let ev = self.fuego.make_event("cxt/query", query.to_xml());
         self.fuego.request("cxt/query", ev, timeout, move |res| {
-            cb(res.map(|ev| decode_results(&ev)))
+            cb(res.map(decode_results))
         });
     }
 
@@ -535,7 +537,7 @@ impl InfraClient {
         };
         let sub = self
             .fuego
-            .subscribe(topic.clone(), move |ev| handler(decode_results(&ev)));
+            .subscribe(topic.clone(), move |ev| handler(decode_results(ev)));
         let mut body = XmlElement::new("subscribe")
             .child(InfraQuery::to_xml(query))
             .child(XmlElement::new("topic").text(topic));
@@ -545,14 +547,18 @@ impl InfraClient {
         let server_id = Rc::new(std::cell::Cell::new(None));
         let sid = server_id.clone();
         let ev = self.fuego.make_event("cxt/subscribe", body);
-        self.fuego
-            .request("cxt/subscribe", ev, SimDuration::from_secs(60), move |res| {
+        self.fuego.request(
+            "cxt/subscribe",
+            ev,
+            SimDuration::from_secs(60),
+            move |res| {
                 if let Ok(ack) = res {
                     if let Some(id) = ack.body.attribute("id").and_then(|s| s.parse().ok()) {
                         sid.set(Some(id));
                     }
                 }
-            });
+            },
+        );
         InfraSubscription {
             client: self.fuego.clone(),
             sub,
@@ -561,11 +567,43 @@ impl InfraClient {
     }
 }
 
-fn decode_results(ev: &EventNotification) -> Vec<InfraRecord> {
-    if let Some(p) = &ev.payload {
-        if let Ok(records) = p.clone().downcast::<Vec<InfraRecord>>() {
-            return records.as_ref().clone();
-        }
+/// The records a result set carries: its structured payload, taken
+/// without a copy when this was its only holder, else decoded from the
+/// XML body.
+fn decode_results(ev: EventNotification) -> Vec<InfraRecord> {
+    match ev.payload.map(|p| p.downcast::<Vec<InfraRecord>>()) {
+        Some(Ok(records)) => Rc::unwrap_or_clone(records),
+        _ => ev
+            .body
+            .find_all("record")
+            .filter_map(InfraRecord::from_xml)
+            .collect(),
     }
-    ev.body.find_all("record").filter_map(InfraRecord::from_xml).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_result_set_with_a_shared_payload_still_decodes() {
+        let records = Rc::new(vec![InfraRecord::new(
+            "boat-1",
+            "wind",
+            "12kn",
+            SimTime::from_millis(5),
+        )]);
+        // The body lists no record, so only the payload can yield one.
+        let ev = EventNotification::new(
+            "cxt/results",
+            "infra",
+            XmlElement::new("results"),
+            SimTime::ZERO,
+        )
+        .with_payload(records.clone());
+        let got = decode_results(ev);
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].entity, "boat-1");
+        assert_eq!(records.len(), 1, "the other holder keeps its records");
+    }
 }

@@ -37,4 +37,6 @@ pub mod xml;
 
 pub use broker::{EventBroker, SubId};
 pub use client::{FuegoClient, RequestError};
-pub use infra::{ContextInfrastructure, InfraClient, InfraQuery, InfraRecord, InfraSubscription, PushMode};
+pub use infra::{
+    ContextInfrastructure, InfraClient, InfraQuery, InfraRecord, InfraSubscription, PushMode,
+};

@@ -43,7 +43,11 @@ pub struct ParseXmlError {
 
 impl fmt::Display for ParseXmlError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "xml parse error at byte {}: {}", self.offset, self.message)
+        write!(
+            f,
+            "xml parse error at byte {}: {}",
+            self.offset, self.message
+        )
     }
 }
 
@@ -108,9 +112,22 @@ impl XmlElement {
         out
     }
 
-    /// Serialized size in bytes (what the wire-size models use).
+    /// Serialized size in bytes (what the wire-size models use): the
+    /// length of [`XmlElement::to_xml`], counted without building it.
     pub fn wire_size(&self) -> usize {
-        self.to_xml().len()
+        // `<name`, then ` key="value"` per attribute.
+        let attributes: usize = self
+            .attributes
+            .iter()
+            .map(|(k, v)| k.len() + escaped_len(v) + 4)
+            .sum();
+        let open = 1 + self.name.len() + attributes;
+        if self.text.is_empty() && self.children.is_empty() {
+            return open + "/>".len();
+        }
+        // `>`, the text, the children, then `</name>`.
+        let children: usize = self.children.iter().map(XmlElement::wire_size).sum();
+        open + 1 + escaped_len(&self.text) + children + self.name.len() + 3
     }
 
     fn write(&self, out: &mut String) {
@@ -171,17 +188,34 @@ impl fmt::Display for XmlElement {
     }
 }
 
+/// The entity written in place of `c` in attribute values and text.
+fn entity(c: char) -> Option<&'static str> {
+    match c {
+        '&' => Some("&amp;"),
+        '<' => Some("&lt;"),
+        '>' => Some("&gt;"),
+        '"' => Some("&quot;"),
+        '\'' => Some("&apos;"),
+        _ => None,
+    }
+}
+
 fn escape_into(s: &str, out: &mut String) {
     for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\'' => out.push_str("&apos;"),
-            other => out.push(other),
+        match entity(c) {
+            Some(e) => out.push_str(e),
+            None => out.push(c),
         }
     }
+}
+
+/// Bytes [`escape_into`] writes for `s`. Only five ASCII characters are
+/// rewritten, and no byte of a multi-byte UTF-8 character is ASCII, so
+/// counting byte by byte is exact.
+fn escaped_len(s: &str) -> usize {
+    s.bytes()
+        .map(|b| entity(char::from(b)).map_or(1, str::len))
+        .sum()
 }
 
 /// Deepest element nesting [`XmlElement::parse`] accepts. Each level
@@ -376,21 +410,22 @@ mod tests {
     fn writes_compact_xml() {
         let el = XmlElement::new("a")
             .attr("k", "v")
-            .child(XmlElement::new("b").text("hi"))
+            .child(XmlElement::new("b").text("hé中"))
             .child(XmlElement::new("c"));
-        assert_eq!(el.to_xml(), r#"<a k="v"><b>hi</b><c/></a>"#);
+        assert_eq!(el.to_xml(), r#"<a k="v"><b>hé中</b><c/></a>"#);
         assert_eq!(el.wire_size(), el.to_xml().len());
     }
 
     #[test]
     fn escapes_special_characters() {
-        let el = XmlElement::new("t").attr("q", "a\"b").text("1 < 2 & 3 > 0");
+        let el = XmlElement::new("t")
+            .attr("q", "a\"b'")
+            .text("1 < 2 & 3 > 0");
         let s = el.to_xml();
-        assert!(s.contains("&quot;"));
-        assert!(s.contains("&lt;"));
-        assert!(s.contains("&amp;"));
+        assert_eq!(s, r#"<t q="a&quot;b&apos;">1 &lt; 2 &amp; 3 &gt; 0</t>"#);
+        assert_eq!(el.wire_size(), s.len());
         let back = XmlElement::parse(&s).unwrap();
-        assert_eq!(back.attribute("q"), Some("a\"b"));
+        assert_eq!(back.attribute("q"), Some("a\"b'"));
         assert_eq!(back.text_content(), "1 < 2 & 3 > 0");
     }
 
@@ -440,7 +475,11 @@ mod tests {
 
     #[test]
     fn deep_nesting_is_an_error_not_a_stack_overflow() {
-        let ok = format!("{}{}", "<a>".repeat(MAX_DEPTH + 1), "</a>".repeat(MAX_DEPTH + 1));
+        let ok = format!(
+            "{}{}",
+            "<a>".repeat(MAX_DEPTH + 1),
+            "</a>".repeat(MAX_DEPTH + 1)
+        );
         assert!(XmlElement::parse(&ok).is_ok());
         let deep = "<a>".repeat(10_000);
         let res = std::thread::Builder::new()

@@ -1,0 +1,161 @@
+//! A deterministic allocation budget for the `extInfra` leg.
+//!
+//! Every context item and query the paper sends over UMTS rides in a
+//! Fuego XML notification, and every frame is sized from that envelope.
+//! This test counts the heap traffic of one periodic infrastructure
+//! subscription with a std-only counting allocator, and fails when a
+//! change makes the leg allocate clearly more: printing an envelope only
+//! to take its length, or deep-copying a frame or result set on a hop,
+//! is enough to trip it. The simulation is seeded and single-threaded,
+//! so the count does not swing with the host's load the way wall time
+//! does.
+//!
+//! The counters live in a `const` thread-local, so only allocations made
+//! on the test's own thread count.
+//!
+//! Run it on its own with
+//! `cargo test -q --release -p contory-fuego --test alloc_budget`;
+//! add `-- --nocapture` to print the measured figures.
+
+use fuego::xml::XmlElement;
+use fuego::{
+    ContextInfrastructure, EventBroker, FuegoClient, InfraClient, InfraQuery, InfraRecord, PushMode,
+};
+use phone::{Phone, PhoneConfig};
+use radio::cell::{CellNetwork, CellParams};
+use radio::{NodeId, Position};
+use simkit::{Sim, SimDuration};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::rc::Rc;
+
+/// Allocation budget: the measured 201,542 plus just under 5 %. Printing
+/// each envelope to size it and deep-copying each hop's frame and result
+/// set made 731,061.
+const MAX_ALLOCS: u64 = 211_600;
+/// Budget of bytes requested: the measured 16,325,665 plus just under
+/// 5 % (42,583,857 with the printing and copying).
+const MAX_BYTES: u64 = 17_140_000;
+
+/// Heap traffic on one thread.
+#[derive(Clone, Copy)]
+struct Counts {
+    /// Allocations and reallocations.
+    allocs: u64,
+    /// Bytes requested by them.
+    bytes: u64,
+}
+
+thread_local! {
+    static COUNTS: Cell<Counts> = const { Cell::new(Counts { allocs: 0, bytes: 0 }) };
+}
+
+fn note(requested: usize) {
+    // `try_with`: a thread being torn down may still allocate.
+    let _ = COUNTS.try_with(|c| {
+        let mut n = c.get();
+        n.allocs += 1;
+        n.bytes += requested as u64;
+        c.set(n);
+    });
+}
+
+/// Counts every allocation and reallocation, then defers to `System`.
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the bookkeeping touches only
+// a thread-local `Cell` and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// Stations stored in the infrastructure before the subscription.
+const RECORDS: usize = 200;
+
+#[test]
+fn periodic_push_leg_stays_within_its_allocation_budget() {
+    let sim = Sim::new();
+    let net = CellNetwork::new(&sim, CellParams::default(), 99);
+    let broker = EventBroker::new(&sim, &net);
+    let infra = ContextInfrastructure::new(&sim, &broker);
+    let phone = Phone::new(&sim, PhoneConfig::default());
+    let modem = net.attach(NodeId(1), &phone, 8);
+    modem.set_radio(true);
+    let client = InfraClient::new(&FuegoClient::new(&sim, &modem, "phone-1"));
+    for i in 0..RECORDS {
+        infra.store(
+            InfraRecord::new(
+                format!("station-{i}"),
+                "wind",
+                format!("{}kn", i % 30),
+                sim.now(),
+            )
+            .at(Position::new(i as f64 * 10.0, 0.0))
+            .with_metadata("accuracy", "1")
+            .with_metadata("trust", "trusted"),
+        );
+    }
+
+    let before = COUNTS.with(Cell::get);
+    let delivered = Rc::new(Cell::new(0usize));
+    let d = delivered.clone();
+    let _sub = client.subscribe(
+        &InfraQuery::for_type("wind"),
+        PushMode::Periodic(SimDuration::from_secs(60)),
+        move |records| d.set(d.get() + records.len()),
+    );
+    sim.run_for(SimDuration::from_secs(30 * 60));
+    let after = COUNTS.with(Cell::get);
+
+    let allocs = after.allocs - before.allocs;
+    let bytes = after.bytes - before.bytes;
+    let summary = format!(
+        "{allocs} allocations, {bytes} bytes for {} records delivered",
+        delivered.get()
+    );
+    assert_eq!(delivered.get(), 29 * RECORDS, "{summary}");
+    assert!(
+        allocs <= MAX_ALLOCS,
+        "allocation budget {MAX_ALLOCS} exceeded: {summary}"
+    );
+    assert!(
+        bytes <= MAX_BYTES,
+        "byte budget {MAX_BYTES} exceeded: {summary}"
+    );
+    eprintln!("{summary}");
+}
+
+#[test]
+fn counting_an_element_allocates_nothing() {
+    let el = XmlElement::new("results").attr("n", "1").child(
+        XmlElement::new("record")
+            .attr("entity", "a&b")
+            .child(XmlElement::new("value").text("<14kn>")),
+    );
+    let before = COUNTS.with(Cell::get);
+    let size = el.wire_size();
+    let after = COUNTS.with(Cell::get);
+    assert_eq!(after.allocs, before.allocs, "wire_size allocated");
+    assert_eq!(size, el.to_xml().len());
+}

@@ -1,6 +1,7 @@
 //! End-to-end tests: phone-side Fuego client ↔ event broker ↔ context
 //! infrastructure over the simulated UMTS link.
 
+use fuego::event::EventNotification;
 use fuego::xml::XmlElement;
 use fuego::{
     ContextInfrastructure, EventBroker, FuegoClient, InfraClient, InfraQuery, InfraRecord,
@@ -125,8 +126,12 @@ fn periodic_subscription_pushes_batches() {
     let rig = Rig::new();
     let (_p, _m, client) = rig.phone(1);
     let infra_client = InfraClient::new(&client);
-    rig.infra
-        .store(InfraRecord::new("b1", "temperature", "13.5C", rig.sim.now()));
+    rig.infra.store(InfraRecord::new(
+        "b1",
+        "temperature",
+        "13.5C",
+        rig.sim.now(),
+    ));
     let batches = Rc::new(Cell::new(0u32));
     let b = batches.clone();
     let sub = infra_client.subscribe(
@@ -168,12 +173,20 @@ fn on_store_subscription_pushes_matching_records_only() {
         },
     );
     rig.sim.run_for(SimDuration::from_secs(30)); // let the subscribe land
-    rig.infra
-        .store(InfraRecord::new("b1", "temperature", "14.0C", rig.sim.now()));
+    rig.infra.store(InfraRecord::new(
+        "b1",
+        "temperature",
+        "14.0C",
+        rig.sim.now(),
+    ));
     rig.infra
         .store(InfraRecord::new("b1", "humidity", "80%", rig.sim.now()));
-    rig.infra
-        .store(InfraRecord::new("b2", "temperature", "15.0C", rig.sim.now()));
+    rig.infra.store(InfraRecord::new(
+        "b2",
+        "temperature",
+        "15.0C",
+        rig.sim.now(),
+    ));
     rig.sim.run_for(SimDuration::from_secs(30));
     // Downlink latencies are independent log-normal draws, so the two
     // pushes may arrive in either order.
@@ -189,9 +202,14 @@ fn request_to_unknown_service_reports_no_service() {
     let got = Rc::new(Cell::new(None));
     let g = got.clone();
     let ev = client.make_event("no/such/service", XmlElement::new("x"));
-    client.request("no/such/service", ev, SimDuration::from_secs(30), move |res| {
-        g.set(Some(res.unwrap_err()));
-    });
+    client.request(
+        "no/such/service",
+        ev,
+        SimDuration::from_secs(30),
+        move |res| {
+            g.set(Some(res.unwrap_err()));
+        },
+    );
     rig.sim.run_for(SimDuration::from_secs(35));
     assert_eq!(got.take(), Some(RequestError::NoService));
 }
@@ -310,10 +328,52 @@ fn pubsub_between_two_phones() {
 }
 
 #[test]
+fn a_topic_with_two_subscribers_hands_both_handlers_equal_notifications() {
+    let rig = Rig::new();
+    let (_p1, _m1, alice) = rig.phone(1);
+    let (_p2, _m2, bob) = rig.phone(2);
+    let (_p3, _m3, carol) = rig.phone(3);
+    let seen = Rc::new(RefCell::new(Vec::new()));
+    for client in [&bob, &carol] {
+        let s = seen.clone();
+        client.subscribe("regatta/news", move |ev: EventNotification| {
+            let payload = ev
+                .payload
+                .as_ref()
+                .and_then(|p| p.downcast_ref::<u32>())
+                .copied();
+            s.borrow_mut()
+                .push((ev.topic, ev.sender, ev.id, ev.timestamp, ev.body, payload));
+        });
+    }
+    rig.sim.run_for(SimDuration::from_secs(10));
+    let ev = alice
+        .make_event("regatta/news", XmlElement::new("gust").attr("kn", "25"))
+        .with_payload(Rc::new(7u32));
+    let sent = (
+        ev.topic.clone(),
+        ev.sender.clone(),
+        ev.id,
+        ev.timestamp,
+        ev.body.clone(),
+        Some(7u32),
+    );
+    alice.publish(ev, |res| res.unwrap());
+    rig.sim.run_for(SimDuration::from_secs(30));
+    assert_eq!(*seen.borrow(), vec![sent.clone(), sent]);
+    assert_eq!(rig.broker.delivered_count(), 2);
+}
+
+#[test]
 fn record_xml_round_trip_preserves_fields() {
-    let rec = InfraRecord::new("boat-3", "pressure", "1013hPa", SimTime::from_millis(12_345))
-        .at(Position::new(1.5, -2.5))
-        .with_metadata("trust", "community");
+    let rec = InfraRecord::new(
+        "boat-3",
+        "pressure",
+        "1013hPa",
+        SimTime::from_millis(12_345),
+    )
+    .at(Position::new(1.5, -2.5))
+    .with_metadata("trust", "community");
     let back = InfraRecord::from_xml(&rec.to_xml()).unwrap();
     assert_eq!(back.entity, rec.entity);
     assert_eq!(back.item_type, rec.item_type);

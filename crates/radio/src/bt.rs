@@ -731,7 +731,7 @@ impl BtRadio {
             };
             let handler = {
                 let mut p = peer_state.borrow_mut();
-                if !(p.on && p.phone.is_on()) || !p.links.contains_key(&link) {
+                if !(p.on && p.phone.is_on() && p.links.contains_key(&link)) {
                     drop(p);
                     obskit::count("bt_send_failures", 1);
                     me.teardown_link(link, peer);

@@ -220,15 +220,16 @@ impl EngineProfile {
         self.queue_peak_per_shard.iter().copied().max().unwrap_or(0)
     }
 
-    /// A compact multi-line rendering for run artifacts.
+    /// A compact multi-line rendering for run artifacts. Means carry two
+    /// decimals, so a mean batch under one event still reads.
     pub fn table(&self) -> String {
         let mut out = format!(
             "rounds={} parallel_rounds={} batch_mean={} batch_max={} stall_mean={} stall_max={}\n",
             self.rounds,
             self.parallel_rounds,
-            self.batch_events.mean(),
+            mean_2dp(&self.batch_events),
             self.batch_events.max(),
-            self.barrier_imbalance.mean(),
+            mean_2dp(&self.barrier_imbalance),
             self.barrier_imbalance.max(),
         );
         for (i, (events, peak)) in self
@@ -241,6 +242,17 @@ impl EngineProfile {
         }
         out
     }
+}
+
+/// `sum / count` rounded to two decimals in integer math (`0.00` when
+/// empty): no float formatting in an artefact that must print the same
+/// on every host.
+fn mean_2dp(h: &Histogram) -> String {
+    let count = u128::from(h.count());
+    let hundredths = (u128::from(h.sum()) * 100 + count / 2)
+        .checked_div(count)
+        .unwrap_or(0);
+    format!("{}.{:02}", hundredths / 100, hundredths % 100)
 }
 
 /// Tags a heap slot's `at` as an index into the run list rather than
@@ -1358,6 +1370,25 @@ mod tests {
         // Profile varies with layout; the run digest must not.
         let (digest_1shard, _, _) = ring_run(7, 24, 1, 1);
         assert_eq!(sim.digest(), digest_1shard);
+    }
+
+    #[test]
+    fn profile_table_prints_means_to_two_decimals() {
+        let mut p = EngineProfile::default();
+        assert!(p.table().contains("batch_mean=0.00 "), "{}", p.table());
+        // The fleet's shape: more shard batches than events. 2 / 3 rounds
+        // to 0.67, where the integer floor read 0.
+        for v in [0, 1, 1] {
+            p.batch_events.record(v);
+        }
+        for v in [1_000_000, 1] {
+            p.barrier_imbalance.record(v);
+        }
+        let table = p.table();
+        assert!(table.contains("batch_mean=0.67 batch_max=1 "), "{table}");
+        assert!(table.contains("stall_mean=500000.50 "), "{table}");
+        // The integer floor stays available to readers of the histogram.
+        assert_eq!(p.batch_events.mean(), 0);
     }
 
     #[test]

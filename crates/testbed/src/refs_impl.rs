@@ -133,12 +133,13 @@ impl InternalReference for SimInternalReference {
             SimDuration::from_micros(78),
             SimDuration::from_micros(2),
         );
+        // `provides` was checked above, so a missing sensor cannot reach
+        // here; it would read as a silent one.
         let reading = self
             .sensors
             .borrow_mut()
             .get_mut(cxt_type)
-            .expect("checked provides")
-            .try_sample(self.sim.now());
+            .and_then(|sensor| sensor.try_sample(self.sim.now()));
         match reading {
             Some(reading) => {
                 let item = crate::convert::reading_to_item(&reading, &self.source);
@@ -370,8 +371,7 @@ impl SimBtReference {
                 BtMsg::Cancel { qid } => {
                     let mut inner = self.inner.borrow_mut();
                     if let Some(pos) = inner.pushes.iter().position(|p| p.qid == *qid) {
-                        inner.pushes[pos].active.set(false);
-                        inner.pushes.remove(pos);
+                        inner.pushes.remove(pos).active.set(false);
                     }
                 }
             }
@@ -599,10 +599,14 @@ impl SimBtReference {
     fn handle_reply(&self, qid: u64, items: Vec<CxtItem>) {
         let finished = {
             let mut inner = self.inner.borrow_mut();
-            let Some(pos) = inner.pending.iter().position(|p| p.qid == qid) else {
+            let Some((pos, p)) = inner
+                .pending
+                .iter_mut()
+                .enumerate()
+                .find(|(_, p)| p.qid == qid)
+            else {
                 return;
             };
-            let p = &mut inner.pending[pos];
             p.items.extend(items);
             p.expected = p.expected.saturating_sub(1);
             let done_by_count = match p.spec.num_nodes {
@@ -1062,9 +1066,8 @@ impl WifiReference for SimWifiReference {
             .entity
             .as_ref()
             .and_then(|e| self.entities.borrow().get(&e.0).copied());
-        if spec.entity.is_some() && target_entity.is_none() {
+        if let (Some(who), None) = (spec.entity.clone(), target_entity) {
             let sim = self.sim.clone();
-            let who = spec.entity.clone().expect("checked");
             sim.schedule_in(SimDuration::ZERO, move || {
                 cb(Err(RefError::NotFound(format!("unknown entity {who}"))))
             });
@@ -1100,9 +1103,10 @@ impl WifiReference for SimWifiReference {
             timeout,
             move |outcome| match outcome {
                 SmOutcome::Completed(_) => {
-                    let results = outcome
-                        .completed_as::<Vec<FinderResult>>()
-                        .expect("finder payload");
+                    let Some(results) = outcome.completed_as::<Vec<FinderResult>>() else {
+                        cb(Err(RefError::Unavailable("finder returned no results".into())));
+                        return;
+                    };
                     let items: Vec<CxtItem> = results
                         .iter()
                         // Providers that drifted out of the hop range of

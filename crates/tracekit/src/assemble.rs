@@ -212,11 +212,12 @@ impl Breakup {
     /// A stage's share of the total, in per-mille (integer math — no
     /// float ordering anywhere near the determinism gates).
     pub fn share_pm(&self, stage: Stage) -> u64 {
-        if self.total_us == 0 {
-            0
-        } else {
-            self.stage(stage).us * 1000 / self.total_us
-        }
+        self.per_mille(self.stage(stage).us)
+    }
+
+    /// `us` as a per-mille share of the total (0 when the total is 0).
+    fn per_mille(&self, us: u64) -> u64 {
+        (us * 1000).checked_div(self.total_us).unwrap_or(0)
     }
 
     /// End-to-end latency quantile over all deliveries, in µs
@@ -235,11 +236,7 @@ impl Breakup {
         let mut out = String::new();
         let _ = writeln!(out, "{:<10} {:>12} {:>7} {:>9}", "stage", "total_us", "share", "samples");
         for (name, row) in &self.stages {
-            let pm = if self.total_us == 0 {
-                0
-            } else {
-                row.us * 1000 / self.total_us
-            };
+            let pm = self.per_mille(row.us);
             let _ = writeln!(
                 out,
                 "{:<10} {:>12} {:>4}.{}% {:>9}",
@@ -278,11 +275,7 @@ impl Breakup {
                 out.push(',');
             }
             first = false;
-            let pm = if self.total_us == 0 {
-                0
-            } else {
-                row.us * 1000 / self.total_us
-            };
+            let pm = self.per_mille(row.us);
             let _ = write!(
                 out,
                 "\"{name}\":{{\"us\":{},\"share_pm\":{pm},\"samples\":{}}}",

@@ -78,7 +78,7 @@ impl Stage {
     }
 
     /// Parses an export name back.
-    pub fn from_str(s: &str) -> Option<Stage> {
+    pub fn from_name(s: &str) -> Option<Stage> {
         Stage::ALL.into_iter().find(|st| st.as_str() == s)
     }
 
@@ -274,7 +274,7 @@ impl TraceLog {
             let trace_id =
                 u64::from_str_radix(trace_hex, 16).map_err(|_| bad("bad trace id"))?;
             let stage_name = field_str(line, "stage").ok_or_else(|| bad("missing stage"))?;
-            let stage = Stage::from_str(stage_name).ok_or_else(|| bad("unknown stage"))?;
+            let stage = Stage::from_name(stage_name).ok_or_else(|| bad("unknown stage"))?;
             let span = field_u64(line, "span").ok_or_else(|| bad("missing span"))?;
             let span = u32::try_from(span).map_err(|_| bad("span out of range"))?;
             let parent = field_u64(line, "parent").ok_or_else(|| bad("missing parent"))?;
