@@ -13,7 +13,7 @@
 use crate::error::ContoryError;
 use crate::factory::QueryId;
 use crate::item::CxtItem;
-use crate::merge::{post_extract, try_merge};
+use crate::merge::{extracts, post_extract, try_merge};
 use crate::providers::{CxtProvider, ProviderFailure, ProviderSink};
 use crate::query::{CxtQuery, DurationClause, QueryMode};
 use simkit::Sim;
@@ -165,23 +165,16 @@ impl Facade {
             let Some(entry) = inner.entries.iter_mut().find(|e| e.id == entry_id) else {
                 return;
             };
-            for member in &mut entry.members {
-                let extracted = post_extract(&member.query, &items, now);
-                if extracted.is_empty() {
-                    continue;
+            // Every member but the last gets copies of its items; the
+            // last filters the batch itself.
+            if let Some((last, others)) = entry.members.split_last_mut() {
+                for member in others {
+                    let batch = post_extract(&member.query, &items, now);
+                    Self::take_samples(member, batch, &mut deliveries, &mut retired);
                 }
-                let take = match member.samples_left {
-                    Some(left) => extracted.len().min(left as usize),
-                    None => extracted.len(),
-                };
-                let batch: Vec<CxtItem> = extracted.into_iter().take(take).collect();
-                if let Some(left) = &mut member.samples_left {
-                    *left -= batch.len() as u32;
-                    if *left == 0 {
-                        retired.push(member.id);
-                    }
-                }
-                deliveries.push((member.id, batch));
+                let mut batch = items;
+                batch.retain(|i| extracts(&last.query, i, now));
+                Self::take_samples(last, batch, &mut deliveries, &mut retired);
             }
             entry.members.retain(|m| !retired.contains(&m.id));
             if entry.members.is_empty() {
@@ -206,6 +199,27 @@ impl Facade {
         for id in retired {
             member_done(id);
         }
+    }
+
+    /// Queues a member's post-extracted batch for delivery, cut to its
+    /// remaining sample budget; a member whose budget runs out retires.
+    fn take_samples(
+        member: &mut Member,
+        mut batch: Vec<CxtItem>,
+        deliveries: &mut Vec<(QueryId, Vec<CxtItem>)>,
+        retired: &mut Vec<QueryId>,
+    ) {
+        if batch.is_empty() {
+            return;
+        }
+        if let Some(left) = &mut member.samples_left {
+            batch.truncate(*left as usize);
+            *left -= batch.len() as u32;
+            if *left == 0 {
+                retired.push(member.id);
+            }
+        }
+        deliveries.push((member.id, batch));
     }
 
     fn entry_failed(weak: &Weak<RefCell<Inner>>, entry_id: u64, err: crate::refs::RefError) {

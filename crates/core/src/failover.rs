@@ -20,7 +20,7 @@ use std::fmt;
 use std::rc::Rc;
 
 /// Tunables for failure detection and retry behaviour.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FailoverConfig {
     /// Same-mechanism retries (with backoff) before a failing mechanism
     /// is declared failed and the query moves to the next candidate.
@@ -32,16 +32,6 @@ pub struct FailoverConfig {
     /// consecutive periods is declared failed on its current mechanism.
     /// `0` disables the watchdog.
     pub silence_periods: u32,
-}
-
-impl Default for FailoverConfig {
-    fn default() -> Self {
-        FailoverConfig {
-            max_retries: 0,
-            backoff: BackoffPolicy::default(),
-            silence_periods: 0,
-        }
-    }
 }
 
 /// Per-query failover record (a row of the [`FailoverReport`]).
@@ -109,7 +99,7 @@ impl QueryFailover {
     fn close_gap(&mut self, now: SimTime) {
         if let Some(since) = self.open_gap_since.take() {
             let gap = now.since(since);
-            self.gap_total = self.gap_total + gap;
+            self.gap_total += gap;
             self.gap_max = self.gap_max.max(gap);
             if let Some(p) = self.period {
                 if !p.is_zero() {
@@ -323,7 +313,7 @@ impl FailoverTracker {
         for q in queries.values_mut() {
             if let Some(since) = q.open_gap_since {
                 let gap = now.since(since);
-                q.gap_total = q.gap_total + gap;
+                q.gap_total += gap;
                 q.gap_max = q.gap_max.max(gap);
                 if let Some(p) = q.period {
                     if !p.is_zero() {

@@ -213,15 +213,20 @@ fn merge_where(a: &[WherePredicate], b: &[WherePredicate]) -> Vec<WherePredicate
 pub fn post_extract(member: &CxtQuery, items: &[CxtItem], now: SimTime) -> Vec<CxtItem> {
     items
         .iter()
-        .filter(|i| i.cxt_type == member.select)
-        .filter(|i| i.is_valid_at(now))
-        .filter(|i| match member.freshness {
-            Some(f) => i.is_fresh_at(now, f),
-            None => true,
-        })
-        .filter(|i| matches_where(i, &member.where_clause))
+        .filter(|i| extracts(member, i, now))
         .cloned()
         .collect()
+}
+
+/// Whether post-extraction keeps `item` for `member` at `now`: its type,
+/// lifetime, FRESHNESS bound and WHERE predicates. Owners of a batch
+/// filter it in place with this instead of copying through
+/// [`post_extract`].
+pub(crate) fn extracts(member: &CxtQuery, item: &CxtItem, now: SimTime) -> bool {
+    item.cxt_type == member.select
+        && item.is_valid_at(now)
+        && member.freshness.is_none_or(|f| item.is_fresh_at(now, f))
+        && matches_where(item, &member.where_clause)
 }
 
 #[cfg(test)]

@@ -102,6 +102,17 @@ fn parse_trust(s: &str) -> Option<Trust> {
 /// The set of items collected in the current round, against which EVENT
 /// conditions are evaluated.
 ///
+/// Aggregates are folded incrementally. For each field an `AVG`, `MIN`,
+/// `MAX`, `SUM` or `COUNT` has named, the window caches the count, sum,
+/// minimum and maximum of that field's items among the first `upto`
+/// items, and [`EventWindow::eval`] folds only the items pushed since.
+/// Float addition is not associative, so the sum is only ever extended
+/// in window order, one item at a time, exactly as a full pass would
+/// accumulate it: every aggregate is bit-identical to a pass over the
+/// whole window. Dropping items ([`EventWindow::retain_fresh`] that
+/// drops any, [`EventWindow::clear`]) discards the caches, and the next
+/// `eval` refolds from the first item.
+///
 /// ```
 /// use contory::{CxtItem, CxtValue, EventWindow};
 /// use contory::query::CxtQuery;
@@ -119,6 +130,47 @@ fn parse_trust(s: &str) -> Option<Trust> {
 #[derive(Clone, Debug, Default)]
 pub struct EventWindow {
     items: Vec<CxtItem>,
+    /// One fold per aggregated field, each over a prefix of `items`.
+    folds: Vec<Fold>,
+}
+
+/// The aggregates of one field's numeric items among `items[..upto]`.
+#[derive(Clone, Debug)]
+struct Fold {
+    field: String,
+    upto: usize,
+    count: usize,
+    sum: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Fold {
+    fn new(field: &str) -> Self {
+        Fold {
+            field: field.to_owned(),
+            upto: 0,
+            count: 0,
+            sum: 0.0,
+            min: f64::INFINITY,
+            max: f64::NEG_INFINITY,
+        }
+    }
+
+    /// Folds in the field's items among `items[self.upto..]`, in order.
+    fn extend(&mut self, items: &[CxtItem]) {
+        let new = items.get(self.upto..).unwrap_or_default();
+        for item in new.iter().filter(|i| i.cxt_type == self.field) {
+            let Some(v) = item.value.as_f64() else {
+                continue;
+            };
+            self.count += 1;
+            self.sum += v;
+            self.min = self.min.min(v);
+            self.max = self.max.max(v);
+        }
+        self.upto = items.len();
+    }
 }
 
 impl EventWindow {
@@ -150,16 +202,21 @@ impl EventWindow {
     /// Empties the window (start of a new round).
     pub fn clear(&mut self) {
         self.items.clear();
+        self.folds.clear();
     }
 
     /// Drops items older than `max_age` at `now` (sliding windows).
     pub fn retain_fresh(&mut self, now: SimTime, max_age: SimDuration) {
+        let before = self.items.len();
         self.items.retain(|i| i.is_fresh_at(now, max_age));
+        if self.items.len() != before {
+            self.folds.clear();
+        }
     }
 
     /// Evaluates an EVENT expression against the window. Comparisons
     /// whose terms cannot be computed (no data for the field) are false.
-    pub fn eval(&self, expr: &EventExpr) -> bool {
+    pub fn eval(&mut self, expr: &EventExpr) -> bool {
         match expr {
             EventExpr::Cmp { left, op, right } => {
                 match (self.term(left), self.term(right)) {
@@ -172,7 +229,7 @@ impl EventWindow {
         }
     }
 
-    fn term(&self, term: &EventTerm) -> Option<f64> {
+    fn term(&mut self, term: &EventTerm) -> Option<f64> {
         match term {
             EventTerm::Number(n) => Some(*n),
             EventTerm::Field(name) => self
@@ -182,32 +239,24 @@ impl EventWindow {
                 .find(|i| &i.cxt_type == name)
                 .and_then(|i| i.value.as_f64()),
             EventTerm::Agg { func, field } => {
-                // Single explicit-order pass: float addition is not
-                // associative, so the accumulation order is pinned to
-                // the window's (deterministic) item order rather than
-                // left to an iterator adapter's grouping.
-                let mut count = 0usize;
-                let mut sum = 0.0f64;
-                let mut min = f64::INFINITY;
-                let mut max = f64::NEG_INFINITY;
-                for item in self.items.iter().filter(|i| &i.cxt_type == field) {
-                    let Some(v) = item.value.as_f64() else {
-                        continue;
-                    };
-                    count += 1;
-                    sum += v;
-                    min = min.min(v);
-                    max = max.max(v);
-                }
-                if count == 0 && *func != AggFunc::Count {
+                let at = match self.folds.iter().position(|f| &f.field == field) {
+                    Some(at) => at,
+                    None => {
+                        self.folds.push(Fold::new(field));
+                        self.folds.len() - 1
+                    }
+                };
+                let fold = self.folds.get_mut(at)?;
+                fold.extend(&self.items);
+                if fold.count == 0 && *func != AggFunc::Count {
                     return None;
                 }
                 Some(match func {
-                    AggFunc::Count => count as f64,
-                    AggFunc::Avg => sum / count as f64,
-                    AggFunc::Min => min,
-                    AggFunc::Max => max,
-                    AggFunc::Sum => sum,
+                    AggFunc::Count => fold.count as f64,
+                    AggFunc::Avg => fold.sum / fold.count as f64,
+                    AggFunc::Min => fold.min,
+                    AggFunc::Max => fold.max,
+                    AggFunc::Sum => fold.sum,
                 })
             }
         }
@@ -219,6 +268,7 @@ mod tests {
     use super::*;
     use crate::item::CxtValue;
     use crate::query::CxtQuery;
+    use proptest::prelude::*;
 
     fn item_with_accuracy(acc: f64) -> CxtItem {
         CxtItem::new("temperature", CxtValue::number(20.0), SimTime::ZERO).with_accuracy(acc)
@@ -321,7 +371,7 @@ mod tests {
 
     #[test]
     fn event_on_empty_window_is_false_except_count() {
-        let w = EventWindow::new();
+        let mut w = EventWindow::new();
         let q = |s: &str| match CxtQuery::parse(&format!("SELECT t DURATION 1 min EVENT {s}"))
             .unwrap()
             .mode
@@ -344,6 +394,145 @@ mod tests {
             right: EventTerm::Number(9.0),
         };
         assert!(w.eval(&e));
+    }
+
+    /// One step in the life of a window over the fields `a`, `b`, `c`.
+    #[derive(Clone, Debug)]
+    enum Op {
+        /// Advances the clock `dt` seconds and pushes an item of field
+        /// `field` (`None`: a text value) taken then.
+        Push {
+            field: usize,
+            value: Option<f64>,
+            dt: u64,
+        },
+        /// Compares an aggregate of `field` with `threshold`.
+        Eval {
+            func: usize,
+            field: usize,
+            op: usize,
+            threshold: f64,
+        },
+        /// Drops items older than `max_age` seconds.
+        RetainFresh {
+            max_age: u64,
+        },
+        Clear,
+    }
+
+    const FIELDS: [&str; 3] = ["a", "b", "c"];
+    const FUNCS: [AggFunc; 5] = [
+        AggFunc::Count,
+        AggFunc::Avg,
+        AggFunc::Min,
+        AggFunc::Max,
+        AggFunc::Sum,
+    ];
+    const OPS: [CmpOp; 6] = [
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+    ];
+
+    fn op() -> impl Strategy<Value = Op> {
+        let push = (0usize..3, proptest::option::of(-1e6f64..1e6), 0u64..10)
+            .prop_map(|(field, value, dt)| Op::Push { field, value, dt });
+        prop_oneof![
+            push.clone(),
+            push.clone(),
+            push,
+            (0usize..5, 0usize..3, 0usize..6, -1e6f64..1e6).prop_map(
+                |(func, field, op, threshold)| Op::Eval {
+                    func,
+                    field,
+                    op,
+                    threshold
+                }
+            ),
+            (0u64..60).prop_map(|max_age| Op::RetainFresh { max_age }),
+            Just(Op::Clear),
+        ]
+    }
+
+    /// A full pass over the window in item order: the reference the
+    /// folds must match bit for bit.
+    fn naive(items: &[CxtItem], func: AggFunc, field: &str) -> Option<f64> {
+        let mut count = 0usize;
+        let mut sum = 0.0f64;
+        let mut min = f64::INFINITY;
+        let mut max = f64::NEG_INFINITY;
+        for v in items
+            .iter()
+            .filter(|i| i.cxt_type == field)
+            .filter_map(|i| i.value.as_f64())
+        {
+            count += 1;
+            sum += v;
+            min = min.min(v);
+            max = max.max(v);
+        }
+        if count == 0 && func != AggFunc::Count {
+            return None;
+        }
+        Some(match func {
+            AggFunc::Count => count as f64,
+            AggFunc::Avg => sum / count as f64,
+            AggFunc::Min => min,
+            AggFunc::Max => max,
+            AggFunc::Sum => sum,
+        })
+    }
+
+    proptest! {
+        /// At every evaluation, over any interleaving of pushes,
+        /// evaluations, freshness drops and clears on one to three
+        /// fields, the folded aggregates carry the bits of a full pass
+        /// and the EVENT condition the same truth value.
+        #[test]
+        fn folded_aggregates_match_a_full_pass(
+            fields in 1usize..4,
+            ops in proptest::collection::vec(op(), 0..80),
+        ) {
+            let mut w = EventWindow::new();
+            let mut now = SimTime::ZERO;
+            for op in ops {
+                match op {
+                    Op::Push { field, value, dt } => {
+                        let value = match value {
+                            Some(v) => CxtValue::number(v),
+                            None => CxtValue::Text("calm".into()),
+                        };
+                        now += SimDuration::from_secs(dt);
+                        w.push(CxtItem::new(FIELDS[field % fields], value, now));
+                    }
+                    Op::Eval { func, field, op, threshold } => {
+                        let (func, field, op) = (FUNCS[func], FIELDS[field % fields], OPS[op]);
+                        let want = naive(w.items(), func, field)
+                            .is_some_and(|v| op.eval_f64(v, threshold));
+                        let expr = EventExpr::Cmp {
+                            left: EventTerm::Agg { func, field: field.into() },
+                            op,
+                            right: EventTerm::Number(threshold),
+                        };
+                        prop_assert_eq!(w.eval(&expr), want);
+                        for func in FUNCS {
+                            for field in &FIELDS[..fields] {
+                                let want = naive(w.items(), func, field).map(f64::to_bits);
+                                let term = EventTerm::Agg { func, field: (*field).into() };
+                                prop_assert_eq!(w.term(&term).map(f64::to_bits), want);
+                            }
+                        }
+                    }
+                    Op::RetainFresh { max_age } => {
+                        w.retain_fresh(now, SimDuration::from_secs(max_age));
+                    }
+                    Op::Clear => w.clear(),
+                }
+            }
+        }
     }
 
     #[test]

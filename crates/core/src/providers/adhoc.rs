@@ -6,7 +6,7 @@
 //! matching items come back. EVENT queries accumulate rounds into an
 //! [`EventWindow`] and fire on the rising edge of the condition.
 
-use super::{provider_filter, CxtProvider, ProviderFailure, ProviderSink};
+use super::{event_gate, CxtProvider, ProviderFailure, ProviderSink};
 use crate::predicate::EventWindow;
 use crate::query::{CxtQuery, NumNodes, QueryMode, Source};
 use crate::refs::{AdHocSpec, BtReference, RefError, StreamHandle, WifiReference};
@@ -193,27 +193,14 @@ impl AdHocCxtProvider {
     fn handle_items(&self, items: Vec<crate::item::CxtItem>) {
         let now = self.sim.now();
         let to_deliver = {
-            let mut inner = self.inner.borrow_mut();
-            let filtered = provider_filter(&inner.query, items, now);
-            match inner.query.mode.clone() {
-                QueryMode::Event(expr) => {
-                    for i in &filtered {
-                        inner.window.push(i.clone());
-                    }
-                    if let Some(f) = inner.query.freshness {
-                        inner.window.retain_fresh(now, f);
-                    }
-                    let holds = inner.window.eval(&expr);
-                    let fire = holds && inner.event_armed;
-                    inner.event_armed = !holds;
-                    if fire {
-                        filtered
-                    } else {
-                        Vec::new()
-                    }
-                }
-                _ => filtered,
-            }
+            let inner = &mut *self.inner.borrow_mut();
+            event_gate(
+                &inner.query,
+                &mut inner.window,
+                &mut inner.event_armed,
+                items,
+                now,
+            )
         };
         if !to_deliver.is_empty() {
             obskit::count("provider_adhoc_deliveries", 1);

@@ -1,7 +1,7 @@
 //! InfraCxtProvider: retrieval from remote context infrastructures over
 //! the `2G/3GReference` (§4.3).
 
-use super::{provider_filter, CxtProvider, ProviderFailure, ProviderSink};
+use super::{event_gate, CxtProvider, ProviderFailure, ProviderSink};
 use crate::predicate::EventWindow;
 use crate::query::{CxtQuery, QueryMode, Source};
 use crate::refs::{CellReference, InfraPushMode, InfraSpec, InfraSubHandle, RefError};
@@ -82,30 +82,17 @@ impl InfraCxtProvider {
     fn handle_items(&self, items: Vec<crate::item::CxtItem>) {
         let now = self.sim.now();
         let to_deliver = {
-            let mut inner = self.inner.borrow_mut();
+            let inner = &mut *self.inner.borrow_mut();
             if !inner.running {
                 return;
             }
-            let filtered = provider_filter(&inner.query, items, now);
-            match inner.query.mode.clone() {
-                QueryMode::Event(expr) => {
-                    for i in &filtered {
-                        inner.window.push(i.clone());
-                    }
-                    if let Some(f) = inner.query.freshness {
-                        inner.window.retain_fresh(now, f);
-                    }
-                    let holds = inner.window.eval(&expr);
-                    let fire = holds && inner.event_armed;
-                    inner.event_armed = !holds;
-                    if fire {
-                        filtered
-                    } else {
-                        Vec::new()
-                    }
-                }
-                _ => filtered,
-            }
+            event_gate(
+                &inner.query,
+                &mut inner.window,
+                &mut inner.event_armed,
+                items,
+                now,
+            )
         };
         if !to_deliver.is_empty() {
             obskit::count("provider_infra_deliveries", 1);

@@ -1,6 +1,6 @@
 //! LocalCxtProvider: internal sensors and BT-attached sensors.
 
-use super::{provider_filter, CxtProvider, ProviderFailure, ProviderSink};
+use super::{event_gate, CxtProvider, ProviderFailure, ProviderSink};
 use crate::item::CxtItem;
 use crate::predicate::EventWindow;
 use crate::query::{CxtQuery, QueryMode};
@@ -88,34 +88,19 @@ impl LocalCxtProvider {
 
     fn deliver(&self, items: Vec<CxtItem>) {
         let now = self.sim.now();
-        let (filtered, trigger) = {
-            let mut inner = self.inner.borrow_mut();
+        let filtered = {
+            let inner = &mut *self.inner.borrow_mut();
             if !inner.running {
                 return;
             }
-            let filtered = provider_filter(&inner.query, items, now);
-            match inner.query.mode.clone() {
-                QueryMode::Event(expr) => {
-                    for i in &filtered {
-                        inner.window.push(i.clone());
-                    }
-                    if let Some(f) = inner.query.freshness {
-                        inner.window.retain_fresh(now, f);
-                    }
-                    let holds = inner.window.eval(&expr);
-                    // Edge-triggered: fire once per condition episode.
-                    let fire = holds && inner.event_armed;
-                    inner.event_armed = !holds;
-                    if fire {
-                        (filtered, true)
-                    } else {
-                        (Vec::new(), false)
-                    }
-                }
-                _ => (filtered, false),
-            }
+            event_gate(
+                &inner.query,
+                &mut inner.window,
+                &mut inner.event_armed,
+                items,
+                now,
+            )
         };
-        let _ = trigger;
         if !filtered.is_empty() {
             obskit::count("provider_local_deliveries", 1);
             obskit::count("provider_local_items", filtered.len() as u64);

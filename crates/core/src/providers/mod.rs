@@ -18,8 +18,11 @@ pub(crate) mod infra;
 pub(crate) mod local;
 
 use crate::item::CxtItem;
-use crate::query::CxtQuery;
+use crate::merge::extracts;
+use crate::predicate::EventWindow;
+use crate::query::{CxtQuery, QueryMode};
 use crate::refs::RefError;
+use simkit::SimTime;
 use std::rc::Rc;
 
 /// Where collected items go (the owning Facade wraps this to perform
@@ -44,11 +47,43 @@ pub(crate) trait CxtProvider {
 }
 
 /// Shared helper: evaluates the merged query's WHERE and FRESHNESS
-/// against an item at delivery time.
+/// against a batch at delivery time, keeping the passing items in place.
 pub(crate) fn provider_filter(
     query: &CxtQuery,
-    items: Vec<CxtItem>,
-    now: simkit::SimTime,
+    mut items: Vec<CxtItem>,
+    now: SimTime,
 ) -> Vec<CxtItem> {
-    crate::merge::post_extract(query, &items, now)
+    items.retain(|i| extracts(query, i, now));
+    items
+}
+
+/// What a provider hands its sink for a collected batch: the batch after
+/// [`provider_filter`]. For an EVENT query the batch also joins `window`
+/// and is handed on only on the rising edge of the condition, once per
+/// condition episode (`armed` is false while the condition holds).
+pub(crate) fn event_gate(
+    query: &CxtQuery,
+    window: &mut EventWindow,
+    armed: &mut bool,
+    items: Vec<CxtItem>,
+    now: SimTime,
+) -> Vec<CxtItem> {
+    let filtered = provider_filter(query, items, now);
+    let QueryMode::Event(expr) = &query.mode else {
+        return filtered;
+    };
+    for i in &filtered {
+        window.push(i.clone());
+    }
+    if let Some(f) = query.freshness {
+        window.retain_fresh(now, f);
+    }
+    let holds = window.eval(expr);
+    let fire = holds && *armed;
+    *armed = !holds;
+    if fire {
+        filtered
+    } else {
+        Vec::new()
+    }
 }

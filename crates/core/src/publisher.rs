@@ -5,7 +5,7 @@
 //! and authenticated access locks the item with a key."
 
 use crate::item::CxtItem;
-use crate::refs::{BtReference, RefError, WifiReference};
+use crate::refs::{BtReference, Done, RefError, WifiReference};
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
@@ -112,7 +112,7 @@ enum Target {
 struct PublishState {
     remaining: usize,
     done: bool,
-    cb: Option<Box<dyn FnOnce(Result<(), RefError>)>>,
+    cb: Option<Done<Result<(), RefError>>>,
     last_err: Option<RefError>,
 }
 

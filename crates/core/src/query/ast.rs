@@ -324,11 +324,11 @@ pub(crate) fn fmt_duration(d: SimDuration) -> String {
     if us == 0 {
         return "0 sec".to_owned();
     }
-    if us % 3_600_000_000 == 0 {
+    if us.is_multiple_of(3_600_000_000) {
         format!("{} hour", us / 3_600_000_000)
-    } else if us % 60_000_000 == 0 {
+    } else if us.is_multiple_of(60_000_000) {
         format!("{} min", us / 60_000_000)
-    } else if us % 1_000_000 == 0 {
+    } else if us.is_multiple_of(1_000_000) {
         format!("{} sec", us / 1_000_000)
     } else {
         format!("{} msec", us / 1_000)

@@ -56,8 +56,7 @@ pub(crate) fn lex(input: &str) -> Result<Vec<Token>, LexError> {
     let bytes = input.as_bytes();
     let mut tokens = Vec::new();
     let mut i = 0;
-    while i < bytes.len() {
-        let b = bytes[i];
+    while let Some(&b) = bytes.get(i) {
         match b {
             b' ' | b'\t' | b'\r' | b'\n' => i += 1,
             b'(' => {
@@ -114,8 +113,8 @@ pub(crate) fn lex(input: &str) -> Result<Vec<Token>, LexError> {
                     i += 1;
                 }
                 let mut seen_dot = false;
-                while i < bytes.len() {
-                    match bytes[i] {
+                while let Some(&c) = bytes.get(i) {
+                    match c {
                         b'0'..=b'9' => i += 1,
                         b'.' if !seen_dot => {
                             seen_dot = true;
@@ -124,7 +123,9 @@ pub(crate) fn lex(input: &str) -> Result<Vec<Token>, LexError> {
                         _ => break,
                     }
                 }
-                let text = &input[start..i];
+                // Tokens start and end at ASCII bytes, so every cut is a
+                // char boundary and `get` always succeeds.
+                let text = input.get(start..i).unwrap_or_default();
                 let n: f64 = text.parse().map_err(|_| LexError {
                     offset: start,
                     message: format!("bad number '{text}'"),
@@ -136,12 +137,13 @@ pub(crate) fn lex(input: &str) -> Result<Vec<Token>, LexError> {
             }
             b'A'..=b'Z' | b'a'..=b'z' | b'_' => {
                 let start = i;
-                while i < bytes.len()
-                    && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_' || bytes[i] == b'-')
+                while bytes
+                    .get(i)
+                    .is_some_and(|c| c.is_ascii_alphanumeric() || matches!(c, b'_' | b'-'))
                 {
                     i += 1;
                 }
-                let word = &input[start..i];
+                let word = input.get(start..i).unwrap_or_default();
                 let kind = match word.to_ascii_uppercase().as_str() {
                     "SELECT" => TokenKind::Select,
                     "FROM" => TokenKind::From,

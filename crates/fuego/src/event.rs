@@ -6,6 +6,7 @@
 //! metadata, digest) reproduces that framing cost, which is what makes
 //! UMTS provisioning pay off only when items are batched.
 
+use crate::infra::ResultSet;
 use crate::xml::XmlElement;
 use simkit::hash::{fnv1a, FNV_OFFSET};
 use simkit::SimTime;
@@ -52,6 +53,10 @@ pub struct EventNotification {
     /// Structured fast-path payload for in-simulation consumers (not
     /// serialized; the XML body is the wire representation).
     pub payload: Option<Rc<dyn Any>>,
+    /// A result set's records: on the wire the last children of `body`,
+    /// held here as the store's shared records with their printed
+    /// length, so sizing the notification builds no element for them.
+    pub(crate) records: Option<ResultSet>,
 }
 
 impl EventNotification {
@@ -69,6 +74,7 @@ impl EventNotification {
             timestamp,
             body,
             payload: None,
+            records: None,
         }
     }
 
@@ -84,31 +90,26 @@ impl EventNotification {
         self
     }
 
-    /// Builds the full XML envelope.
+    /// Builds the full XML envelope, a result set's records included.
     pub fn to_envelope(&self) -> XmlElement {
-        self.envelope(&self.digest(), self.body.clone())
+        let mut body = self.body.clone();
+        if let Some(set) = &self.records {
+            body.children.extend(set.records.iter().map(|r| r.to_xml()));
+        }
+        self.envelope(&digest(&body), body)
     }
 
     /// Serialized size of the envelope in bytes, counted without building
     /// or printing the body: the header comes from the envelope builder
     /// around a one-element body slot, with a placeholder of the digest's
-    /// fixed width.
+    /// fixed width; a result set adds the lengths its records were
+    /// counted at.
     pub fn wire_size(&self) -> usize {
         let slot = XmlElement::new("b");
         let slot_bytes = slot.wire_size();
-        self.envelope(DIGEST_PLACEHOLDER, slot).wire_size() - slot_bytes + self.body.wire_size()
-    }
-
-    /// A fake-but-plausible message digest: fixed-width hex derived from
-    /// cheap hashing, standing in for the integrity header real
-    /// deployments carry.
-    fn digest(&self) -> String {
-        let h = fnv1a(FNV_OFFSET, self.body.to_xml().as_bytes());
-        format!(
-            "{h:016x}{:016x}{h:016x}{:016x}",
-            h.rotate_left(17),
-            h.rotate_right(23)
-        )
+        let records = self.records.as_ref().map_or(0, |set| set.xml_bytes);
+        self.envelope(DIGEST_PLACEHOLDER, slot).wire_size() - slot_bytes
+            + self.body.wire_size_with_children(records)
     }
 
     /// The envelope around `body`, with `digest` in its integrity header.
@@ -233,8 +234,21 @@ impl EventNotification {
             timestamp: SimTime::from_millis(millis),
             body,
             payload: None,
+            records: None,
         })
     }
+}
+
+/// A fake-but-plausible message digest of `body`: fixed-width hex derived
+/// from cheap hashing, standing in for the integrity header real
+/// deployments carry.
+fn digest(body: &XmlElement) -> String {
+    let h = fnv1a(FNV_OFFSET, body.to_xml().as_bytes());
+    format!(
+        "{h:016x}{:016x}{h:016x}{:016x}",
+        h.rotate_left(17),
+        h.rotate_right(23)
+    )
 }
 
 impl fmt::Debug for EventNotification {

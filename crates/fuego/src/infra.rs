@@ -6,6 +6,13 @@
 //! component the DYNAMOS field trials used as "remote repository", and
 //! what `WeatherWatcher` falls back to when the target region is too far
 //! for multi-hop ad hoc provisioning.
+//!
+//! The store keeps each record once, behind an `Rc`, beside the printed
+//! length of its `<record>` element, counted when it is stored. Query
+//! results, periodic and on-store pushes and the phone-side result sets
+//! share those records instead of copying them, and a result set's wire
+//! size adds the stored lengths: no push builds or prints an element per
+//! record, however much history the store holds.
 
 use crate::broker::EventBroker;
 use crate::client::{FuegoClient, RequestError};
@@ -229,8 +236,23 @@ struct ServerSub {
     active: Rc<std::cell::Cell<bool>>,
 }
 
+/// A stored record beside the printed length of its `<record>` element.
+#[derive(Clone)]
+struct Stored {
+    record: Rc<InfraRecord>,
+    xml_bytes: usize,
+}
+
+/// The records a `cxt/results` notification carries, shared with the
+/// store, and the printed length of their `<record>` elements together.
+#[derive(Clone)]
+pub(crate) struct ResultSet {
+    pub(crate) records: Vec<Rc<InfraRecord>>,
+    pub(crate) xml_bytes: usize,
+}
+
 struct InfraInner {
-    records: Vec<InfraRecord>,
+    records: Vec<Stored>,
     capacity: usize,
     subs: Vec<ServerSub>,
     next_sub: u64,
@@ -290,7 +312,7 @@ impl ContextInfrastructure {
             let me = infra.clone();
             broker.register_service("cxt/query", move |_from, ev| {
                 let query = InfraQuery::from_xml(&ev.body)?;
-                Some(me.results_event(me.eval(&query), ev.timestamp))
+                Some(results_event(me.results(&query), ev.timestamp))
             });
         }
         // cxt/subscribe: long-running query registration.
@@ -333,44 +355,62 @@ impl ContextInfrastructure {
     /// Stores a record directly (server-side sources like official
     /// weather stations use this path).
     pub fn store(&self, record: InfraRecord) {
-        let on_store_pushes: Vec<(String, InfraRecord)> = {
+        let stored = Stored {
+            xml_bytes: record.to_xml().wire_size(),
+            record: Rc::new(record),
+        };
+        let on_store_topics: Vec<String> = {
             let mut inner = self.inner.borrow_mut();
             if inner.records.len() >= inner.capacity {
                 inner.records.remove(0);
             }
             let now = self.sim.now();
-            let pushes = inner
+            let topics = inner
                 .subs
                 .iter()
                 .filter(|s| {
-                    s.active.get() && s.mode == PushMode::OnStore && s.query.matches(&record, now)
+                    s.active.get()
+                        && s.mode == PushMode::OnStore
+                        && s.query.matches(&stored.record, now)
                 })
-                .map(|s| (s.topic.clone(), record.clone()))
+                .map(|s| s.topic.clone())
                 .collect();
-            inner.records.push(record);
-            pushes
+            inner.records.push(stored.clone());
+            topics
         };
-        for (topic, rec) in on_store_pushes {
-            let ev = self.results_event(vec![rec], self.sim.now()).retopic(topic);
+        for topic in on_store_topics {
+            let set = ResultSet {
+                records: vec![stored.record.clone()],
+                xml_bytes: stored.xml_bytes,
+            };
+            let ev = results_event(set, self.sim.now()).retopic(topic);
             self.broker.publish_from_server(ev);
         }
     }
 
-    /// Evaluates a query against the store, most recent first.
-    pub fn eval(&self, query: &InfraQuery) -> Vec<InfraRecord> {
+    /// Evaluates a query against the store, most recent first. The
+    /// records are the store's own, shared.
+    pub fn eval(&self, query: &InfraQuery) -> Vec<Rc<InfraRecord>> {
+        self.results(query).records
+    }
+
+    /// [`ContextInfrastructure::eval`] with the stored lengths of the hits.
+    fn results(&self, query: &InfraQuery) -> ResultSet {
         let now = self.sim.now();
         let inner = self.inner.borrow();
-        let mut hits: Vec<InfraRecord> = inner
+        let mut hits: Vec<&Stored> = inner
             .records
             .iter()
-            .filter(|r| query.matches(r, now))
-            .cloned()
+            .filter(|s| query.matches(&s.record, now))
             .collect();
-        hits.sort_by_key(|r| std::cmp::Reverse(r.timestamp));
+        hits.sort_by_key(|s| std::cmp::Reverse(s.record.timestamp));
         if query.max_items > 0 {
             hits.truncate(query.max_items);
         }
-        hits
+        ResultSet {
+            xml_bytes: hits.iter().map(|s| s.xml_bytes).sum(),
+            records: hits.into_iter().map(|s| s.record.clone()).collect(),
+        }
     }
 
     /// Number of records currently stored.
@@ -399,11 +439,9 @@ impl ContextInfrastructure {
                 if !active.get() {
                     return false;
                 }
-                let results = me.eval(&query);
-                if !results.is_empty() {
-                    let ev = me
-                        .results_event(results, me.sim.now())
-                        .retopic(topic.clone());
+                let results = me.results(&query);
+                if !results.records.is_empty() {
+                    let ev = results_event(results, me.sim.now()).retopic(topic.clone());
                     me.broker.publish_from_server(ev);
                 }
                 true
@@ -419,15 +457,16 @@ impl ContextInfrastructure {
         }
         inner.subs.retain(|s| s.id != id);
     }
+}
 
-    fn results_event(&self, results: Vec<InfraRecord>, timestamp: SimTime) -> EventNotification {
-        let mut body = XmlElement::new("results").attr("n", results.len().to_string());
-        for r in &results {
-            body = body.child(r.to_xml());
-        }
-        EventNotification::new("cxt/results", "infra", body, timestamp)
-            .with_payload(Rc::new(results))
-    }
+/// The `cxt/results` notification for a result set: the body states the
+/// count, and the records ride as the set (see
+/// [`EventNotification::to_envelope`]).
+fn results_event(set: ResultSet, timestamp: SimTime) -> EventNotification {
+    let body = XmlElement::new("results").attr("n", set.records.len().to_string());
+    let mut ev = EventNotification::new("cxt/results", "infra", body, timestamp);
+    ev.records = Some(set);
+    ev
 }
 
 impl fmt::Debug for ContextInfrastructure {
@@ -514,7 +553,7 @@ impl InfraClient {
         &self,
         query: &InfraQuery,
         timeout: SimDuration,
-        cb: impl FnOnce(Result<Vec<InfraRecord>, RequestError>) + 'static,
+        cb: impl FnOnce(Result<Vec<Rc<InfraRecord>>, RequestError>) + 'static,
     ) {
         let ev = self.fuego.make_event("cxt/query", query.to_xml());
         self.fuego.request("cxt/query", ev, timeout, move |res| {
@@ -528,7 +567,7 @@ impl InfraClient {
         &self,
         query: &InfraQuery,
         mode: PushMode,
-        handler: impl Fn(Vec<InfraRecord>) + 'static,
+        handler: impl Fn(Vec<Rc<InfraRecord>>) + 'static,
     ) -> InfraSubscription {
         let topic = {
             // A unique push topic per subscription.
@@ -567,16 +606,17 @@ impl InfraClient {
     }
 }
 
-/// The records a result set carries: its structured payload, taken
-/// without a copy when this was its only holder, else decoded from the
+/// The records a result set carries: the store's shared records, else
+/// (for a notification rebuilt from a printed envelope) decoded from the
 /// XML body.
-fn decode_results(ev: EventNotification) -> Vec<InfraRecord> {
-    match ev.payload.map(|p| p.downcast::<Vec<InfraRecord>>()) {
-        Some(Ok(records)) => Rc::unwrap_or_clone(records),
-        _ => ev
+fn decode_results(ev: EventNotification) -> Vec<Rc<InfraRecord>> {
+    match ev.records {
+        Some(set) => set.records,
+        None => ev
             .body
             .find_all("record")
             .filter_map(InfraRecord::from_xml)
+            .map(Rc::new)
             .collect(),
     }
 }
@@ -585,25 +625,84 @@ fn decode_results(ev: EventNotification) -> Vec<InfraRecord> {
 mod tests {
     use super::*;
 
+    fn set_of(records: Vec<InfraRecord>) -> ResultSet {
+        ResultSet {
+            xml_bytes: records.iter().map(|r| r.to_xml().wire_size()).sum(),
+            records: records.into_iter().map(Rc::new).collect(),
+        }
+    }
+
     #[test]
     fn a_result_set_with_a_shared_payload_still_decodes() {
-        let records = Rc::new(vec![InfraRecord::new(
+        let set = set_of(vec![InfraRecord::new(
             "boat-1",
             "wind",
             "12kn",
             SimTime::from_millis(5),
         )]);
-        // The body lists no record, so only the payload can yield one.
-        let ev = EventNotification::new(
-            "cxt/results",
-            "infra",
-            XmlElement::new("results"),
-            SimTime::ZERO,
-        )
-        .with_payload(records.clone());
+        let ev = results_event(set, SimTime::ZERO);
+        // The broker hands every subscriber but the last a copy.
+        let copy = ev.clone();
         let got = decode_results(ev);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].entity, "boat-1");
-        assert_eq!(records.len(), 1, "the other holder keeps its records");
+        assert_eq!(
+            copy.records.map(|set| set.records.len()),
+            Some(1),
+            "the other holder keeps its records"
+        );
+    }
+
+    /// Records whose `<record>` elements exercise every escaped
+    /// character, multi-byte text, positions and metadata.
+    fn awkward_records(n: usize) -> Vec<InfraRecord> {
+        (0..n)
+            .map(|i| {
+                let mut r = InfraRecord::new(
+                    format!("boat-{i}&<>\"'"),
+                    "wind",
+                    format!("{i}kn é中"),
+                    SimTime::from_millis(1_000 * i as u64),
+                )
+                .with_metadata("accuracy", "0.5")
+                .with_metadata("note", format!("<{i}> & \"é\" '中'"));
+                if i % 2 == 0 {
+                    r = r.at(Position::new(i as f64 * 1.5, -2.25));
+                }
+                r
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_result_set_sizes_and_prints_as_the_records_in_its_body() {
+        for n in [0, 1, 50] {
+            let records = awkward_records(n);
+            let mut body = XmlElement::new("results").attr("n", n.to_string());
+            for r in &records {
+                body = body.child(r.to_xml());
+            }
+            let at = SimTime::from_millis(7_000);
+            // The notification with every `<record>` built into its body.
+            let full = EventNotification::new("cxt/results", "infra", body, at).with_id(3);
+            let printed = full.to_envelope().to_xml();
+            let ev = results_event(set_of(records), at).with_id(3);
+            assert_eq!(ev.wire_size(), printed.len(), "{n} records");
+            assert_eq!(ev.to_envelope().to_xml(), printed, "{n} records");
+        }
+    }
+
+    #[test]
+    fn a_printed_result_set_decodes_from_its_body() {
+        let ev = results_event(set_of(awkward_records(3)), SimTime::ZERO);
+        let printed = ev.to_envelope().to_xml();
+        let back = XmlElement::parse(&printed).expect("the envelope parses");
+        let back = EventNotification::from_envelope(&back).expect("an envelope");
+        let got = decode_results(back);
+        let want = decode_results(ev);
+        assert_eq!(got.len(), 3);
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g.to_xml(), w.to_xml());
+        }
     }
 }

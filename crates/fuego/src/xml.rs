@@ -115,6 +115,14 @@ impl XmlElement {
     /// Serialized size in bytes (what the wire-size models use): the
     /// length of [`XmlElement::to_xml`], counted without building it.
     pub fn wire_size(&self) -> usize {
+        self.wire_size_with_children(0)
+    }
+
+    /// Serialized size of this element with further children appended
+    /// after its own, `extra` printed bytes of them. Every element prints
+    /// at least four bytes (`<a/>`), so `extra` is 0 only when there are
+    /// none.
+    pub(crate) fn wire_size_with_children(&self, extra: usize) -> usize {
         // `<name`, then ` key="value"` per attribute.
         let attributes: usize = self
             .attributes
@@ -122,11 +130,12 @@ impl XmlElement {
             .map(|(k, v)| k.len() + escaped_len(v) + 4)
             .sum();
         let open = 1 + self.name.len() + attributes;
-        if self.text.is_empty() && self.children.is_empty() {
+        let own: usize = self.children.iter().map(XmlElement::wire_size).sum();
+        let children = own + extra;
+        if self.text.is_empty() && children == 0 {
             return open + "/>".len();
         }
         // `>`, the text, the children, then `</name>`.
-        let children: usize = self.children.iter().map(XmlElement::wire_size).sum();
         open + 1 + escaped_len(&self.text) + children + self.name.len() + 3
     }
 
@@ -164,6 +173,7 @@ impl XmlElement {
     /// 128 deep.
     pub fn parse(input: &str) -> Result<XmlElement, ParseXmlError> {
         let mut p = Parser {
+            src: input,
             bytes: input.as_bytes(),
             pos: 0,
             depth: 0,
@@ -224,6 +234,8 @@ fn escaped_len(s: &str) -> usize {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    src: &'a str,
+    /// `src` as bytes.
     bytes: &'a [u8],
     pos: usize,
     /// Ancestors of the element being parsed.
@@ -320,15 +332,26 @@ impl<'a> Parser<'a> {
         Err(self.err("unterminated entity"))
     }
 
+    /// The text from here up to the next byte `stop` accepts, or to the
+    /// end. Every byte `stop` accepts is ASCII, which is never part of a
+    /// multi-byte UTF-8 character, so the run is whole characters.
+    fn run(&mut self, stop: impl Fn(u8) -> bool) -> &'a str {
+        let start = self.pos;
+        while self.peek().is_some_and(|b| !stop(b)) {
+            self.pos += 1;
+        }
+        self.src.get(start..self.pos).unwrap_or_default()
+    }
+
     fn quoted(&mut self) -> Result<String, ParseXmlError> {
         self.expect_byte(b'"')?;
         let mut out = String::new();
         loop {
+            out.push_str(self.run(|b| matches!(b, b'"' | b'&')));
             match self.bump() {
                 None => return Err(self.err("unterminated attribute value")),
                 Some(b'"') => return Ok(out),
-                Some(b'&') => out.push(self.entity()?),
-                Some(b) => out.push(b as char),
+                Some(_) => out.push(self.entity()?),
             }
         }
     }
@@ -390,12 +413,15 @@ impl<'a> Parser<'a> {
                     let c = self.entity()?;
                     el.text.push(c);
                 }
-                Some(b) => {
+                Some(_) => {
+                    let text = self.run(|b| matches!(b, b'<' | b'&'));
                     // Whitespace-only text between children is dropped.
-                    if el.children.is_empty() || !b.is_ascii_whitespace() {
-                        el.text.push(b as char);
+                    if el.children.is_empty() {
+                        el.text.push_str(text);
+                    } else {
+                        el.text
+                            .extend(text.chars().filter(|c| !c.is_ascii_whitespace()));
                     }
-                    self.pos += 1;
                 }
             }
         }
@@ -490,6 +516,16 @@ mod tests {
             .expect("parser thread panicked");
         let err = res.expect_err("10,000 levels must be refused");
         assert!(err.message.contains("nested deeper than 128"), "{err}");
+    }
+
+    #[test]
+    fn parses_multi_byte_text_and_attributes() {
+        let el = XmlElement::parse(r#"<a k="é&amp;中"><b/> 中 é </a>"#).unwrap();
+        assert_eq!(el.attribute("k"), Some("é&中"));
+        assert_eq!(el.text_content(), "中é");
+        let back = XmlElement::parse(r#"<a k="é">中</a>"#).unwrap();
+        assert_eq!(back.attribute("k"), Some("é"));
+        assert_eq!(back.text_content(), "中");
     }
 
     #[test]

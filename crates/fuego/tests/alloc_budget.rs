@@ -4,9 +4,10 @@
 //! Fuego XML notification, and every frame is sized from that envelope.
 //! This test counts the heap traffic of one periodic infrastructure
 //! subscription with a std-only counting allocator, and fails when a
-//! change makes the leg allocate clearly more: printing an envelope only
-//! to take its length, or deep-copying a frame or result set on a hop,
-//! is enough to trip it. The simulation is seeded and single-threaded,
+//! change makes the leg allocate clearly more: building or printing XML
+//! per record to size a push, printing an envelope only to take its
+//! length, or deep-copying a frame, result set or record on a hop, is
+//! enough to trip it. The simulation is seeded and single-threaded,
 //! so the count does not swing with the host's load the way wall time
 //! does.
 //!
@@ -29,13 +30,16 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::rc::Rc;
 
-/// Allocation budget: the measured 201,542 plus just under 5 %. Printing
-/// each envelope to size it and deep-copying each hop's frame and result
-/// set made 731,061.
-const MAX_ALLOCS: u64 = 211_600;
-/// Budget of bytes requested: the measured 16,325,665 plus just under
-/// 5 % (42,583,857 with the printing and copying).
-const MAX_BYTES: u64 = 17_140_000;
+/// Allocation budget: the measured 4,081 plus just under 5 %. Building a
+/// `<record>` element for every record of every push, only to size the
+/// frame, made 201,542; printing each envelope to size it and
+/// deep-copying each hop's frame and result set on top of that made
+/// 731,061.
+const MAX_ALLOCS: u64 = 4_280;
+/// Budget of bytes requested: the measured 366,945 plus just under 5 %
+/// (16,325,665 with a `<record>` element per record per push, 42,583,857
+/// with the printing and copying as well).
+const MAX_BYTES: u64 = 385_000;
 
 /// Heap traffic on one thread.
 #[derive(Clone, Copy)]

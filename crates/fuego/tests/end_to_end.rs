@@ -62,7 +62,7 @@ fn store_then_query_round_trip() {
     assert!(stored.get());
     assert_eq!(rig.infra.record_count(), 1);
 
-    let got: Rc<RefCell<Option<Vec<InfraRecord>>>> = Rc::new(RefCell::new(None));
+    let got: Rc<RefCell<Option<Vec<Rc<InfraRecord>>>>> = Rc::new(RefCell::new(None));
     let g = got.clone();
     infra_client.query(
         &InfraQuery::for_type("temperature"),
@@ -168,7 +168,7 @@ fn on_store_subscription_pushes_matching_records_only() {
         PushMode::OnStore,
         move |records| {
             for r in records {
-                g.borrow_mut().push(r.value_text);
+                g.borrow_mut().push(r.value_text.clone());
             }
         },
     );

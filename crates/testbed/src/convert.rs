@@ -88,11 +88,12 @@ fn parse_value_text(text: &str, position: Option<Position>) -> CxtValue {
         .find(|(_, c)| !(c.is_ascii_digit() || *c == '.' || *c == '-'))
         .map(|(i, _)| i)
         .unwrap_or(text.len());
-    if split > 0 {
-        if let Ok(v) = text[..split].parse::<f64>() {
+    // An empty number part fails to parse.
+    if let Some((number, unit)) = text.split_at_checked(split) {
+        if let Ok(v) = number.parse::<f64>() {
             return CxtValue::Number {
                 value: v,
-                unit: text[split..].to_owned(),
+                unit: unit.to_owned(),
             };
         }
     }

@@ -1249,7 +1249,7 @@ impl CellReference for SimCellReference {
         let q = self.infra_query(spec);
         self.client
             .query(&q, SimDuration::from_secs(30), move |res| match res {
-                Ok(records) => cb(Ok(records.iter().map(record_to_item).collect())),
+                Ok(records) => cb(Ok(records.iter().map(|r| record_to_item(r)).collect())),
                 Err(e) => cb(Err(map_req_err(e))),
             });
     }
@@ -1266,7 +1266,7 @@ impl CellReference for SimCellReference {
             InfraPushMode::OnArrival => PushMode::OnStore,
         };
         let sub = self.client.subscribe(&q, push_mode, move |records| {
-            let items: Vec<CxtItem> = records.iter().map(record_to_item).collect();
+            let items: Vec<CxtItem> = records.iter().map(|r| record_to_item(r)).collect();
             if !items.is_empty() {
                 on_items(items);
             }

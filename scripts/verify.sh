@@ -10,9 +10,9 @@
 #    must report zero findings above the checked-in ratchet baseline
 #    (results/lint_baseline.json) and zero stale pragmas
 #    (DESIGN.md §5c, §5g); then clippy over every target of simkit,
-#    obskit, benchkit and fuego (and the workspace crates they depend
-#    on) with warnings as errors, and rustfmt's check over the same
-#    four crates;
+#    obskit, benchkit, fuego and core (and the workspace crates they
+#    depend on) with warnings as errors, and rustfmt's check over
+#    simkit, obskit, benchkit and fuego (core still has rustfmt diffs);
 # 3. the failure-scenario suite in isolation — every scenario runs
 #    across the three fixed seeds baked into the suite (11, 22, 33);
 # 4. the shard gate: the partition-invariance suite on the partitioned
@@ -27,10 +27,11 @@
 #    report must be identical at 1 and max(nproc, 2) engine threads
 #    (perfbench/README.md). Then brokerd's alloc_budget test counts the
 #    heap allocations, bytes and peak live heap of a seeded 2,000-device
-#    fleet run and fails above any of its budgets, and fuego's counts the
+#    fleet run and fails above any of its budgets, fuego's counts the
 #    allocations and bytes of a periodic extInfra subscription pushing
-#    200 records for 30 sim-minutes: cost checks that, unlike wall time,
-#    do not swing with the host's load;
+#    200 records for 30 sim-minutes, and testbed's those of two phones'
+#    extInfra and intSensor queries for 30 sim-minutes: cost checks
+#    that, unlike wall time, do not swing with the host's load;
 # 6. the Fig. 5 failover bench, which asserts the recovery SLO
 #    (worst provisioning gap <= 45 s) from the FailoverReport;
 # 7. the obs gate: the sm_breakup bench re-measures the paper's §6.1
@@ -72,8 +73,8 @@ cargo test -q
 echo "==> lintkit gate (determinism & robustness lints, ratchet baseline)"
 cargo run -q --release -p lintkit -- --workspace --baseline results/lint_baseline.json
 
-echo "==> clippy gate (simkit, obskit, benchkit, fuego; every target, warnings are errors)"
-cargo clippy -q -p contory-simkit -p contory-obskit -p contory-benchkit -p contory-fuego --all-targets -- -D warnings
+echo "==> clippy gate (simkit, obskit, benchkit, fuego, core; every target, warnings are errors)"
+cargo clippy -q -p contory-simkit -p contory-obskit -p contory-benchkit -p contory-fuego -p contory --all-targets -- -D warnings
 
 echo "==> fmt gate (simkit, obskit, benchkit, fuego)"
 cargo fmt --check -p contory-simkit -p contory-obskit -p contory-benchkit -p contory-fuego
@@ -87,10 +88,11 @@ cargo test -q --test proptests
 echo "==> shard gate (partition/thread invariance, DESIGN.md 5f)"
 cargo test -q --test shard_determinism
 
-echo "==> perf gate (perfbench self-test: output checks at 1 and max(nproc, 2) threads; fleet and extInfra allocation budgets)"
+echo "==> perf gate (perfbench self-test: output checks at 1 and max(nproc, 2) threads; fleet, extInfra and provisioning allocation budgets)"
 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --selftest
 cargo test -q --release -p contory-brokerd --test alloc_budget
 cargo test -q --release -p contory-fuego --test alloc_budget
+cargo test -q --release -p contory-testbed --test alloc_budget
 
 echo "==> Fig. 5 failover bench (recovery SLO)"
 cargo run -q --release -p contory-bench --bin fig5_failover

@@ -30,6 +30,36 @@ use tracekit::TraceCtx;
 // Strategies
 // ------------------------------------------------------------------
 
+const CQL_WORDS: [&str; 14] = [
+    "SELECT",
+    "FROM",
+    "WHERE",
+    "FRESHNESS",
+    "DURATION",
+    "EVERY",
+    "EVENT",
+    "AND",
+    "OR",
+    "AVG",
+    "adHocNetwork",
+    "extInfra",
+    "sec",
+    "samples",
+];
+
+/// A piece of would-be CQL: a keyword or word of the language, a run of
+/// digits, `.`, `-` and `+`, operators and punctuation, an identifier
+/// with non-ASCII letters, or blanks.
+fn cql_fragment() -> impl Strategy<Value = String> {
+    prop_oneof![
+        (0..CQL_WORDS.len()).prop_map(|i| CQL_WORDS[i].to_owned()),
+        "[0-9.+-]{1,6}",
+        "[=<>!(),]{1,3}",
+        "[a-zA-Z_é中ü-]{1,6}",
+        "[ \t]{1,2}",
+    ]
+}
+
 fn ident() -> impl Strategy<Value = String> {
     // Identifiers that cannot collide with keywords or aggregates.
     "[a-z][a-z0-9]{0,8}".prop_map(|s| format!("t{s}"))
@@ -444,15 +474,40 @@ proptest! {
         prop_assert!((whole - parts).abs() < 1e-6 * (1.0 + whole.abs()));
     }
 
-    /// XML escaping round-trips arbitrary attribute values and text.
+    /// XML escaping round-trips arbitrary attribute values and text,
+    /// multi-byte UTF-8 characters included.
     #[test]
-    fn xml_round_trips(attr in "[ -~]{0,40}", text in "[ -~]{0,60}") {
+    fn xml_round_trips(attr in "[ -~é中]{0,40}", text in "[ -~é中]{0,60}") {
         let el = XmlElement::new("node")
             .attr("value", attr.clone())
             .child(XmlElement::new("inner").text(text.clone()));
         let parsed = XmlElement::parse(&el.to_xml()).unwrap();
         prop_assert_eq!(parsed.attribute("value"), Some(attr.as_str()));
         prop_assert_eq!(parsed.find("inner").unwrap().text_content(), text.as_str());
+    }
+
+    /// `CxtQuery::parse` is total: on arbitrary text (fragments of the
+    /// language, real queries cut short, or both) it returns a query or
+    /// a `ParseQueryError` whose offset is a char boundary of the text,
+    /// and never panics.
+    #[test]
+    fn query_parse_is_total(
+        fragments in proptest::collection::vec(cql_fragment(), 0..16),
+        real in query(),
+        cut in 0usize..160,
+    ) {
+        let noise = fragments.concat();
+        let truncated: String = real.to_string().chars().take(cut).collect();
+        for text in [noise.clone(), truncated.clone(), format!("{truncated}{noise}")] {
+            if let Err(e) = CxtQuery::parse(&text) {
+                prop_assert!(
+                    text.is_char_boundary(e.offset),
+                    "offset {} in {:?}",
+                    e.offset,
+                    text
+                );
+            }
+        }
     }
 
     /// EventWindow's AVG equals the naive mean of the window's values.
