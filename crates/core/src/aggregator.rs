@@ -4,7 +4,7 @@
 //! mechanisms "allows applications to partly relieve the uncertainty of
 //! single context sources".
 
-use crate::item::{CxtItem, CxtValue, Metadata, Trust};
+use crate::item::{CxtItem, CxtValue, Metadata, Name, Trust};
 use simkit::SimTime;
 use std::collections::BTreeMap;
 
@@ -102,7 +102,7 @@ impl CxtAggregator {
     fn fused(&self, first: &CxtItem, items: &[CxtItem], mean: f64, now: SimTime) -> CxtItem {
         let unit = match &first.value {
             CxtValue::Number { unit, .. } => unit.clone(),
-            _ => String::new(),
+            _ => Name::default(),
         };
         let mut metadata = Metadata::none();
         // Accuracy of an unweighted mean: the worst input accuracy is a

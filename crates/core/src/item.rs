@@ -6,17 +6,108 @@
 //! (correctness, precision, accuracy, completeness, privacy, trust).
 
 use simkit::{SimDuration, SimTime};
+use std::borrow::Borrow;
 use std::fmt;
+use std::ops::Deref;
+use std::rc::Rc;
+
+/// A name an item carries: its type, a unit, a text value, a component
+/// name, a privacy label or a source id.
+///
+/// An item never changes after it is made, so its copies share one
+/// allocation of each name: cloning a `Name` bumps a count. A `Name`
+/// derefs to `str`, compares with `&str` and `String`, orders and hashes
+/// as its text, and prints with `{}` and `{:?}` exactly as its text
+/// does.
+///
+/// ```
+/// use contory::Name;
+///
+/// let unit = Name::from("kn");
+/// assert_eq!(unit, "kn");
+/// assert_eq!(format!("{unit} {unit:?}"), "kn \"kn\"");
+/// ```
+#[derive(Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct Name(Rc<str>);
+
+impl Name {
+    /// The text.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+impl Deref for Name {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl Borrow<str> for Name {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
+impl fmt::Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(&*self.0, f)
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.0, f)
+    }
+}
+
+impl From<&str> for Name {
+    fn from(s: &str) -> Self {
+        Name(Rc::from(s))
+    }
+}
+
+impl From<String> for Name {
+    fn from(s: String) -> Self {
+        Name(Rc::from(s))
+    }
+}
+
+impl PartialEq<str> for Name {
+    fn eq(&self, other: &str) -> bool {
+        *self.0 == *other
+    }
+}
+
+impl PartialEq<&str> for Name {
+    fn eq(&self, other: &&str) -> bool {
+        *self.0 == **other
+    }
+}
+
+impl PartialEq<String> for Name {
+    fn eq(&self, other: &String) -> bool {
+        *self.0 == **other
+    }
+}
+
+impl PartialEq<Name> for String {
+    fn eq(&self, other: &Name) -> bool {
+        **self == *other.0
+    }
+}
 
 /// Identifier of the source an item came from: a sensor, a neighboring
 /// device, or an infrastructure ("sensor, infrastructure, and device
 /// addresses" in the paper).
 #[derive(Clone, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct SourceId(pub String);
+pub struct SourceId(pub Name);
 
 impl SourceId {
     /// Creates a source id.
-    pub fn new(id: impl Into<String>) -> Self {
+    pub fn new(id: impl Into<Name>) -> Self {
         SourceId(id.into())
     }
 }
@@ -29,13 +120,13 @@ impl fmt::Display for SourceId {
 
 impl From<&str> for SourceId {
     fn from(s: &str) -> Self {
-        SourceId(s.to_owned())
+        SourceId(s.into())
     }
 }
 
 impl From<String> for SourceId {
     fn from(s: String) -> Self {
-        SourceId(s)
+        SourceId(s.into())
     }
 }
 
@@ -75,7 +166,7 @@ pub struct Metadata {
     /// Fraction of the described information that is known, `0.0..=1.0`.
     pub completeness: Option<f64>,
     /// Privacy label controlling redistribution.
-    pub privacy: Option<String>,
+    pub privacy: Option<Name>,
     /// Trust in the source.
     pub trust: Trust,
 }
@@ -119,10 +210,10 @@ pub enum CxtValue {
         /// Magnitude.
         value: f64,
         /// Unit suffix (empty for dimensionless).
-        unit: String,
+        unit: Name,
     },
     /// A categorical/text value, e.g. `activity=walking`.
-    Text(String),
+    Text(Name),
     /// A geographic position in world metres (location items).
     Position {
         /// Easting in metres.
@@ -131,7 +222,7 @@ pub enum CxtValue {
         y: f64,
     },
     /// Several named components, e.g. a weather observation.
-    Composite(Vec<(String, f64)>),
+    Composite(Vec<(Name, f64)>),
 }
 
 impl CxtValue {
@@ -139,12 +230,12 @@ impl CxtValue {
     pub fn number(value: f64) -> Self {
         CxtValue::Number {
             value,
-            unit: String::new(),
+            unit: Name::default(),
         }
     }
 
     /// Creates a number with a unit.
-    pub fn quantity(value: f64, unit: impl Into<String>) -> Self {
+    pub fn quantity(value: f64, unit: impl Into<Name>) -> Self {
         CxtValue::Number {
             value,
             unit: unit.into(),
@@ -215,7 +306,7 @@ impl fmt::Display for CxtValue {
 #[derive(Clone, Debug, PartialEq)]
 pub struct CxtItem {
     /// Context category (the SELECT clause name).
-    pub cxt_type: String,
+    pub cxt_type: Name,
     /// Current value(s).
     pub value: CxtValue,
     /// When the item had this value.
@@ -230,7 +321,7 @@ pub struct CxtItem {
 
 impl CxtItem {
     /// Creates an item with no lifetime, source or metadata.
-    pub fn new(cxt_type: impl Into<String>, value: CxtValue, timestamp: SimTime) -> Self {
+    pub fn new(cxt_type: impl Into<Name>, value: CxtValue, timestamp: SimTime) -> Self {
         CxtItem {
             cxt_type: cxt_type.into(),
             value,
@@ -430,6 +521,77 @@ mod tests {
             .with_accuracy(1.0)
             .with_trust(Trust::Trusted);
         assert_eq!(item.value_text(), "14.0C,1,trusted");
+    }
+
+    /// The text of an item's names is what perfbench's item-stream
+    /// digests (`{}` of the type, `{:?}` of the value and source) and the
+    /// bench artefacts read: a name prints exactly as its text, never as
+    /// `Name("C")`.
+    #[test]
+    fn names_print_as_their_text() {
+        assert_eq!(
+            format!("{:?}", CxtValue::quantity(14.0, "C")),
+            r#"Number { value: 14.0, unit: "C" }"#
+        );
+        assert_eq!(
+            format!("{:?}", CxtValue::number(2.5)),
+            r#"Number { value: 2.5, unit: "" }"#
+        );
+        assert_eq!(
+            format!("{:?}", Some(SourceId::new("x"))),
+            r#"Some(SourceId("x"))"#
+        );
+        assert_eq!(
+            format!("{:?}", CxtValue::Text("walking".into())),
+            r#"Text("walking")"#
+        );
+        assert_eq!(
+            format!(
+                "{:?}",
+                CxtValue::Composite(vec![("speed".into(), 6.1), ("course".into(), 82.0)])
+            ),
+            r#"Composite([("speed", 6.1), ("course", 82.0)])"#
+        );
+        let item = CxtItem::new("temperature", CxtValue::quantity(14.04, "C"), t(61))
+            .with_source("intSensor://phone0");
+        assert_eq!(
+            item.to_string(),
+            "temperature=14.0C @ 0:01:01.000 from intSensor://phone0"
+        );
+        assert_eq!(
+            format!("{} {:?} {:?}", item.cxt_type, item.value, item.source),
+            r#"temperature Number { value: 14.04, unit: "C" } Some(SourceId("intSensor://phone0"))"#
+        );
+        // Escapes, non-ASCII text and padding are the text's own.
+        for text in ["a\"b\\c\n", "é中", ""] {
+            let name = Name::from(text);
+            assert_eq!(format!("{name:?}"), format!("{text:?}"));
+            assert_eq!(
+                format!("{name}|{name:>6}|{name:<6}|"),
+                format!("{text}|{text:>6}|{text:<6}|")
+            );
+        }
+    }
+
+    #[test]
+    fn names_compare_order_and_share_as_their_text() {
+        let name = Name::from("wind");
+        let owned = String::from("wind");
+        assert_eq!(name, "wind");
+        assert_eq!(name, owned);
+        assert_eq!(owned, name);
+        assert_ne!(name, "windy");
+        let mut names = ["ba", "b", "a"].map(Name::from);
+        names.sort();
+        assert_eq!(names, ["a", "b", "ba"]);
+        let mut map = std::collections::BTreeMap::new();
+        map.insert(name.clone(), 1);
+        assert_eq!(map.get("wind"), Some(&1));
+        let copy = name.clone();
+        assert!(
+            std::ptr::eq(copy.as_str(), name.as_str()),
+            "a copy shares the text"
+        );
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub use error::ContoryError;
 pub use facade::Facade;
 pub use factory::{ContextFactory, FactoryConfig, Mechanism, QueryId};
 pub use failover::{FailoverConfig, FailoverReport, FailoverTracker, QueryFailover};
-pub use item::{CxtItem, CxtValue, Metadata, SourceId, Trust};
+pub use item::{CxtItem, CxtValue, Metadata, Name, SourceId, Trust};
 pub use manager::QueryManager;
 pub use monitor::{ResourceEvent, ResourceLevel, ResourcesMonitor};
 pub use predicate::EventWindow;

@@ -194,27 +194,26 @@ fn tokenize(text: &str) -> Result<Vec<CondToken>, ParseConditionError> {
     let mut rest = text.trim();
     while !rest.is_empty() {
         if let Some(tail) = rest.strip_prefix('<') {
-            let Some(end) = tail.find('>') else {
+            let Some((inner, after)) = tail.split_once('>') else {
                 return Err(ParseConditionError {
                     message: "unterminated '<...>' comparison".into(),
                 });
             };
-            let inner = &tail[..end];
             let parts: Vec<&str> = inner.split(',').map(str::trim).collect();
-            if parts.len() != 3 {
+            let [var, op, value] = parts.as_slice() else {
                 return Err(ParseConditionError {
                     message: format!("expected <variable, op, value>, got <{inner}>"),
                 });
-            }
-            let op = RuleOp::parse(parts[1]).ok_or_else(|| ParseConditionError {
-                message: format!("unknown operator '{}'", parts[1]),
-            })?;
-            let value = match parts[2].parse::<f64>() {
-                Ok(n) => RuleValue::Number(n),
-                Err(_) => RuleValue::Text(parts[2].to_owned()),
             };
-            out.push(CondToken::Cmp(Condition::cmp(parts[0], op, value)));
-            rest = tail[end + 1..].trim_start();
+            let op = RuleOp::parse(op).ok_or_else(|| ParseConditionError {
+                message: format!("unknown operator '{op}'"),
+            })?;
+            let value = match value.parse::<f64>() {
+                Ok(n) => RuleValue::Number(n),
+                Err(_) => RuleValue::Text((*value).to_owned()),
+            };
+            out.push(CondToken::Cmp(Condition::cmp(*var, op, value)));
+            rest = after.trim_start();
         } else {
             let word_end = rest.find(char::is_whitespace).unwrap_or(rest.len());
             let (word, tail) = rest.split_at(word_end);

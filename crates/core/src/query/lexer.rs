@@ -158,11 +158,17 @@ pub(crate) fn lex(input: &str) -> Result<Vec<Token>, LexError> {
                 };
                 tokens.push(Token { kind, offset: start });
             }
-            other => {
+            _ => {
+                // Every arm above consumes ASCII bytes only, so `i` starts
+                // a character: quote that character, not its first byte.
+                let c = input.get(i..).and_then(|rest| rest.chars().next());
                 return Err(LexError {
                     offset: i,
-                    message: format!("unexpected character '{}'", other as char),
-                })
+                    message: format!(
+                        "unexpected character '{}'",
+                        c.unwrap_or(char::REPLACEMENT_CHARACTER)
+                    ),
+                });
             }
         }
     }
@@ -241,5 +247,19 @@ mod tests {
         assert!(lex("a ! b").is_err());
         let err = lex("DURATION .").unwrap_err();
         assert!(err.message.contains("bad number"), "{err:?}");
+    }
+
+    #[test]
+    fn quotes_a_two_byte_character_whole() {
+        let err = lex("SELECT é").unwrap_err();
+        assert_eq!(err.offset, 7);
+        assert_eq!(err.message, "unexpected character 'é'");
+    }
+
+    #[test]
+    fn quotes_a_three_byte_character_whole() {
+        let err = lex("SELECT temp WHERE accuracy=中 DURATION 1 hour").unwrap_err();
+        assert_eq!(err.offset, 27);
+        assert_eq!(err.message, "unexpected character '中'");
     }
 }

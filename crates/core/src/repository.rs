@@ -11,7 +11,7 @@
 //! order) — the same lifetime-bound contract brokerd's context packets
 //! carry on the wire.
 
-use crate::item::CxtItem;
+use crate::item::{CxtItem, Name};
 use crate::refs::{CellReference, RefError};
 use simkit::SimTime;
 use std::cell::RefCell;
@@ -21,7 +21,7 @@ use std::fmt;
 use std::rc::Rc;
 
 struct Inner {
-    per_type: BTreeMap<String, VecDeque<CxtItem>>,
+    per_type: BTreeMap<Name, VecDeque<CxtItem>>,
     cap_per_type: usize,
     remote: Option<Rc<dyn CellReference>>,
     clock: Option<Rc<dyn Fn() -> SimTime>>,

@@ -7,7 +7,7 @@
 //! UMTS provisioning pay off only when items are batched.
 
 use crate::infra::ResultSet;
-use crate::xml::XmlElement;
+use crate::xml::{escaped_len, XmlElement};
 use simkit::hash::{fnv1a, FNV_OFFSET};
 use simkit::SimTime;
 use std::any::Any;
@@ -18,14 +18,14 @@ use std::rc::Rc;
 const NS: &str = "http://www.hiit.fi/fuego/core/event/2006";
 const SCHEMA: &str = "http://www.hiit.fi/fuego/core/event/2006 fuego-event-2.1.xsd";
 const BROKER_URI: &str = "fuego://broker.dynamos.hiit.fi:5222/events";
-/// Stands in for the digest when only the envelope's size is wanted: every
-/// digest is four 16-digit hex words.
-const DIGEST_PLACEHOLDER: &str = concat!(
-    "0000000000000000",
-    "0000000000000000",
-    "0000000000000000",
-    "0000000000000000"
-);
+/// How long after publication a notification expires.
+const EXPIRES_AFTER_MILLIS: u64 = 300_000;
+/// Printed bytes of the envelope around its body, less the header's
+/// variable fields ([`EventNotification::header_widths`]) and with an
+/// empty `<fg:topic/>`. The digest (64 hex characters), the signature
+/// (88) and the nonce (32) have fixed widths, so they are in here. A unit
+/// test derives this number from the envelope builder.
+const HEADER_BYTES: usize = 1_220;
 
 /// An XML-encoded event notification.
 ///
@@ -100,21 +100,43 @@ impl EventNotification {
     }
 
     /// Serialized size of the envelope in bytes, counted without building
-    /// or printing the body: the header comes from the envelope builder
-    /// around a one-element body slot, with a placeholder of the digest's
-    /// fixed width; a result set adds the lengths its records were
-    /// counted at.
+    /// or printing anything: the header's fixed bytes, the printed widths
+    /// of its variable fields, and the body's counted size; a result set
+    /// adds the lengths its records were counted at.
     pub fn wire_size(&self) -> usize {
-        let slot = XmlElement::new("b");
-        let slot_bytes = slot.wire_size();
         let records = self.records.as_ref().map_or(0, |set| set.xml_bytes);
-        self.envelope(DIGEST_PLACEHOLDER, slot).wire_size() - slot_bytes
-            + self.body.wire_size_with_children(records)
+        HEADER_BYTES + self.header_widths() + self.body.wire_size_with_children(records)
+    }
+
+    /// Printed bytes of the header's variable fields: the id (printed
+    /// twice), the session's hex digits, the escaped sender and topic
+    /// (a non-empty topic prints `<fg:topic>…</fg:topic>`, 10 bytes more
+    /// than `<fg:topic/>`), and the four timestamps.
+    fn header_widths(&self) -> usize {
+        let millis = self.timestamp.as_millis();
+        let topic = if self.topic.is_empty() {
+            0
+        } else {
+            "<fg:topic></fg:topic>".len() - "<fg:topic/>".len() + escaped_len(&self.topic)
+        };
+        2 * decimal_width(self.id)
+            + hex_width(self.session()).max(8)
+            + escaped_len(&self.sender)
+            + topic
+            + 2 * decimal_width(millis)
+            + decimal_width(millis + EXPIRES_AFTER_MILLIS)
+            + decimal_width(millis + 1)
+    }
+
+    /// The session number the sender header carries.
+    fn session(&self) -> u64 {
+        self.id.wrapping_mul(2654435761)
     }
 
     /// The envelope around `body`, with `digest` in its integrity header.
     /// The one description of the envelope: [`EventNotification::to_envelope`]
-    /// builds it and [`EventNotification::wire_size`] sizes it.
+    /// builds it, and [`HEADER_BYTES`] is its size less the variable
+    /// fields.
     fn envelope(&self, digest: &str, body: XmlElement) -> XmlElement {
         XmlElement::new("fg:notification")
             .attr("xmlns:fg", NS)
@@ -127,10 +149,7 @@ impl EventNotification {
                     .child(
                         XmlElement::new("fg:sender")
                             .attr("uri", format!("fuego://{}/client", self.sender))
-                            .attr(
-                                "session",
-                                format!("s-{:08x}", self.id.wrapping_mul(2654435761)),
-                            ),
+                            .attr("session", format!("s-{:08x}", self.session())),
                     )
                     .child(
                         XmlElement::new("fg:broker")
@@ -148,10 +167,10 @@ impl EventNotification {
                             .attr("priority", "normal")
                             .attr("persistent", "false"),
                     )
-                    .child(
-                        XmlElement::new("fg:expires")
-                            .attr("millis", (self.timestamp.as_millis() + 300_000).to_string()),
-                    )
+                    .child(XmlElement::new("fg:expires").attr(
+                        "millis",
+                        (self.timestamp.as_millis() + EXPIRES_AFTER_MILLIS).to_string(),
+                    ))
                     .child(
                         XmlElement::new("fg:sequence")
                             .attr("epoch", "1124000000000")
@@ -239,6 +258,16 @@ impl EventNotification {
     }
 }
 
+/// Digits of `n` in decimal.
+fn decimal_width(n: u64) -> usize {
+    n.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+/// Digits of `n` in hexadecimal.
+fn hex_width(n: u64) -> usize {
+    n.checked_ilog2().map_or(1, |b| b as usize / 4 + 1)
+}
+
 /// A fake-but-plausible message digest of `body`: fixed-width hex derived
 /// from cheap hashing, standing in for the integrity header real
 /// deployments carry.
@@ -265,6 +294,55 @@ impl fmt::Debug for EventNotification {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every digest is four 16-digit hex words.
+    const DIGEST_PLACEHOLDER: &str = concat!(
+        "0000000000000000",
+        "0000000000000000",
+        "0000000000000000",
+        "0000000000000000"
+    );
+
+    /// What the envelope builder prints around `ev`'s body.
+    fn built_header(ev: &EventNotification) -> usize {
+        let slot = XmlElement::new("b");
+        let slot_bytes = slot.wire_size();
+        ev.envelope(DIGEST_PLACEHOLDER, slot).wire_size() - slot_bytes
+    }
+
+    #[test]
+    fn header_bytes_is_the_built_header_less_its_variable_fields() {
+        // Id 0 prints "0" twice and session "s-00000000"; timestamp 0
+        // prints "0", "300000", "0" and "1"; sender and topic are empty.
+        let bare = EventNotification::new("", "", XmlElement::new("b"), SimTime::ZERO);
+        assert_eq!(bare.header_widths(), 2 + 8 + (1 + 6 + 1 + 1));
+        assert_eq!(HEADER_BYTES + bare.header_widths(), built_header(&bare));
+    }
+
+    #[test]
+    fn header_widths_follow_the_built_header() {
+        let cases = [
+            ("", "", 0, 0),
+            ("t", "", 1, 99_999),
+            ("cxt/light", "nokia6630-352087", 42, 1_123_851_807),
+            ("a&b<c>", "\"é中'", 10, 9_999_999_700_000),
+            ("cxt/results", "phone-1", 1 << 33, 1),
+            ("x", "y", u64::MAX, 10_000_000_000_000),
+        ];
+        for (topic, sender, id, millis) in cases {
+            let ev = EventNotification::new(topic, sender, XmlElement::new("b"), SimTime::ZERO)
+                .with_id(id);
+            let ev = EventNotification {
+                timestamp: SimTime::from_millis(millis),
+                ..ev
+            };
+            assert_eq!(
+                HEADER_BYTES + ev.header_widths(),
+                built_header(&ev),
+                "topic {topic:?}, sender {sender:?}, id {id}, millis {millis}"
+            );
+        }
+    }
 
     fn typical_item_body() -> XmlElement {
         // A context item body as Contory would encode it: type, value,

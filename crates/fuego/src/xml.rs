@@ -222,7 +222,7 @@ fn escape_into(s: &str, out: &mut String) {
 /// Bytes [`escape_into`] writes for `s`. Only five ASCII characters are
 /// rewritten, and no byte of a multi-byte UTF-8 character is ASCII, so
 /// counting byte by byte is exact.
-fn escaped_len(s: &str) -> usize {
+pub(crate) fn escaped_len(s: &str) -> usize {
     s.bytes()
         .map(|b| entity(char::from(b)).map_or(1, str::len))
         .sum()

@@ -5,11 +5,11 @@
 //! This test counts the heap traffic of one periodic infrastructure
 //! subscription with a std-only counting allocator, and fails when a
 //! change makes the leg allocate clearly more: building or printing XML
-//! per record to size a push, printing an envelope only to take its
-//! length, or deep-copying a frame, result set or record on a hop, is
-//! enough to trip it. The simulation is seeded and single-threaded,
-//! so the count does not swing with the host's load the way wall time
-//! does.
+//! per record to size a push, building an envelope header or printing an
+//! envelope only to take its length, or deep-copying a frame, result set
+//! or record on a hop, is enough to trip it. The simulation is seeded
+//! and single-threaded, so the count does not swing with the host's load
+//! the way wall time does.
 //!
 //! The counters live in a `const` thread-local, so only allocations made
 //! on the test's own thread count.
@@ -18,6 +18,7 @@
 //! `cargo test -q --release -p contory-fuego --test alloc_budget`;
 //! add `-- --nocapture` to print the measured figures.
 
+use fuego::event::EventNotification;
 use fuego::xml::XmlElement;
 use fuego::{
     ContextInfrastructure, EventBroker, FuegoClient, InfraClient, InfraQuery, InfraRecord, PushMode,
@@ -25,21 +26,22 @@ use fuego::{
 use phone::{Phone, PhoneConfig};
 use radio::cell::{CellNetwork, CellParams};
 use radio::{NodeId, Position};
-use simkit::{Sim, SimDuration};
+use simkit::{Sim, SimDuration, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::rc::Rc;
 
-/// Allocation budget: the measured 4,081 plus just under 5 %. Building a
-/// `<record>` element for every record of every push, only to size the
-/// frame, made 201,542; printing each envelope to size it and
-/// deep-copying each hop's frame and result set on top of that made
-/// 731,061.
-const MAX_ALLOCS: u64 = 4_280;
-/// Budget of bytes requested: the measured 366,945 plus just under 5 %
-/// (16,325,665 with a `<record>` element per record per push, 42,583,857
-/// with the printing and copying as well).
-const MAX_BYTES: u64 = 385_000;
+/// Allocation budget: the measured 1,075 plus just under 5 %. Building
+/// the envelope header of every frame only to size it made 4,081; a
+/// `<record>` element for every record of every push as well made
+/// 201,542; printing each envelope to size it and deep-copying each hop's
+/// frame and result set on top of that made 731,061.
+const MAX_ALLOCS: u64 = 1_128;
+/// Budget of bytes requested: the measured 159,767 plus just under 5 %
+/// (366,945 with a header built per frame, 16,325,665 with a `<record>`
+/// element per record per push as well, 42,583,857 with the printing and
+/// copying too).
+const MAX_BYTES: u64 = 167_700;
 
 /// Heap traffic on one thread.
 #[derive(Clone, Copy)]
@@ -148,6 +150,22 @@ fn periodic_push_leg_stays_within_its_allocation_budget() {
         "byte budget {MAX_BYTES} exceeded: {summary}"
     );
     eprintln!("{summary}");
+}
+
+#[test]
+fn sizing_a_notification_allocates_nothing() {
+    let ev = EventNotification::new(
+        "cxt/wind",
+        "phone-1",
+        XmlElement::new("item").attr("type", "wind").text("14kn"),
+        SimTime::from_millis(1_123_851_807),
+    )
+    .with_id(42);
+    let before = COUNTS.with(Cell::get);
+    let size = ev.wire_size();
+    let after = COUNTS.with(Cell::get);
+    assert_eq!(after.allocs, before.allocs, "wire_size allocated");
+    assert_eq!(size, ev.to_envelope().to_xml().len());
 }
 
 #[test]

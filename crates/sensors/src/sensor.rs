@@ -11,7 +11,7 @@ use std::rc::Rc;
 #[derive(Clone, Debug, PartialEq)]
 pub struct Reading {
     /// Context type name (`"temperature"`, `"wind"`, …).
-    pub quantity: String,
+    pub quantity: &'static str,
     /// Measured value.
     pub value: f64,
     /// Unit suffix.
@@ -144,7 +144,7 @@ impl EnvSensor {
         let noisy = self.rng.gauss(truth, self.accuracy);
         let value = self.field_clamp(noisy);
         Reading {
-            quantity: self.field.type_name().to_owned(),
+            quantity: self.field.type_name(),
             value,
             unit: self.field.unit(),
             timestamp: now,
@@ -297,7 +297,7 @@ mod tests {
     #[test]
     fn reading_display_and_text() {
         let r = Reading {
-            quantity: "temperature".into(),
+            quantity: "temperature",
             value: 14.04,
             unit: "C",
             timestamp: SimTime::ZERO,
@@ -321,7 +321,7 @@ mod tests {
         let obs = st.observe(SimTime::from_secs(60));
         assert_eq!(obs.len(), 3);
         assert!(obs.iter().all(|r| r.position == Some(st.position())));
-        let quantities: Vec<&str> = obs.iter().map(|r| r.quantity.as_str()).collect();
+        let quantities: Vec<&str> = obs.iter().map(|r| r.quantity).collect();
         assert_eq!(quantities, vec!["temperature", "wind", "pressure"]);
     }
 

@@ -113,6 +113,10 @@ struct PlatformInner {
     next_sm: u64,
 }
 
+/// Where an SM's outcome goes: taken by whichever of completion, failure
+/// or timeout comes first, so the outcome is delivered exactly once.
+type OutcomeSlot = Rc<RefCell<Option<Box<dyn FnOnce(SmOutcome)>>>>;
+
 /// An injected SM travelling the network.
 struct SmInstance {
     id: u64,
@@ -121,7 +125,7 @@ struct SmInstance {
     hop_cnt: u32,
     migration_failed: Option<NodeId>,
     cancelled: Rc<Cell<bool>>,
-    callback: Rc<RefCell<Option<Box<dyn FnOnce(SmOutcome)>>>>,
+    callback: OutcomeSlot,
     /// Path the runtime replays for the `Return` action (outbound visits).
     path: Vec<NodeId>,
     /// Root obskit span covering this SM's whole journey; per-hop
@@ -622,8 +626,7 @@ impl SmNode {
         let params = self.platform.params();
         let sim = self.platform.sim();
         let cancelled = Rc::new(Cell::new(false));
-        let callback: Rc<RefCell<Option<Box<dyn FnOnce(SmOutcome)>>>> =
-            Rc::new(RefCell::new(Some(Box::new(cb))));
+        let callback: OutcomeSlot = Rc::new(RefCell::new(Some(Box::new(cb))));
         let id = {
             let mut inner = self.platform.inner.borrow_mut();
             inner.next_sm += 1;

@@ -1,20 +1,44 @@
 //! Conversions between the substrate data types and Contory's context
 //! items.
 
-use contory::{CxtItem, CxtValue, Metadata, Trust};
+use contory::{CxtItem, CxtValue, Metadata, Name, SourceId, Trust};
 use fuego::InfraRecord;
 use radio::Position;
 use sensors::Reading;
 
 /// Turns a sensor reading into a context item.
-pub fn reading_to_item(reading: &Reading, source: &str) -> CxtItem {
-    CxtItem::new(
-        reading.quantity.clone(),
-        CxtValue::quantity(reading.value, reading.unit),
-        reading.timestamp,
-    )
-    .with_accuracy(reading.accuracy)
-    .with_source(source)
+pub fn reading_to_item(reading: &Reading, source: impl Into<SourceId>) -> CxtItem {
+    SensorNames::new(reading.quantity, reading.unit, source).item(reading)
+}
+
+/// The names one sensor's items carry: its context type, its unit and
+/// its source. A sensor that makes them once shares them with every item
+/// it reports.
+pub(crate) struct SensorNames {
+    cxt_type: Name,
+    unit: Name,
+    source: SourceId,
+}
+
+impl SensorNames {
+    pub(crate) fn new(cxt_type: &str, unit: &str, source: impl Into<SourceId>) -> Self {
+        SensorNames {
+            cxt_type: cxt_type.into(),
+            unit: unit.into(),
+            source: source.into(),
+        }
+    }
+
+    /// The context item of one of this sensor's readings.
+    pub(crate) fn item(&self, reading: &Reading) -> CxtItem {
+        CxtItem::new(
+            self.cxt_type.clone(),
+            CxtValue::quantity(reading.value, self.unit.clone()),
+            reading.timestamp,
+        )
+        .with_accuracy(reading.accuracy)
+        .with_source(self.source.clone())
+    }
 }
 
 /// Turns a context item into an infrastructure record. `entity` names
@@ -26,7 +50,7 @@ pub fn item_to_record(item: &CxtItem, entity: &str, position: Option<Position>) 
         CxtValue::Position { x, y } => Some(Position::new(*x, *y)),
         _ => position,
     };
-    let mut record = InfraRecord::new(entity, item.cxt_type.clone(), item.value.to_string(), item.timestamp)
+    let mut record = InfraRecord::new(entity, item.cxt_type.as_str(), item.value.to_string(), item.timestamp)
         .with_payload(std::rc::Rc::new(item.clone()));
     if let Some(p) = pos {
         record = record.at(p);
@@ -93,11 +117,11 @@ fn parse_value_text(text: &str, position: Option<Position>) -> CxtValue {
         if let Ok(v) = number.parse::<f64>() {
             return CxtValue::Number {
                 value: v,
-                unit: unit.to_owned(),
+                unit: unit.into(),
             };
         }
     }
-    CxtValue::Text(text.to_owned())
+    CxtValue::Text(text.into())
 }
 
 #[cfg(test)]
@@ -108,7 +132,7 @@ mod tests {
     #[test]
     fn reading_round_trip() {
         let r = Reading {
-            quantity: "temperature".into(),
+            quantity: "temperature",
             value: 14.3,
             unit: "C",
             timestamp: SimTime::from_secs(10),

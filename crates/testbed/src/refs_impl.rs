@@ -13,7 +13,7 @@
 //! - [`SimCellReference`]: store/fetch/subscribe against the remote
 //!   [`fuego::ContextInfrastructure`] through the Fuego client.
 
-use crate::convert::{item_to_record, record_to_item};
+use crate::convert::{item_to_record, record_to_item, SensorNames};
 use contory::query::NumNodes;
 use contory::refs::{
     AdHocSpec, BtReference, CellReference, Done, InfraPushMode, InfraSpec, InfraSubHandle,
@@ -49,8 +49,7 @@ const ADHOC_REPLY_TIMEOUT: SimDuration = SimDuration::from_secs(5);
 /// Integrated sensors sampling the ground-truth environment.
 pub struct SimInternalReference {
     sim: Sim,
-    source: String,
-    sensors: RefCell<BTreeMap<String, EnvSensor>>,
+    sensors: RefCell<BTreeMap<String, (EnvSensor, SensorNames)>>,
     rng: RefCell<DetRng>,
 }
 
@@ -65,20 +64,20 @@ impl SimInternalReference {
         device_name: &str,
         seed: u64,
     ) -> Self {
+        let source = SourceId::new(format!("intSensor://{device_name}"));
         let sensors = fields
             .iter()
             .enumerate()
             .map(|(i, &f)| {
                 let p = position.clone();
-                (
-                    f.type_name().to_owned(),
-                    EnvSensor::new(env, f, Rc::new(move || p()), default_accuracy(f), seed + i as u64),
-                )
+                let sensor =
+                    EnvSensor::new(env, f, Rc::new(move || p()), default_accuracy(f), seed + i as u64);
+                let names = SensorNames::new(f.type_name(), f.unit(), source.clone());
+                (f.type_name().to_owned(), (sensor, names))
             })
             .collect();
         SimInternalReference {
             sim: sim.clone(),
-            source: format!("intSensor://{device_name}"),
             sensors: RefCell::new(sensors),
             rng: RefCell::new(DetRng::new(seed ^ 0x1257)),
         }
@@ -88,7 +87,7 @@ impl SimInternalReference {
     /// types are a no-op. Returns whether a sensor was found.
     pub fn set_sensor_online(&self, cxt_type: &str, up: bool) -> bool {
         match self.sensors.borrow().get(cxt_type) {
-            Some(s) => {
+            Some((s, _)) => {
                 s.set_online(up);
                 true
             }
@@ -135,14 +134,17 @@ impl InternalReference for SimInternalReference {
         );
         // `provides` was checked above, so a missing sensor cannot reach
         // here; it would read as a silent one.
-        let reading = self
+        let item = self
             .sensors
             .borrow_mut()
             .get_mut(cxt_type)
-            .and_then(|sensor| sensor.try_sample(self.sim.now()));
-        match reading {
-            Some(reading) => {
-                let item = crate::convert::reading_to_item(&reading, &self.source);
+            .and_then(|(sensor, names)| {
+                sensor
+                    .try_sample(self.sim.now())
+                    .map(|reading| names.item(&reading))
+            });
+        match item {
+            Some(item) => {
                 self.sim.schedule_in(latency, move || cb(Ok(item)));
             }
             None => {
@@ -931,13 +933,13 @@ impl BtReference for SimBtReference {
             format!("{CONTORY_SERVICE_PREFIX}{}", item.cxt_type),
             "contory",
         )
-        .with_attribute("type", item.cxt_type.clone())
+        .with_attribute("type", item.cxt_type.as_str())
         .with_attribute("access", if key.is_some() { "authenticated" } else { "public" });
         {
             let mut inner = self.inner.borrow_mut();
             let entity = inner.entity.clone();
             inner.serving.insert(
-                item.cxt_type.clone(),
+                item.cxt_type.to_string(),
                 (item.clone().with_source(format!("bt://{entity}")), key),
             );
         }
@@ -1065,7 +1067,7 @@ impl WifiReference for SimWifiReference {
         let target_entity = spec
             .entity
             .as_ref()
-            .and_then(|e| self.entities.borrow().get(&e.0).copied());
+            .and_then(|e| self.entities.borrow().get(e.0.as_str()).copied());
         if let (Some(who), None) = (spec.entity.clone(), target_entity) {
             let sim = self.sim.clone();
             sim.schedule_in(SimDuration::ZERO, move || {
@@ -1134,7 +1136,7 @@ impl WifiReference for SimWifiReference {
 
     fn publish(&self, item: &CxtItem, key: Option<String>, cb: Done<Result<(), RefError>>) {
         let mut tag = Tag::new(
-            item.cxt_type.clone(),
+            item.cxt_type.as_str(),
             TagValue::with_data(
                 item.value_text(),
                 Rc::new(item.clone().with_source(format!("wifi://{}", self.entity))),

@@ -480,13 +480,11 @@ impl Testbed {
             WeatherStation::new(name, &self.env, position, fields, self.fresh_seed());
         let infra = self.infra.clone();
         let station_name = name.to_owned();
+        let source = contory::SourceId::new(format!("station://{name}"));
         let sim = self.sim.clone();
         self.sim.schedule_repeating(every, move || {
             for reading in station.observe(sim.now()) {
-                let item = crate::convert::reading_to_item(
-                    &reading,
-                    &format!("station://{station_name}"),
-                );
+                let item = crate::convert::reading_to_item(&reading, source.clone());
                 infra.store(crate::convert::item_to_record(
                     &item,
                     &station_name,

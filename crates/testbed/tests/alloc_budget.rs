@@ -7,11 +7,12 @@
 //! delivered grows with the run, and so does whatever the path spends on
 //! each one. This test counts the heap traffic of 30 simulated minutes
 //! of it with a std-only counting allocator, and fails when a change
-//! makes the path allocate clearly more: one copy of every delivered
-//! item put back into a provider's or the facade's filter, or of every
-//! record into the infrastructure's pushes, is enough to trip it. The
-//! simulation is seeded and single-threaded, so the count does not swing
-//! with the host's load the way wall time does.
+//! makes the path allocate clearly more: one heap copy of every
+//! delivered item's type name, an item's names made per reading instead
+//! of once per sensor, one copy of every delivered item put back into a
+//! provider's filter, or an envelope header built to size each frame, is
+//! enough to trip it. The simulation is seeded and single-threaded, so
+//! the count does not swing with the host's load the way wall time does.
 //!
 //! The counters live in a `const` thread-local, so only allocations made
 //! on the test's own thread count.
@@ -29,14 +30,18 @@ use std::cell::Cell;
 use std::rc::Rc;
 use testbed::{PhoneSetup, Testbed};
 
-/// Allocation budget: the measured 20,727 plus just under 5 %. A copy of
-/// every delivered item in the provider's filter, or in the facade's for
-/// a query's own batch, makes 24,945; the path that copied at both and
-/// built a `<record>` element per record per push made 52,245.
-const MAX_ALLOCS: u64 = 21_760;
-/// Budget of bytes requested: the measured 1,174,694 plus just under
-/// 5 % (1,922,524 with either copy, 4,832,672 with all of them).
-const MAX_BYTES: u64 = 1_233_000;
+/// Allocation budget: the measured 5,539 plus just under 5 %. A copy of
+/// every delivered item in the provider's filter makes 6,073, names made
+/// per reading 6,619, a heap copy of every delivered item's type name
+/// 6,767, and building the envelope header to size each frame 11,551;
+/// the path whose items owned their names made 20,727, and the one that
+/// also copied items in both filters and built a `<record>` element per
+/// record per push made 52,245.
+const MAX_ALLOCS: u64 = 5_815;
+/// Budget of bytes requested: the measured 632,476 plus just under 5 %
+/// (1,260,444 with the provider's copy, 1,174,694 when items owned their
+/// names).
+const MAX_BYTES: u64 = 664_000;
 
 /// Heap traffic on one thread.
 #[derive(Clone, Copy)]

@@ -10,9 +10,10 @@
 #    must report zero findings above the checked-in ratchet baseline
 #    (results/lint_baseline.json) and zero stale pragmas
 #    (DESIGN.md §5c, §5g); then clippy over every target of simkit,
-#    obskit, benchkit, fuego and core (and the workspace crates they
-#    depend on) with warnings as errors, and rustfmt's check over
-#    simkit, obskit, benchkit and fuego (core still has rustfmt diffs);
+#    obskit, benchkit, fuego, core, smartmsg, sensors and testbed (and
+#    the workspace crates they depend on) with warnings as errors, and
+#    rustfmt's check over simkit, obskit, benchkit and fuego (core and
+#    testbed still have rustfmt diffs);
 # 3. the failure-scenario suite in isolation — every scenario runs
 #    across the three fixed seeds baked into the suite (11, 22, 33);
 # 4. the shard gate: the partition-invariance suite on the partitioned
@@ -73,8 +74,9 @@ cargo test -q
 echo "==> lintkit gate (determinism & robustness lints, ratchet baseline)"
 cargo run -q --release -p lintkit -- --workspace --baseline results/lint_baseline.json
 
-echo "==> clippy gate (simkit, obskit, benchkit, fuego, core; every target, warnings are errors)"
-cargo clippy -q -p contory-simkit -p contory-obskit -p contory-benchkit -p contory-fuego -p contory --all-targets -- -D warnings
+echo "==> clippy gate (simkit, obskit, benchkit, fuego, core, smartmsg, sensors, testbed; every target, warnings are errors)"
+cargo clippy -q -p contory-simkit -p contory-obskit -p contory-benchkit -p contory-fuego -p contory \
+    -p contory-smartmsg -p contory-sensors -p contory-testbed --all-targets -- -D warnings
 
 echo "==> fmt gate (simkit, obskit, benchkit, fuego)"
 cargo fmt --check -p contory-simkit -p contory-obskit -p contory-benchkit -p contory-fuego

@@ -60,6 +60,32 @@ fn cql_fragment() -> impl Strategy<Value = String> {
     ]
 }
 
+const CONDITION_WORDS: [&str; 10] = [
+    "equal",
+    "notEqual",
+    "moreThan",
+    "lessThan",
+    "and",
+    "OR",
+    "batteryLevel",
+    "memoryUtilization",
+    "low",
+    "0.8",
+];
+
+/// A piece of would-be policy condition: a word of the rules vocabulary,
+/// a run of `<`, `>` and `,`, digits, letters with non-ASCII ones, or
+/// blanks.
+fn condition_fragment() -> impl Strategy<Value = String> {
+    prop_oneof![
+        (0..CONDITION_WORDS.len()).prop_map(|i| CONDITION_WORDS[i].to_owned()),
+        "[<>,]{1,3}",
+        "[0-9.-]{1,4}",
+        "[a-zé中]{1,4}",
+        "[ \t]{1,2}",
+    ]
+}
+
 fn ident() -> impl Strategy<Value = String> {
     // Identifiers that cannot collide with keywords or aggregates.
     "[a-z][a-z0-9]{0,8}".prop_map(|s| format!("t{s}"))
@@ -548,6 +574,25 @@ proptest! {
         let c = Condition::parse(&text).unwrap();
         let again = Condition::parse(&c.to_string()).unwrap();
         prop_assert_eq!(c, again);
+    }
+
+    /// `Condition::parse` is total: on arbitrary text (condition
+    /// fragments, a real condition cut short, or both) it returns a
+    /// condition or a `ParseConditionError`, and never panics.
+    #[test]
+    fn condition_parse_is_total(
+        fragments in proptest::collection::vec(condition_fragment(), 0..16),
+        variable in "[a-zé]{1,6}",
+        cut in 0usize..64,
+    ) {
+        let noise = fragments.concat();
+        let real = format!("<{variable}, moreThan, 0.8> and <{variable}, equal, low>");
+        let truncated: String = real.chars().take(cut).collect();
+        for text in [noise.clone(), truncated.clone(), format!("{truncated}{noise}")] {
+            if let Err(e) = Condition::parse(&text) {
+                prop_assert!(!e.message.is_empty(), "{:?}", text);
+            }
+        }
     }
 
     /// Item wire sizes stay within the paper's envelope for items shaped
