@@ -24,10 +24,11 @@
 //! current round ([`EventWindow`]): aggregates (`AVG`, `MIN`, `MAX`,
 //! `SUM`, `COUNT`) and latest-value references, combined with `AND`/`OR`.
 
-use crate::item::{CxtItem, Trust};
+use crate::item::{CxtItem, Name, Trust};
 use crate::query::{AggFunc, CmpOp, EventExpr, EventTerm, PredValue, WherePredicate};
 use crate::vocab::metadata_keys;
 use simkit::{SimDuration, SimTime};
+use std::borrow::Borrow;
 
 /// Whether `item` satisfies every predicate in `preds`.
 pub(crate) fn matches_where(item: &CxtItem, preds: &[WherePredicate]) -> bool {
@@ -102,16 +103,22 @@ fn parse_trust(s: &str) -> Option<Trust> {
 /// The set of items collected in the current round, against which EVENT
 /// conditions are evaluated.
 ///
-/// Aggregates are folded incrementally. For each field an `AVG`, `MIN`,
+/// The window keeps one 24-byte entry per collected item, holding only
+/// what an EVENT condition reads: the item's timestamp, the position of
+/// its context type in the window's own small table of type names, and
+/// its numeric value (or a flag that it has none). It keeps no copy of
+/// the item.
+///
+/// Aggregates are folded incrementally. For each type an `AVG`, `MIN`,
 /// `MAX`, `SUM` or `COUNT` has named, the window caches the count, sum,
-/// minimum and maximum of that field's items among the first `upto`
-/// items, and [`EventWindow::eval`] folds only the items pushed since.
-/// Float addition is not associative, so the sum is only ever extended
-/// in window order, one item at a time, exactly as a full pass would
-/// accumulate it: every aggregate is bit-identical to a pass over the
-/// whole window. Dropping items ([`EventWindow::retain_fresh`] that
-/// drops any, [`EventWindow::clear`]) discards the caches, and the next
-/// `eval` refolds from the first item.
+/// minimum and maximum of that type's numeric entries among the first
+/// `upto` entries, and [`EventWindow::eval`] folds only the entries
+/// pushed since. Float addition is not associative, so the sum is only
+/// ever extended in window order, one entry at a time, exactly as a full
+/// pass would accumulate it: every aggregate is bit-identical to a pass
+/// over the whole window. Dropping entries ([`EventWindow::retain_fresh`]
+/// that drops any, [`EventWindow::clear`]) discards the caches, and the
+/// next `eval` refolds from the first entry.
 ///
 /// ```
 /// use contory::{CxtItem, CxtValue, EventWindow};
@@ -121,7 +128,7 @@ fn parse_trust(s: &str) -> Option<Trust> {
 /// let q = CxtQuery::parse("SELECT t DURATION 1 hour EVENT AVG(t)>25")?;
 /// let mut w = EventWindow::new();
 /// w.push(CxtItem::new("t", CxtValue::number(24.0), SimTime::ZERO));
-/// w.push(CxtItem::new("t", CxtValue::number(28.0), SimTime::ZERO));
+/// w.push(&CxtItem::new("t", CxtValue::number(28.0), SimTime::ZERO));
 /// if let contory::query::QueryMode::Event(expr) = &q.mode {
 ///     assert!(w.eval(expr)); // AVG = 26 > 25
 /// }
@@ -129,15 +136,30 @@ fn parse_trust(s: &str) -> Option<Trust> {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct EventWindow {
-    items: Vec<CxtItem>,
-    /// One fold per aggregated field, each over a prefix of `items`.
+    entries: Vec<Entry>,
+    /// The context types pushed since the last clear, each once; an
+    /// entry names its type by position here.
+    types: Vec<Name>,
+    /// One fold per aggregated type, each over a prefix of `entries`.
     folds: Vec<Fold>,
 }
 
-/// The aggregates of one field's numeric items among `items[..upto]`.
+/// One collected item, as an EVENT condition reads it.
+#[derive(Clone, Copy, Debug)]
+struct Entry {
+    timestamp: SimTime,
+    /// The item's numeric value; meaningless unless `numeric`.
+    value: f64,
+    /// Position of the item's type in [`EventWindow::types`].
+    ty: u32,
+    /// Whether the item has a numeric value.
+    numeric: bool,
+}
+
+/// The aggregates of one type's numeric entries among `entries[..upto]`.
 #[derive(Clone, Debug)]
 struct Fold {
-    field: String,
+    ty: u32,
     upto: usize,
     count: usize,
     sum: f64,
@@ -146,9 +168,9 @@ struct Fold {
 }
 
 impl Fold {
-    fn new(field: &str) -> Self {
+    fn new(ty: u32) -> Self {
         Fold {
-            field: field.to_owned(),
+            ty,
             upto: 0,
             count: 0,
             sum: 0.0,
@@ -157,19 +179,30 @@ impl Fold {
         }
     }
 
-    /// Folds in the field's items among `items[self.upto..]`, in order.
-    fn extend(&mut self, items: &[CxtItem]) {
-        let new = items.get(self.upto..).unwrap_or_default();
-        for item in new.iter().filter(|i| i.cxt_type == self.field) {
-            let Some(v) = item.value.as_f64() else {
-                continue;
-            };
+    /// Folds in the type's numeric entries among `entries[self.upto..]`,
+    /// in order.
+    fn extend(&mut self, entries: &[Entry]) {
+        let new = entries.get(self.upto..).unwrap_or_default();
+        for e in new.iter().filter(|e| e.ty == self.ty && e.numeric) {
             self.count += 1;
-            self.sum += v;
-            self.min = self.min.min(v);
-            self.max = self.max.max(v);
+            self.sum += e.value;
+            self.min = self.min.min(e.value);
+            self.max = self.max.max(e.value);
         }
-        self.upto = items.len();
+        self.upto = entries.len();
+    }
+
+    fn value(&self, func: AggFunc) -> Option<f64> {
+        if self.count == 0 && func != AggFunc::Count {
+            return None;
+        }
+        Some(match func {
+            AggFunc::Count => self.count as f64,
+            AggFunc::Avg => self.sum / self.count as f64,
+            AggFunc::Min => self.min,
+            AggFunc::Max => self.max,
+            AggFunc::Sum => self.sum,
+        })
     }
 }
 
@@ -179,37 +212,49 @@ impl EventWindow {
         EventWindow::default()
     }
 
-    /// Adds a collected item.
-    pub fn push(&mut self, item: CxtItem) {
-        self.items.push(item);
-    }
-
-    /// Items currently in the window.
-    pub fn items(&self) -> &[CxtItem] {
-        &self.items
+    /// Adds a collected item: its timestamp, type and numeric value.
+    pub fn push(&mut self, item: impl Borrow<CxtItem>) {
+        let item = item.borrow();
+        let ty = match self.type_index(&item.cxt_type) {
+            Some(ty) => ty,
+            None => {
+                let ty = self.types.len() as u32;
+                self.types.push(item.cxt_type.clone());
+                ty
+            }
+        };
+        let value = item.value.as_f64();
+        self.entries.push(Entry {
+            timestamp: item.timestamp,
+            value: value.unwrap_or_default(),
+            ty,
+            numeric: value.is_some(),
+        });
     }
 
     /// Number of items in the window.
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.entries.len()
     }
 
     /// True when no items have been collected.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.entries.is_empty()
     }
 
     /// Empties the window (start of a new round).
     pub fn clear(&mut self) {
-        self.items.clear();
+        self.entries.clear();
+        self.types.clear();
         self.folds.clear();
     }
 
-    /// Drops items older than `max_age` at `now` (sliding windows).
+    /// Drops items older than `max_age` at `now` (sliding windows), by
+    /// [`CxtItem::is_fresh_at`]'s rule.
     pub fn retain_fresh(&mut self, now: SimTime, max_age: SimDuration) {
-        let before = self.items.len();
-        self.items.retain(|i| i.is_fresh_at(now, max_age));
-        if self.items.len() != before {
+        let before = self.entries.len();
+        self.entries.retain(|e| now - e.timestamp <= max_age);
+        if self.entries.len() != before {
             self.folds.clear();
         }
     }
@@ -229,35 +274,36 @@ impl EventWindow {
         }
     }
 
+    /// Position of `cxt_type` in the type table.
+    fn type_index(&self, cxt_type: &str) -> Option<u32> {
+        let at = self.types.iter().position(|t| **t == *cxt_type)?;
+        Some(at as u32)
+    }
+
     fn term(&mut self, term: &EventTerm) -> Option<f64> {
         match term {
             EventTerm::Number(n) => Some(*n),
-            EventTerm::Field(name) => self
-                .items
-                .iter()
-                .rev()
-                .find(|i| &i.cxt_type == name)
-                .and_then(|i| i.value.as_f64()),
+            EventTerm::Field(name) => {
+                let ty = self.type_index(name)?;
+                let newest = self.entries.iter().rev().find(|e| e.ty == ty)?;
+                newest.numeric.then_some(newest.value)
+            }
             EventTerm::Agg { func, field } => {
-                let at = match self.folds.iter().position(|f| &f.field == field) {
+                let Some(ty) = self.type_index(field) else {
+                    // No item of this type: COUNT is 0, the others have
+                    // no value.
+                    return (*func == AggFunc::Count).then_some(0.0);
+                };
+                let at = match self.folds.iter().position(|f| f.ty == ty) {
                     Some(at) => at,
                     None => {
-                        self.folds.push(Fold::new(field));
+                        self.folds.push(Fold::new(ty));
                         self.folds.len() - 1
                     }
                 };
                 let fold = self.folds.get_mut(at)?;
-                fold.extend(&self.items);
-                if fold.count == 0 && *func != AggFunc::Count {
-                    return None;
-                }
-                Some(match func {
-                    AggFunc::Count => fold.count as f64,
-                    AggFunc::Avg => fold.sum / fold.count as f64,
-                    AggFunc::Min => fold.min,
-                    AggFunc::Max => fold.max,
-                    AggFunc::Sum => fold.sum,
-                })
+                fold.extend(&self.entries);
+                fold.value(*func)
             }
         }
     }
@@ -394,6 +440,9 @@ mod tests {
             right: EventTerm::Number(9.0),
         };
         assert!(w.eval(&e));
+        // The newest item has no number: no value, not an older one.
+        w.push(CxtItem::new("t", CxtValue::Text("calm".into()), SimTime::from_secs(2)));
+        assert!(!w.eval(&e));
     }
 
     /// One step in the life of a window over the fields `a`, `b`, `c`.
@@ -486,17 +535,28 @@ mod tests {
         })
     }
 
+    /// The newest item of `field`'s value: the reference for `Field`
+    /// terms.
+    fn naive_latest(items: &[CxtItem], field: &str) -> Option<f64> {
+        let newest = items.iter().rev().find(|i| i.cxt_type == field)?;
+        newest.value.as_f64()
+    }
+
     proptest! {
-        /// At every evaluation, over any interleaving of pushes,
-        /// evaluations, freshness drops and clears on one to three
-        /// fields, the folded aggregates carry the bits of a full pass
-        /// and the EVENT condition the same truth value.
+        /// At every evaluation, over any interleaving of pushes (of
+        /// numbers and text), evaluations, freshness drops and clears on
+        /// one to three fields, the window answers as a window of whole
+        /// items would: the folded aggregates carry the bits of a full
+        /// pass over the items, `Field` terms the newest item's value,
+        /// the EVENT condition the same truth value, and `len` the
+        /// number of items.
         #[test]
         fn folded_aggregates_match_a_full_pass(
             fields in 1usize..4,
             ops in proptest::collection::vec(op(), 0..80),
         ) {
             let mut w = EventWindow::new();
+            let mut items: Vec<CxtItem> = Vec::new();
             let mut now = SimTime::ZERO;
             for op in ops {
                 match op {
@@ -506,11 +566,13 @@ mod tests {
                             None => CxtValue::Text("calm".into()),
                         };
                         now += SimDuration::from_secs(dt);
-                        w.push(CxtItem::new(FIELDS[field % fields], value, now));
+                        let item = CxtItem::new(FIELDS[field % fields], value, now);
+                        w.push(&item);
+                        items.push(item);
                     }
                     Op::Eval { func, field, op, threshold } => {
                         let (func, field, op) = (FUNCS[func], FIELDS[field % fields], OPS[op]);
-                        let want = naive(w.items(), func, field)
+                        let want = naive(&items, func, field)
                             .is_some_and(|v| op.eval_f64(v, threshold));
                         let expr = EventExpr::Cmp {
                             left: EventTerm::Agg { func, field: field.into() },
@@ -518,22 +580,46 @@ mod tests {
                             right: EventTerm::Number(threshold),
                         };
                         prop_assert_eq!(w.eval(&expr), want);
-                        for func in FUNCS {
-                            for field in &FIELDS[..fields] {
-                                let want = naive(w.items(), func, field).map(f64::to_bits);
+                        let want = naive_latest(&items, field)
+                            .is_some_and(|v| op.eval_f64(v, threshold));
+                        let expr = EventExpr::Cmp {
+                            left: EventTerm::Field(field.into()),
+                            op,
+                            right: EventTerm::Number(threshold),
+                        };
+                        prop_assert_eq!(w.eval(&expr), want);
+                        for field in &FIELDS[..fields] {
+                            for func in FUNCS {
+                                let want = naive(&items, func, field).map(f64::to_bits);
                                 let term = EventTerm::Agg { func, field: (*field).into() };
                                 prop_assert_eq!(w.term(&term).map(f64::to_bits), want);
                             }
+                            let want = naive_latest(&items, field).map(f64::to_bits);
+                            let term = EventTerm::Field((*field).into());
+                            prop_assert_eq!(w.term(&term).map(f64::to_bits), want);
                         }
                     }
                     Op::RetainFresh { max_age } => {
-                        w.retain_fresh(now, SimDuration::from_secs(max_age));
+                        let max_age = SimDuration::from_secs(max_age);
+                        w.retain_fresh(now, max_age);
+                        items.retain(|i| i.is_fresh_at(now, max_age));
                     }
-                    Op::Clear => w.clear(),
+                    Op::Clear => {
+                        w.clear();
+                        items.clear();
+                    }
                 }
+                prop_assert_eq!(w.len(), items.len());
+                prop_assert_eq!(w.is_empty(), items.is_empty());
             }
         }
     }
+
+    #[test]
+    fn an_entry_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Entry>(), 24);
+    }
+
 
     #[test]
     fn window_housekeeping() {

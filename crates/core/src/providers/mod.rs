@@ -73,7 +73,7 @@ pub(crate) fn event_gate(
         return filtered;
     };
     for i in &filtered {
-        window.push(i.clone());
+        window.push(i);
     }
     if let Some(f) = query.freshness {
         window.retain_fresh(now, f);

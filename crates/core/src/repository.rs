@@ -10,6 +10,10 @@
 //! evicts them deterministically (oldest first, types in `BTreeMap`
 //! order) — the same lifetime-bound contract brokerd's context packets
 //! carry on the wire.
+//!
+//! "Recent" is by timestamp, not arrival: each type's ring is kept in
+//! timestamp order and holds that type's newest distinct items
+//! ([`CxtRepository::store_local`]).
 
 use crate::item::{CxtItem, Name};
 use crate::refs::{CellReference, RefError};
@@ -79,14 +83,35 @@ impl CxtRepository {
     }
 
     /// Stores an item in the local ring for its type.
+    ///
+    /// A ring keeps its items in timestamp order, equal timestamps in
+    /// arrival order, whatever order they arrive in (an `extInfra` push
+    /// delivers its records newest first). An item equal to one the ring
+    /// holds is not stored again, and a full ring evicts its oldest item,
+    /// so a ring holds its type's newest distinct items.
     pub fn store_local(&self, item: CxtItem) {
         let mut inner = self.inner.borrow_mut();
         let cap = inner.cap_per_type;
         let ring = inner.per_type.entry(item.cxt_type.clone()).or_default();
-        if ring.len() >= cap {
-            ring.pop_front();
+        let mut at = ring.partition_point(|i| i.timestamp <= item.timestamp);
+        let held = ring
+            .range(..at)
+            .rev()
+            .take_while(|i| i.timestamp == item.timestamp)
+            .any(|i| *i == item);
+        if held {
+            return;
         }
-        ring.push_back(item);
+        if ring.len() >= cap {
+            if at == 0 {
+                // Older than every item of a full ring: it would be the
+                // one evicted.
+                return;
+            }
+            ring.pop_front();
+            at -= 1;
+        }
+        ring.insert(at, item);
     }
 
     /// Stores an item in the remote repository (`storeCxtItem`). The
@@ -197,6 +222,36 @@ mod tests {
         }
         assert_eq!(stored(&repo, "wind"), vec![2.0, 3.0, 4.0]);
         assert_eq!(repo.latest("wind").unwrap().value.as_f64(), Some(4.0));
+    }
+
+    #[test]
+    fn rings_keep_timestamp_order_and_skip_repeats() {
+        let repo = CxtRepository::new(3);
+        // A push delivers its records newest first, then the next push
+        // repeats two of them.
+        for at in [300, 240, 180, 120] {
+            repo.store_local(item("wind", at as f64, at));
+        }
+        for at in [360, 300, 240] {
+            repo.store_local(item("wind", at as f64, at));
+        }
+        assert_eq!(stored(&repo, "wind"), vec![240.0, 300.0, 360.0]);
+        assert_eq!(repo.latest("wind").unwrap().value.as_f64(), Some(360.0));
+        // Older than everything a full ring holds: not stored.
+        repo.store_local(item("wind", 60.0, 60));
+        assert_eq!(stored(&repo, "wind"), vec![240.0, 300.0, 360.0]);
+    }
+
+    #[test]
+    fn equal_timestamps_keep_arrival_order() {
+        let repo = CxtRepository::new(3);
+        for v in [1.0, 2.0, 1.0, 3.0, 4.0] {
+            repo.store_local(item("t", v, 5));
+        }
+        assert_eq!(stored(&repo, "t"), vec![2.0, 3.0, 4.0]);
+        repo.store_local(item("t", 0.0, 4));
+        repo.store_local(item("t", 9.0, 6));
+        assert_eq!(stored(&repo, "t"), vec![3.0, 4.0, 9.0]);
     }
 
     #[test]

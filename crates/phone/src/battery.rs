@@ -48,8 +48,14 @@ impl Battery {
         protect_below: Volts,
         capacity_mah: f64,
     ) -> Self {
-        assert!(open_circuit.0 > 0.0, "open-circuit voltage must be positive");
-        assert!(internal_ohms >= 0.0, "internal resistance must be non-negative");
+        assert!(
+            open_circuit.0 > 0.0,
+            "open-circuit voltage must be positive"
+        );
+        assert!(
+            internal_ohms >= 0.0,
+            "internal resistance must be non-negative"
+        );
         assert!(
             protect_below.0 > 0.0 && protect_below.0 < open_circuit.0,
             "protection threshold must be below the open-circuit voltage"

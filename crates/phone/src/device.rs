@@ -145,9 +145,7 @@ impl Phone {
                         return;
                     }
                     let v = inner.battery.open_circuit();
-                    inner
-                        .battery
-                        .protection_trips(total.current_at(v), shunt)
+                    inner.battery.protection_trips(total.current_at(v), shunt)
                 };
                 if !tripping {
                     inner_rc.borrow_mut().brownout_pending = false;
@@ -243,7 +241,11 @@ impl Phone {
     pub fn set_display(&self, on: bool) {
         self.power.set(
             Consumer::Display,
-            if on { baseline::DISPLAY } else { Milliwatts::ZERO },
+            if on {
+                baseline::DISPLAY
+            } else {
+                Milliwatts::ZERO
+            },
         );
     }
 
@@ -255,7 +257,11 @@ impl Phone {
         }
         self.power.set(
             Consumer::Backlight,
-            if on { baseline::BACKLIGHT } else { Milliwatts::ZERO },
+            if on {
+                baseline::BACKLIGHT
+            } else {
+                Milliwatts::ZERO
+            },
         );
     }
 
@@ -264,7 +270,11 @@ impl Phone {
     pub fn set_middleware_running(&self, on: bool) {
         self.power.set(
             Consumer::Middleware,
-            if on { baseline::CONTORY } else { Milliwatts::ZERO },
+            if on {
+                baseline::CONTORY
+            } else {
+                Milliwatts::ZERO
+            },
         );
     }
 }

@@ -189,9 +189,13 @@ mod tests {
         sim.run_for(SimDuration::from_secs(10));
         let e = m.energy_between(SimTime::ZERO, sim.now(), Volts(4.0965));
         let truth = 244.1 * 4.0965 * 10.0; // mJ
-        // First 500 ms are unsampled (meter starts at its first tick), so
-        // allow that bias plus the <1% instrument error.
-        assert!((e.0 - truth).abs() / truth < 0.06, "e={} truth={truth}", e.0);
+                                           // First 500 ms are unsampled (meter starts at its first tick), so
+                                           // allow that bias plus the <1% instrument error.
+        assert!(
+            (e.0 - truth).abs() / truth < 0.06,
+            "e={} truth={truth}",
+            e.0
+        );
     }
 
     #[test]

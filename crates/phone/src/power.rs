@@ -72,8 +72,14 @@ struct Inner {
 }
 
 impl Inner {
+    /// The draws summed in consumer order. The sum starts at -0.0, as
+    /// `Iterator::sum` does, so a model with no consumers totals -0.0.
     fn total(&self) -> f64 {
-        self.draws.values().sum()
+        let mut total = -0.0;
+        for draw in self.draws.values() {
+            total += draw;
+        }
+        total
     }
 }
 
@@ -158,7 +164,11 @@ impl PowerModel {
 
     /// Current draw of a single consumer, if registered.
     pub fn get(&self, consumer: Consumer) -> Option<Milliwatts> {
-        self.inner.borrow().draws.get(&consumer).map(|&v| Milliwatts(v))
+        self.inner
+            .borrow()
+            .draws
+            .get(&consumer)
+            .map(|&v| Milliwatts(v))
     }
 
     /// Current total draw.

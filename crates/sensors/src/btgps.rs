@@ -230,7 +230,11 @@ mod tests {
         });
         r.sim.run_for(SimDuration::from_secs(5));
         let got = sentences.borrow();
-        assert!(got.len() >= 18, "expected several bursts, got {}", got.len());
+        assert!(
+            got.len() >= 18,
+            "expected several bursts, got {}",
+            got.len()
+        );
         assert!(got.iter().any(|s| s.starts_with("$GPGGA")));
         assert!(puck.bursts_sent() >= 3);
     }

@@ -103,6 +103,13 @@ struct Wave {
     weight: f64,
 }
 
+/// One field's sinusoids and the sum of their weights.
+#[derive(Clone, Debug)]
+struct FieldWaves {
+    waves: Vec<Wave>,
+    weight_sum: f64,
+}
+
 /// Deterministic ground-truth fields over space and time.
 ///
 /// ```
@@ -118,7 +125,8 @@ struct Wave {
 #[derive(Clone, Debug)]
 pub struct Environment {
     seed: u64,
-    waves: Vec<(EnvField, Vec<Wave>)>,
+    /// One entry per field, in [`EnvField::ALL`] order.
+    fields: [FieldWaves; 7],
 }
 
 impl Environment {
@@ -128,16 +136,15 @@ impl Environment {
     /// Creates an environment from a seed.
     pub fn new(seed: u64) -> Self {
         let mut rng = DetRng::new(seed ^ 0x5eed_f1e1d);
-        let mut waves = Vec::new();
-        for field in EnvField::ALL {
-            let mut comps = Vec::new();
+        let fields = EnvField::ALL.map(|_| {
+            let mut waves = Vec::new();
             for i in 0..Self::COMPONENTS {
                 // Wavelengths from ~200 m to ~20 km; periods from ~10 min
                 // to ~6 h. Weights decay so large scales dominate.
                 let wavelength = rng.range_f64(200.0, 20_000.0);
                 let period_s = rng.range_f64(600.0, 21_600.0);
                 let dir = rng.range_f64(0.0, std::f64::consts::TAU);
-                comps.push(Wave {
+                waves.push(Wave {
                     kx: dir.cos() * std::f64::consts::TAU / wavelength,
                     ky: dir.sin() * std::f64::consts::TAU / wavelength,
                     omega: std::f64::consts::TAU / period_s,
@@ -145,9 +152,13 @@ impl Environment {
                     weight: 1.0 / (i + 1) as f64,
                 });
             }
-            waves.push((field, comps));
-        }
-        Environment { seed, waves }
+            let mut weight_sum = 0.0;
+            for w in &waves {
+                weight_sum += w.weight;
+            }
+            FieldWaves { waves, weight_sum }
+        });
+        Environment { seed, fields }
     }
 
     /// The seed this environment was built from.
@@ -158,16 +169,19 @@ impl Environment {
     /// Ground-truth value of `field` at a position and time.
     pub fn sample(&self, field: EnvField, pos: Position, t: SimTime) -> f64 {
         let (base, amplitude) = field.base_and_amplitude();
-        let comps = &self
-            .waves
-            .iter()
-            .find(|(f, _)| *f == field)
-            .expect("every field has waves")
-            .1;
-        let weight_sum: f64 = comps.iter().map(|w| w.weight).sum();
+        let [temperature, wind, wind_dir, humidity, pressure, light, noise] = &self.fields;
+        let FieldWaves { waves, weight_sum } = match field {
+            EnvField::TemperatureC => temperature,
+            EnvField::WindKnots => wind,
+            EnvField::WindDirDeg => wind_dir,
+            EnvField::HumidityPct => humidity,
+            EnvField::PressureHpa => pressure,
+            EnvField::LightLux => light,
+            EnvField::NoiseDb => noise,
+        };
         let ts = t.as_secs_f64();
         let mut v = 0.0;
-        for w in comps {
+        for w in waves {
             v += w.weight * (w.kx * pos.x + w.ky * pos.y + w.omega * ts + w.phase).sin();
         }
         field.clamp(base + amplitude * v / weight_sum)

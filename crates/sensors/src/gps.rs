@@ -121,7 +121,10 @@ impl GpsReceiver {
                 "GPGSA,A,3,04,05,09,12,24,25,29,,,,,,{:.1},{hdop:.1},1.9",
                 hdop + 0.9
             )),
-            nmea(format!("GPVTG,{course:.1},T,,M,{speed_kn:.1},N,{:.1},K", speed_kn * 1.852)),
+            nmea(format!(
+                "GPVTG,{course:.1},T,,M,{speed_kn:.1},N,{:.1},K",
+                speed_kn * 1.852
+            )),
         ];
         for (i, ids) in [["04", "05", "09", "12"], ["24", "25", "29", "31"]]
             .iter()

@@ -268,13 +268,7 @@ mod tests {
         let env = Environment::new(11);
         let pos = Rc::new(Cell::new(Position::new(0.0, 0.0)));
         let p = pos.clone();
-        let mut s = EnvSensor::new(
-            &env,
-            EnvField::NoiseDb,
-            Rc::new(move || p.get()),
-            0.0,
-            3,
-        );
+        let mut s = EnvSensor::new(&env, EnvField::NoiseDb, Rc::new(move || p.get()), 0.0, 3);
         let a = s.sample(SimTime::ZERO);
         pos.set(Position::new(18_000.0, -9_000.0));
         let b = s.sample(SimTime::ZERO);
@@ -315,7 +309,11 @@ mod tests {
             "fmi-harmaja",
             &env,
             Position::new(1_000.0, 2_000.0),
-            &[EnvField::TemperatureC, EnvField::WindKnots, EnvField::PressureHpa],
+            &[
+                EnvField::TemperatureC,
+                EnvField::WindKnots,
+                EnvField::PressureHpa,
+            ],
             9,
         );
         let obs = st.observe(SimTime::from_secs(60));

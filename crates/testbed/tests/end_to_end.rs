@@ -361,3 +361,40 @@ fn handover_bug_and_the_2g_workaround() {
         );
     }
 }
+
+#[test]
+fn the_repository_keeps_the_newest_items_an_infra_push_delivers() {
+    // A push delivers its records newest first, and every push repeats
+    // the records the last one delivered.
+    let tb = Testbed::with_seed(4);
+    tb.add_weather_station(
+        "fmi-harmaja",
+        Position::new(2_000.0, 1_000.0),
+        &[EnvField::WindKnots],
+        SimDuration::from_secs(60),
+    );
+    tb.sim.run_for(SimDuration::from_secs(300));
+    let phone = tb.add_phone(PhoneSetup {
+        cell_on: true,
+        metered: false,
+        ..PhoneSetup::nokia6630("sailor", Position::new(0.0, 0.0))
+    });
+    let client = Rc::new(CollectingClient::new());
+    let id = phone
+        .submit(
+            "SELECT wind FROM extInfra DURATION 1 hour EVERY 60 sec",
+            client.clone(),
+        )
+        .unwrap();
+    tb.sim.run_for(SimDuration::from_secs(300));
+    let items = client.items_for(id);
+    let mut times: Vec<SimTime> = items.iter().map(|i| i.timestamp).collect();
+    let delivered = times.len();
+    times.sort();
+    times.dedup();
+    assert!(delivered > times.len(), "pushes repeat records");
+    let newest = *times.last().unwrap();
+    let repo = phone.factory().repository();
+    assert_eq!(repo.latest("wind").unwrap().timestamp, newest);
+    assert_eq!(repo.len(), times.len(), "each record stored once");
+}

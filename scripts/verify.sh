@@ -12,8 +12,8 @@
 #    (DESIGN.md §5c, §5g); then clippy over every target of simkit,
 #    obskit, benchkit, fuego, core, smartmsg, sensors and testbed (and
 #    the workspace crates they depend on) with warnings as errors, and
-#    rustfmt's check over simkit, obskit, benchkit and fuego (core and
-#    testbed still have rustfmt diffs);
+#    rustfmt's check over simkit, obskit, benchkit, fuego, sensors and
+#    phone (core and testbed still have rustfmt diffs);
 # 3. the failure-scenario suite in isolation — every scenario runs
 #    across the three fixed seeds baked into the suite (11, 22, 33);
 # 4. the shard gate: the partition-invariance suite on the partitioned
@@ -78,8 +78,9 @@ echo "==> clippy gate (simkit, obskit, benchkit, fuego, core, smartmsg, sensors,
 cargo clippy -q -p contory-simkit -p contory-obskit -p contory-benchkit -p contory-fuego -p contory \
     -p contory-smartmsg -p contory-sensors -p contory-testbed --all-targets -- -D warnings
 
-echo "==> fmt gate (simkit, obskit, benchkit, fuego)"
-cargo fmt --check -p contory-simkit -p contory-obskit -p contory-benchkit -p contory-fuego
+echo "==> fmt gate (simkit, obskit, benchkit, fuego, sensors, phone)"
+cargo fmt --check -p contory-simkit -p contory-obskit -p contory-benchkit -p contory-fuego \
+    -p contory-sensors -p contory-phone
 
 echo "==> failure-scenario suite (seeds 11, 22, 33)"
 cargo test -q --test failover_scenarios

@@ -86,6 +86,76 @@ fn condition_fragment() -> impl Strategy<Value = String> {
     ]
 }
 
+const XML_PIECES: [&str; 20] = [
+    "<a>",
+    "</a>",
+    "<fg:b x=\"1\" y='2'>",
+    "</fg:b>",
+    "<c/>",
+    "/>",
+    "\"",
+    "'",
+    "=",
+    "&amp;",
+    "&#x4e2d;",
+    "&#233;",
+    "&bogus;",
+    "&#xZZ;",
+    "&",
+    "<!--",
+    "-->",
+    "<?xml version=\"1.0\"?>",
+    "<",
+    ">",
+];
+
+/// A piece of would-be XML: tags, `/>`, both quote kinds, known,
+/// numeric and unknown entities, comment and declaration markers, text
+/// with non-ASCII letters, or blanks.
+fn xml_fragment() -> impl Strategy<Value = String> {
+    prop_oneof![
+        (0..XML_PIECES.len()).prop_map(|i| XML_PIECES[i].to_owned()),
+        (0..XML_PIECES.len()).prop_map(|i| XML_PIECES[i].to_owned()),
+        "[a-z0-9é中]{1,5}",
+        "[ \t\n]{1,2}",
+    ]
+}
+
+/// A piece of would-be NMEA: the GGA talker, field separators, runs of
+/// digits, `.` and `-`, hemispheres, the checksum marker, non-ASCII
+/// letters, or nothing.
+fn nmea_fragment() -> impl Strategy<Value = String> {
+    prop_oneof![
+        Just("$GPGGA".to_owned()),
+        ",{1,3}",
+        "[0-9.-]{1,10}",
+        "[NSEW]",
+        "[*0-9A-F]{1,3}",
+        "[é中]{1,2}",
+        Just(String::new()),
+    ]
+}
+
+const WIRE_WORDS: [&str; 14] = [
+    "PUB", "SUB", "UNSUB", "FETCH", "PING", "STATS", "TRACE", "OK", "ERR", "EVT", "PONG",
+    "oneshot", "periodic", "event",
+];
+
+/// A piece of would-be broker frame: a verb or mode word, numbers,
+/// hop lists and sequence tags, good and bad percent escapes, letters
+/// with non-ASCII ones, or blanks.
+fn wire_fragment() -> impl Strategy<Value = String> {
+    prop_oneof![
+        (0..WIRE_WORDS.len()).prop_map(|i| WIRE_WORDS[i].to_owned()),
+        "[0-9-]{1,8}",
+        "[0-9,:.-]{1,6}",
+        "%[0-9a-fA-F]{2}",
+        "%[0-9g-z%]{0,2}",
+        "[a-zA-Zé中]{1,5}",
+        "[ \t]{1,2}",
+    ]
+}
+
 fn ident() -> impl Strategy<Value = String> {
     // Identifiers that cannot collide with keywords or aggregates.
     "[a-z][a-z0-9]{0,8}".prop_map(|s| format!("t{s}"))
@@ -532,6 +602,99 @@ proptest! {
                     e.offset,
                     text
                 );
+            }
+        }
+    }
+
+    /// `XmlElement::parse` is total: on arbitrary text (fragments of XML,
+    /// a real document cut short, either inside elements nested past
+    /// the parser's depth limit of 128) it returns an element or a
+    /// `ParseXmlError` with a message and an offset within the text, and
+    /// never panics.
+    #[test]
+    fn xml_parse_is_total(
+        fragments in proptest::collection::vec(xml_fragment(), 0..16),
+        text in "[ -~é中]{0,20}",
+        cut in 0usize..120,
+        depth in prop_oneof![0usize..4, 120usize..140],
+    ) {
+        let noise = fragments.concat();
+        let real = XmlElement::new("fg:node")
+            .attr("value", text.clone())
+            .child(XmlElement::new("inner").text(text))
+            .to_xml();
+        let truncated: String = real.chars().take(cut).collect();
+        let (open, close) = ("<a>".repeat(depth), "</a>".repeat(depth));
+        for text in [
+            noise.clone(),
+            truncated.clone(),
+            format!("{truncated}{noise}"),
+            format!("{open}{noise}{close}"),
+            format!("{open}{real}{close}"),
+        ] {
+            if let Err(e) = XmlElement::parse(&text) {
+                prop_assert!(!e.message.is_empty(), "{:?}", text);
+                prop_assert!(e.offset <= text.len(), "offset {} in {:?}", e.offset, text);
+            }
+        }
+    }
+
+    /// `parse_gga` is total: on arbitrary text (fragments of NMEA, a
+    /// real GGA sentence cut short, or both) it returns a position or
+    /// `None`, and never panics.
+    #[test]
+    fn nmea_parse_is_total(
+        fragments in proptest::collection::vec(nmea_fragment(), 0..16),
+        x in -20_000f64..20_000.0,
+        cut in 0usize..80,
+    ) {
+        use std::rc::Rc;
+        let noise = fragments.concat();
+        let p = radio::Position::new(x, -x);
+        let mut gps = sensors::GpsReceiver::new(Rc::new(move || p), 0.0, 1);
+        let burst = gps.nmea_burst(SimTime::from_secs(60));
+        let real = burst.iter().find(|s| s.starts_with("$GPGGA")).unwrap();
+        let truncated: String = real.chars().take(cut).collect();
+        for text in [noise.clone(), truncated.clone(), format!("{truncated}{noise}")] {
+            let _position = sensors::gps::parse_gga(&text);
+        }
+    }
+
+    /// `Request::decode` and `Response::decode` are total: on arbitrary
+    /// lines (fragments of the wire format, a real frame cut short, or
+    /// either repeated past `MAX_FRAME_BYTES`) each returns a frame or a
+    /// `WireError`, and never panics.
+    #[test]
+    fn wire_decode_is_total(
+        fragments in proptest::collection::vec(wire_fragment(), 0..16),
+        value in i64::MIN..i64::MAX,
+        hops in proptest::collection::vec(0u16..u16::MAX, 0..MAX_HOPS + 1),
+        evt in 0usize..2,
+        cut in 0usize..120,
+    ) {
+        let noise = fragments.concat();
+        let mut packet = ContextPacket::new(
+            "wind",
+            value,
+            SimTime::from_secs(60),
+            SimDuration::from_secs(600),
+            "station://harmaja",
+        );
+        packet.hops = hops.into_iter().map(BrokerId).collect();
+        packet.seq = PacketSeq::new(7, 42);
+        let real = if evt == 1 {
+            Response::Evt { sub: SubId(3), packet }.encode().unwrap()
+        } else {
+            Request::Pub(packet).encode().unwrap()
+        };
+        let truncated: String = real.chars().take(cut).collect();
+        let long = format!("{real} ").repeat(brokerd::MAX_FRAME_BYTES / real.len() + 1);
+        for line in [noise.clone(), truncated.clone(), format!("{truncated}{noise}"), long] {
+            if let Err(e) = Request::decode(&line) {
+                prop_assert!(!e.to_string().is_empty(), "{:?}", line);
+            }
+            if let Err(e) = Response::decode(&line) {
+                prop_assert!(!e.to_string().is_empty(), "{:?}", line);
             }
         }
     }
