@@ -12,10 +12,13 @@
 //! change won, the base's quartile spread ((q3 − q1) / median) and a
 //! verdict:
 //!
-//! - `gain`: the change won at least 9 in 10 of the pairs, and its median
-//!   is better than the base's by more than the base's spread;
+//! - `gain`: the change won at least 9 in 10 of at least 10 pairs, and
+//!   its median is better than the base's by more than the base's spread;
+//! - `too few pairs`: as `gain`, but from fewer than 10 pairs, whose
+//!   wins and quartiles overstate a difference too often to be claimed
+//!   (five `fleet` pairs read 5 of 5 on a metric the change never ran);
 //! - `worse`: the change's median is worse than the base's by more than
-//!   the metric's bound;
+//!   the metric's bound, from any number of pairs;
 //! - `unresolved`: either side's spread is wider than the bound, and not
 //!   every change run reads better than every base run;
 //! - `no change`: otherwise.
@@ -161,6 +164,9 @@ fn sig(v: f64) -> String {
     format!("{v:.decimals$}")
 }
 
+/// Pairs a `gain` verdict needs.
+const MIN_GAIN_PAIRS: usize = 10;
+
 /// The verdict on one metric, from the change's `wins` out of `pairs`
 /// and both sides' quartiles (see the module docs).
 fn verdict(m: &Metric, wins: usize, pairs: usize, b: &Quartiles, c: &Quartiles) -> &'static str {
@@ -172,7 +178,11 @@ fn verdict(m: &Metric, wins: usize, pairs: usize, b: &Quartiles, c: &Quartiles) 
     if better_by < -m.bound {
         "worse"
     } else if wins * 10 >= pairs * 9 && better_by > b.spread() {
-        "gain"
+        if pairs < MIN_GAIN_PAIRS {
+            "too few pairs"
+        } else {
+            "gain"
+        }
     } else if b.spread().max(c.spread()) > m.bound && !every_run_better {
         "unresolved"
     } else {
@@ -311,6 +321,10 @@ mod tests {
         assert_eq!(verdict(&m, 10, 10, &base, &smaller), "gain");
         assert_eq!(verdict(&m, 9, 10, &base, &smaller), "gain");
         assert_eq!(verdict(&m, 8, 10, &base, &smaller), "no change");
+        // Five of five pairs meet the 9-in-10 rule, but are too few.
+        assert_eq!(verdict(&m, 5, 5, &base, &smaller), "too few pairs");
+        assert_eq!(verdict(&m, 9, 9, &base, &smaller), "too few pairs");
+        assert_eq!(verdict(&m, 0, 5, &smaller, &base), "worse");
         assert_eq!(verdict(&lower(0.25), 0, 10, &smaller, &base), "no change");
         assert_eq!(verdict(&m, 0, 10, &smaller, &base), "worse");
         let wide = Quartiles::of(&[4.0, 6.8, 9.0]);

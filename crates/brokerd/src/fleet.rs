@@ -40,6 +40,13 @@ const SWEEP_EVERY: SimDuration = SimDuration::from_secs(10);
 const GOSSIP_EVERY: SimDuration = SimDuration::from_secs(5);
 
 /// Fleet scenario configuration.
+///
+/// Actor ids (`brokers + devices`) and the publishes one device can make
+/// (at most `run_for / (publish_period / 2) + 1`, since publish gaps are
+/// at least three quarters of the period) must fit in `u32`: devices
+/// record their id as a `u32` trace node and key each arrival by
+/// `(origin, n)` in one `u64`. [`run_fleet`] checks both before it
+/// starts and panics on a larger fleet.
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
     /// Master seed.
@@ -81,6 +88,18 @@ pub struct FleetConfig {
     /// Device lease-renewal cadence (`None` = no renewal — legacy).
     /// Renewal is what re-populates a crashed broker's table.
     pub resub_every: Option<SimDuration>,
+}
+
+impl FleetConfig {
+    /// The most publishes one device can make in a run: each publish gap
+    /// is a jitter of at least three quarters of `publish_period`, so in
+    /// whole microseconds never shorter than half of it.
+    fn max_publishes(&self) -> u64 {
+        match self.publish_period.as_micros() {
+            0 => u64::MAX,
+            period => self.run_for.as_micros() / (period / 2).max(1) + 1,
+        }
+    }
 }
 
 impl Default for FleetConfig {
@@ -251,12 +270,14 @@ struct DeviceState {
     awaiting_ack: bool,
     rehomes: u64,
     fanout_us: Histogram,
-    /// End-to-end idempotence witness: the `(origin, seq)` of every
+    /// This device's actor id as its tracekit node.
+    node: u32,
+    /// End-to-end idempotence witness: the [`arrival_key`] of every
     /// sequenced delivery, in arrival order. The fold counts its repeats
     /// exactly; the chaos scenario pins that count to zero fleet-wide.
     /// Periodic re-delivery of retained context is intentional, so only
     /// event/one-shot devices record.
-    arrivals: Vec<PacketSeq>,
+    arrivals: Vec<u64>,
     /// Device-side hop spans (publish roots, delivery terminals).
     /// Plain `Send` data: shard workers record locally, the fold below
     /// merges in actor order.
@@ -420,11 +441,9 @@ pub struct FleetOutcome {
 impl FleetOutcome {
     /// Shed rate in parts-per-million of offered publishes.
     pub fn shed_ppm(&self) -> u64 {
-        if self.published == 0 {
-            0
-        } else {
-            self.shed * 1_000_000 / self.published
-        }
+        (self.shed * 1_000_000)
+            .checked_div(self.published)
+            .unwrap_or(0)
     }
 
     /// The byte-identity witness: every field, one line.
@@ -474,9 +493,17 @@ impl FleetOutcome {
     }
 }
 
-/// Copies of a sequence tag beyond its first in `seen`: sorts a copy in
+/// A delivery's `(origin, n)` in one word: the origin in the high 32 bits
+/// and `n` in the low 32. Exact for every seq a fleet carries: devices
+/// mint them as `(actor id, publish count)`, forwards keep them verbatim,
+/// and [`run_fleet`] checks that both fit in `u32`.
+fn arrival_key(seq: PacketSeq) -> u64 {
+    seq.origin << 32 | seq.n
+}
+
+/// Copies of an arrival key beyond its first in `seen`: sorts a copy in
 /// `scratch` (reused across calls) and counts what `dedup` removes.
-fn repeats(seen: &[PacketSeq], scratch: &mut Vec<PacketSeq>) -> u64 {
+fn repeats(seen: &[u64], scratch: &mut Vec<u64>) -> u64 {
     scratch.clear();
     scratch.extend_from_slice(seen);
     scratch.sort_unstable();
@@ -514,7 +541,9 @@ pub fn run_fleet_profiled(cfg: &FleetConfig) -> (FleetOutcome, EngineProfile) {
     let sub_lease = cfg.sub_lease.unwrap_or(horizon + horizon);
     let resub_every = cfg.resub_every;
 
-    let handler = move |actor: &mut FleetActor, ctx: &mut EventCtx<'_, FleetEvent>, ev: FleetEvent| {
+    let handler = move |actor: &mut FleetActor,
+                        ctx: &mut EventCtx<'_, FleetEvent>,
+                        ev: FleetEvent| {
         match (actor, ev) {
             // ---------------- broker side ----------------
             (FleetActor::Broker(st), ev) => match ev {
@@ -535,16 +564,14 @@ pub fn run_fleet_profiled(cfg: &FleetConfig) -> (FleetOutcome, EngineProfile) {
                     subscriber,
                     type_idx,
                     mode,
-                } => {
-                    if st.alive {
-                        st.node.subscribe_renewing(
-                            subscriber,
-                            &type_name(type_idx),
-                            mode,
-                            ctx.now() + sub_lease,
-                            ctx.now(),
-                        );
-                    }
+                } if st.alive => {
+                    st.node.subscribe_renewing(
+                        subscriber,
+                        &type_name(type_idx),
+                        mode,
+                        ctx.now() + sub_lease,
+                        ctx.now(),
+                    );
                 }
                 FleetEvent::Packet { packet, origin } => {
                     if !st.alive {
@@ -588,10 +615,8 @@ pub fn run_fleet_profiled(cfg: &FleetConfig) -> (FleetOutcome, EngineProfile) {
                         );
                     }
                 }
-                FleetEvent::FwdAck(fwd_id) => {
-                    if st.alive {
-                        st.node.fwd_ack(fwd_id);
-                    }
+                FleetEvent::FwdAck(fwd_id) if st.alive => {
+                    st.node.fwd_ack(fwd_id);
                 }
                 FleetEvent::DrainTick => {
                     if st.alive {
@@ -647,10 +672,8 @@ pub fn run_fleet_profiled(cfg: &FleetConfig) -> (FleetOutcome, EngineProfile) {
                     }
                     ctx.schedule_self(GOSSIP_EVERY, FleetEvent::GossipTick);
                 }
-                FleetEvent::Digest(d) => {
-                    if st.alive {
-                        st.node.hear_gossip(&d, ctx.now());
-                    }
+                FleetEvent::Digest(d) if st.alive => {
+                    st.node.hear_gossip(&d, ctx.now());
                 }
                 FleetEvent::SetUp(up) => {
                     st.alive = up;
@@ -737,7 +760,7 @@ pub fn run_fleet_profiled(cfg: &FleetConfig) -> (FleetOutcome, EngineProfile) {
                     dev.awaiting_ack = true;
                     // 1 in 97 devices "forgets" attribution: exercises
                     // the hygiene refusal path under load.
-                    let source = if ctx.actor().0 % 97 == 0 {
+                    let source = if ctx.actor().0.is_multiple_of(97) {
                         String::new()
                     } else {
                         format!("dev{}", ctx.actor().0)
@@ -756,11 +779,9 @@ pub fn run_fleet_profiled(cfg: &FleetConfig) -> (FleetOutcome, EngineProfile) {
                     // Root the trace from pure (seed, actor, seq)
                     // material — sampling is a function of the id, so
                     // the sampled set is partition-independent.
-                    let root = TraceCtx::root(
-                        seed ^ (ctx.actor().0 << 20) ^ dev.published,
-                        trace_rate,
-                    );
-                    let span = dev.trace.record(root, Stage::Publish, ctx.actor().0, ctx.now());
+                    let root =
+                        TraceCtx::root(seed ^ (ctx.actor().0 << 20) ^ dev.published, trace_rate);
+                    let span = dev.trace.record(root, Stage::Publish, dev.node, ctx.now());
                     if span != 0 {
                         packet.trace = root.child(span);
                     }
@@ -790,12 +811,12 @@ pub fn run_fleet_profiled(cfg: &FleetConfig) -> (FleetOutcome, EngineProfile) {
                     // design; event/one-shot devices must see each
                     // `(origin, seq)` exactly once, chaos or not.
                     if dev.mode_tag != 0 && packet.seq.is_some() {
-                        dev.arrivals.push(packet.seq);
+                        dev.arrivals.push(arrival_key(packet.seq));
                     }
                     let latency = ctx.now().since(packet.published_at);
                     dev.fanout_us.record(latency.as_micros());
                     dev.trace
-                        .record(packet.trace, Stage::Deliver, ctx.actor().0, ctx.now());
+                        .record(packet.trace, Stage::Deliver, dev.node, ctx.now());
                 }
                 _ => {}
             },
@@ -819,7 +840,10 @@ pub fn run_fleet_profiled(cfg: &FleetConfig) -> (FleetOutcome, EngineProfile) {
         let mut chaos = BTreeMap::new();
         for (from, to, fault) in &cfg.link_faults {
             if *from == b && *to < brokers && !fault.is_noop() {
-                chaos.insert(*to, LinkChaos::new(cfg.seed, &link_label(*from, *to), *fault));
+                chaos.insert(
+                    *to,
+                    LinkChaos::new(cfg.seed, &link_label(*from, *to), *fault),
+                );
             }
         }
         sim.add_actor(
@@ -834,6 +858,15 @@ pub fn run_fleet_profiled(cfg: &FleetConfig) -> (FleetOutcome, EngineProfile) {
             })),
         );
     }
+    // Device trace nodes are `u32`s, and an arrival key packs two (see
+    // FleetConfig).
+    let actors = u64::from(brokers) + cfg.devices;
+    assert!(
+        actors <= u64::from(u32::MAX) && cfg.max_publishes() <= u64::from(u32::MAX),
+        "a fleet's actor ids and per-device publishes must fit in u32: \
+         {actors} actors, up to {} publishes a device",
+        cfg.max_publishes()
+    );
     for d in 0..cfg.devices {
         let id = ActorId(u64::from(brokers) + d);
         let home = (d % u64::from(brokers)) as u16;
@@ -850,6 +883,7 @@ pub fn run_fleet_profiled(cfg: &FleetConfig) -> (FleetOutcome, EngineProfile) {
             awaiting_ack: false,
             rehomes: 0,
             fanout_us: Histogram::new(),
+            node: id.0 as u32,
             arrivals: Vec::new(),
             trace: TraceLog::new(),
         };
@@ -892,6 +926,17 @@ pub fn run_fleet_profiled(cfg: &FleetConfig) -> (FleetOutcome, EngineProfile) {
 
     // Fold outcomes in actor-id order — deterministic by construction.
     let mut out = FleetOutcome::default();
+    // Size the merged trace once: a log grown by doubling would hold up
+    // to twice its events and copy them at every growth step.
+    let mut events = 0;
+    for a in 0..actors {
+        events += match sim.actor_state(ActorId(a)) {
+            Some(FleetActor::Broker(st)) => st.carried_trace.len() + st.node.trace_log().len(),
+            Some(FleetActor::Device(dev)) => dev.trace.len(),
+            None => 0,
+        };
+    }
+    out.trace.reserve_exact(events);
     let mut fanout = Histogram::new();
     let mut dirs: Vec<(u16, BTreeMap<BrokerId, DirEntry>)> = Vec::new();
     for b in 0..brokers {
@@ -995,14 +1040,20 @@ mod tests {
     fn the_witness_counts_what_a_bounded_window_misjudges() {
         use crate::dedup::DedupWindow;
         let seq = PacketSeq::new;
+        let key = |origin, n| arrival_key(seq(origin, n));
         let mut scratch = Vec::new();
-        assert_eq!(repeats(&[seq(7, 1), seq(9, 1), seq(7, 1)], &mut scratch), 1);
-        assert_eq!(repeats(&[seq(7, 1); 3], &mut scratch), 2);
+        assert_eq!(repeats(&[key(7, 1), key(9, 1), key(7, 1)], &mut scratch), 1);
+        assert_eq!(repeats(&[key(7, 1); 3], &mut scratch), 2);
+        // Origin and `n` keep their own halves of the key.
+        let max = u64::from(u32::MAX);
+        let halves = [key(1, 2), key(2, 1), key(max, 1), key(1, max)];
+        assert_eq!(repeats(&halves, &mut scratch), 0);
+        assert_eq!(key(max, max), u64::MAX);
 
         // A straggler far behind its origin's newest packet is fresh,
         // but a window suppresses it as below its bitmap.
         let straggler = [seq(3, 1000), seq(3, 1)];
-        assert_eq!(repeats(&straggler, &mut scratch), 0);
+        assert_eq!(repeats(&straggler.map(arrival_key), &mut scratch), 0);
         let mut window = DedupWindow::new(1024);
         for s in straggler {
             window.observe(s);
@@ -1014,12 +1065,36 @@ mod tests {
         let mut evicted = vec![seq(3, 1)];
         evicted.extend((100..1124).map(|o| seq(o, 1)));
         evicted.push(seq(3, 1));
-        assert_eq!(repeats(&evicted, &mut scratch), 1);
+        let keys: Vec<u64> = evicted.iter().copied().map(arrival_key).collect();
+        assert_eq!(repeats(&keys, &mut scratch), 1);
         let mut window = DedupWindow::new(1024);
         for s in &evicted {
             window.observe(*s);
         }
         assert_eq!(window.suppressed(), 0);
+    }
+
+    #[test]
+    fn fleets_past_the_u32_keys_are_refused_before_they_run() {
+        let too_many = FleetConfig {
+            devices: u64::from(u32::MAX),
+            ..small(3, 1, 1)
+        };
+        // 1 µs periods over 2^32 µs allow 2^32 + 1 publishes a device.
+        let too_long = FleetConfig {
+            devices: 1,
+            publish_period: SimDuration::from_micros(1),
+            run_for: SimDuration::from_micros(1 << 32),
+            ..small(3, 1, 1)
+        };
+        for cfg in [&too_many, &too_long] {
+            assert!(std::panic::catch_unwind(|| run_fleet(cfg)).is_err());
+        }
+        let longest = FleetConfig {
+            run_for: SimDuration::from_micros((1 << 32) - 2),
+            ..too_long
+        };
+        assert_eq!(longest.max_publishes(), u64::from(u32::MAX));
     }
 
     #[test]
@@ -1038,7 +1113,11 @@ mod tests {
         let reference = run_fleet(&small(11, 1, 1)).report();
         for (shards, threads) in [(2, 1), (4, 2), (8, 4)] {
             let (out, profile) = run_fleet_profiled(&small(11, shards, threads));
-            assert_eq!(out.report(), reference, "diverged at shards={shards} threads={threads}");
+            assert_eq!(
+                out.report(),
+                reference,
+                "diverged at shards={shards} threads={threads}"
+            );
             // The profile sees the layout; the outcome must not.
             assert_eq!(profile.events_per_shard.len(), shards as usize);
             assert_eq!(profile.total_events(), out.events);
@@ -1125,18 +1204,17 @@ mod tests {
         let reference = run_fleet(&chaotic(29, 1, 1)).report();
         for (shards, threads) in [(2, 2), (4, 4)] {
             let got = run_fleet(&chaotic(29, shards, threads)).report();
-            assert_eq!(got, reference, "diverged at shards={shards} threads={threads}");
+            assert_eq!(
+                got, reference,
+                "diverged at shards={shards} threads={threads}"
+            );
         }
     }
 
     #[test]
     fn restart_wipes_the_node_but_carries_the_ledger() {
         let mut plan = FaultPlan::new(5);
-        plan.crash_restart(
-            "broker:0",
-            SimTime::from_secs(8),
-            SimDuration::from_secs(3),
-        );
+        plan.crash_restart("broker:0", SimTime::from_secs(8), SimDuration::from_secs(3));
         let mut cfg = small(17, 1, 1);
         cfg.fault_edges = fault_edges(&plan, cfg.brokers);
         cfg.restarts = restart_edges(&plan, cfg.brokers);

@@ -131,8 +131,12 @@ impl BrokerServer {
         let (ida, idb) = (a.id(), b.id());
         lock(&a.shared.peers).insert(idb, Arc::downgrade(&b.shared));
         lock(&b.shared.peers).insert(ida, Arc::downgrade(&a.shared));
-        lock(&a.shared.node).peers_mut().introduce(idb, latency_us, SimTime::ZERO);
-        lock(&b.shared.node).peers_mut().introduce(ida, latency_us, SimTime::ZERO);
+        lock(&a.shared.node)
+            .peers_mut()
+            .introduce(idb, latency_us, SimTime::ZERO);
+        lock(&b.shared.node)
+            .peers_mut()
+            .introduce(ida, latency_us, SimTime::ZERO);
     }
 
     /// Broker counters (snapshot).
@@ -206,17 +210,13 @@ fn pump(shared: &Arc<Shared>, now: SimTime) {
                 }
                 Effect::Forward { to, packet, fwd_id } => {
                     let peer = lock(&shared.peers).get(&to).and_then(Weak::upgrade);
-                    match peer {
-                        Some(peer) => {
-                            // In-process federation is synchronous: a
-                            // successful publish *is* the ack. A shed
-                            // or a vanished peer leaves the pending
-                            // entry to re-fire on a later pump.
-                            if accept_forward(&peer, *packet, now) && fwd_id != 0 {
-                                lock(&shared.node).fwd_ack(fwd_id);
-                            }
+                    // In-process federation is synchronous: a successful
+                    // publish *is* the ack. A shed or a vanished peer
+                    // leaves the pending entry to re-fire on a later pump.
+                    if let Some(peer) = peer {
+                        if accept_forward(&peer, *packet, now) && fwd_id != 0 {
+                            lock(&shared.node).fwd_ack(fwd_id);
                         }
-                        None => {}
                     }
                 }
             }
@@ -577,7 +577,10 @@ mod tests {
             Response::Stats(text) => {
                 assert!(text.contains("broker_admitted_total 1"), "stats:\n{text}");
                 assert!(text.contains("broker_delivered_total 1"), "stats:\n{text}");
-                assert!(text.contains("broker_live_subscriptions 1"), "stats:\n{text}");
+                assert!(
+                    text.contains("broker_live_subscriptions 1"),
+                    "stats:\n{text}"
+                );
             }
             other => panic!("expected STATS, got {other:?}"),
         }

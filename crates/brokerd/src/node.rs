@@ -215,8 +215,8 @@ impl BrokerNode {
     }
 
     /// This broker's id in the tracekit node namespace.
-    fn trace_node(&self) -> u64 {
-        u64::from(self.id.0)
+    fn trace_node(&self) -> u32 {
+        u32::from(self.id.0)
     }
 
     /// Records the terminal deliver hop for a packet this broker
@@ -355,7 +355,8 @@ impl BrokerNode {
             Ok(Admitted::Duplicate) => {
                 self.stats.dedup_suppressed += 1;
                 let node = self.trace_node();
-                self.trace.record(packet.trace, Stage::DupSuppress, node, now);
+                self.trace
+                    .record(packet.trace, Stage::DupSuppress, node, now);
             }
             Err(e) => {
                 let node = self.trace_node();
@@ -685,7 +686,13 @@ mod tests {
     const FOREVER: SimTime = SimTime::from_secs(1_000_000);
 
     fn pkt(t: &str, at: u64) -> ContextPacket {
-        ContextPacket::new(t, 1_000, SimTime::from_secs(at), SimDuration::from_secs(60), "src-a")
+        ContextPacket::new(
+            t,
+            1_000,
+            SimTime::from_secs(at),
+            SimDuration::from_secs(60),
+            "src-a",
+        )
     }
 
     fn node() -> BrokerNode {
@@ -711,7 +718,10 @@ mod tests {
         let mut n = node();
         let mut anon = pkt("wind", 0);
         anon.source = String::new();
-        assert_eq!(n.publish(anon, SimTime::ZERO), Err(BrokerError::Unattributed));
+        assert_eq!(
+            n.publish(anon, SimTime::ZERO),
+            Err(BrokerError::Unattributed)
+        );
         let stale = pkt("wind", 0); // expires at t=60
         assert_eq!(
             n.publish(stale, SimTime::from_secs(100)),
@@ -778,7 +788,8 @@ mod tests {
             FOREVER,
             SimTime::ZERO,
         );
-        n.publish(pkt("temperature", 1), SimTime::from_secs(1)).unwrap();
+        n.publish(pkt("temperature", 1), SimTime::from_secs(1))
+            .unwrap();
         n.drain(SimTime::from_secs(1));
         assert!(n.periodic_fire(SimTime::from_secs(5)).is_empty());
         let fired = n.periodic_fire(SimTime::from_secs(10));
@@ -820,7 +831,10 @@ mod tests {
         let mut n = node();
         let seq = crate::packet::PacketSeq::new(9, 1);
         let now = SimTime::from_secs(1);
-        assert_eq!(n.publish(pkt("t", 1).with_seq(seq), now), Ok(Admitted::Fresh));
+        assert_eq!(
+            n.publish(pkt("t", 1).with_seq(seq), now),
+            Ok(Admitted::Fresh)
+        );
         assert_eq!(
             n.publish(pkt("t", 1).with_seq(seq), now),
             Ok(Admitted::Duplicate)
@@ -836,12 +850,15 @@ mod tests {
 
     #[test]
     fn tracked_forwards_retry_with_backoff_then_exhaust() {
-        let mut cfg = NodeConfig::default();
-        cfg.fwd_attempts = 2;
+        let cfg = NodeConfig {
+            fwd_attempts: 2,
+            ..NodeConfig::default()
+        };
         let mut n = BrokerNode::new(BrokerId(0), cfg);
         n.peers_mut().introduce(BrokerId(1), 10, SimTime::ZERO);
         let seq = crate::packet::PacketSeq::new(4, 7);
-        n.publish(pkt("t", 1).with_seq(seq), SimTime::from_secs(1)).unwrap();
+        n.publish(pkt("t", 1).with_seq(seq), SimTime::from_secs(1))
+            .unwrap();
         let effects = n.drain(SimTime::from_secs(1));
         let fwd_id = effects
             .iter()
@@ -867,12 +884,15 @@ mod tests {
 
     #[test]
     fn fwd_ack_clears_the_pending_entry() {
-        let mut cfg = NodeConfig::default();
-        cfg.fwd_attempts = 3;
+        let cfg = NodeConfig {
+            fwd_attempts: 3,
+            ..NodeConfig::default()
+        };
         let mut n = BrokerNode::new(BrokerId(0), cfg);
         n.peers_mut().introduce(BrokerId(1), 10, SimTime::ZERO);
         let seq = crate::packet::PacketSeq::new(4, 8);
-        n.publish(pkt("t", 1).with_seq(seq), SimTime::from_secs(1)).unwrap();
+        n.publish(pkt("t", 1).with_seq(seq), SimTime::from_secs(1))
+            .unwrap();
         let effects = n.drain(SimTime::from_secs(1));
         let fwd_id = effects
             .iter()
@@ -890,8 +910,10 @@ mod tests {
 
     #[test]
     fn unsequenced_forwards_stay_fire_and_forget() {
-        let mut cfg = NodeConfig::default();
-        cfg.fwd_attempts = 3;
+        let cfg = NodeConfig {
+            fwd_attempts: 3,
+            ..NodeConfig::default()
+        };
         let mut n = BrokerNode::new(BrokerId(0), cfg);
         n.peers_mut().introduce(BrokerId(1), 10, SimTime::ZERO);
         n.publish(pkt("t", 1), SimTime::from_secs(1)).unwrap();
@@ -942,19 +964,28 @@ mod tests {
     fn lease_renewal_survives_a_simulated_restart() {
         let mut n = node();
         let lease = SimTime::from_secs(100);
-        let (id1, renewed1) =
-            n.subscribe_renewing(5, "wind", SubMode::Event, lease, SimTime::ZERO);
+        let (id1, renewed1) = n.subscribe_renewing(5, "wind", SubMode::Event, lease, SimTime::ZERO);
         assert!(!renewed1);
-        let (id2, renewed2) =
-            n.subscribe_renewing(5, "wind", SubMode::Event, SimTime::from_secs(200), SimTime::from_secs(10));
+        let (id2, renewed2) = n.subscribe_renewing(
+            5,
+            "wind",
+            SubMode::Event,
+            SimTime::from_secs(200),
+            SimTime::from_secs(10),
+        );
         assert!(renewed2);
         assert_eq!(id1, id2);
         assert_eq!(n.subscriptions(), 1);
         // "Restart": a fresh node has lost the table; the same renewal
         // call re-registers instead of extending.
         let mut fresh = node();
-        let (_, renewed3) =
-            n_renew(&mut fresh, 5, "wind", SimTime::from_secs(300), SimTime::from_secs(20));
+        let (_, renewed3) = n_renew(
+            &mut fresh,
+            5,
+            "wind",
+            SimTime::from_secs(300),
+            SimTime::from_secs(20),
+        );
         assert!(!renewed3);
         assert_eq!(fresh.subscriptions(), 1);
     }

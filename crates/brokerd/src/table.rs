@@ -212,7 +212,10 @@ impl SubscriptionTable {
                 SubMode::Periodic(_) => true,
             }
         });
-        self.live -= matched.iter().filter(|s| s.mode == SubMode::OneShot).count();
+        self.live -= matched
+            .iter()
+            .filter(|s| s.mode == SubMode::OneShot)
+            .count();
         matched
     }
 
@@ -227,7 +230,7 @@ impl SubscriptionTable {
                 if let SubMode::Periodic(period) = s.mode {
                     if s.next_due <= now && now <= s.expires_at {
                         due.push(s.clone());
-                        s.next_due = s.next_due + period;
+                        s.next_due += period;
                     }
                 }
             }
@@ -290,7 +293,13 @@ mod tests {
     fn periodic_subs_fire_on_cadence_not_arrival() {
         let mut tab = SubscriptionTable::new();
         let t = Sym(0);
-        tab.subscribe(7, t, SubMode::Periodic(SimDuration::from_secs(10)), FOREVER, SimTime::ZERO);
+        tab.subscribe(
+            7,
+            t,
+            SubMode::Periodic(SimDuration::from_secs(10)),
+            FOREVER,
+            SimTime::ZERO,
+        );
         assert!(tab.on_arrival(t, SimTime::from_secs(1)).is_empty());
         assert!(tab.periodic_due(SimTime::from_secs(9)).is_empty());
         let due = tab.periodic_due(SimTime::from_secs(10));
@@ -303,12 +312,24 @@ mod tests {
     #[test]
     fn sweep_removes_expired_subs_and_packets() {
         let mut tab = SubscriptionTable::new();
-        tab.subscribe(1, Sym(0), SubMode::Event, SimTime::from_secs(5), SimTime::ZERO);
+        tab.subscribe(
+            1,
+            Sym(0),
+            SubMode::Event,
+            SimTime::from_secs(5),
+            SimTime::ZERO,
+        );
         tab.subscribe(2, Sym(1), SubMode::Event, FOREVER, SimTime::ZERO);
         tab.retain(pkt(Sym(0), 0, 3));
         tab.retain(pkt(Sym(1), 0, 100));
         let stats = tab.sweep(SimTime::from_secs(10));
-        assert_eq!(stats, SweepStats { subscriptions: 1, packets: 1 });
+        assert_eq!(
+            stats,
+            SweepStats {
+                subscriptions: 1,
+                packets: 1
+            }
+        );
         assert_eq!(tab.len(), 1);
         assert!(tab.retained(Sym(1), SimTime::from_secs(10)).is_some());
         assert!(tab.retained(Sym(0), SimTime::from_secs(10)).is_none());
@@ -358,7 +379,13 @@ mod tests {
         // Types interleave by id, so type-order iteration alone would
         // return 0, 5, 10, 15, 1, 6, …
         for sub in 0..17u64 {
-            tab.subscribe(sub, Sym((sub % 5) as u16), SubMode::Event, FOREVER, SimTime::ZERO);
+            tab.subscribe(
+                sub,
+                Sym((sub % 5) as u16),
+                SubMode::Event,
+                FOREVER,
+                SimTime::ZERO,
+            );
         }
         let ids: Vec<u64> = tab.live_entries().iter().map(|s| s.id.0).collect();
         assert_eq!(ids, (0..17).collect::<Vec<_>>());
@@ -371,7 +398,13 @@ mod tests {
         // Registered on descending types, so type-order iteration alone
         // would return 3, 7, 11, 2, 6, …
         for sub in 0..12u64 {
-            tab.subscribe(sub, Sym((11 - sub) as u16 % 4), period, FOREVER, SimTime::ZERO);
+            tab.subscribe(
+                sub,
+                Sym((11 - sub) as u16 % 4),
+                period,
+                FOREVER,
+                SimTime::ZERO,
+            );
         }
         let due = tab.periodic_due(SimTime::from_secs(5));
         let ids: Vec<u64> = due.iter().map(|s| s.id.0).collect();

@@ -178,12 +178,18 @@ impl fmt::Display for WireError {
             WireError::Truncated { what } => write!(f, "wire error: missing {what}"),
             WireError::BadNumber { what } => write!(f, "wire error: bad {what}"),
             WireError::Oversized { len } => {
-                write!(f, "wire error: frame of {len} bytes exceeds {MAX_FRAME_BYTES}")
+                write!(
+                    f,
+                    "wire error: frame of {len} bytes exceeds {MAX_FRAME_BYTES}"
+                )
             }
             WireError::UnknownVerb(v) => write!(f, "wire error: unknown verb {v}"),
             WireError::Malformed { detail } => write!(f, "wire error: {detail}"),
             WireError::ConnLost { partial, detail } => {
-                write!(f, "wire error: connection lost mid-frame after {partial} bytes ({detail})")
+                write!(
+                    f,
+                    "wire error: connection lost mid-frame after {partial} bytes ({detail})"
+                )
             }
         }
     }
@@ -355,11 +361,9 @@ fn decode_packet(parts: &[&str], at: usize) -> Result<ContextPacket, WireError> 
 }
 
 fn decode_seq(text: &str) -> Result<PacketSeq, WireError> {
-    let (origin, n) = text
-        .split_once(':')
-        .ok_or(WireError::Malformed {
-            detail: "sequence tag must be origin:n".into(),
-        })?;
+    let (origin, n) = text.split_once(':').ok_or(WireError::Malformed {
+        detail: "sequence tag must be origin:n".into(),
+    })?;
     let origin = origin
         .parse::<u64>()
         .map_err(|_| WireError::BadNumber { what: "seq origin" })?;
@@ -555,7 +559,9 @@ impl Response {
                 &parts, 1, "now_us",
             )?))),
             Some("STATS") => Ok(Response::Stats(pct_decode(&token(
-                &parts, 1, "stats text",
+                &parts,
+                1,
+                "stats text",
             )?)?)),
             Some("TRACE") => {
                 let count = number(&parts, 1, "trace count")?;
@@ -740,7 +746,11 @@ mod tests {
         );
         // `u8::from_str_radix` alone would accept the sign in `%+f`.
         for bad in ["STATS bad%zz", "STATS bad%+f"] {
-            assert_eq!(Response::decode(bad).unwrap_err().code(), "malformed", "{bad}");
+            assert_eq!(
+                Response::decode(bad).unwrap_err().code(),
+                "malformed",
+                "{bad}"
+            );
         }
     }
 

@@ -181,7 +181,11 @@ impl Breakup {
                     let (Some(p), Some(c)) = (tree.nodes.get(pi), tree.nodes.get(ci)) else {
                         continue;
                     };
-                    let dt = c.event.at.as_micros().saturating_sub(p.event.at.as_micros());
+                    let dt = c
+                        .event
+                        .at
+                        .as_micros()
+                        .saturating_sub(p.event.at.as_micros());
                     let row = b.stages.entry(c.event.stage.as_str()).or_default();
                     row.us += dt;
                     row.samples += 1;
@@ -234,7 +238,11 @@ impl Breakup {
     /// Renders the human table (stage, total µs, share, samples).
     pub fn table(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(out, "{:<10} {:>12} {:>7} {:>9}", "stage", "total_us", "share", "samples");
+        let _ = writeln!(
+            out,
+            "{:<10} {:>12} {:>7} {:>9}",
+            "stage", "total_us", "share", "samples"
+        );
         for (name, row) in &self.stages {
             let pm = self.per_mille(row.us);
             let _ = writeln!(
@@ -309,7 +317,11 @@ impl TraceSummary {
     pub fn line(&self) -> String {
         format!(
             "trace={:016x} spans={} start_us={} end_us={} deliveries={} worst_us={}",
-            self.trace_id, self.spans, self.start_us, self.end_us, self.deliveries,
+            self.trace_id,
+            self.spans,
+            self.start_us,
+            self.end_us,
+            self.deliveries,
             self.worst_latency_us
         )
     }

@@ -202,7 +202,14 @@ mod tests {
         ] {
             assert_eq!(ctx.to_string().parse::<TraceCtx>().unwrap(), ctx);
         }
-        for bad in ["", "zz.0.0.s", "1.0.0", "1.0.0.x", "1.0.0.s.extra", "1.-1.0.u"] {
+        for bad in [
+            "",
+            "zz.0.0.s",
+            "1.0.0",
+            "1.0.0.x",
+            "1.0.0.s.extra",
+            "1.-1.0.u",
+        ] {
             assert!(bad.parse::<TraceCtx>().is_err(), "accepted {bad:?}");
         }
     }

@@ -41,8 +41,6 @@ mod assemble;
 mod ctx;
 mod log;
 
-pub use assemble::{
-    assemble, summaries, Breakup, Delivery, TraceNode, TraceSummary, TraceTree,
-};
+pub use assemble::{assemble, summaries, Breakup, Delivery, TraceNode, TraceSummary, TraceTree};
 pub use ctx::{ParseCtxError, TraceCtx};
 pub use log::{Stage, TraceError, TraceEvent, TraceLog};

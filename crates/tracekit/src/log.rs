@@ -116,8 +116,10 @@ pub struct TraceEvent {
     /// Pipeline stage.
     pub stage: Stage,
     /// Recording node (broker id, or a device id in the harness's
-    /// node namespace).
-    pub node: u64,
+    /// node namespace). A `u32` keeps an event at 32 bytes; the hash,
+    /// the canonical order and span ids take it widened to `u64`, the
+    /// definition `digest_known_answer` pins.
+    pub node: u32,
     /// Federation hop count at recording time.
     pub hop: u8,
     /// Sim instant of the event.
@@ -133,7 +135,7 @@ impl TraceEvent {
         let ids = u64::from(self.span) << 32 | u64::from(self.parent);
         let stage_hop = (self.stage as u64) << 8 | u64::from(self.hop);
         let mut h = mix64(self.trace_id);
-        for word in [ids, stage_hop, self.node, self.at.as_micros()] {
+        for word in [ids, stage_hop, u64::from(self.node), self.at.as_micros()] {
             h = mix64(h ^ word);
         }
         h
@@ -146,7 +148,7 @@ impl TraceEvent {
             self.at.as_micros(),
             self.hop,
             self.stage.rank(),
-            self.node,
+            u64::from(self.node),
             self.span,
         )
     }
@@ -168,14 +170,14 @@ impl TraceLog {
     /// Records a hop event for an active context and returns its span
     /// id (for re-parenting the propagated context). Inactive contexts
     /// record nothing and return 0.
-    pub fn record(&mut self, ctx: TraceCtx, stage: Stage, node: u64, at: SimTime) -> u32 {
+    pub fn record(&mut self, ctx: TraceCtx, stage: Stage, node: u32, at: SimTime) -> u32 {
         if !ctx.is_active() {
             return 0;
         }
         self.seq = self.seq.wrapping_add(1);
+        let material = ctx.trace_id ^ u64::from(node).rotate_left(24) ^ u64::from(self.seq);
         // `| 1` keeps real span ids distinct from the 0 root marker.
-        let span =
-            (mix64(ctx.trace_id ^ node.rotate_left(24) ^ u64::from(self.seq)) as u32) | 1;
+        let span = (mix64(material) as u32) | 1;
         self.events.push(TraceEvent {
             trace_id: ctx.trace_id,
             span,
@@ -192,6 +194,12 @@ impl TraceLog {
     /// actor-id order, which keeps the merged stream deterministic).
     pub fn merge(&mut self, other: &TraceLog) {
         self.events.extend_from_slice(&other.events);
+    }
+
+    /// Makes room for exactly `additional` more events, so a fold that
+    /// counts its logs first merges them without growing by doubling.
+    pub fn reserve_exact(&mut self, additional: usize) {
+        self.events.reserve_exact(additional);
     }
 
     /// All recorded events, in recording/merge order.
@@ -271,18 +279,14 @@ impl TraceLog {
                 return Err(bad("not one JSON object"));
             }
             let trace_hex = field_str(line, "trace").ok_or_else(|| bad("missing trace"))?;
-            let trace_id =
-                u64::from_str_radix(trace_hex, 16).map_err(|_| bad("bad trace id"))?;
+            let trace_id = u64::from_str_radix(trace_hex, 16).map_err(|_| bad("bad trace id"))?;
             let stage_name = field_str(line, "stage").ok_or_else(|| bad("missing stage"))?;
             let stage = Stage::from_name(stage_name).ok_or_else(|| bad("unknown stage"))?;
-            let span = field_u64(line, "span").ok_or_else(|| bad("missing span"))?;
-            let span = u32::try_from(span).map_err(|_| bad("span out of range"))?;
-            let parent = field_u64(line, "parent").ok_or_else(|| bad("missing parent"))?;
-            let parent = u32::try_from(parent).map_err(|_| bad("parent out of range"))?;
-            let node = field_u64(line, "node").ok_or_else(|| bad("missing node"))?;
-            let hop = field_u64(line, "hop").ok_or_else(|| bad("missing hop"))?;
-            let hop = u8::try_from(hop).map_err(|_| bad("hop out of range"))?;
-            let at_us = field_u64(line, "at_us").ok_or_else(|| bad("missing at_us"))?;
+            let span = field_num(line, "span").map_err(|e| bad(&e))?;
+            let parent = field_num(line, "parent").map_err(|e| bad(&e))?;
+            let node = field_num(line, "node").map_err(|e| bad(&e))?;
+            let hop = field_num(line, "hop").map_err(|e| bad(&e))?;
+            let at_us = field_num(line, "at_us").map_err(|e| bad(&e))?;
             log.events.push(TraceEvent {
                 trace_id,
                 span,
@@ -339,18 +343,26 @@ fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     None
 }
 
-/// Extracts the numeric value of `"key":123` from a flat JSON line. The
-/// value must be all digits up to the next `,` or `}`, so `2000.75` or
-/// `3abc` is refused rather than truncated.
-fn field_u64(line: &str, key: &str) -> Option<u64> {
+/// Extracts the numeric value of `"key":123` from a flat JSON line as a
+/// `T`. The value must be all digits up to the next `,` or `}`, so
+/// `2000.75`, `-1` or `3abc` is refused rather than truncated. The error
+/// names the field: `missing node` when the key is absent, `bad node`
+/// when its value is not a number, `node out of range` when the number
+/// does not fit a `T`.
+fn field_num<T: TryFrom<u64>>(line: &str, key: &str) -> Result<T, String> {
     let needle = format!("\"{key}\":");
-    let start = line.find(&needle)? + needle.len();
-    let rest = line.get(start..)?;
-    let digits = rest.get(..rest.find([',', '}'])?)?;
-    if !digits.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
+    let start = line.find(&needle).ok_or_else(|| format!("missing {key}"))? + needle.len();
+    let rest = line.get(start..).unwrap_or_default();
+    let digits = rest.split([',', '}']).next().unwrap_or_default();
+    if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
+        return Err(format!("bad {key}"));
     }
-    digits.parse().ok()
+    // All digits, so a failed parse is a number past `u64::MAX`.
+    digits
+        .parse()
+        .ok()
+        .and_then(|v: u64| T::try_from(v).ok())
+        .ok_or_else(|| format!("{key} out of range"))
 }
 
 #[cfg(test)]
@@ -363,17 +375,45 @@ mod tests {
         let root = TraceCtx::root(1, 0);
         let t0 = SimTime::from_secs(1);
         let p = log.record(root, Stage::Publish, 100, t0);
-        let a = log.record(root.child(p), Stage::Admit, 1, t0 + SimDuration::from_millis(2));
-        let e = log.record(root.child(a), Stage::Enqueue, 1, t0 + SimDuration::from_millis(2));
-        let d = log.record(root.child(e), Stage::Dispatch, 1, t0 + SimDuration::from_millis(50));
-        log.record(root.child(d), Stage::Deliver, 200, t0 + SimDuration::from_millis(55));
+        let a = log.record(
+            root.child(p),
+            Stage::Admit,
+            1,
+            t0 + SimDuration::from_millis(2),
+        );
+        let e = log.record(
+            root.child(a),
+            Stage::Enqueue,
+            1,
+            t0 + SimDuration::from_millis(2),
+        );
+        let d = log.record(
+            root.child(e),
+            Stage::Dispatch,
+            1,
+            t0 + SimDuration::from_millis(50),
+        );
+        log.record(
+            root.child(d),
+            Stage::Deliver,
+            200,
+            t0 + SimDuration::from_millis(55),
+        );
         log
+    }
+
+    #[test]
+    fn an_event_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 32);
     }
 
     #[test]
     fn inactive_contexts_record_nothing() {
         let mut log = TraceLog::new();
-        assert_eq!(log.record(TraceCtx::NONE, Stage::Admit, 1, SimTime::ZERO), 0);
+        assert_eq!(
+            log.record(TraceCtx::NONE, Stage::Admit, 1, SimTime::ZERO),
+            0
+        );
         let unsampled = TraceCtx {
             sampled: false,
             ..TraceCtx::root(1, 0)
@@ -420,7 +460,8 @@ mod tests {
     fn digest_sees_every_field_and_every_event() {
         let log = sample_log();
         let base = log.digest();
-        let edits: [(&str, fn(&mut TraceEvent)); 7] = [
+        type Edit = fn(&mut TraceEvent);
+        let edits: [(&str, Edit); 7] = [
             ("trace_id", |e| e.trace_id ^= 1 << 40),
             ("span", |e| e.span ^= 2),
             ("parent", |e| e.parent ^= 2),
@@ -429,7 +470,7 @@ mod tests {
             }),
             ("node", |e| e.node += 1),
             ("hop", |e| e.hop += 1),
-            ("at", |e| e.at = e.at + SimDuration::from_micros(1)),
+            ("at", |e| e.at += SimDuration::from_micros(1)),
         ];
         for i in 0..log.len() {
             for (field, edit) in edits {
@@ -482,6 +523,38 @@ mod tests {
         ] {
             let err = TraceLog::parse_jsonl(&line).unwrap_err();
             assert!(matches!(err, TraceError::BadLine { line: 1, .. }), "{line}");
+        }
+    }
+
+    #[test]
+    fn parse_errors_name_the_field_and_what_is_wrong() {
+        let canonical = "{\"trace\":\"00000000000000ab\",\"span\":3,\"parent\":0,\
+                         \"stage\":\"admit\",\"node\":1,\"hop\":0,\"at_us\":2000}";
+        let detail = |line: String| match TraceLog::parse_jsonl(&line) {
+            Err(TraceError::BadLine { line: 1, detail }) => detail,
+            other => panic!("{line}: {other:?}"),
+        };
+        let max = canonical.replace("\"node\":1", "\"node\":4294967295");
+        assert_eq!(
+            TraceLog::parse_jsonl(&max).unwrap().events()[0].node,
+            u32::MAX
+        );
+        for (from, to, want) in [
+            ("\"node\":1", "\"node\":4294967296", "node out of range"),
+            (
+                "\"node\":1",
+                "\"node\":99999999999999999999",
+                "node out of range",
+            ),
+            ("\"node\":1", "\"node\":-1", "bad node"),
+            ("\"node\":1", "\"node\":", "bad node"),
+            ("\"node\":1", "\"nod\":1", "missing node"),
+            ("2000}", "2000.5}", "bad at_us"),
+            ("2000}", "99999999999999999999}", "at_us out of range"),
+            ("\"hop\":0", "\"hop\":256", "hop out of range"),
+            ("\"span\":3", "\"span\":\"3\"", "bad span"),
+        ] {
+            assert_eq!(detail(canonical.replace(from, to)), want, "{to}");
         }
     }
 }

@@ -16,17 +16,17 @@ use tracekit::{assemble, Breakup, Stage, TraceCtx, TraceLog};
 
 /// Builds a log from raw generated tuples: (trace material, stage
 /// index, node, at_ms, reparent onto an earlier span?).
-fn build_log(raw: &[(u64, u8, u64, u64, u8)]) -> TraceLog {
+fn build_log(raw: &[(u64, u8, u32, u64, u8)]) -> TraceLog {
     let mut log = TraceLog::new();
     let mut spans: Vec<(u64, u32)> = Vec::new(); // (trace_id, span)
     for &(material, stage_ix, node, at_ms, link) in raw {
         let link = link != 0;
         let stage = Stage::ALL[usize::from(stage_ix) % Stage::ALL.len()];
         let root = TraceCtx::root(material % 8, 0); // few distinct traces
-        // Optionally parent onto the most recent span of the same trace
-        // (causally valid); otherwise claim an arbitrary parent id,
-        // which may be an orphan or even a *later* span — assembly must
-        // stay a time-ordered forest regardless.
+                                                    // Optionally parent onto the most recent span of the same trace
+                                                    // (causally valid); otherwise claim an arbitrary parent id,
+                                                    // which may be an orphan or even a *later* span — assembly must
+                                                    // stay a time-ordered forest regardless.
         let parent = if link {
             spans
                 .iter()
@@ -51,7 +51,7 @@ proptest! {
     #[test]
     fn assembly_conserves_spans(
         raw in collection::vec(
-            (0u64..1000, 0u8..8, 0u64..16, 0u64..10_000, 0u8..2),
+            (0u64..1000, 0u8..8, 0u32..16, 0u64..10_000, 0u8..2),
             0..64,
         ),
     ) {
@@ -74,7 +74,7 @@ proptest! {
     #[test]
     fn parents_precede_children_in_sim_time(
         raw in collection::vec(
-            (0u64..1000, 0u8..8, 0u64..16, 0u64..10_000, 0u8..2),
+            (0u64..1000, 0u8..8, 0u32..16, 0u64..10_000, 0u8..2),
             0..64,
         ),
     ) {
@@ -107,7 +107,7 @@ proptest! {
     #[test]
     fn export_and_assembly_are_fold_order_invariant(
         raw in collection::vec(
-            (0u64..1000, 0u8..8, 0u64..16, 0u64..10_000, 0u8..2),
+            (0u64..1000, 0u8..8, 0u32..16, 0u64..10_000, 0u8..2),
             0..48,
         ),
         split in 0usize..48,

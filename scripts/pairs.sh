@@ -19,7 +19,8 @@
 # target/pairs/<workload>-<first-seed>-<pairs>.txt as
 # `<side> <seed> <line>`, and benchkit's `pairs` binary prints, per
 # end-to-end metric, both sides' medians and quartiles, the wins and a
-# verdict (gain, worse, unresolved or no change) from that file.
+# verdict (gain, too few pairs, worse, unresolved or no change) from
+# that file. A gain needs at least 10 pairs.
 #
 # Use seeds no commit has used, so a change cannot have been tuned to
 # them. Run nothing else on the host meanwhile: every run is timed.

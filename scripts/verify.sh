@@ -10,10 +10,11 @@
 #    must report zero findings above the checked-in ratchet baseline
 #    (results/lint_baseline.json) and zero stale pragmas
 #    (DESIGN.md §5c, §5g); then clippy over every target of simkit,
-#    obskit, benchkit, fuego, core, smartmsg, sensors and testbed (and
-#    the workspace crates they depend on) with warnings as errors, and
-#    rustfmt's check over simkit, obskit, benchkit, fuego, sensors and
-#    phone (core and testbed still have rustfmt diffs);
+#    obskit, benchkit, fuego, core, smartmsg, sensors, testbed, brokerd
+#    and tracekit (and the workspace crates they depend on) with
+#    warnings as errors, and rustfmt's check over simkit, obskit,
+#    benchkit, fuego, sensors, phone, brokerd and tracekit (core and
+#    testbed still have rustfmt diffs);
 # 3. the failure-scenario suite in isolation — every scenario runs
 #    across the three fixed seeds baked into the suite (11, 22, 33);
 # 4. the shard gate: the partition-invariance suite on the partitioned
@@ -74,13 +75,14 @@ cargo test -q
 echo "==> lintkit gate (determinism & robustness lints, ratchet baseline)"
 cargo run -q --release -p lintkit -- --workspace --baseline results/lint_baseline.json
 
-echo "==> clippy gate (simkit, obskit, benchkit, fuego, core, smartmsg, sensors, testbed; every target, warnings are errors)"
+echo "==> clippy gate (simkit, obskit, benchkit, fuego, core, smartmsg, sensors, testbed, brokerd, tracekit; every target, warnings are errors)"
 cargo clippy -q -p contory-simkit -p contory-obskit -p contory-benchkit -p contory-fuego -p contory \
-    -p contory-smartmsg -p contory-sensors -p contory-testbed --all-targets -- -D warnings
+    -p contory-smartmsg -p contory-sensors -p contory-testbed -p contory-brokerd -p contory-tracekit \
+    --all-targets -- -D warnings
 
-echo "==> fmt gate (simkit, obskit, benchkit, fuego, sensors, phone)"
+echo "==> fmt gate (simkit, obskit, benchkit, fuego, sensors, phone, brokerd, tracekit)"
 cargo fmt --check -p contory-simkit -p contory-obskit -p contory-benchkit -p contory-fuego \
-    -p contory-sensors -p contory-phone
+    -p contory-sensors -p contory-phone -p contory-brokerd -p contory-tracekit
 
 echo "==> failure-scenario suite (seeds 11, 22, 33)"
 cargo test -q --test failover_scenarios

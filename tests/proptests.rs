@@ -3,8 +3,8 @@
 //! the event windows, the fault-injection/failover machinery, the
 //! partitioned engine's `(time, actor, seq)` merge, the brokerd
 //! chaos layer (dedup idempotence, restart recovery, chaos-transcript
-//! partition invariance) and the broker wire format: its packet frames
-//! and its percent codec.
+//! partition invariance), the broker wire format (its packet frames
+//! and its percent codec) and the trace JSONL export.
 
 use brokerd::{
     fault_edges, link_faults, link_label, pct_decode, pct_encode, restart_edges, run_fleet,
@@ -24,7 +24,7 @@ use proptest::prelude::*;
 use simkit::stats::Summary;
 use simkit::trace::TimeSeries;
 use simkit::{ActorId, EventCtx, ShardConfig, ShardSim, SimDuration, SimTime};
-use tracekit::TraceCtx;
+use tracekit::{Stage, TraceCtx, TraceError, TraceLog};
 
 // ------------------------------------------------------------------
 // Strategies
@@ -134,6 +134,99 @@ fn nmea_fragment() -> impl Strategy<Value = String> {
         "[é中]{1,2}",
         Just(String::new()),
     ]
+}
+
+const JSONL_KEYS: [&str; 7] = ["trace", "span", "parent", "stage", "node", "hop", "at_us"];
+
+const JSONL_PIECES: [&str; 28] = [
+    "{",
+    "}",
+    ",",
+    ":",
+    "\"",
+    "\\\"",
+    "\\",
+    "\"trace\":\"",
+    "\"span\":",
+    "\"parent\":",
+    "\"stage\":\"",
+    "\"node\":",
+    "\"hop\":",
+    "\"at_us\":",
+    "00000000000000ab\"",
+    "admit\"",
+    "dup_suppress\"",
+    "4294967295",
+    "4294967296",
+    "18446744073709551615",
+    "18446744073709551616",
+    "99999999999999999999",
+    "-",
+    "-1",
+    ".",
+    "2000.5",
+    "1e9",
+    "\n",
+];
+
+/// A piece of would-be trace JSONL: braces, commas, colons, quotes and
+/// escaped quotes, the export's keys, a trace id and stage names,
+/// numbers at and past `u32::MAX` and `u64::MAX`, minus signs,
+/// decimals and exponents, digit runs, letters with non-ASCII ones, or
+/// blanks.
+fn jsonl_fragment() -> impl Strategy<Value = String> {
+    prop_oneof![
+        (0..JSONL_PIECES.len()).prop_map(|i| JSONL_PIECES[i].to_owned()),
+        (0..JSONL_PIECES.len()).prop_map(|i| JSONL_PIECES[i].to_owned()),
+        "[0-9]{1,22}",
+        "[a-f0-9é中]{1,5}",
+        "[ \t]{1,2}",
+    ]
+}
+
+/// A trace log of up to 24 hop events whose ids, parents, nodes, hops
+/// and instants reach their types' extremes.
+fn trace_log() -> impl Strategy<Value = TraceLog> {
+    proptest::collection::vec(
+        (
+            prop_oneof![1u64..64, 1u64..u64::MAX, Just(u64::MAX)],
+            prop_oneof![0u32..4, 0u32..u32::MAX, Just(u32::MAX)],
+            0..Stage::ALL.len(),
+            prop_oneof![0u32..16, 0u32..u32::MAX, Just(u32::MAX)],
+            prop_oneof![0u8..4, 0u8..u8::MAX, Just(u8::MAX)],
+            prop_oneof![0u64..60_000_000, 0u64..u64::MAX, Just(u64::MAX)],
+        ),
+        0..24,
+    )
+    .prop_map(|events| {
+        let mut log = TraceLog::new();
+        for (trace_id, parent_span, stage, node, hop, at_us) in events {
+            let ctx = TraceCtx {
+                trace_id,
+                parent_span,
+                hop,
+                sampled: true,
+            };
+            log.record(ctx, Stage::ALL[stage], node, SimTime::from_micros(at_us));
+        }
+        log
+    })
+}
+
+/// `line` with `key`'s value replaced by `value`, and `line` without
+/// `key` and its value.
+fn edit_jsonl_field(line: &str, key: &str, value: &str) -> (String, String) {
+    let needle = format!("\"{key}\":");
+    let Some(start) = line.find(&needle) else {
+        return (line.to_owned(), line.to_owned());
+    };
+    let from = start + needle.len();
+    let end = line[from..]
+        .find([',', '}'])
+        .map_or(line.len(), |i| from + i);
+    let swapped = format!("{}{value}{}", &line[..from], &line[end..]);
+    let dropped = format!("{}{}", &line[..start], line[end..].trim_start_matches(','));
+    (swapped, dropped)
 }
 
 const WIRE_WORDS: [&str; 14] = [
@@ -635,6 +728,73 @@ proptest! {
             if let Err(e) = XmlElement::parse(&text) {
                 prop_assert!(!e.message.is_empty(), "{:?}", text);
                 prop_assert!(e.offset <= text.len(), "offset {} in {:?}", e.offset, text);
+            }
+        }
+    }
+
+    /// Trace JSONL print→parse is the identity: parsing a log's export
+    /// gives back its events (ids, parents, `u32::MAX` nodes, `u64::MAX`
+    /// instants) and its digest, and printing them again gives the same
+    /// bytes.
+    #[test]
+    fn trace_jsonl_round_trips(log in trace_log()) {
+        let mut log = log;
+        let root = TraceCtx::root(7, 0);
+        log.record(root, Stage::Deliver, u32::MAX, SimTime::from_micros(u64::MAX));
+        let export = log.export_jsonl();
+        let back = TraceLog::parse_jsonl(&export).unwrap();
+        prop_assert_eq!(back.canonical_events(), log.canonical_events());
+        prop_assert_eq!(back.digest(), log.digest());
+        prop_assert_eq!(back.export_jsonl(), export);
+    }
+
+    /// `TraceLog::parse_jsonl` is total: on arbitrary text (fragments of
+    /// the export, inside braces or not, a real export cut short, or a
+    /// real line with one value swapped for a fragment or one key
+    /// removed) it returns a log that prints and parses back unchanged,
+    /// or a `TraceError` that names a line of the text and what is
+    /// wrong with it, and never panics.
+    #[test]
+    fn trace_jsonl_parse_is_total(
+        fragments in proptest::collection::vec(jsonl_fragment(), 0..16),
+        log in trace_log(),
+        cut in 0usize..600,
+        key in 0..JSONL_KEYS.len(),
+        value in jsonl_fragment(),
+    ) {
+        let noise = fragments.concat();
+        let real = log.export_jsonl();
+        let truncated: String = real.chars().take(cut).collect();
+        let line = real.lines().next().unwrap_or(
+            "{\"trace\":\"00000000000000ab\",\"span\":3,\"parent\":0,\
+             \"stage\":\"admit\",\"node\":1,\"hop\":0,\"at_us\":2000}",
+        );
+        let (swapped, dropped) = edit_jsonl_field(line, JSONL_KEYS[key], &value);
+        for text in [
+            noise.clone(),
+            format!("{{{noise}}}"),
+            truncated.clone(),
+            format!("{truncated}{noise}"),
+            swapped,
+            dropped,
+        ] {
+            match TraceLog::parse_jsonl(&text) {
+                Ok(parsed) => {
+                    let again = TraceLog::parse_jsonl(&parsed.export_jsonl());
+                    prop_assert_eq!(
+                        again.map(|l| l.canonical_events()),
+                        Ok(parsed.canonical_events())
+                    );
+                }
+                Err(TraceError::BadLine { line, detail }) => {
+                    prop_assert!(
+                        (1..=text.lines().count()).contains(&line),
+                        "line {} of {:?}",
+                        line,
+                        text
+                    );
+                    prop_assert!(!detail.is_empty(), "{:?}", text);
+                }
             }
         }
     }
