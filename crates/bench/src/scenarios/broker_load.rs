@@ -18,8 +18,8 @@
 //! fleet (seed 800 reproduces its counts).
 
 use benchkit::{Measurement, RunCtx, Scenario, Unit};
-use brokerd::{fault_edges, run_fleet, run_fleet_profiled, FleetConfig, NodeConfig};
-use tracekit::{assemble, Breakup, Stage};
+use brokerd::{fault_edges, run_fleet, run_fleet_profiled, FleetConfig, FleetOutcome, NodeConfig};
+use tracekit::{assemble, Breakup, Stage, TraceLog};
 use simkit::faults::FaultPlan;
 use simkit::hash::{fnv1a, FNV_OFFSET};
 use simkit::shard::ShardConfig;
@@ -353,7 +353,9 @@ impl Scenario for BrokerLoad {
 
         // Tracing cost: the same small fleet twice — every publish
         // sampled vs effectively none (1 in 2^60). Tracing is pure
-        // observation, so the engine outputs must be byte-identical.
+        // observation, so with the trace set aside the two outcomes must
+        // be equal field for field (the engine digest alone would not
+        // show it: it witnesses only the fault script).
         let mut traced_cfg = big_fleet(self.seed() ^ 0x7ace, 4, ShardConfig::max_threads());
         traced_cfg.devices = 1_000;
         traced_cfg.run_for = SimDuration::from_secs(10);
@@ -362,6 +364,12 @@ impl Scenario for BrokerLoad {
         untraced_cfg.node.trace_sample_log2 = 60;
         let traced = run_fleet(&traced_cfg);
         let untraced = run_fleet(&untraced_cfg);
+        let untraced_part = |out: &FleetOutcome| FleetOutcome {
+            trace_spans: 0,
+            trace_digest: 0,
+            trace: TraceLog::new(),
+            ..out.clone()
+        };
         ctx.push(
             Measurement::scalar(
                 "trace_spans_per_kevent",
@@ -376,10 +384,7 @@ impl Scenario for BrokerLoad {
         ctx.check_true(
             "tracing_is_pure_observation",
             "full sampling vs none: identical engine digest and counters",
-            traced.digest == untraced.digest
-                && traced.delivered == untraced.delivered
-                && traced.published == untraced.published
-                && traced.shed == untraced.shed,
+            untraced_part(&traced) == untraced_part(&untraced),
         );
         ctx.check_true(
             "sampling_bounds_span_volume",

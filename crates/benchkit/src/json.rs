@@ -405,9 +405,13 @@ impl Parser<'_> {
             .get(start..self.pos)
             .and_then(|digits| std::str::from_utf8(digits).ok())
             .ok_or_else(|| "non-UTF-8 number".to_owned())?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("bad number '{text}' at byte {start}"))
+        // A number past `f64`'s range reads as infinite, which `Num`
+        // cannot hold: it would print as `null`.
+        match text.parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok(Json::Num(v)),
+            Ok(_) => Err(format!("number '{text}' out of range at byte {start}")),
+            Err(_) => Err(format!("bad number '{text}' at byte {start}")),
+        }
     }
 }
 
@@ -441,6 +445,12 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("{\"a\":1} trailing").is_err());
         assert!(Json::parse("nope").is_err());
+        // Past `f64`'s range: `Num` holds only finite numbers.
+        for text in ["1e999", "-1e999", "[1e309]"] {
+            let err = Json::parse(text).expect_err(text);
+            assert!(err.contains("out of range"), "{text}: {err}");
+        }
+        assert_eq!(Json::parse("1e-999"), Ok(Json::Num(0.0)));
     }
 
     #[test]

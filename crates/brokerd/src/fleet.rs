@@ -425,7 +425,11 @@ pub struct FleetOutcome {
     pub events: u64,
     /// Cross-actor messages delivered.
     pub messages: u64,
-    /// Engine transcript digest.
+    /// Engine transcript digest: `ShardSim::digest` over the records
+    /// the run emits, which are only the brokers' down, up and restart
+    /// records. It witnesses the fault script's effect, not the traffic:
+    /// two runs with the same script share it whatever they delivered.
+    /// The counters above and `trace_digest` witness the traffic.
     pub digest: u64,
     /// Hop spans recorded across all actors (sampled traces only).
     pub trace_spans: u64,

@@ -2,15 +2,16 @@
 //!
 //! Wall time on a shared host swings by tens of percent between runs,
 //! but the heap traffic of a seeded fleet run is a pure function of the
-//! seed and the engine thread count. This test counts it with a
-//! std-only counting allocator and fails when a change makes the fleet
-//! allocate clearly more: one extra `String` copy per delivered packet
-//! is enough to trip it. It also tracks the live heap, so a change that
-//! holds more memory at once fails even if it allocates less often.
+//! seed and the engine thread count. This test counts it with the
+//! workspace's counting allocator (`crates/alloccount`) and fails when
+//! a change makes the fleet allocate clearly more: one extra `String`
+//! copy per delivered packet is enough to trip it. It also tracks the
+//! live heap, so a change that holds more memory at once fails even if
+//! it allocates less often.
 //!
-//! The counters live in a `const` thread-local, so only allocations made
-//! on the thread running the fleet count. At one engine thread every
-//! round is stepped on the calling thread.
+//! The counters are per thread, so only allocations made on the thread
+//! running the fleet count. At one engine thread every round is stepped
+//! on the calling thread.
 //!
 //! Run it on its own with
 //! `cargo test -q --release -p contory-brokerd --test alloc_budget`;
@@ -20,8 +21,6 @@
 use brokerd::{fault_edges, run_fleet, FleetConfig, NodeConfig};
 use simkit::faults::FaultPlan;
 use simkit::{SimDuration, SimTime};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
 /// Allocation budget: just under 5 % over the 265,532 measured when it
 /// was set; the fleet now makes 267,108.
@@ -35,76 +34,8 @@ const MAX_BYTES: u64 = 31_010_000;
 /// of 32 (4,357,398), or a merged trace grown by doubling (4,268,126).
 const MAX_PEAK_BYTES: i64 = 4_216_000;
 
-/// Heap traffic on one thread. `live` is signed: a block allocated on
-/// another thread may be freed on this one.
-#[derive(Clone, Copy)]
-struct Counts {
-    /// Allocations and reallocations.
-    allocs: u64,
-    /// Bytes requested by them.
-    bytes: u64,
-    /// Bytes allocated and not yet freed.
-    live: i64,
-    /// The largest `live` seen.
-    peak: i64,
-}
-
-thread_local! {
-    static COUNTS: Cell<Counts> = const {
-        Cell::new(Counts {
-            allocs: 0,
-            bytes: 0,
-            live: 0,
-            peak: 0,
-        })
-    };
-}
-
-/// Adds `allocs` allocations requesting `requested` bytes in all, and
-/// moves the live heap by `requested - freed`.
-fn note(allocs: u64, requested: usize, freed: usize) {
-    // `try_with`: a thread being torn down may still free and allocate.
-    let _ = COUNTS.try_with(|c| {
-        let mut n = c.get();
-        n.allocs += allocs;
-        n.bytes += requested as u64;
-        n.live += requested as i64 - freed as i64;
-        n.peak = n.peak.max(n.live);
-        c.set(n);
-    });
-}
-
-/// Counts every allocation, reallocation and free, then defers to
-/// `System`.
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the bookkeeping touches only
-// a thread-local `Cell` and never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(1, layout.size(), 0);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note(1, layout.size(), 0);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        note(0, 0, layout.size());
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(1, new_size, layout.size());
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
 #[global_allocator]
-static COUNTING: Counting = Counting;
+static COUNTING: alloccount::Counting = alloccount::Counting;
 
 /// perfbench's `fleet` shape at a fifth of its population: seed 800,
 /// 4 brokers, 8 shards, 1 engine thread, `broker:2` killed at 10 s, a
@@ -128,18 +59,8 @@ fn fleet() -> FleetConfig {
 #[test]
 fn fleet_run_stays_within_its_allocation_budget() {
     let cfg = fleet();
-    // The peak counts from the run's start: reset it to the live heap.
-    let before = COUNTS.with(|c| {
-        let mut n = c.get();
-        n.peak = n.live;
-        c.set(n);
-        n
-    });
-    let out = run_fleet(&cfg);
-    let after = COUNTS.with(Cell::get);
-    let allocs = after.allocs - before.allocs;
-    let bytes = after.bytes - before.bytes;
-    let peak = after.peak - before.live;
+    let (out, used) = alloccount::measure(|| run_fleet(&cfg));
+    let (allocs, bytes, peak) = (used.allocs, used.bytes, used.peak);
     let summary = format!(
         "{allocs} allocations, {bytes} bytes, peak live heap {peak} bytes \
          for {} deliveries",

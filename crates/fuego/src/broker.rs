@@ -2,14 +2,16 @@
 //!
 //! Phones publish, subscribe and issue requests over the cellular link;
 //! the broker routes publishes to topic subscribers (as downlink
-//! deliveries) and dispatches requests to registered services (the
-//! context infrastructure registers itself here).
+//! deliveries) and serves the context infrastructure's requests
+//! (`cxt/store`, `cxt/query`, `cxt/subscribe`, `cxt/unsubscribe`) from
+//! the record store it owns.
 
 use crate::event::EventNotification;
+use crate::infra::{ContextInfrastructure, Store};
 use radio::cell::CellNetwork;
 use radio::NodeId;
 use simkit::Sim;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
@@ -64,101 +66,89 @@ impl Frame {
     }
 }
 
-type Service = Rc<dyn Fn(NodeId, EventNotification) -> Option<EventNotification>>;
-
-struct BrokerInner {
-    subs: BTreeMap<String, Vec<(NodeId, SubId)>>,
-    services: BTreeMap<String, Service>,
-    published: u64,
-    delivered: u64,
+/// What the broker owns: the topic table, the outage switch and the
+/// context infrastructure's records and push subscriptions.
+struct Shared {
+    sim: Sim,
+    net: CellNetwork,
+    subs: RefCell<BTreeMap<String, Vec<(NodeId, SubId)>>>,
     /// Fault injection: while `true` the broker is dark — every uplink
     /// frame and server-side publish is dropped on the floor (clients
     /// see request timeouts, subscribers see silence).
-    outage: bool,
-    /// Frames/publishes discarded during outages.
-    dropped: u64,
+    outage: Cell<bool>,
+    /// The record store [`ContextInfrastructure`] serves.
+    store: RefCell<Store>,
 }
 
 /// The event broker living on the fixed side of the cellular network.
 #[derive(Clone)]
 pub struct EventBroker {
-    sim: Sim,
-    net: CellNetwork,
-    inner: Rc<RefCell<BrokerInner>>,
+    shared: Rc<Shared>,
 }
 
 impl EventBroker {
     /// Creates a broker and wires it to the network's uplink.
     ///
     /// Only one broker may be attached per [`CellNetwork`] (it owns the
-    /// uplink handler).
+    /// uplink handler). The handler holds the broker weakly, so the
+    /// network does not keep a dropped broker alive.
     pub fn new(sim: &Sim, net: &CellNetwork) -> Self {
         let broker = EventBroker {
-            sim: sim.clone(),
-            net: net.clone(),
-            inner: Rc::new(RefCell::new(BrokerInner {
-                subs: BTreeMap::new(),
-                services: BTreeMap::new(),
-                published: 0,
-                delivered: 0,
-                outage: false,
-                dropped: 0,
-            })),
+            shared: Rc::new(Shared {
+                sim: sim.clone(),
+                net: net.clone(),
+                subs: RefCell::new(BTreeMap::new()),
+                outage: Cell::new(false),
+                store: RefCell::default(),
+            }),
         };
-        let b = broker.clone();
+        let weak = Rc::downgrade(&broker.shared);
         net.on_uplink(move |from, payload| {
-            if let Ok(frame) = payload.downcast::<Frame>() {
-                b.handle(from, Rc::unwrap_or_clone(frame));
+            if let (Some(shared), Ok(frame)) = (weak.upgrade(), payload.downcast::<Frame>()) {
+                EventBroker { shared }.handle(from, Rc::unwrap_or_clone(frame));
             }
         });
         broker
     }
 
-    /// Registers a request/response service on a topic (e.g. the context
-    /// infrastructure's `cxt/query`). Replaces any previous handler.
-    pub fn register_service(
-        &self,
-        topic: impl Into<String>,
-        f: impl Fn(NodeId, EventNotification) -> Option<EventNotification> + 'static,
-    ) {
-        self.inner
-            .borrow_mut()
-            .services
-            .insert(topic.into(), Rc::new(f));
+    /// The simulator the broker runs on.
+    pub(crate) fn sim(&self) -> &Sim {
+        &self.shared.sim
+    }
+
+    /// The context infrastructure's records and push subscriptions.
+    pub(crate) fn store(&self) -> &RefCell<Store> {
+        &self.shared.store
     }
 
     /// Fault injection: turns the broker dark (`true`) or back on
     /// (`false`). A dark broker drops every uplink frame and every
-    /// server-side publish; subscriptions and registered services
-    /// survive the outage and resume working once restored.
+    /// server-side publish; subscriptions and stored records survive
+    /// the outage and resume working once restored.
     pub fn set_outage(&self, dark: bool) {
-        self.inner.borrow_mut().outage = dark;
+        self.shared.outage.set(dark);
     }
 
     /// Whether the broker is currently dark.
     pub fn is_in_outage(&self) -> bool {
-        self.inner.borrow().outage
-    }
-
-    /// Frames and publishes discarded during outages so far.
-    pub fn dropped_count(&self) -> u64 {
-        self.inner.borrow().dropped
+        self.shared.outage.get()
     }
 
     /// Publishes an event from the fixed side (e.g. infrastructure pushes)
     /// to all subscribers of its topic.
     pub fn publish_from_server(&self, event: EventNotification) {
-        let subscribers: Vec<(NodeId, SubId)> = {
-            let mut inner = self.inner.borrow_mut();
-            if inner.outage {
-                inner.dropped += 1;
-                obskit::count("fuego_broker_dropped", 1);
-                return;
-            }
-            inner.published += 1;
-            obskit::count("fuego_broker_published", 1);
-            inner.subs.get(&event.topic).cloned().unwrap_or_default()
-        };
+        if self.is_in_outage() {
+            obskit::count("fuego_broker_dropped", 1);
+            return;
+        }
+        obskit::count("fuego_broker_published", 1);
+        let subscribers: Vec<(NodeId, SubId)> = self
+            .shared
+            .subs
+            .borrow()
+            .get(&event.topic)
+            .cloned()
+            .unwrap_or_default();
         // Every subscriber but the last gets a copy; the last takes the
         // event itself.
         if let Some((&(node, sub), others)) = subscribers.split_last() {
@@ -170,59 +160,44 @@ impl EventBroker {
     }
 
     fn deliver(&self, node: NodeId, sub: SubId, event: EventNotification) {
-        self.inner.borrow_mut().delivered += 1;
         obskit::count("fuego_broker_deliveries", 1);
         obskit::event(
             obskit::Phase::Deliver,
             &format!("fuego_fanout:{}->{node}", event.topic),
             None,
-            self.sim.now(),
+            self.shared.sim.now(),
         );
         let frame = Frame::Deliver { sub, event };
         let size = frame.wire_size();
-        self.net.send_downlink(node, size, Rc::new(frame));
-    }
-
-    /// Events published through the broker so far.
-    pub fn published_count(&self) -> u64 {
-        self.inner.borrow().published
-    }
-
-    /// Deliveries fanned out so far.
-    pub fn delivered_count(&self) -> u64 {
-        self.inner.borrow().delivered
+        self.shared.net.send_downlink(node, size, Rc::new(frame));
     }
 
     /// Current subscriber count on a topic.
     pub fn subscriber_count(&self, topic: &str) -> usize {
-        self.inner.borrow().subs.get(topic).map_or(0, Vec::len)
+        self.shared.subs.borrow().get(topic).map_or(0, Vec::len)
     }
 
     fn handle(&self, from: NodeId, frame: Frame) {
-        {
-            let mut inner = self.inner.borrow_mut();
-            if inner.outage {
-                inner.dropped += 1;
-                obskit::count("fuego_broker_dropped", 1);
-                return;
-            }
+        if self.is_in_outage() {
+            obskit::count("fuego_broker_dropped", 1);
+            return;
         }
         match frame {
             Frame::Publish { event } => self.publish_from_server(event),
             Frame::Subscribe { topic, sub } => {
-                self.inner
-                    .borrow_mut()
+                self.shared
                     .subs
+                    .borrow_mut()
                     .entry(topic)
                     .or_default()
                     .push((from, sub));
             }
             Frame::Unsubscribe { sub } => {
-                let mut inner = self.inner.borrow_mut();
-                for list in inner.subs.values_mut() {
+                let mut subs = self.shared.subs.borrow_mut();
+                for list in subs.values_mut() {
                     list.retain(|&(n, s)| !(n == from && s == sub));
                 }
-                inner.subs.retain(|_, v| !v.is_empty());
+                subs.retain(|_, v| !v.is_empty());
             }
             Frame::Request { topic, req, event } => {
                 obskit::count("fuego_broker_requests", 1);
@@ -230,16 +205,14 @@ impl EventBroker {
                     obskit::Phase::Broker,
                     &format!("fuego_dispatch:{topic}@{from}"),
                     None,
-                    self.sim.now(),
+                    self.shared.sim.now(),
                 );
-                let service = self.inner.borrow().services.get(&topic).cloned();
-                let response = service.and_then(|s| s(from, event));
                 let frame = Frame::Response {
                     req,
-                    event: response,
+                    event: ContextInfrastructure::new(self).serve(&topic, event),
                 };
                 let size = frame.wire_size();
-                self.net.send_downlink(from, size, Rc::new(frame));
+                self.shared.net.send_downlink(from, size, Rc::new(frame));
             }
             Frame::Response { .. } | Frame::Deliver { .. } => {
                 // Downlink-only frames arriving on the uplink are ignored.
@@ -250,11 +223,9 @@ impl EventBroker {
 
 impl fmt::Debug for EventBroker {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.inner.borrow();
         f.debug_struct("EventBroker")
-            .field("topics", &inner.subs.len())
-            .field("services", &inner.services.len())
-            .field("published", &inner.published)
+            .field("topics", &self.shared.subs.borrow().len())
+            .field("outage", &self.is_in_outage())
             .finish()
     }
 }

@@ -20,7 +20,7 @@ use std::rc::Rc;
 pub enum RequestError {
     /// No response arrived within the timeout.
     Timeout,
-    /// The broker has no service registered on the topic.
+    /// The broker serves no such topic, or could not read the request.
     NoService,
     /// The cellular link failed.
     Link(CellError),
@@ -62,7 +62,9 @@ pub struct FuegoClient {
 
 impl FuegoClient {
     /// Creates a client and installs itself as the modem's receive
-    /// handler. `sender` identifies this device in event envelopes.
+    /// handler. `sender` identifies this device in event envelopes. The
+    /// handler holds the client weakly, so the modem does not keep a
+    /// dropped client alive.
     pub fn new(sim: &Sim, modem: &CellModem, sender: impl Into<String>) -> Self {
         let client = FuegoClient {
             sim: sim.clone(),
@@ -77,10 +79,11 @@ impl FuegoClient {
                 req_spans: BTreeMap::new(),
             })),
         };
-        let c = client.clone();
+        let weak = Rc::downgrade(&client.inner);
+        let sim = sim.clone();
         modem.on_receive(move |payload| {
-            if let Ok(frame) = payload.downcast::<Frame>() {
-                c.handle_downlink(Rc::unwrap_or_clone(frame));
+            if let (Some(inner), Ok(frame)) = (weak.upgrade(), payload.downcast::<Frame>()) {
+                handle_downlink(&sim, &inner, Rc::unwrap_or_clone(frame));
             }
         });
         client
@@ -230,39 +233,40 @@ impl FuegoClient {
             }
         });
     }
+}
 
-    fn handle_downlink(&self, frame: Frame) {
-        match frame {
-            Frame::Response { req, event } => {
-                let (cb, span) = {
-                    let mut inner = self.inner.borrow_mut();
-                    (inner.pending.remove(&req), inner.req_spans.remove(&req))
-                };
-                obskit::end(span, self.sim.now());
-                if let Some(cb) = cb {
-                    obskit::count("fuego_responses", 1);
-                    match event {
-                        Some(ev) => cb(Ok(ev)),
-                        None => cb(Err(RequestError::NoService)),
-                    }
+/// Hands a downlink frame to the client whose state is `inner`.
+fn handle_downlink(sim: &Sim, inner: &RefCell<ClientInner>, frame: Frame) {
+    match frame {
+        Frame::Response { req, event } => {
+            let (cb, span) = {
+                let mut inner = inner.borrow_mut();
+                (inner.pending.remove(&req), inner.req_spans.remove(&req))
+            };
+            obskit::end(span, sim.now());
+            if let Some(cb) = cb {
+                obskit::count("fuego_responses", 1);
+                match event {
+                    Some(ev) => cb(Ok(ev)),
+                    None => cb(Err(RequestError::NoService)),
                 }
             }
-            Frame::Deliver { sub, event } => {
-                let handler = self.inner.borrow().subs.get(&sub).cloned();
-                if let Some(h) = handler {
-                    obskit::count("fuego_deliveries", 1);
-                    obskit::event(
-                        obskit::Phase::Deliver,
-                        &format!("fuego_deliver:{}", event.topic),
-                        None,
-                        self.sim.now(),
-                    );
-                    h(event);
-                }
-            }
-            // Uplink-only frames on the downlink are ignored.
-            _ => {}
         }
+        Frame::Deliver { sub, event } => {
+            let handler = inner.borrow().subs.get(&sub).cloned();
+            if let Some(h) = handler {
+                obskit::count("fuego_deliveries", 1);
+                obskit::event(
+                    obskit::Phase::Deliver,
+                    &format!("fuego_deliver:{}", event.topic),
+                    None,
+                    sim.now(),
+                );
+                h(event);
+            }
+        }
+        // Uplink-only frames on the downlink are ignored.
+        _ => {}
     }
 }
 

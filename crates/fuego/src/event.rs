@@ -6,11 +6,10 @@
 //! metadata, digest) reproduces that framing cost, which is what makes
 //! UMTS provisioning pay off only when items are batched.
 
-use crate::infra::ResultSet;
+use crate::infra::{InfraRecord, ResultSet};
 use crate::xml::{escaped_len, XmlElement};
 use simkit::hash::{fnv1a, FNV_OFFSET};
 use simkit::SimTime;
-use std::any::Any;
 use std::fmt;
 use std::rc::Rc;
 
@@ -50,9 +49,9 @@ pub struct EventNotification {
     pub timestamp: SimTime,
     /// Application body.
     pub body: XmlElement,
-    /// Structured fast-path payload for in-simulation consumers (not
-    /// serialized; the XML body is the wire representation).
-    pub payload: Option<Rc<dyn Any>>,
+    /// A `cxt/store` request's record, shared with the store it enters:
+    /// on the wire it is the `<record>` element `body` holds.
+    pub(crate) record: Option<Rc<InfraRecord>>,
     /// A result set's records: on the wire the last children of `body`,
     /// held here as the store's shared records with their printed
     /// length, so sizing the notification builds no element for them.
@@ -73,15 +72,9 @@ impl EventNotification {
             id: 0,
             timestamp,
             body,
-            payload: None,
+            record: None,
             records: None,
         }
-    }
-
-    /// Attaches a structured payload, builder style.
-    pub fn with_payload(mut self, payload: Rc<dyn Any>) -> Self {
-        self.payload = Some(payload);
-        self
     }
 
     /// Sets the sequence number, builder style.
@@ -227,9 +220,9 @@ impl EventNotification {
     }
 
     /// Reconstructs a notification from an envelope produced by
-    /// [`EventNotification::to_envelope`]. The structured payload is lost
-    /// (it never crosses the wire). Returns `None` if required envelope
-    /// parts are missing.
+    /// [`EventNotification::to_envelope`]. A carried record or result set
+    /// comes back only as its printed form in the body. Returns `None` if
+    /// required envelope parts are missing.
     pub fn from_envelope(envelope: &XmlElement) -> Option<EventNotification> {
         let routing = envelope.find("fg:routing")?;
         let topic = routing.find("fg:topic")?.text_content().to_owned();
@@ -252,7 +245,7 @@ impl EventNotification {
             id,
             timestamp: SimTime::from_millis(millis),
             body,
-            payload: None,
+            record: None,
             records: None,
         })
     }
@@ -397,15 +390,6 @@ mod tests {
         assert_eq!(back.id, 7);
         assert_eq!(back.timestamp, SimTime::from_millis(5_000));
         assert_eq!(back.body, ev.body);
-    }
-
-    #[test]
-    fn payload_is_not_serialized() {
-        let ev = EventNotification::new("t", "s", XmlElement::new("b"), SimTime::ZERO)
-            .with_payload(Rc::new(123u32));
-        let env = ev.to_envelope();
-        let back = EventNotification::from_envelope(&env).unwrap();
-        assert!(back.payload.is_none());
     }
 
     #[test]

@@ -7,21 +7,24 @@
 //! what `WeatherWatcher` falls back to when the target region is too far
 //! for multi-hop ad hoc provisioning.
 //!
-//! The store keeps each record once, behind an `Rc`, beside the printed
-//! length of its `<record>` element, counted when it is stored. Query
-//! results, periodic and on-store pushes and the phone-side result sets
-//! share those records instead of copying them, and a result set's wire
-//! size adds the stored lengths: no push builds or prints an element per
-//! record, however much history the store holds.
+//! The broker owns the store and answers the infrastructure's requests
+//! itself; [`ContextInfrastructure`] is a handle on that broker. The
+//! store keeps each record once, behind an `Rc`, beside the printed
+//! length of its `<record>` element, counted when it is stored. A
+//! `cxt/store` request carries its record as that `Rc`, so the record
+//! crosses into the store without a copy. Query results, periodic and
+//! on-store pushes and the phone-side result sets share those records
+//! instead of copying them, and a result set's wire size adds the
+//! stored lengths: no push builds or prints an element per record,
+//! however much history the store holds.
 
 use crate::broker::EventBroker;
 use crate::client::{FuegoClient, RequestError};
 use crate::event::EventNotification;
 use crate::xml::XmlElement;
 use radio::{Position, Region};
-use simkit::{Sim, SimDuration, SimTime};
+use simkit::{SimDuration, SimTime};
 use std::any::Any;
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
@@ -82,7 +85,7 @@ impl InfraRecord {
         self
     }
 
-    /// XML encoding (used for wire sizes and round-tripping).
+    /// XML encoding: the record's printed form on the wire.
     pub fn to_xml(&self) -> XmlElement {
         let mut el = XmlElement::new("record")
             .attr("entity", &self.entity)
@@ -98,29 +101,6 @@ impl InfraRecord {
             el = el.child(XmlElement::new("meta").attr("k", k).text(v));
         }
         el
-    }
-
-    /// Decodes a record produced by [`InfraRecord::to_xml`].
-    pub fn from_xml(el: &XmlElement) -> Option<InfraRecord> {
-        if el.name != "record" {
-            return None;
-        }
-        let mut rec = InfraRecord::new(
-            el.attribute("entity")?,
-            el.attribute("type")?,
-            el.find("value")?.text_content(),
-            SimTime::from_millis(el.attribute("ts")?.parse().ok()?),
-        );
-        if let (Some(x), Some(y)) = (el.attribute("x"), el.attribute("y")) {
-            rec.position = Some(Position::new(x.parse().ok()?, y.parse().ok()?));
-        }
-        for m in el.find_all("meta") {
-            if let Some(k) = m.attribute("k") {
-                rec.metadata
-                    .insert(k.to_owned(), m.text_content().to_owned());
-            }
-        }
-        Some(rec)
     }
 }
 
@@ -251,74 +231,51 @@ pub(crate) struct ResultSet {
     pub(crate) xml_bytes: usize,
 }
 
-struct InfraInner {
+/// The infrastructure's records and push subscriptions, owned by the
+/// broker that serves them.
+#[derive(Default)]
+pub(crate) struct Store {
     records: Vec<Stored>,
-    capacity: usize,
     subs: Vec<ServerSub>,
     next_sub: u64,
 }
 
-/// The context infrastructure service.
+/// Records the store keeps; storing one more drops the oldest.
+const STORE_CAPACITY: usize = 10_000;
+
+/// The context infrastructure service: a handle on the broker that keeps
+/// its records and answers its requests.
 #[derive(Clone)]
 pub struct ContextInfrastructure {
-    sim: Sim,
     broker: EventBroker,
-    inner: Rc<RefCell<InfraInner>>,
 }
 
 impl ContextInfrastructure {
-    /// Creates the infrastructure and registers its services
-    /// (`cxt/store`, `cxt/query`, `cxt/subscribe`, `cxt/unsubscribe`)
-    /// at the broker.
-    pub fn new(sim: &Sim, broker: &EventBroker) -> Self {
-        let infra = ContextInfrastructure {
-            sim: sim.clone(),
+    /// The infrastructure `broker` serves: the broker answers
+    /// `cxt/store`, `cxt/query`, `cxt/subscribe` and `cxt/unsubscribe`
+    /// requests from the record store it owns.
+    pub fn new(broker: &EventBroker) -> Self {
+        ContextInfrastructure {
             broker: broker.clone(),
-            inner: Rc::new(RefCell::new(InfraInner {
-                records: Vec::new(),
-                capacity: 10_000,
-                subs: Vec::new(),
-                next_sub: 0,
-            })),
-        };
-        // cxt/store: push a record in.
-        {
-            let me = infra.clone();
-            broker.register_service("cxt/store", move |_from, ev| {
-                let mut record = match ev.payload.as_ref().and_then(|p| {
-                    p.clone()
-                        .downcast::<InfraRecord>()
-                        .ok()
-                        .map(|r| r.as_ref().clone())
-                }) {
-                    Some(r) => Some(r),
-                    None => InfraRecord::from_xml(&ev.body),
-                }?;
-                // Preserve structured payloads shipped alongside.
-                if record.payload.is_none() {
-                    record.payload = ev.payload.clone();
-                }
-                me.store(record);
-                Some(EventNotification::new(
-                    "cxt/store/ack",
-                    "infra",
-                    XmlElement::new("ok"),
-                    ev.timestamp,
-                ))
-            });
         }
-        // cxt/query: on-demand evaluation.
-        {
-            let me = infra.clone();
-            broker.register_service("cxt/query", move |_from, ev| {
+    }
+
+    /// The response to a request on `topic`: `None` (no service) for any
+    /// other topic, and for a request the service cannot read.
+    pub(crate) fn serve(&self, topic: &str, ev: EventNotification) -> Option<EventNotification> {
+        let (ack_topic, ack) = match topic {
+            // The body is the record's `<record>` element, so its counted
+            // size is the record's stored length.
+            "cxt/store" => {
+                let xml_bytes = ev.body.wire_size();
+                self.keep(ev.record?, xml_bytes);
+                ("cxt/store/ack", XmlElement::new("ok"))
+            }
+            "cxt/query" => {
                 let query = InfraQuery::from_xml(&ev.body)?;
-                Some(results_event(me.results(&query), ev.timestamp))
-            });
-        }
-        // cxt/subscribe: long-running query registration.
-        {
-            let me = infra.clone();
-            broker.register_service("cxt/subscribe", move |_from, ev| {
+                return Some(results_event(self.results(&query), ev.timestamp));
+            }
+            "cxt/subscribe" => {
                 let body = &ev.body;
                 let query = InfraQuery::from_xml(body.find("query")?)?;
                 let topic = body.find("topic")?.text_content().to_owned();
@@ -326,46 +283,45 @@ impl ContextInfrastructure {
                     Some(ms) => PushMode::Periodic(SimDuration::from_millis(ms.parse().ok()?)),
                     None => PushMode::OnStore,
                 };
-                let id = me.register_sub(topic, query, mode);
-                Some(EventNotification::new(
+                let id = self.register_sub(topic, query, mode);
+                (
                     "cxt/subscribe/ack",
-                    "infra",
                     XmlElement::new("sub").attr("id", id.to_string()),
-                    ev.timestamp,
-                ))
-            });
-        }
-        // cxt/unsubscribe.
-        {
-            let me = infra.clone();
-            broker.register_service("cxt/unsubscribe", move |_from, ev| {
+                )
+            }
+            "cxt/unsubscribe" => {
                 let id: u64 = ev.body.attribute("id")?.parse().ok()?;
-                me.cancel_sub(id);
-                Some(EventNotification::new(
-                    "cxt/unsubscribe/ack",
-                    "infra",
-                    XmlElement::new("ok"),
-                    ev.timestamp,
-                ))
-            });
-        }
-        infra
+                self.cancel_sub(id);
+                ("cxt/unsubscribe/ack", XmlElement::new("ok"))
+            }
+            _ => return None,
+        };
+        Some(EventNotification::new(
+            ack_topic,
+            "infra",
+            ack,
+            ev.timestamp,
+        ))
     }
 
     /// Stores a record directly (server-side sources like official
     /// weather stations use this path).
     pub fn store(&self, record: InfraRecord) {
-        let stored = Stored {
-            xml_bytes: record.to_xml().wire_size(),
-            record: Rc::new(record),
-        };
+        let xml_bytes = record.to_xml().wire_size();
+        self.keep(Rc::new(record), xml_bytes);
+    }
+
+    /// Stores `record`, whose `<record>` element prints `xml_bytes` long,
+    /// and pushes it to each on-store subscription it matches.
+    fn keep(&self, record: Rc<InfraRecord>, xml_bytes: usize) {
+        let stored = Stored { record, xml_bytes };
+        let now = self.broker.sim().now();
         let on_store_topics: Vec<String> = {
-            let mut inner = self.inner.borrow_mut();
-            if inner.records.len() >= inner.capacity {
-                inner.records.remove(0);
+            let mut store = self.broker.store().borrow_mut();
+            if store.records.len() >= STORE_CAPACITY {
+                store.records.remove(0);
             }
-            let now = self.sim.now();
-            let topics = inner
+            let topics = store
                 .subs
                 .iter()
                 .filter(|s| {
@@ -375,7 +331,7 @@ impl ContextInfrastructure {
                 })
                 .map(|s| s.topic.clone())
                 .collect();
-            inner.records.push(stored.clone());
+            store.records.push(stored.clone());
             topics
         };
         for topic in on_store_topics {
@@ -383,7 +339,7 @@ impl ContextInfrastructure {
                 records: vec![stored.record.clone()],
                 xml_bytes: stored.xml_bytes,
             };
-            let ev = results_event(set, self.sim.now()).retopic(topic);
+            let ev = results_event(set, now).retopic(topic);
             self.broker.publish_from_server(ev);
         }
     }
@@ -396,9 +352,9 @@ impl ContextInfrastructure {
 
     /// [`ContextInfrastructure::eval`] with the stored lengths of the hits.
     fn results(&self, query: &InfraQuery) -> ResultSet {
-        let now = self.sim.now();
-        let inner = self.inner.borrow();
-        let mut hits: Vec<&Stored> = inner
+        let now = self.broker.sim().now();
+        let store = self.broker.store().borrow();
+        let mut hits: Vec<&Stored> = store
             .records
             .iter()
             .filter(|s| query.matches(&s.record, now))
@@ -415,16 +371,16 @@ impl ContextInfrastructure {
 
     /// Number of records currently stored.
     pub fn record_count(&self) -> usize {
-        self.inner.borrow().records.len()
+        self.broker.store().borrow().records.len()
     }
 
     fn register_sub(&self, topic: String, query: InfraQuery, mode: PushMode) -> u64 {
         let active = Rc::new(std::cell::Cell::new(true));
         let id = {
-            let mut inner = self.inner.borrow_mut();
-            inner.next_sub += 1;
-            let id = inner.next_sub;
-            inner.subs.push(ServerSub {
+            let mut store = self.broker.store().borrow_mut();
+            store.next_sub += 1;
+            let id = store.next_sub;
+            store.subs.push(ServerSub {
                 id,
                 topic: topic.clone(),
                 query: query.clone(),
@@ -435,13 +391,13 @@ impl ContextInfrastructure {
         };
         if let PushMode::Periodic(every) = mode {
             let me = self.clone();
-            self.sim.schedule_repeating(every, move || {
+            self.broker.sim().schedule_repeating(every, move || {
                 if !active.get() {
                     return false;
                 }
                 let results = me.results(&query);
                 if !results.records.is_empty() {
-                    let ev = results_event(results, me.sim.now()).retopic(topic.clone());
+                    let ev = results_event(results, me.broker.sim().now()).retopic(topic.clone());
                     me.broker.publish_from_server(ev);
                 }
                 true
@@ -451,11 +407,11 @@ impl ContextInfrastructure {
     }
 
     fn cancel_sub(&self, id: u64) {
-        let mut inner = self.inner.borrow_mut();
-        if let Some(s) = inner.subs.iter().find(|s| s.id == id) {
+        let mut store = self.broker.store().borrow_mut();
+        if let Some(s) = store.subs.iter().find(|s| s.id == id) {
             s.active.set(false);
         }
-        inner.subs.retain(|s| s.id != id);
+        store.subs.retain(|s| s.id != id);
     }
 }
 
@@ -471,10 +427,10 @@ fn results_event(set: ResultSet, timestamp: SimTime) -> EventNotification {
 
 impl fmt::Debug for ContextInfrastructure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.inner.borrow();
+        let store = self.broker.store().borrow();
         f.debug_struct("ContextInfrastructure")
-            .field("records", &inner.records.len())
-            .field("subs", &inner.subs.len())
+            .field("records", &store.records.len())
+            .field("subs", &store.subs.len())
             .finish()
     }
 }
@@ -536,12 +492,11 @@ impl InfraClient {
     }
 
     /// Stores a record remotely (`storeCxtItem`). `cb` observes the ack.
+    /// The request's body is the record's `<record>` element, and the
+    /// record itself rides along, shared, into the store.
     pub fn store(&self, record: InfraRecord, cb: impl FnOnce(Result<(), RequestError>) + 'static) {
-        let payload = Rc::new(record.clone());
-        let ev = self
-            .fuego
-            .make_event("cxt/store", record.to_xml())
-            .with_payload(payload);
+        let mut ev = self.fuego.make_event("cxt/store", record.to_xml());
+        ev.record = Some(Rc::new(record));
         self.fuego
             .request("cxt/store", ev, SimDuration::from_secs(60), move |res| {
                 cb(res.map(|_ev| ()))
@@ -556,9 +511,8 @@ impl InfraClient {
         cb: impl FnOnce(Result<Vec<Rc<InfraRecord>>, RequestError>) + 'static,
     ) {
         let ev = self.fuego.make_event("cxt/query", query.to_xml());
-        self.fuego.request("cxt/query", ev, timeout, move |res| {
-            cb(res.map(decode_results))
-        });
+        self.fuego
+            .request("cxt/query", ev, timeout, move |res| cb(res.map(records_of)));
     }
 
     /// Long-running query: the infrastructure pushes matching records
@@ -576,7 +530,7 @@ impl InfraClient {
         };
         let sub = self
             .fuego
-            .subscribe(topic.clone(), move |ev| handler(decode_results(ev)));
+            .subscribe(topic.clone(), move |ev| handler(records_of(ev)));
         let mut body = XmlElement::new("subscribe")
             .child(InfraQuery::to_xml(query))
             .child(XmlElement::new("topic").text(topic));
@@ -606,19 +560,10 @@ impl InfraClient {
     }
 }
 
-/// The records a result set carries: the store's shared records, else
-/// (for a notification rebuilt from a printed envelope) decoded from the
-/// XML body.
-fn decode_results(ev: EventNotification) -> Vec<Rc<InfraRecord>> {
-    match ev.records {
-        Some(set) => set.records,
-        None => ev
-            .body
-            .find_all("record")
-            .filter_map(InfraRecord::from_xml)
-            .map(Rc::new)
-            .collect(),
-    }
+/// The records a `cxt/results` notification carries, shared with the
+/// store.
+fn records_of(ev: EventNotification) -> Vec<Rc<InfraRecord>> {
+    ev.records.map_or_else(Vec::new, |set| set.records)
 }
 
 #[cfg(test)]
@@ -643,7 +588,7 @@ mod tests {
         let ev = results_event(set, SimTime::ZERO);
         // The broker hands every subscriber but the last a copy.
         let copy = ev.clone();
-        let got = decode_results(ev);
+        let got = records_of(ev);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].entity, "boat-1");
         assert_eq!(
@@ -689,20 +634,6 @@ mod tests {
             let ev = results_event(set_of(records), at).with_id(3);
             assert_eq!(ev.wire_size(), printed.len(), "{n} records");
             assert_eq!(ev.to_envelope().to_xml(), printed, "{n} records");
-        }
-    }
-
-    #[test]
-    fn a_printed_result_set_decodes_from_its_body() {
-        let ev = results_event(set_of(awkward_records(3)), SimTime::ZERO);
-        let printed = ev.to_envelope().to_xml();
-        let back = XmlElement::parse(&printed).expect("the envelope parses");
-        let back = EventNotification::from_envelope(&back).expect("an envelope");
-        let got = decode_results(back);
-        let want = decode_results(ev);
-        assert_eq!(got.len(), 3);
-        for (g, w) in got.iter().zip(&want) {
-            assert_eq!(g.to_xml(), w.to_xml());
         }
     }
 }

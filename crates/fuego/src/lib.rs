@@ -13,11 +13,12 @@
 //!   [`event::EventNotification`] envelope reproduces that framing (and
 //!   hence the UMTS latency/energy the paper measured).
 //! - [`EventBroker`]: the fixed-side router: topic subscriptions,
-//!   publish fan-out, and request/response services.
+//!   publish fan-out, and the context infrastructure's
+//!   request/response services over the record store it owns.
 //! - [`FuegoClient`]: the phone-side endpoint over a
 //!   [`radio::cell::CellModem`], with publish / subscribe / request.
-//! - [`ContextInfrastructure`]: the remote context service built on the
-//!   broker — stores context records pushed by phones and answers
+//! - [`ContextInfrastructure`]: the remote context service, a handle on
+//!   its broker — stores context records pushed by phones and answers
 //!   on-demand, periodic and event-based context queries (the paper's
 //!   `extInfra` provisioning).
 //! - [`compat`]: brokerd context packets rendered into the same fixed

@@ -10,7 +10,7 @@ use fuego::{
 use phone::{Phone, PhoneConfig};
 use radio::cell::{CellModem, CellNetwork, CellParams};
 use radio::{NodeId, Position, Region};
-use simkit::{Sim, SimDuration, SimTime};
+use simkit::{Sim, SimDuration};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
@@ -26,7 +26,7 @@ impl Rig {
         let sim = Sim::new();
         let net = CellNetwork::new(&sim, CellParams::default(), 99);
         let broker = EventBroker::new(&sim, &net);
-        let infra = ContextInfrastructure::new(&sim, &broker);
+        let infra = ContextInfrastructure::new(&broker);
         Rig {
             sim,
             net,
@@ -195,23 +195,29 @@ fn on_store_subscription_pushes_matching_records_only() {
     assert_eq!(values, vec!["14.0C".to_owned(), "15.0C".to_owned()]);
 }
 
+/// A request to a topic the broker does not serve, and one it cannot
+/// read, report `NoService`: a store request whose body prints a record
+/// but that does not carry it, and a query whose body is not a query.
 #[test]
 fn request_to_unknown_service_reports_no_service() {
     let rig = Rig::new();
     let (_p, _m, client) = rig.phone(1);
-    let got = Rc::new(Cell::new(None));
-    let g = got.clone();
-    let ev = client.make_event("no/such/service", XmlElement::new("x"));
-    client.request(
-        "no/such/service",
-        ev,
-        SimDuration::from_secs(30),
-        move |res| {
+    let record = InfraRecord::new("boat-1", "temperature", "14.0C", rig.sim.now());
+    for (topic, body) in [
+        ("no/such/service", XmlElement::new("x")),
+        ("cxt/store", record.to_xml()),
+        ("cxt/query", XmlElement::new("x")),
+    ] {
+        let got = Rc::new(Cell::new(None));
+        let g = got.clone();
+        let ev = client.make_event(topic, body);
+        client.request(topic, ev, SimDuration::from_secs(30), move |res| {
             g.set(Some(res.unwrap_err()));
-        },
-    );
-    rig.sim.run_for(SimDuration::from_secs(35));
-    assert_eq!(got.take(), Some(RequestError::NoService));
+        });
+        rig.sim.run_for(SimDuration::from_secs(35));
+        assert_eq!(got.take(), Some(RequestError::NoService), "{topic}");
+    }
+    assert_eq!(rig.infra.record_count(), 0);
 }
 
 #[test]
@@ -243,6 +249,8 @@ fn request_with_radio_off_fails_fast_and_timeout_fires_otherwise() {
 
 #[test]
 fn broker_outage_times_out_requests_then_recovers() {
+    let obs = obskit::Obs::new();
+    let _guard = obskit::install(&obs);
     let rig = Rig::new();
     let (_p, _m, client) = rig.phone(1);
     let infra_client = InfraClient::new(&client);
@@ -265,7 +273,7 @@ fn broker_outage_times_out_requests_then_recovers() {
     );
     rig.sim.run_for(SimDuration::from_secs(10));
     assert_eq!(got.take(), Some(Err(RequestError::Timeout)));
-    assert!(rig.broker.dropped_count() > 0);
+    assert!(obs.counter("fuego_broker_dropped") > 0);
 
     // Restored broker: same query succeeds, prior state intact.
     rig.broker.set_outage(false);
@@ -306,6 +314,8 @@ fn broker_outage_silences_subscriptions_until_restore() {
 
 #[test]
 fn pubsub_between_two_phones() {
+    let obs = obskit::Obs::new();
+    let _guard = obskit::install(&obs);
     let rig = Rig::new();
     let (_p1, _m1, alice) = rig.phone(1);
     let (_p2, _m2, bob) = rig.phone(2);
@@ -323,12 +333,14 @@ fn pubsub_between_two_phones() {
     rig.sim.run_for(SimDuration::from_secs(30));
     assert_eq!(*seen.borrow(), vec!["phone-1".to_owned()]);
     assert_eq!(rig.broker.subscriber_count("regatta/positions"), 1);
-    assert_eq!(rig.broker.published_count(), 1);
-    assert_eq!(rig.broker.delivered_count(), 1);
+    assert_eq!(obs.counter("fuego_broker_published"), 1);
+    assert_eq!(obs.counter("fuego_broker_deliveries"), 1);
 }
 
 #[test]
 fn a_topic_with_two_subscribers_hands_both_handlers_equal_notifications() {
+    let obs = obskit::Obs::new();
+    let _guard = obskit::install(&obs);
     let rig = Rig::new();
     let (_p1, _m1, alice) = rig.phone(1);
     let (_p2, _m2, bob) = rig.phone(2);
@@ -337,50 +349,23 @@ fn a_topic_with_two_subscribers_hands_both_handlers_equal_notifications() {
     for client in [&bob, &carol] {
         let s = seen.clone();
         client.subscribe("regatta/news", move |ev: EventNotification| {
-            let payload = ev
-                .payload
-                .as_ref()
-                .and_then(|p| p.downcast_ref::<u32>())
-                .copied();
             s.borrow_mut()
-                .push((ev.topic, ev.sender, ev.id, ev.timestamp, ev.body, payload));
+                .push((ev.topic, ev.sender, ev.id, ev.timestamp, ev.body));
         });
     }
     rig.sim.run_for(SimDuration::from_secs(10));
-    let ev = alice
-        .make_event("regatta/news", XmlElement::new("gust").attr("kn", "25"))
-        .with_payload(Rc::new(7u32));
+    let ev = alice.make_event("regatta/news", XmlElement::new("gust").attr("kn", "25"));
     let sent = (
         ev.topic.clone(),
         ev.sender.clone(),
         ev.id,
         ev.timestamp,
         ev.body.clone(),
-        Some(7u32),
     );
     alice.publish(ev, |res| res.unwrap());
     rig.sim.run_for(SimDuration::from_secs(30));
     assert_eq!(*seen.borrow(), vec![sent.clone(), sent]);
-    assert_eq!(rig.broker.delivered_count(), 2);
-}
-
-#[test]
-fn record_xml_round_trip_preserves_fields() {
-    let rec = InfraRecord::new(
-        "boat-3",
-        "pressure",
-        "1013hPa",
-        SimTime::from_millis(12_345),
-    )
-    .at(Position::new(1.5, -2.5))
-    .with_metadata("trust", "community");
-    let back = InfraRecord::from_xml(&rec.to_xml()).unwrap();
-    assert_eq!(back.entity, rec.entity);
-    assert_eq!(back.item_type, rec.item_type);
-    assert_eq!(back.value_text, rec.value_text);
-    assert_eq!(back.timestamp, rec.timestamp);
-    assert_eq!(back.position.unwrap().x, 1.5);
-    assert_eq!(back.metadata.get("trust").unwrap(), "community");
+    assert_eq!(obs.counter("fuego_broker_deliveries"), 2);
 }
 
 #[test]

@@ -243,7 +243,10 @@ impl RegattaParticipant {
             .every(fix_every)
             .build();
         factory.process_cxt_query(q, client.clone())?;
-        Ok(RegattaParticipant { name: name.to_owned(), client })
+        Ok(RegattaParticipant {
+            name: name.to_owned(),
+            client,
+        })
     }
 
     /// Participant entity name.
@@ -271,30 +274,16 @@ impl fmt::Debug for RegattaParticipant {
     }
 }
 
-/// Extracts `(checkpoint index, speed)` from a passage record: from the
-/// structured payload when it survived, else from the printable
-/// composite value (`"checkpoint=0.0,x=…,speed=5.4"`).
+/// Extracts `(checkpoint index, speed)` from the passage item a passage
+/// record carries.
 pub(crate) fn passage_metadata(record: &InfraRecord) -> Option<(usize, f64)> {
-    if let Some(p) = &record.payload {
-        if let Ok(item) = p.clone().downcast::<CxtItem>() {
-            if let CxtValue::Composite(parts) = &item.value {
-                let get = |k: &str| parts.iter().find(|(n, _)| n == k).map(|(_, v)| *v);
-                let cp = get("checkpoint")? as usize;
-                return Some((cp, get("speed").unwrap_or(0.0)));
-            }
-        }
-    }
-    let mut cp = None;
-    let mut speed = 0.0;
-    for part in record.value_text.split(',') {
-        let (k, v) = part.split_once('=')?;
-        match k {
-            "checkpoint" => cp = v.parse::<f64>().ok().map(|f| f as usize),
-            "speed" => speed = v.parse().unwrap_or(0.0),
-            _ => {}
-        }
-    }
-    cp.map(|c| (c, speed))
+    let item = record.payload.as_ref()?.downcast_ref::<CxtItem>()?;
+    let CxtValue::Composite(parts) = &item.value else {
+        return None;
+    };
+    let get = |k: &str| parts.iter().find(|(n, _)| n == k).map(|(_, v)| *v);
+    let cp = get("checkpoint")? as usize;
+    Some((cp, get("speed").unwrap_or(0.0)))
 }
 
 #[cfg(test)]

@@ -135,12 +135,9 @@ impl WeatherWatcher {
                 y: region.center.y,
                 radius: region.radius,
             });
-            match self.factory.process_cxt_query(q, client.clone()) {
-                Ok(id) => {
-                    adhoc_possible = true;
-                    adhoc_ids.push(id);
-                }
-                Err(_) => {}
+            if let Ok(id) = self.factory.process_cxt_query(q, client.clone()) {
+                adhoc_possible = true;
+                adhoc_ids.push(id);
             }
         }
         let _ = self.max_hops;

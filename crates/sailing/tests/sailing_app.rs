@@ -6,9 +6,9 @@ use sailing::scenario::{start_regatta, straight_course};
 use sailing::{WeatherSource, WeatherWatcher};
 use sensors::EnvField;
 use simkit::SimDuration;
-use testbed::{PhoneSetup, Testbed};
 use std::cell::RefCell;
 use std::rc::Rc;
+use testbed::{PhoneSetup, Testbed};
 
 #[test]
 fn weather_from_nearby_boats_over_adhoc() {
@@ -40,10 +40,17 @@ fn weather_from_nearby_boats_over_adhoc() {
     let report = report.borrow_mut().take().expect("report arrived");
     assert_eq!(report.source, WeatherSource::AdHoc);
     assert!(report.latest("temperature").is_some());
-    let t = report.latest("temperature").unwrap().value.as_f64().unwrap();
-    let truth = tb
-        .env
-        .sample(EnvField::TemperatureC, Position::new(60.0, 0.0), tb.sim.now());
+    let t = report
+        .latest("temperature")
+        .unwrap()
+        .value
+        .as_f64()
+        .unwrap();
+    let truth = tb.env.sample(
+        EnvField::TemperatureC,
+        Position::new(60.0, 0.0),
+        tb.sim.now(),
+    );
     assert!((t - truth).abs() < 3.0, "reported {t}, truth {truth}");
 }
 
@@ -67,11 +74,9 @@ fn weather_for_a_far_region_falls_back_to_the_infrastructure() {
         WeatherWatcher::new(&tb.sim, me.factory()).with_patience(SimDuration::from_secs(10));
     let report = Rc::new(RefCell::new(None));
     let r = report.clone();
-    watcher.request(
-        Region::new(harbour, 1_000.0),
-        &["wind"],
-        move |res| *r.borrow_mut() = Some(res.unwrap()),
-    );
+    watcher.request(Region::new(harbour, 1_000.0), &["wind"], move |res| {
+        *r.borrow_mut() = Some(res.unwrap())
+    });
     tb.sim.run_for(SimDuration::from_secs(90));
     let report = report.borrow_mut().take().expect("report arrived");
     assert_eq!(report.source, WeatherSource::Infrastructure);
@@ -88,7 +93,10 @@ fn regatta_classification_tracks_the_fastest_boat() {
     tb.sim.run_for(SimDuration::from_mins(20));
     let standings = regatta.classifier.standings();
     assert!(!standings.is_empty(), "passages reached the infrastructure");
-    assert_eq!(standings[0].entity, "boat-0", "fastest boat leads: {standings:?}");
+    assert_eq!(
+        standings[0].entity, "boat-0",
+        "fastest boat leads: {standings:?}"
+    );
     // Standings are consistent with each participant's local view.
     for p in &regatta.participants {
         let local = p.checkpoints_passed();

@@ -1,7 +1,7 @@
 //! Conversions between the substrate data types and Contory's context
 //! items.
 
-use contory::{CxtItem, CxtValue, Metadata, Name, SourceId, Trust};
+use contory::{CxtItem, CxtValue, Name, SourceId, Trust};
 use fuego::InfraRecord;
 use radio::Position;
 use sensors::Reading;
@@ -50,8 +50,13 @@ pub fn item_to_record(item: &CxtItem, entity: &str, position: Option<Position>) 
         CxtValue::Position { x, y } => Some(Position::new(*x, *y)),
         _ => position,
     };
-    let mut record = InfraRecord::new(entity, item.cxt_type.as_str(), item.value.to_string(), item.timestamp)
-        .with_payload(std::rc::Rc::new(item.clone()));
+    let mut record = InfraRecord::new(
+        entity,
+        item.cxt_type.as_str(),
+        item.value.to_string(),
+        item.timestamp,
+    )
+    .with_payload(std::rc::Rc::new(item.clone()));
     if let Some(p) = pos {
         record = record.at(p);
     }
@@ -67,61 +72,11 @@ pub fn item_to_record(item: &CxtItem, entity: &str, position: Option<Position>) 
     record
 }
 
-/// Turns an infrastructure record back into a context item. Prefers the
-/// structured payload when it survived (same-simulation fast path),
-/// otherwise reconstructs from the record fields.
-pub fn record_to_item(record: &InfraRecord) -> CxtItem {
-    if let Some(p) = &record.payload {
-        if let Ok(item) = p.clone().downcast::<CxtItem>() {
-            return item.as_ref().clone();
-        }
-    }
-    let value = parse_value_text(&record.value_text, record.position);
-    let mut metadata = Metadata::none();
-    if let Some(a) = record.metadata.get("accuracy").and_then(|s| s.parse().ok()) {
-        metadata.accuracy = Some(a);
-    }
-    if let Some(c) = record
-        .metadata
-        .get("correctness")
-        .and_then(|s| s.parse().ok())
-    {
-        metadata.correctness = Some(c);
-    }
-    metadata.trust = match record.metadata.get("trust").map(String::as_str) {
-        Some("trusted") => Trust::Trusted,
-        Some("community") => Trust::Community,
-        _ => Trust::Unknown,
-    };
-    CxtItem::new(record.item_type.clone(), value, record.timestamp)
-        .with_source(format!("infra://{}", record.entity))
-        .with_metadata(metadata)
-}
-
-/// Parses a printable value back into a structured one: `"14.0C"` →
-/// number + unit; `"(x, y)"` → the record's position; anything else →
-/// text.
-fn parse_value_text(text: &str, position: Option<Position>) -> CxtValue {
-    if text.starts_with('(') {
-        if let Some(p) = position {
-            return CxtValue::Position { x: p.x, y: p.y };
-        }
-    }
-    let split = text
-        .char_indices()
-        .find(|(_, c)| !(c.is_ascii_digit() || *c == '.' || *c == '-'))
-        .map(|(i, _)| i)
-        .unwrap_or(text.len());
-    // An empty number part fails to parse.
-    if let Some((number, unit)) = text.split_at_checked(split) {
-        if let Ok(v) = number.parse::<f64>() {
-            return CxtValue::Number {
-                value: v,
-                unit: unit.into(),
-            };
-        }
-    }
-    CxtValue::Text(text.into())
+/// The context item an infrastructure record carries. Every record a
+/// testbed world stores is made by [`item_to_record`], which attaches
+/// its item; a record from elsewhere carries none.
+pub fn record_to_item(record: &InfraRecord) -> Option<CxtItem> {
+    record.payload.as_ref()?.downcast_ref::<CxtItem>().cloned()
 }
 
 #[cfg(test)]
@@ -152,24 +107,22 @@ mod tests {
             .with_trust(Trust::Community);
         let record = item_to_record(&item, "boat-1", Some(Position::new(10.0, 20.0)));
         assert_eq!(record.entity, "boat-1");
+        assert_eq!(record.item_type, "wind");
+        assert_eq!(record.value_text, "7.5kn");
+        assert_eq!(record.timestamp, SimTime::from_secs(5));
         assert_eq!(record.position.unwrap().x, 10.0);
-        let back = record_to_item(&record);
-        assert_eq!(back, item);
-    }
+        assert_eq!(record.metadata.get("accuracy").unwrap(), "0.5");
+        assert_eq!(record.metadata.get("trust").unwrap(), "community");
+        assert_eq!(record_to_item(&record), Some(item));
 
-    #[test]
-    fn item_record_round_trip_without_payload() {
-        let item = CxtItem::new("wind", CxtValue::quantity(7.5, "kn"), SimTime::from_secs(5))
-            .with_accuracy(0.5)
-            .with_trust(Trust::Trusted);
-        let mut record = item_to_record(&item, "boat-1", None);
-        record.payload = None; // simulate a wire crossing
-        let back = record_to_item(&record);
-        assert_eq!(back.cxt_type, "wind");
-        assert_eq!(back.value.as_f64(), Some(7.5));
-        assert_eq!(back.metadata.accuracy, Some(0.5));
-        assert_eq!(back.metadata.trust, Trust::Trusted);
-        assert_eq!(back.timestamp, SimTime::from_secs(5));
+        let text = CxtItem::new("activity", CxtValue::Text("sailing".into()), SimTime::ZERO);
+        let record = item_to_record(&text, "boat-3", None);
+        assert_eq!(record.value_text, "sailing");
+        assert!(record.position.is_none() && record.metadata.is_empty());
+        assert_eq!(record_to_item(&record), Some(text));
+
+        let bare = InfraRecord::new("boat-1", "wind", "7.5kn", SimTime::ZERO);
+        assert_eq!(record_to_item(&bare), None);
     }
 
     #[test]
@@ -181,18 +134,6 @@ mod tests {
         );
         let record = item_to_record(&item, "boat-2", Some(Position::new(99.0, 99.0)));
         assert_eq!(record.position.unwrap().x, 5.0);
-        let mut stripped = record.clone();
-        stripped.payload = None;
-        let back = record_to_item(&stripped);
-        assert!(matches!(back.value, CxtValue::Position { x, .. } if x == 5.0));
-    }
-
-    #[test]
-    fn text_values_survive() {
-        let item = CxtItem::new("activity", CxtValue::Text("sailing".into()), SimTime::ZERO);
-        let mut record = item_to_record(&item, "boat-3", None);
-        record.payload = None;
-        let back = record_to_item(&record);
-        assert_eq!(back.value, CxtValue::Text("sailing".into()));
+        assert_eq!(record.position.unwrap().y, 6.0);
     }
 }

@@ -21,7 +21,10 @@ pub fn run_until_flag(sim: &Sim, flag: &Rc<Cell<bool>>, max: SimDuration) -> Sim
             sim.now() <= deadline,
             "operation did not complete within {max}"
         );
-        assert!(sim.step(), "simulation drained before the operation completed");
+        assert!(
+            sim.step(),
+            "simulation drained before the operation completed"
+        );
     }
     sim.now() - t0
 }

@@ -20,7 +20,7 @@ use contory::refs::{
     InternalReference, ItemsResult, OnItems, OnRefError, RefError, StreamHandle, WifiReference,
 };
 use contory::{CxtItem, SourceId};
-use fuego::{InfraClient, InfraQuery, InfraSubscription, PushMode, RequestError};
+use fuego::{InfraClient, InfraQuery, InfraRecord, InfraSubscription, PushMode, RequestError};
 use radio::bt::{BtError, BtRadio, LinkId, ServiceRecord};
 use radio::cell::CellModem;
 use radio::wifi::WifiRadio;
@@ -70,8 +70,13 @@ impl SimInternalReference {
             .enumerate()
             .map(|(i, &f)| {
                 let p = position.clone();
-                let sensor =
-                    EnvSensor::new(env, f, Rc::new(move || p()), default_accuracy(f), seed + i as u64);
+                let sensor = EnvSensor::new(
+                    env,
+                    f,
+                    Rc::new(move || p()),
+                    default_accuracy(f),
+                    seed + i as u64,
+                );
                 let names = SensorNames::new(f.type_name(), f.unit(), source.clone());
                 (f.type_name().to_owned(), (sensor, names))
             })
@@ -128,10 +133,10 @@ impl InternalReference for SimInternalReference {
             return;
         }
         // createCxtItem measured at 0.078 ms in Table 1.
-        let latency = self.rng.borrow_mut().gauss_duration(
-            SimDuration::from_micros(78),
-            SimDuration::from_micros(2),
-        );
+        let latency = self
+            .rng
+            .borrow_mut()
+            .gauss_duration(SimDuration::from_micros(78), SimDuration::from_micros(2));
         // `provides` was checked above, so a missing sensor cannot reach
         // here; it would read as a silent one.
         let item = self
@@ -483,8 +488,7 @@ impl SimBtReference {
                     .serving
                     .iter()
                     .filter(|(_, (item, key))| {
-                        key_allows(key.as_deref(), spec.key.as_deref())
-                            && spec.matches(item, now)
+                        key_allows(key.as_deref(), spec.key.as_deref()) && spec.matches(item, now)
                     })
                     .map(|(_, (item, _))| item.clone())
                     .collect();
@@ -571,31 +575,34 @@ impl SimBtReference {
             NumNodes::All => usize::MAX,
             NumNodes::First(k) => k as usize,
         };
-        self.peers_for_round(spec, Box::new(move |res| {
-            // Deliver the seed batch.
-            if let Ok(items) = &res {
-                let handler = {
-                    let inner = me.inner.borrow();
-                    inner
-                        .adhoc_subs
-                        .get(&qid)
-                        .map(|s| (s.on_items.clone(), s.spec.clone()))
-                };
-                if let Some((on_items, sspec)) = handler {
-                    let items = finalize_items(items.clone(), &sspec);
-                    if !items.is_empty() {
-                        on_items(items);
+        self.peers_for_round(
+            spec,
+            Box::new(move |res| {
+                // Deliver the seed batch.
+                if let Ok(items) = &res {
+                    let handler = {
+                        let inner = me.inner.borrow();
+                        inner
+                            .adhoc_subs
+                            .get(&qid)
+                            .map(|s| (s.on_items.clone(), s.spec.clone()))
+                    };
+                    if let Some((on_items, sspec)) = handler {
+                        let items = finalize_items(items.clone(), &sspec);
+                        if !items.is_empty() {
+                            on_items(items);
+                        }
                     }
                 }
-            }
-            // peers_for_round refreshed the known-peer cache; subscribe to
-            // (up to numNodes of) them.
-            let peers: Vec<NodeId> = {
-                let inner = me.inner.borrow();
-                inner.known_peers.iter().copied().take(limit).collect()
-            };
-            me.establish_subscription(qid, peers, period);
-        }));
+                // peers_for_round refreshed the known-peer cache; subscribe to
+                // (up to numNodes of) them.
+                let peers: Vec<NodeId> = {
+                    let inner = me.inner.borrow();
+                    inner.known_peers.iter().copied().take(limit).collect()
+                };
+                me.establish_subscription(qid, peers, period);
+            }),
+        );
     }
 
     fn handle_reply(&self, qid: u64, items: Vec<CxtItem>) {
@@ -934,7 +941,14 @@ impl BtReference for SimBtReference {
             "contory",
         )
         .with_attribute("type", item.cxt_type.as_str())
-        .with_attribute("access", if key.is_some() { "authenticated" } else { "public" });
+        .with_attribute(
+            "access",
+            if key.is_some() {
+                "authenticated"
+            } else {
+                "public"
+            },
+        );
         {
             let mut inner = self.inner.borrow_mut();
             let entity = inner.entity.clone();
@@ -969,9 +983,8 @@ impl SimBtReference {
         };
         let me = self.clone();
         self.radio().sdp_query(next, move |res| {
-            let found = res.map(|records| {
-                records.iter().any(|r| sensor_record_serves(r, &cxt_type))
-            });
+            let found =
+                res.map(|records| records.iter().any(|r| sensor_record_serves(r, &cxt_type)));
             match found {
                 Ok(true) => cb(Ok(SourceId::new(format!("bt://node{}", next.0)))),
                 _ => me.sdp_find_sensor(candidates, cxt_type, cb),
@@ -1106,7 +1119,9 @@ impl WifiReference for SimWifiReference {
             move |outcome| match outcome {
                 SmOutcome::Completed(_) => {
                     let Some(results) = outcome.completed_as::<Vec<FinderResult>>() else {
-                        cb(Err(RefError::Unavailable("finder returned no results".into())));
+                        cb(Err(RefError::Unavailable(
+                            "finder returned no results".into(),
+                        )));
                         return;
                     };
                     let items: Vec<CxtItem> = results
@@ -1228,6 +1243,14 @@ impl SimCellReference {
     }
 }
 
+/// The items a batch of infrastructure records carries, in the batch's
+/// order, in a `Vec` sized once for the whole batch.
+fn items_of(records: &[Rc<InfraRecord>]) -> Vec<CxtItem> {
+    let mut items = Vec::with_capacity(records.len());
+    items.extend(records.iter().filter_map(|r| record_to_item(r)));
+    items
+}
+
 fn map_req_err(e: RequestError) -> RefError {
     match e {
         RequestError::Timeout => RefError::Timeout,
@@ -1251,7 +1274,7 @@ impl CellReference for SimCellReference {
         let q = self.infra_query(spec);
         self.client
             .query(&q, SimDuration::from_secs(30), move |res| match res {
-                Ok(records) => cb(Ok(records.iter().map(|r| record_to_item(r)).collect())),
+                Ok(records) => cb(Ok(items_of(&records))),
                 Err(e) => cb(Err(map_req_err(e))),
             });
     }
@@ -1268,7 +1291,7 @@ impl CellReference for SimCellReference {
             InfraPushMode::OnArrival => PushMode::OnStore,
         };
         let sub = self.client.subscribe(&q, push_mode, move |records| {
-            let items: Vec<CxtItem> = records.iter().map(|r| record_to_item(r)).collect();
+            let items = items_of(&records);
             if !items.is_empty() {
                 on_items(items);
             }

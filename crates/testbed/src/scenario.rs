@@ -7,9 +7,7 @@
 //! name, mirroring the paper's rig of Nokia 6630/7610 phones and 9500
 //! communicators.
 
-use crate::refs_impl::{
-    SimBtReference, SimCellReference, SimInternalReference, SimWifiReference,
-};
+use crate::refs_impl::{SimBtReference, SimCellReference, SimInternalReference, SimWifiReference};
 use contory::refs::References;
 use contory::{Client, ContextFactory, FactoryConfig, QueryId};
 use fuego::{ContextInfrastructure, EventBroker, FuegoClient, InfraClient};
@@ -227,7 +225,7 @@ impl Testbed {
         let cell = CellNetwork::new(&sim, CellParams::default(), seed ^ 0xce11);
         let sm = SmPlatform::new(&sim, SmParams::default());
         let broker = EventBroker::new(&sim, &cell);
-        let infra = ContextInfrastructure::new(&sim, &broker);
+        let infra = ContextInfrastructure::new(&broker);
         Testbed {
             sim,
             world,
@@ -476,8 +474,7 @@ impl Testbed {
         fields: &[EnvField],
         every: SimDuration,
     ) {
-        let mut station =
-            WeatherStation::new(name, &self.env, position, fields, self.fresh_seed());
+        let mut station = WeatherStation::new(name, &self.env, position, fields, self.fresh_seed());
         let infra = self.infra.clone();
         let station_name = name.to_owned();
         let source = contory::SourceId::new(format!("station://{name}"));

@@ -5,8 +5,8 @@ use contory::{CollectingClient, CxtItem, CxtValue, Mechanism, Trust};
 use radio::Position;
 use sensors::EnvField;
 use simkit::{SimDuration, SimTime};
-use testbed::{PhoneSetup, Testbed};
 use std::rc::Rc;
+use testbed::{PhoneSetup, Testbed};
 
 fn boat(tb: &Testbed, name: &str, x: f64) -> std::rc::Rc<testbed::TestbedPhone> {
     tb.add_phone(PhoneSetup {
@@ -42,9 +42,11 @@ fn internal_sensor_periodic_query_end_to_end() {
         items.len()
     );
     // Values track the synthetic environment at the phone's position.
-    let truth = tb
-        .env
-        .sample(EnvField::TemperatureC, Position::new(0.0, 0.0), tb.sim.now());
+    let truth = tb.env.sample(
+        EnvField::TemperatureC,
+        Position::new(0.0, 0.0),
+        tb.sim.now(),
+    );
     let last = items.last().unwrap().value.as_f64().unwrap();
     assert!((last - truth).abs() < 3.0, "sensor {last} vs truth {truth}");
 }
@@ -83,12 +85,7 @@ fn bt_one_hop_adhoc_query_end_to_end() {
     let items = client.items_for(id);
     assert_eq!(items.len(), 2);
     assert_eq!(items[0].value.as_f64(), Some(14.5));
-    assert!(items[0]
-        .source
-        .as_ref()
-        .unwrap()
-        .0
-        .contains("provider"));
+    assert!(items[0].source.as_ref().unwrap().0.contains("provider"));
 }
 
 #[test]
@@ -189,20 +186,17 @@ fn fig5_failover_gps_to_adhoc_and_back() {
         let world = tb.world.clone();
         let node = neighbor.node();
         let sim = tb.sim.clone();
-        tb.sim.schedule_repeating(SimDuration::from_secs(10), move || {
-            let p = world.position_of(node).unwrap();
-            let _ = factory.publish_cxt_item(
-                CxtItem::new(
-                    "location",
-                    CxtValue::Position { x: p.x, y: p.y },
-                    sim.now(),
-                )
-                .with_accuracy(30.0)
-                .with_trust(Trust::Community),
-                None,
-            );
-            true
-        });
+        tb.sim
+            .schedule_repeating(SimDuration::from_secs(10), move || {
+                let p = world.position_of(node).unwrap();
+                let _ = factory.publish_cxt_item(
+                    CxtItem::new("location", CxtValue::Position { x: p.x, y: p.y }, sim.now())
+                        .with_accuracy(30.0)
+                        .with_trust(Trust::Community),
+                    None,
+                );
+                true
+            });
     }
 
     let client = Rc::new(CollectingClient::new());
@@ -266,8 +260,12 @@ fn authenticated_publishing_needs_the_key() {
     provider
         .factory()
         .publish_cxt_item(
-            CxtItem::new("location", CxtValue::Position { x: 50.0, y: 0.0 }, tb.sim.now())
-                .with_accuracy(5.0),
+            CxtItem::new(
+                "location",
+                CxtValue::Position { x: 50.0, y: 0.0 },
+                tb.sim.now(),
+            )
+            .with_accuracy(5.0),
             Some("regatta-2005".into()),
         )
         .unwrap();
@@ -313,7 +311,11 @@ fn merged_queries_share_a_provider_on_the_real_stack() {
         )
         .unwrap();
     let facade = requester.factory().facade(Mechanism::AdHocBt).unwrap();
-    assert_eq!(facade.provider_count(), 1, "queries merged onto one provider");
+    assert_eq!(
+        facade.provider_count(),
+        1,
+        "queries merged onto one provider"
+    );
     tb.sim.run_for(SimDuration::from_secs(120));
     assert!(!c1.all_items().is_empty());
     assert!(!c2.all_items().is_empty());
@@ -343,7 +345,10 @@ fn handover_bug_and_the_2g_workaround() {
         phone.modem().unwrap().set_mode(mode);
         let client = Rc::new(CollectingClient::new());
         phone
-            .submit("SELECT wind FROM extInfra DURATION 1 samples", client.clone())
+            .submit(
+                "SELECT wind FROM extInfra DURATION 1 samples",
+                client.clone(),
+            )
             .unwrap();
         // Trigger a handover while the UMTS transfer is in flight.
         tb.sim.run_for(SimDuration::from_millis(300));

@@ -10,11 +10,11 @@
 #    must report zero findings above the checked-in ratchet baseline
 #    (results/lint_baseline.json) and zero stale pragmas
 #    (DESIGN.md §5c, §5g); then clippy over every target of simkit,
-#    obskit, benchkit, fuego, core, smartmsg, sensors, testbed, brokerd
-#    and tracekit (and the workspace crates they depend on) with
-#    warnings as errors, and rustfmt's check over simkit, obskit,
-#    benchkit, fuego, sensors, phone, brokerd and tracekit (core and
-#    testbed still have rustfmt diffs);
+#    obskit, benchkit, fuego, core, smartmsg, sensors, testbed, brokerd,
+#    tracekit, sailing and alloccount (and the workspace crates they
+#    depend on) with warnings as errors, and rustfmt's check over
+#    simkit, obskit, benchkit, fuego, sensors, phone, brokerd, tracekit,
+#    testbed, sailing and alloccount (core still has rustfmt diffs);
 # 3. the failure-scenario suite in isolation — every scenario runs
 #    across the three fixed seeds baked into the suite (11, 22, 33);
 # 4. the shard gate: the partition-invariance suite on the partitioned
@@ -33,7 +33,11 @@
 #    allocations and bytes of a periodic extInfra subscription pushing
 #    200 records for 30 sim-minutes, and testbed's those of two phones'
 #    extInfra and intSensor queries for 30 sim-minutes: cost checks
-#    that, unlike wall time, do not swing with the host's load;
+#    that, unlike wall time, do not swing with the host's load (all
+#    three count with the one allocator in crates/alloccount); testbed's
+#    also checks that an empty testbed, a broker with its
+#    infrastructure, and a Fuego client leave no live heap behind once
+#    dropped;
 # 6. the Fig. 5 failover bench, which asserts the recovery SLO
 #    (worst provisioning gap <= 45 s) from the FailoverReport;
 # 7. the obs gate: the sm_breakup bench re-measures the paper's §6.1
@@ -75,14 +79,15 @@ cargo test -q
 echo "==> lintkit gate (determinism & robustness lints, ratchet baseline)"
 cargo run -q --release -p lintkit -- --workspace --baseline results/lint_baseline.json
 
-echo "==> clippy gate (simkit, obskit, benchkit, fuego, core, smartmsg, sensors, testbed, brokerd, tracekit; every target, warnings are errors)"
+echo "==> clippy gate (simkit, obskit, benchkit, fuego, core, smartmsg, sensors, testbed, brokerd, tracekit, sailing, alloccount; every target, warnings are errors)"
 cargo clippy -q -p contory-simkit -p contory-obskit -p contory-benchkit -p contory-fuego -p contory \
     -p contory-smartmsg -p contory-sensors -p contory-testbed -p contory-brokerd -p contory-tracekit \
-    --all-targets -- -D warnings
+    -p contory-sailing -p contory-alloccount --all-targets -- -D warnings
 
-echo "==> fmt gate (simkit, obskit, benchkit, fuego, sensors, phone, brokerd, tracekit)"
+echo "==> fmt gate (simkit, obskit, benchkit, fuego, sensors, phone, brokerd, tracekit, testbed, sailing, alloccount)"
 cargo fmt --check -p contory-simkit -p contory-obskit -p contory-benchkit -p contory-fuego \
-    -p contory-sensors -p contory-phone -p contory-brokerd -p contory-tracekit
+    -p contory-sensors -p contory-phone -p contory-brokerd -p contory-tracekit \
+    -p contory-testbed -p contory-sailing -p contory-alloccount
 
 echo "==> failure-scenario suite (seeds 11, 22, 33)"
 cargo test -q --test failover_scenarios

@@ -6,6 +6,7 @@
 //! partition invariance), the broker wire format (its packet frames
 //! and its percent codec) and the trace JSONL export.
 
+use benchkit::json::Json;
 use brokerd::{
     fault_edges, link_faults, link_label, pct_decode, pct_encode, restart_edges, run_fleet,
     BrokerId, BrokerNode, ContextPacket, DedupWindow, FleetConfig, NodeConfig, PacketSeq, Request,
@@ -227,6 +228,62 @@ fn edit_jsonl_field(line: &str, key: &str, value: &str) -> (String, String) {
     let swapped = format!("{}{value}{}", &line[..from], &line[end..]);
     let dropped = format!("{}{}", &line[..start], line[end..].trim_start_matches(','));
     (swapped, dropped)
+}
+
+/// A finite number: a fraction, an integer, an extreme (the largest,
+/// the smallest normal and subnormal, `-0`) or any finite bit pattern.
+fn json_number() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        -1e6f64..1e6,
+        (-1_000_000_000i64..1_000_000_000).prop_map(|n| n as f64),
+        (0usize..5).prop_map(|i| [f64::MAX, f64::MIN, f64::MIN_POSITIVE, 5e-324, -0.0][i]),
+        (0u64..u64::MAX).prop_map(|b| Some(f64::from_bits(b)).filter(|v| v.is_finite()).unwrap_or(0.5)),
+    ]
+}
+
+/// A string with quotes, backslashes, control and multi-byte characters.
+const JSON_TEXT: &str = "[ -~\t\n\r\u{0}\u{1}\u{8}\u{c}\u{1f}\u{7f}é中😀]{0,12}";
+
+/// A JSON tree of scalars, arrays and objects, at most 4 containers deep.
+fn json_tree() -> impl Strategy<Value = Json> {
+    let leaf = prop_oneof![
+        Just(Json::Null),
+        (0u8..2).prop_map(|b| Json::Bool(b == 1)),
+        json_number().prop_map(Json::Num),
+        JSON_TEXT.prop_map(Json::Str),
+    ];
+    leaf.prop_recursive(4, 64, 4, |inner| {
+        prop_oneof![
+            proptest::collection::vec(inner.clone(), 0..4).prop_map(Json::Arr),
+            proptest::collection::vec((JSON_TEXT, inner), 0..4).prop_map(Json::Obj),
+        ]
+    })
+}
+
+const JSON_PIECES: [&str; 29] = [
+    "{", "}", "[", "]", ",", ":", "\"", "\\", "\\\"", "\\u", "\\u00e9", "\\ud800", "\\x", "true",
+    "tru", "false", "nul", "null", "-", "-0", "1e999", "-1e999", "1e-999", ".5", "1.", "0x10", "+1",
+    "NaN", "\"k\":",
+];
+
+/// A piece of would-be JSON: brackets, quotes, good and bad escapes,
+/// literals whole and cut short, numbers out of range or malformed, a
+/// key, digit runs, letters with non-ASCII ones, or blanks.
+fn json_fragment() -> impl Strategy<Value = String> {
+    prop_oneof![
+        (0..JSON_PIECES.len()).prop_map(|i| JSON_PIECES[i].to_owned()),
+        (0..JSON_PIECES.len()).prop_map(|i| JSON_PIECES[i].to_owned()),
+        "[0-9]{1,22}",
+        "[a-z0-9é中😀\u{7f}]{1,5}",
+        "[ \t\n\r]{1,2}",
+    ]
+}
+
+/// A piece of would-be trace context: hex digits, dots, signs and
+/// sample flags, digit runs past `u64::MAX`, `u32::MAX` or `u8::MAX`,
+/// or non-ASCII letters.
+fn trace_ctx_fragment() -> impl Strategy<Value = String> {
+    prop_oneof!["[0-9a-f.+su-]{0,6}", "[0-9]{1,21}", "[0-9a-fA-F]{15,18}", "[é中 ]{1,2}"]
 }
 
 const WIRE_WORDS: [&str; 14] = [
@@ -795,6 +852,88 @@ proptest! {
                     );
                     prop_assert!(!detail.is_empty(), "{:?}", text);
                 }
+            }
+        }
+    }
+
+    /// benchkit's JSON print→parse is the identity: a rendered tree of
+    /// finite numbers, awkward strings and containers, nested up to the
+    /// parser's limit of 128, parses back to the same tree.
+    #[test]
+    fn json_round_trips(tree in json_tree(), wrap in 0usize..125, key in JSON_TEXT) {
+        // `json_tree` nests at most 4 deep, so the wrapped tree reaches
+        // 128 at most.
+        let tree = (0..wrap).fold(tree, |t, level| match level % 2 {
+            0 => Json::Arr(vec![t]),
+            _ => Json::Obj(vec![(key.clone(), t)]),
+        });
+        prop_assert_eq!(Json::parse(&tree.render()), Ok(tree));
+    }
+
+    /// `Json::parse` is total: on arbitrary text (fragments of JSON, a
+    /// real document cut short, either inside arrays nested past the
+    /// parser's depth limit of 128, far past it too) it returns a tree
+    /// that prints and parses back unchanged, or an error message, and
+    /// never panics or overflows the stack.
+    #[test]
+    fn json_parse_is_total(
+        fragments in proptest::collection::vec(json_fragment(), 0..16),
+        tree in json_tree(),
+        cut in 0usize..200,
+        depth in prop_oneof![0usize..4, 120usize..140, Just(100_000usize)],
+    ) {
+        let noise = fragments.concat();
+        let real = tree.render();
+        let truncated: String = real.chars().take(cut).collect();
+        let (open, close) = ("[".repeat(depth), "]".repeat(depth));
+        for text in [
+            noise.clone(),
+            truncated.clone(),
+            format!("{truncated}{noise}"),
+            format!("{open}{noise}{close}"),
+            format!("{open}{real}{close}"),
+        ] {
+            match Json::parse(&text) {
+                Ok(parsed) => prop_assert_eq!(Json::parse(&parsed.render()), Ok(parsed)),
+                Err(message) => prop_assert!(!message.is_empty(), "{:?}", text),
+            }
+        }
+    }
+
+    /// `TraceCtx`'s printed form parses back to the same context.
+    #[test]
+    fn trace_ctx_round_trips(
+        trace_id in prop_oneof![0u64..64, 0u64..u64::MAX, Just(u64::MAX)],
+        parent_span in prop_oneof![0u32..4, 0u32..u32::MAX, Just(u32::MAX)],
+        hop in prop_oneof![0u8..4, 0u8..u8::MAX, Just(u8::MAX)],
+        sampled in 0u8..2,
+    ) {
+        let ctx = TraceCtx { trace_id, parent_span, hop, sampled: sampled == 1 };
+        prop_assert_eq!(ctx.to_string().parse::<TraceCtx>(), Ok(ctx));
+    }
+
+    /// `TraceCtx::from_str` is total: on arbitrary text (fragments of the
+    /// printed form, a real one cut short, or a real one with one field
+    /// swapped for a fragment) it returns a context that prints and
+    /// parses back to itself, or an error with a message, and never
+    /// panics.
+    #[test]
+    fn trace_ctx_parse_is_total(
+        fragments in proptest::collection::vec(trace_ctx_fragment(), 0..10),
+        trace_id in 0u64..u64::MAX,
+        cut in 0usize..40,
+        field in 0usize..4,
+        value in trace_ctx_fragment(),
+    ) {
+        let noise = fragments.concat();
+        let real = TraceCtx { trace_id, parent_span: 7, hop: 3, sampled: true }.to_string();
+        let truncated: String = real.chars().take(cut).collect();
+        let mut fields: Vec<&str> = real.split('.').collect();
+        fields[field] = &value;
+        for text in [noise.clone(), truncated.clone(), format!("{truncated}{noise}"), fields.join(".")] {
+            match text.parse::<TraceCtx>() {
+                Ok(ctx) => prop_assert_eq!(ctx.to_string().parse::<TraceCtx>(), Ok(ctx)),
+                Err(e) => prop_assert!(!e.0.is_empty(), "{:?}", text),
             }
         }
     }
