@@ -82,7 +82,11 @@ fn main() {
     if write_baseline {
         let base = Baseline::from_report(&report);
         std::fs::write(&baseline_path, base.to_json_string()).expect("baseline writable");
-        println!("re-pinned {} ({} metrics)", baseline_path.display(), base.metrics.len());
+        println!(
+            "re-pinned {} ({} metrics)",
+            baseline_path.display(),
+            base.metrics.len()
+        );
     }
 
     if check {

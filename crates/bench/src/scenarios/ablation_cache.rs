@@ -67,10 +67,13 @@ impl Scenario for AblationDiscoveryCache {
                 let t0 = tb.sim.now();
                 let done = Rc::new(Cell::new(false));
                 let d = done.clone();
-                bt.adhoc_round(&AdHocSpec::one_hop("temperature"), Box::new(move |res| {
-                    assert!(!res.expect("round ok").is_empty());
-                    d.set(true);
-                }));
+                bt.adhoc_round(
+                    &AdHocSpec::one_hop("temperature"),
+                    Box::new(move |res| {
+                        assert!(!res.expect("round ok").is_empty());
+                        d.set(true);
+                    }),
+                );
                 testbed::run_until_flag(&tb.sim, &done, SimDuration::from_secs(60));
                 lat.push((tb.sim.now() - t0).as_millis_f64());
                 tb.sim.run_for(SimDuration::from_secs(5));

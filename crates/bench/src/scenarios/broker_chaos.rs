@@ -30,7 +30,8 @@
 
 use benchkit::{Measurement, RunCtx, Scenario, Unit};
 use brokerd::{
-    fault_edges, link_faults, link_label, restart_edges, run_fleet, FleetConfig, NodeConfig,
+    fault_edges, link_faults, link_label, restart_edges, run_fleet, run_fleet_traced, FleetConfig,
+    NodeConfig,
 };
 use simkit::faults::{FaultPlan, LinkFault};
 use simkit::hash::{fnv1a, FNV_OFFSET};
@@ -127,7 +128,7 @@ impl Scenario for BrokerChaos {
 
     fn run(&self, ctx: &mut RunCtx) {
         let cfg = chaos_fleet(self.seed(), SHARDS, THREADS);
-        let out = run_fleet(&cfg);
+        let (out, _, trace) = run_fleet_traced(&cfg);
         let horizon = FLEET_HORIZON_SECS as f64;
         ctx.tally_events(out.events, SimTime::from_secs(FLEET_HORIZON_SECS));
         obskit::count("broker_chaos_published", out.published);
@@ -140,14 +141,20 @@ impl Scenario for BrokerChaos {
         obskit::count("broker_chaos_dedup_suppressed", out.dedup_suppressed);
         obskit::count("broker_chaos_resubscriptions", out.resubscriptions);
         obskit::count("broker_chaos_anti_entropy", out.anti_entropy_rounds);
-        obskit::count("broker_chaos_duplicate_deliveries", out.duplicate_deliveries);
+        obskit::count(
+            "broker_chaos_duplicate_deliveries",
+            out.duplicate_deliveries,
+        );
 
         ctx.note(format!(
             "{FLEET_DEVICES} devices on {FLEET_BROKERS} brokers, horizon {horizon} sim-s, \
              {} shards x {} threads; every federation link lossy \
              (drop {} ppm, dup {} ppm, reorder {} ppm) until t={CHAOS_UNTIL_SECS}s; \
              {CRASHED_BROKER} crash-restarted at t={CRASH_AT_SECS}s for {CRASH_DOWN_SECS}s",
-            cfg.shards, cfg.threads, LINK_FAULT.drop_ppm, LINK_FAULT.dup_ppm,
+            cfg.shards,
+            cfg.threads,
+            LINK_FAULT.drop_ppm,
+            LINK_FAULT.dup_ppm,
             LINK_FAULT.reorder_ppm,
         ));
         ctx.note(
@@ -159,9 +166,14 @@ impl Scenario for BrokerChaos {
         // Deterministic rows: pure functions of the seed, pinned
         // (near-)exactly, byte-identical across partitionings.
         ctx.push(
-            Measurement::scalar("devices", "device population", Unit::Count, FLEET_DEVICES as f64)
-                .with_gate_rel_tol(0.0)
-                .with_gate_abs_tol(0.4),
+            Measurement::scalar(
+                "devices",
+                "device population",
+                Unit::Count,
+                FLEET_DEVICES as f64,
+            )
+            .with_gate_rel_tol(0.0)
+            .with_gate_abs_tol(0.4),
         );
         ctx.push(
             Measurement::scalar(
@@ -355,7 +367,7 @@ impl Scenario for BrokerChaos {
         // The chaos-path trace spans: retries, duplicate suppressions
         // and the crash recovery all leave hop spans on sampled traces.
         let stage_count = |stage: Stage| -> u64 {
-            out.trace.events().iter().filter(|e| e.stage == stage).count() as u64
+            trace.events().iter().filter(|e| e.stage == stage).count() as u64
         };
         ctx.push(
             Measurement::scalar(

@@ -18,12 +18,12 @@
 //! fleet (seed 800 reproduces its counts).
 
 use benchkit::{Measurement, RunCtx, Scenario, Unit};
-use brokerd::{fault_edges, run_fleet, run_fleet_profiled, FleetConfig, FleetOutcome, NodeConfig};
-use tracekit::{assemble, Breakup, Stage, TraceLog};
+use brokerd::{fault_edges, run_fleet, run_fleet_traced, FleetConfig, FleetOutcome, NodeConfig};
 use simkit::faults::FaultPlan;
 use simkit::hash::{fnv1a, FNV_OFFSET};
 use simkit::shard::ShardConfig;
 use simkit::{SimDuration, SimTime};
+use tracekit::{assemble, Breakup, Stage};
 
 /// Engine shard count of the big fleet run.
 const SHARDS: u32 = 8;
@@ -78,7 +78,7 @@ impl Scenario for BrokerLoad {
 
     fn run(&self, ctx: &mut RunCtx) {
         let cfg = big_fleet(self.seed(), SHARDS, THREADS);
-        let (out, profile) = run_fleet_profiled(&cfg);
+        let (out, profile, trace) = run_fleet_traced(&cfg);
         let horizon = FLEET_HORIZON_SECS as f64;
         ctx.tally_events(out.events, SimTime::from_secs(FLEET_HORIZON_SECS));
         obskit::count("broker_load_published", out.published);
@@ -90,7 +90,10 @@ impl Scenario for BrokerLoad {
         obskit::count("broker_load_gossip_sent", out.gossip_sent);
         obskit::count("broker_load_gossip_heard", out.gossip_heard);
         obskit::count("broker_load_trace_spans", out.trace_spans);
-        obskit::gauge("broker_load_queue_peak_max", profile.max_queue_peak() as f64);
+        obskit::gauge(
+            "broker_load_queue_peak_max",
+            profile.max_queue_peak() as f64,
+        );
         obskit::gauge("broker_load_merge_rounds", profile.rounds as f64);
 
         ctx.note(format!(
@@ -107,9 +110,14 @@ impl Scenario for BrokerLoad {
         // (near-)exactly. `abs_tol 0.4` keeps the band non-degenerate for
         // the schema test while failing on any integer drift.
         ctx.push(
-            Measurement::scalar("devices", "device population", Unit::Count, FLEET_DEVICES as f64)
-                .with_gate_rel_tol(0.0)
-                .with_gate_abs_tol(0.4),
+            Measurement::scalar(
+                "devices",
+                "device population",
+                Unit::Count,
+                FLEET_DEVICES as f64,
+            )
+            .with_gate_rel_tol(0.0)
+            .with_gate_abs_tol(0.4),
         );
         ctx.push(
             Measurement::scalar(
@@ -243,7 +251,7 @@ impl Scenario for BrokerLoad {
         // along every delivery critical path. Pure functions of the
         // seed — the trace log is partition-invariant — so the rows pin
         // near-exactly like the counters above.
-        let breakup = Breakup::of(&assemble(&out.trace));
+        let breakup = Breakup::of(&assemble(&trace));
         ctx.push(
             Measurement::scalar(
                 "trace_spans",
@@ -367,7 +375,6 @@ impl Scenario for BrokerLoad {
         let untraced_part = |out: &FleetOutcome| FleetOutcome {
             trace_spans: 0,
             trace_digest: 0,
-            trace: TraceLog::new(),
             ..out.clone()
         };
         ctx.push(

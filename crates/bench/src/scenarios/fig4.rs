@@ -56,18 +56,22 @@ impl Scenario for Fig4PowerTrace {
         for k in 0..5u64 {
             let cell = cell.clone();
             let completed = completed.clone();
-            tb.sim.schedule_at(t0 + SimDuration::from_secs(60 + 180 * k), move || {
-                let spec = InfraSpec {
-                    cxt_type: "temperature".into(),
-                    max_items: 1,
-                    ..Default::default()
-                };
-                let completed = completed.clone();
-                cell.fetch(&spec, Box::new(move |res| {
-                    assert!(!res.expect("fetch ok").is_empty());
-                    completed.set(completed.get() + 1);
-                }));
-            });
+            tb.sim
+                .schedule_at(t0 + SimDuration::from_secs(60 + 180 * k), move || {
+                    let spec = InfraSpec {
+                        cxt_type: "temperature".into(),
+                        max_items: 1,
+                        ..Default::default()
+                    };
+                    let completed = completed.clone();
+                    cell.fetch(
+                        &spec,
+                        Box::new(move |res| {
+                            assert!(!res.expect("fetch ok").is_empty());
+                            completed.set(completed.get() + 1);
+                        }),
+                    );
+                });
         }
         tb.sim.run_for(SimDuration::from_secs(15 * 60));
         ctx.check_band(
@@ -81,10 +85,7 @@ impl Scenario for Fig4PowerTrace {
 
         let trace = phone.phone().power().trace_snapshot();
         let t_end = tb.sim.now();
-        ctx.artifact(
-            "power trace (ASCII)",
-            trace.ascii_plot(t0, t_end, 110, 16),
-        );
+        ctx.artifact("power trace (ASCII)", trace.ascii_plot(t0, t_end, 110, 16));
 
         // Quantitative shape checks.
         let peak = trace.max_value().unwrap_or(0.0);
@@ -118,20 +119,24 @@ impl Scenario for Fig4PowerTrace {
         );
         let mean = trace.mean_between(t0, t_end);
         let energy_j = trace.integrate(t0, t_end) / 1_000.0;
-        ctx.push(
-            Measurement::scalar("mean_power_mw", "mean power over the 15 min test", Unit::Milliwatts, mean),
-        );
-        ctx.push(
-            Measurement::scalar("total_energy_j", "total energy over the test", Unit::Joules, energy_j),
-        );
-        ctx.push(
-            Measurement::scalar(
-                "energy_per_query_j",
-                "energy per query incl. idle floor",
-                Unit::JoulesPerItem,
-                energy_j / 5.0,
-            ),
-        );
+        ctx.push(Measurement::scalar(
+            "mean_power_mw",
+            "mean power over the 15 min test",
+            Unit::Milliwatts,
+            mean,
+        ));
+        ctx.push(Measurement::scalar(
+            "total_energy_j",
+            "total energy over the test",
+            Unit::Joules,
+            energy_j,
+        ));
+        ctx.push(Measurement::scalar(
+            "energy_per_query_j",
+            "energy per query incl. idle floor",
+            Unit::JoulesPerItem,
+            energy_j / 5.0,
+        ));
         // Count distinct high-power episodes (the five query peaks).
         let mut episodes = 0u32;
         let mut above = false;

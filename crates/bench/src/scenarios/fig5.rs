@@ -22,6 +22,9 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use testbed::{PhoneSetup, Testbed};
 
+/// The mechanism serving the query at each sampled instant.
+type Timeline = Rc<RefCell<Vec<(SimTime, Option<Mechanism>)>>>;
+
 /// Fig. 5 scenario.
 pub struct Fig5Failover;
 
@@ -56,16 +59,17 @@ impl Scenario for Fig5Failover {
             let world = tb.world.clone();
             let node = neighbor.node();
             let sim = tb.sim.clone();
-            tb.sim.schedule_repeating(SimDuration::from_secs(10), move || {
-                let p = world.position_of(node).expect("node placed");
-                let _ = factory.publish_cxt_item(
-                    CxtItem::new("location", CxtValue::Position { x: p.x, y: p.y }, sim.now())
-                        .with_accuracy(30.0)
-                        .with_trust(Trust::Community),
-                    None,
-                );
-                true
-            });
+            tb.sim
+                .schedule_repeating(SimDuration::from_secs(10), move || {
+                    let p = world.position_of(node).expect("node placed");
+                    let _ = factory.publish_cxt_item(
+                        CxtItem::new("location", CxtValue::Position { x: p.x, y: p.y }, sim.now())
+                            .with_accuracy(30.0)
+                            .with_trust(Trust::Community),
+                        None,
+                    );
+                    true
+                });
         }
 
         // Resource gauges sampled on sim ticks for the metrics snapshot.
@@ -83,16 +87,18 @@ impl Scenario for Fig5Failover {
             .expect("query accepted");
 
         // Record the mechanism timeline while the scenario plays out.
-        let timeline: Rc<RefCell<Vec<(SimTime, Option<Mechanism>)>>> =
-            Rc::new(RefCell::new(Vec::new()));
+        let timeline: Timeline = Rc::new(RefCell::new(Vec::new()));
         {
             let timeline = timeline.clone();
             let factory = phone.factory().clone();
             let sim = tb.sim.clone();
-            tb.sim.schedule_repeating(SimDuration::from_secs(1), move || {
-                timeline.borrow_mut().push((sim.now(), factory.mechanism_of(id)));
-                true
-            });
+            tb.sim
+                .schedule_repeating(SimDuration::from_secs(1), move || {
+                    timeline
+                        .borrow_mut()
+                        .push((sim.now(), factory.mechanism_of(id)));
+                    true
+                });
         }
 
         // Scripted fault: the GPS puck is dark between t = 155 s and
@@ -120,10 +126,14 @@ impl Scenario for Fig5Failover {
         let mut timeline_lines = vec!["provisioning timeline:".to_owned()];
         for (t, m) in timeline.borrow().iter() {
             if *m != last {
-                timeline_lines.push(format!("  t={:>7}  ->  {}", t.to_string(), match m {
-                    Some(m) => m.to_string(),
-                    None => "(none)".to_owned(),
-                }));
+                timeline_lines.push(format!(
+                    "  t={:>7}  ->  {}",
+                    t.to_string(),
+                    match m {
+                        Some(m) => m.to_string(),
+                        None => "(none)".to_owned(),
+                    }
+                ));
                 switch_times.push((*t, *m));
                 last = *m;
             }
@@ -190,7 +200,11 @@ impl Scenario for Fig5Failover {
         // Switch cost: mean extra power during the two switch windows (the
         // paper attributes 163-292 mW to BT device discovery).
         for (mid, label, from) in [
-            ("switch_cost_failover_mw", "mean power around the failover switch", to_adhoc),
+            (
+                "switch_cost_failover_mw",
+                "mean power around the failover switch",
+                to_adhoc,
+            ),
             (
                 "switch_cost_recovery_mw",
                 "mean power around the recovery switch",

@@ -74,9 +74,14 @@ impl Scenario for IdlePower {
 
         let dark = measure_mode(ctx, |_s, _p| {});
         ctx.push(
-            Measurement::scalar("idle_dark", "display + back-light off", Unit::Milliwatts, dark)
-                .with_paper(5.75)
-                .with_paper_tol(0.01),
+            Measurement::scalar(
+                "idle_dark",
+                "display + back-light off",
+                Unit::Milliwatts,
+                dark,
+            )
+            .with_paper(5.75)
+            .with_paper_tol(0.01),
         );
 
         // BT page/inquiry scan: attach a radio (discoverable by default).
@@ -93,9 +98,14 @@ impl Scenario for IdlePower {
             probe.mean_power().0
         };
         ctx.push(
-            Measurement::scalar("idle_bt_scan", "+ BT page/inquiry scan", Unit::Milliwatts, bt_scan)
-                .with_paper(8.47)
-                .with_paper_tol(0.01),
+            Measurement::scalar(
+                "idle_bt_scan",
+                "+ BT page/inquiry scan",
+                Unit::Milliwatts,
+                bt_scan,
+            )
+            .with_paper(8.47)
+            .with_paper_tol(0.01),
         );
 
         let with_contory = {
@@ -110,9 +120,14 @@ impl Scenario for IdlePower {
             probe.mean_power().0
         };
         ctx.push(
-            Measurement::scalar("idle_contory", "+ Contory running", Unit::Milliwatts, with_contory)
-                .with_paper(10.11)
-                .with_paper_tol(0.01),
+            Measurement::scalar(
+                "idle_contory",
+                "+ Contory running",
+                Unit::Milliwatts,
+                with_contory,
+            )
+            .with_paper(10.11)
+            .with_paper_tol(0.01),
         );
 
         // WiFi connected at full signal, back-light on.

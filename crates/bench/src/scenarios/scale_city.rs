@@ -225,9 +225,14 @@ impl Scenario for ScaleCity {
         // the band non-degenerate for the schema test while still failing
         // on any integer drift.
         ctx.push(
-            Measurement::scalar("devices", "device population", Unit::Count, CITY_DEVICES as f64)
-                .with_gate_rel_tol(0.0)
-                .with_gate_abs_tol(0.4),
+            Measurement::scalar(
+                "devices",
+                "device population",
+                Unit::Count,
+                CITY_DEVICES as f64,
+            )
+            .with_gate_rel_tol(0.0)
+            .with_gate_abs_tol(0.4),
         );
         ctx.push(
             Measurement::scalar(
@@ -377,7 +382,11 @@ mod tests {
     fn outcome_is_partition_invariant() {
         let reference = tiny(1, 1);
         for (shards, threads) in [(2, 1), (4, 2), (16, 4), (64, ShardConfig::max_threads())] {
-            assert_eq!(tiny(shards, threads), reference, "{shards}x{threads} diverged");
+            assert_eq!(
+                tiny(shards, threads),
+                reference,
+                "{shards}x{threads} diverged"
+            );
         }
     }
 

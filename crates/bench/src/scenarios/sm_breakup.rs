@@ -55,7 +55,12 @@ impl Scenario for SmBreakup {
         let issuer = p.issuer_serialize.as_secs_f64() + p.issuer_thread.as_secs_f64();
         let total = issuer + 2.0 * (per_connect + per_serialize + per_transfer + per_thread);
         let model_shares = [
-            ("model_share_connect", "model: connection establishment", 100.0 * 2.0 * per_connect / total, "4-5%"),
+            (
+                "model_share_connect",
+                "model: connection establishment",
+                100.0 * 2.0 * per_connect / total,
+                "4-5%",
+            ),
             (
                 "model_share_serialize",
                 "model: serialization",
@@ -68,7 +73,12 @@ impl Scenario for SmBreakup {
                 100.0 * (p.issuer_thread.as_secs_f64() + 2.0 * per_thread) / total,
                 "12-14%",
             ),
-            ("model_share_transfer", "model: transfer time", 100.0 * 2.0 * per_transfer / total, "51-54%"),
+            (
+                "model_share_transfer",
+                "model: transfer time",
+                100.0 * 2.0 * per_transfer / total,
+                "51-54%",
+            ),
         ];
         for (id, label, share, band) in model_shares {
             ctx.push(
@@ -283,16 +293,42 @@ impl Scenario for SmBreakup {
             let root = obs
                 .spans()
                 .into_iter()
-                .filter(|s| s.phase == obskit::Phase::Migrate && s.label.starts_with("sm:"))
-                .next_back()
+                .rfind(|s| s.phase == obskit::Phase::Migrate && s.label.starts_with("sm:"))
                 .expect("SM root span recorded");
             let breakup = obs.breakup_under(root.id);
-            ctx.artifact("span-measured break-up (one hop, warm code cache)", breakup.table());
+            ctx.artifact(
+                "span-measured break-up (one hop, warm code cache)",
+                breakup.table(),
+            );
             let bands: [(obskit::Phase, &str, &str, f64, f64); 4] = [
-                (obskit::Phase::Connect, "obs_share_connect", "connection establishment", 4.0, 5.0),
-                (obskit::Phase::Serialize, "obs_share_serialize", "serialization", 26.0, 33.0),
-                (obskit::Phase::ThreadSwitch, "obs_share_thread", "thread switching", 12.0, 14.0),
-                (obskit::Phase::Transfer, "obs_share_transfer", "transfer time", 51.0, 54.0),
+                (
+                    obskit::Phase::Connect,
+                    "obs_share_connect",
+                    "connection establishment",
+                    4.0,
+                    5.0,
+                ),
+                (
+                    obskit::Phase::Serialize,
+                    "obs_share_serialize",
+                    "serialization",
+                    26.0,
+                    33.0,
+                ),
+                (
+                    obskit::Phase::ThreadSwitch,
+                    "obs_share_thread",
+                    "thread switching",
+                    12.0,
+                    14.0,
+                ),
+                (
+                    obskit::Phase::Transfer,
+                    "obs_share_transfer",
+                    "transfer time",
+                    51.0,
+                    54.0,
+                ),
             ];
             const TOLERANCE_PP: f64 = 3.0;
             for (phase, id, label, lo, hi) in bands {

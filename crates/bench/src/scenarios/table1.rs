@@ -30,7 +30,11 @@ pub(crate) fn light_item(now: simkit::SimTime) -> CxtItem {
     item.metadata.precision = Some(0.5);
     item.metadata.completeness = Some(1.0);
     item.metadata.privacy = Some("community".into());
-    debug_assert!((130..=142).contains(&item.wire_size()), "{}", item.wire_size());
+    debug_assert!(
+        (130..=142).contains(&item.wire_size()),
+        "{}",
+        item.wire_size()
+    );
     item
 }
 
@@ -66,10 +70,13 @@ impl Scenario for Table1Latency {
             });
             let internal = phone.internal_reference().expect("sensor configured");
             let s = measure_async(&tb.sim, REPS, SimDuration::from_millis(10), |_i, done| {
-                internal.sample("light", Box::new(move |res| {
-                    res.expect("sample ok");
-                    done();
-                }));
+                internal.sample(
+                    "light",
+                    Box::new(move |res| {
+                        res.expect("sample ok");
+                        done();
+                    }),
+                );
             });
             ctx.tally_sim(&tb.sim);
             s
@@ -90,13 +97,22 @@ impl Scenario for Table1Latency {
             });
             let bt = phone.bt_reference();
             let sim = tb.sim.clone();
-            let s = measure_async(&tb.sim, REPS, SimDuration::from_millis(50), move |_i, done| {
-                let item = light_item(sim.now());
-                bt.publish(&item, None, Box::new(move |res| {
-                    res.expect("publish ok");
-                    done();
-                }));
-            });
+            let s = measure_async(
+                &tb.sim,
+                REPS,
+                SimDuration::from_millis(50),
+                move |_i, done| {
+                    let item = light_item(sim.now());
+                    bt.publish(
+                        &item,
+                        None,
+                        Box::new(move |res| {
+                            res.expect("publish ok");
+                            done();
+                        }),
+                    );
+                },
+            );
             ctx.tally_sim(&tb.sim);
             s
         };
@@ -120,14 +136,23 @@ impl Scenario for Table1Latency {
             tb.sim.run_for(SimDuration::from_secs(40)); // join + startup
             let wifi = phone.wifi_reference().expect("communicator");
             let sim = tb.sim.clone();
-            let s = measure_async(&tb.sim, REPS, SimDuration::from_millis(10), move |_i, done| {
-                let item = light_item(sim.now());
-                use contory::refs::WifiReference;
-                wifi.publish(&item, None, Box::new(move |res| {
-                    res.expect("publish ok");
-                    done();
-                }));
-            });
+            let s = measure_async(
+                &tb.sim,
+                REPS,
+                SimDuration::from_millis(10),
+                move |_i, done| {
+                    let item = light_item(sim.now());
+                    use contory::refs::WifiReference;
+                    wifi.publish(
+                        &item,
+                        None,
+                        Box::new(move |res| {
+                            res.expect("publish ok");
+                            done();
+                        }),
+                    );
+                },
+            );
             ctx.tally_sim(&tb.sim);
             s
         };
@@ -152,17 +177,24 @@ impl Scenario for Table1Latency {
                 ..PhoneSetup::nokia6630("p", Position::new(0.0, 0.0))
             });
             let fuego = phone.fuego().expect("fuego client").clone();
-            let s = measure_async(&tb.sim, REPS, SimDuration::from_secs(30), move |_i, done| {
-                // A context item encapsulated in a 1696-byte event notification.
-                let ev = fuego.make_event(
-                    "cxt/light",
-                    XmlElement::new("cxtItem").attr("type", "light").text("740.5"),
-                );
-                fuego.publish(ev, move |res| {
-                    res.expect("uplink ok");
-                    done();
-                });
-            });
+            let s = measure_async(
+                &tb.sim,
+                REPS,
+                SimDuration::from_secs(30),
+                move |_i, done| {
+                    // A context item encapsulated in a 1696-byte event notification.
+                    let ev = fuego.make_event(
+                        "cxt/light",
+                        XmlElement::new("cxtItem")
+                            .attr("type", "light")
+                            .text("740.5"),
+                    );
+                    fuego.publish(ev, move |res| {
+                        res.expect("uplink ok");
+                        done();
+                    });
+                },
+            );
             ctx.tally_sim(&tb.sim);
             s
         };
@@ -197,9 +229,14 @@ impl Scenario for Table1Latency {
             s
         };
         ctx.push(
-            Measurement::from_summary("create_cxt_query", "createCxtQuery", Unit::Millis, &create_query)
-                .with_paper_text("(cell empty in source)")
-                .with_note("modeled: createCxtItem x 205B/136B"),
+            Measurement::from_summary(
+                "create_cxt_query",
+                "createCxtQuery",
+                Unit::Millis,
+                &create_query,
+            )
+            .with_paper_text("(cell empty in source)")
+            .with_note("modeled: createCxtItem x 205B/136B"),
         );
 
         // ---------------- getCxtItem, BT one hop ----------------
@@ -226,17 +263,23 @@ impl Scenario for Table1Latency {
             {
                 let done = std::rc::Rc::new(std::cell::Cell::new(false));
                 let d = done.clone();
-                bt.adhoc_round(&AdHocSpec::one_hop("light"), Box::new(move |res| {
-                    assert_eq!(res.expect("round ok").len(), 1);
-                    d.set(true);
-                }));
+                bt.adhoc_round(
+                    &AdHocSpec::one_hop("light"),
+                    Box::new(move |res| {
+                        assert_eq!(res.expect("round ok").len(), 1);
+                        d.set(true);
+                    }),
+                );
                 testbed::run_until_flag(&tb.sim, &done, SimDuration::from_secs(60));
             }
             let s = measure_async(&tb.sim, REPS, SimDuration::from_secs(2), move |_i, done| {
-                bt.adhoc_round(&AdHocSpec::one_hop("light"), Box::new(move |res| {
-                    assert!(!res.expect("round ok").is_empty());
-                    done();
-                }));
+                bt.adhoc_round(
+                    &AdHocSpec::one_hop("light"),
+                    Box::new(move |res| {
+                        assert!(!res.expect("round ok").is_empty());
+                        done();
+                    }),
+                );
             });
             ctx.tally_sim(&tb.sim);
             s
@@ -280,18 +323,24 @@ impl Scenario for Table1Latency {
                     let done = std::rc::Rc::new(std::cell::Cell::new(false));
                     let d = done.clone();
                     let s = spec.clone();
-                    wifi.adhoc_round(&s, Box::new(move |res| {
-                        assert_eq!(res.expect("round ok").len(), 1);
-                        d.set(true);
-                    }));
+                    wifi.adhoc_round(
+                        &s,
+                        Box::new(move |res| {
+                            assert_eq!(res.expect("round ok").len(), 1);
+                            d.set(true);
+                        }),
+                    );
                     testbed::run_until_flag(&tb.sim, &done, SimDuration::from_secs(60));
                 }
                 let s = measure_async(&tb.sim, REPS, SimDuration::from_secs(1), move |_i, done| {
                     use contory::refs::WifiReference;
-                    wifi.adhoc_round(&spec, Box::new(move |res| {
-                        assert!(!res.expect("round ok").is_empty());
-                        done();
-                    }));
+                    wifi.adhoc_round(
+                        &spec,
+                        Box::new(move |res| {
+                            assert!(!res.expect("round ok").is_empty());
+                            done();
+                        }),
+                    );
                 });
                 ctx.tally_sim(&tb.sim);
                 s
@@ -342,13 +391,21 @@ impl Scenario for Table1Latency {
                 max_items: 1,
                 ..Default::default()
             };
-            let s = measure_async(&tb.sim, REPS, SimDuration::from_secs(30), move |_i, done| {
-                use contory::refs::CellReference;
-                cell.fetch(&spec, Box::new(move |res| {
-                    assert!(!res.expect("fetch ok").is_empty());
-                    done();
-                }));
-            });
+            let s = measure_async(
+                &tb.sim,
+                REPS,
+                SimDuration::from_secs(30),
+                move |_i, done| {
+                    use contory::refs::CellReference;
+                    cell.fetch(
+                        &spec,
+                        Box::new(move |res| {
+                            assert!(!res.expect("fetch ok").is_empty());
+                            done();
+                        }),
+                    );
+                },
+            );
             ctx.tally_sim(&tb.sim);
             s
         };

@@ -31,20 +31,26 @@ fn idle_floor(sim: &Sim, phone: &phone::Phone) -> Milliwatts {
 fn round_once(sim: &Sim, bt: &Rc<testbed::SimBtReference>) {
     let done = Rc::new(Cell::new(false));
     let d = done.clone();
-    bt.adhoc_round(&AdHocSpec::one_hop("light"), Box::new(move |res| {
-        assert!(!res.expect("round ok").is_empty(), "provider must answer");
-        d.set(true);
-    }));
+    bt.adhoc_round(
+        &AdHocSpec::one_hop("light"),
+        Box::new(move |res| {
+            assert!(!res.expect("round ok").is_empty(), "provider must answer");
+            d.set(true);
+        }),
+    );
     testbed::run_until_flag(sim, &done, SimDuration::from_secs(60));
 }
 
 fn wifi_round_once(sim: &Sim, wifi: &Rc<testbed::SimWifiReference>, spec: &AdHocSpec) {
     let done = Rc::new(Cell::new(false));
     let d = done.clone();
-    wifi.adhoc_round(spec, Box::new(move |res| {
-        assert!(!res.expect("round ok").is_empty(), "provider must answer");
-        d.set(true);
-    }));
+    wifi.adhoc_round(
+        spec,
+        Box::new(move |res| {
+            assert!(!res.expect("round ok").is_empty(), "provider must answer");
+            d.set(true);
+        }),
+    );
     testbed::run_until_flag(sim, &done, SimDuration::from_secs(60));
 }
 
@@ -336,10 +342,13 @@ impl Scenario for Table2Energy {
                 let probe = EnergyProbe::start(&tb.sim, phone.phone());
                 let done = Rc::new(Cell::new(false));
                 let d = done.clone();
-                cell.fetch(&spec, Box::new(move |res| {
-                    assert!(!res.expect("fetch ok").is_empty());
-                    d.set(true);
-                }));
+                cell.fetch(
+                    &spec,
+                    Box::new(move |res| {
+                        assert!(!res.expect("fetch ok").is_empty());
+                        d.set(true);
+                    }),
+                );
                 testbed::run_until_flag(&tb.sim, &done, SimDuration::from_secs(60));
                 // Let the DCH and FACH tails drain (this *is* most of the cost).
                 tb.sim.run_for(SimDuration::from_secs(60));

@@ -1,11 +1,11 @@
 //! The federation plane: load gossip and peer views.
 //!
 //! Brokers periodically exchange [`LoadDigest`]s — tiny summaries of
-//! queue depth, subscription count and a fingerprint of the sender's
-//! subscription table. Each broker keeps a [`PeerView`], the set of
-//! peers it forwards published context to, and adopts every sender it
-//! hears into it; the table fingerprints feed the anti-entropy
-//! directory (`BrokerNode::hear_gossip`).
+//! subscription count and a fingerprint of the sender's subscription
+//! table. Each broker keeps a [`PeerView`], the set of peers it forwards
+//! published context to, and adopts every sender it hears into it; the
+//! table fingerprints feed the anti-entropy directory
+//! (`BrokerNode::hear_gossip`).
 
 use crate::packet::BrokerId;
 use simkit::SimTime;
@@ -17,8 +17,6 @@ use tracekit::TraceCtx;
 pub struct LoadDigest {
     /// Originating broker.
     pub broker: BrokerId,
-    /// Inbox depth at digest time.
-    pub queue_depth: u64,
     /// Live subscriptions at digest time.
     pub subscriptions: u64,
     /// When the digest was produced.

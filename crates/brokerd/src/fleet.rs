@@ -41,12 +41,15 @@ const GOSSIP_EVERY: SimDuration = SimDuration::from_secs(5);
 
 /// Fleet scenario configuration.
 ///
-/// Actor ids (`brokers + devices`) and the publishes one device can make
-/// (at most `run_for / (publish_period / 2) + 1`, since publish gaps are
-/// at least three quarters of the period) must fit in `u32`: devices
-/// record their id as a `u32` trace node and key each arrival by
-/// `(origin, n)` in one `u64`. [`run_fleet`] checks both before it
-/// starts and panics on a larger fleet.
+/// Devices key each arrival by `(origin, n)` in one `u32`, as
+/// `origin × (max_publishes + 1) + n`, where `max_publishes` is the most
+/// publishes one device can make: `run_for / (publish_period / 2) + 1`,
+/// since publish gaps are at least three quarters of the period. So the
+/// actor count (`brokers + devices`) times `max_publishes + 1` must be
+/// at most 2^32, which also keeps every actor id a `u32` trace node. A
+/// zero `publish_period` bounds no publish count and never fits.
+/// [`run_fleet`] checks this before it starts and panics on a larger
+/// fleet.
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
     /// Master seed.
@@ -99,6 +102,15 @@ impl FleetConfig {
             0 => u64::MAX,
             period => self.run_for.as_micros() / (period / 2).max(1) + 1,
         }
+    }
+
+    /// The stride of this fleet's arrival keys, `max_publishes + 1`, when
+    /// every key fits in `u32` (`actors × stride ≤ 2^32`, see the type's
+    /// docs); `None` for a larger fleet or a zero publish period.
+    fn arrival_stride(&self) -> Option<u64> {
+        let stride = self.max_publishes().checked_add(1)?;
+        let actors = u64::from(self.brokers.max(1)).checked_add(self.devices)?;
+        (actors.checked_mul(stride)? <= 1 << 32).then_some(stride)
     }
 }
 
@@ -277,7 +289,7 @@ struct DeviceState {
     /// exactly; the chaos scenario pins that count to zero fleet-wide.
     /// Periodic re-delivery of retained context is intentional, so only
     /// event/one-shot devices record.
-    arrivals: Vec<u64>,
+    arrivals: Vec<u32>,
     /// Device-side hop spans (publish roots, delivery terminals).
     /// Plain `Send` data: shard workers record locally, the fold below
     /// merges in actor order.
@@ -431,15 +443,14 @@ pub struct FleetOutcome {
     /// two runs with the same script share it whatever they delivered.
     /// The counters above and `trace_digest` witness the traffic.
     pub digest: u64,
-    /// Hop spans recorded across all actors (sampled traces only).
+    /// Hop spans recorded across all actors (sampled traces only): the
+    /// sum of the per-actor logs' lengths.
     pub trace_spans: u64,
-    /// Order-independent digest of every hop event in `trace`
-    /// ([`TraceLog::digest`]); `trace.export_jsonl()` is the byte-level
-    /// witness.
+    /// Order-independent digest of every hop event: the wrapping sum of
+    /// the per-actor logs' [`TraceLog::digest`], which equals the merged
+    /// log's. [`run_fleet_traced`] returns that log, whose
+    /// `export_jsonl()` is the byte-level witness.
     pub trace_digest: u64,
-    /// The folded trace log itself (brokers then devices, actor-id
-    /// order), ready for [`tracekit::assemble`]/[`tracekit::Breakup`].
-    pub trace: TraceLog,
 }
 
 impl FleetOutcome {
@@ -497,17 +508,18 @@ impl FleetOutcome {
     }
 }
 
-/// A delivery's `(origin, n)` in one word: the origin in the high 32 bits
-/// and `n` in the low 32. Exact for every seq a fleet carries: devices
-/// mint them as `(actor id, publish count)`, forwards keep them verbatim,
-/// and [`run_fleet`] checks that both fit in `u32`.
-fn arrival_key(seq: PacketSeq) -> u64 {
-    seq.origin << 32 | seq.n
+/// A delivery's `(origin, n)` in one `u32`: `origin × stride + n`, where
+/// `stride` is the fleet's `max_publishes + 1`. Exact for every seq a
+/// fleet carries: devices mint them as `(actor id, publish count)` with
+/// `1 ≤ n ≤ max_publishes`, forwards keep them verbatim, and
+/// [`run_fleet`] checks that `actors × stride ≤ 2^32`.
+fn arrival_key(seq: PacketSeq, stride: u64) -> u32 {
+    (seq.origin * stride + seq.n) as u32
 }
 
 /// Copies of an arrival key beyond its first in `seen`: sorts a copy in
 /// `scratch` (reused across calls) and counts what `dedup` removes.
-fn repeats(seen: &[u64], scratch: &mut Vec<u64>) -> u64 {
+fn repeats(seen: &[u32], scratch: &mut Vec<u32>) -> u64 {
     scratch.clear();
     scratch.extend_from_slice(seen);
     scratch.sort_unstable();
@@ -525,7 +537,7 @@ fn broker_actor(b: u16) -> ActorId {
 
 /// Runs one fleet scenario to completion.
 pub fn run_fleet(cfg: &FleetConfig) -> FleetOutcome {
-    run_fleet_profiled(cfg).0
+    simulate(cfg, false).0
 }
 
 /// Runs one fleet scenario and also returns the engine's self-profile
@@ -533,6 +545,33 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetOutcome {
 /// The profile describes the physical layout and is deliberately kept
 /// **outside** the equality-compared [`FleetOutcome`].
 pub fn run_fleet_profiled(cfg: &FleetConfig) -> (FleetOutcome, EngineProfile) {
+    let (out, profile, _) = simulate(cfg, false);
+    (out, profile)
+}
+
+/// Runs one fleet scenario and also returns, beside its outcome and
+/// profile, the merged trace log: every actor's hop events, brokers then
+/// devices in actor-id order, ready for
+/// [`tracekit::assemble`]/[`tracekit::Breakup`]. Its `len()` and
+/// `digest()` are the outcome's `trace_spans` and `trace_digest`.
+pub fn run_fleet_traced(cfg: &FleetConfig) -> (FleetOutcome, EngineProfile, TraceLog) {
+    simulate(cfg, true)
+}
+
+/// The one fleet run behind the three entry points; `merge_trace` says
+/// whether the caller reads the merged trace log (otherwise it comes
+/// back empty).
+fn simulate(cfg: &FleetConfig, merge_trace: bool) -> (FleetOutcome, EngineProfile, TraceLog) {
+    let stride = cfg.arrival_stride();
+    assert!(
+        stride.is_some(),
+        "a fleet's arrival keys must fit in u32, but {} brokers and {} devices with up \
+         to {} publishes a device need more than 2^32",
+        cfg.brokers,
+        cfg.devices,
+        cfg.max_publishes()
+    );
+    let stride = stride.unwrap_or_default();
     let brokers = cfg.brokers.max(1);
     let node_cfg = cfg.node.clone();
     let restart_cfg = cfg.node.clone();
@@ -815,7 +854,7 @@ pub fn run_fleet_profiled(cfg: &FleetConfig) -> (FleetOutcome, EngineProfile) {
                     // design; event/one-shot devices must see each
                     // `(origin, seq)` exactly once, chaos or not.
                     if dev.mode_tag != 0 && packet.seq.is_some() {
-                        dev.arrivals.push(arrival_key(packet.seq));
+                        dev.arrivals.push(arrival_key(packet.seq, stride));
                     }
                     let latency = ctx.now().since(packet.published_at);
                     dev.fanout_us.record(latency.as_micros());
@@ -862,15 +901,6 @@ pub fn run_fleet_profiled(cfg: &FleetConfig) -> (FleetOutcome, EngineProfile) {
             })),
         );
     }
-    // Device trace nodes are `u32`s, and an arrival key packs two (see
-    // FleetConfig).
-    let actors = u64::from(brokers) + cfg.devices;
-    assert!(
-        actors <= u64::from(u32::MAX) && cfg.max_publishes() <= u64::from(u32::MAX),
-        "a fleet's actor ids and per-device publishes must fit in u32: \
-         {actors} actors, up to {} publishes a device",
-        cfg.max_publishes()
-    );
     for d in 0..cfg.devices {
         let id = ActorId(u64::from(brokers) + d);
         let home = (d % u64::from(brokers)) as u16;
@@ -930,17 +960,30 @@ pub fn run_fleet_profiled(cfg: &FleetConfig) -> (FleetOutcome, EngineProfile) {
 
     // Fold outcomes in actor-id order — deterministic by construction.
     let mut out = FleetOutcome::default();
-    // Size the merged trace once: a log grown by doubling would hold up
-    // to twice its events and copy them at every growth step.
-    let mut events = 0;
-    for a in 0..actors {
-        events += match sim.actor_state(ActorId(a)) {
-            Some(FleetActor::Broker(st)) => st.carried_trace.len() + st.node.trace_log().len(),
-            Some(FleetActor::Device(dev)) => dev.trace.len(),
-            None => 0,
-        };
+    let mut trace = TraceLog::new();
+    if merge_trace {
+        // Size the merged trace once: a log grown by doubling would hold
+        // up to twice its events and copy them at every growth step.
+        let mut events = 0;
+        for a in 0..u64::from(brokers) + cfg.devices {
+            events += match sim.actor_state(ActorId(a)) {
+                Some(FleetActor::Broker(st)) => st.carried_trace.len() + st.node.trace_log().len(),
+                Some(FleetActor::Device(dev)) => dev.trace.len(),
+                None => 0,
+            };
+        }
+        trace.reserve_exact(events);
     }
-    out.trace.reserve_exact(events);
+    // Each actor's log adds its length and digest to the outcome; the
+    // digest sums one hash per event, so the total is invariant to the
+    // fold order and comparable across partition layouts.
+    let mut fold_log = |out: &mut FleetOutcome, log: &TraceLog| {
+        out.trace_spans += log.len() as u64;
+        out.trace_digest = out.trace_digest.wrapping_add(log.digest());
+        if merge_trace {
+            trace.merge(log);
+        }
+    };
     let mut fanout = Histogram::new();
     let mut dirs: Vec<(u16, BTreeMap<BrokerId, DirEntry>)> = Vec::new();
     for b in 0..brokers {
@@ -969,8 +1012,8 @@ pub fn run_fleet_profiled(cfg: &FleetConfig) -> (FleetOutcome, EngineProfile) {
                 out.packets_delayed += ls.delayed;
             }
             dirs.push((b, st.node.directory().clone()));
-            out.trace.merge(&st.carried_trace);
-            out.trace.merge(st.node.trace_log());
+            fold_log(&mut out, &st.carried_trace);
+            fold_log(&mut out, st.node.trace_log());
         }
     }
     // Anti-entropy witness: for every broker X, every *other* broker's
@@ -999,7 +1042,7 @@ pub fn run_fleet_profiled(cfg: &FleetConfig) -> (FleetOutcome, EngineProfile) {
             out.rehomes += dev.rehomes;
             out.duplicate_deliveries += repeats(&dev.arrivals, &mut scratch);
             fanout.merge(&dev.fanout_us);
-            out.trace.merge(&dev.trace);
+            fold_log(&mut out, &dev.trace);
         }
     }
     out.p50_fanout_us = fanout.quantile(0.50);
@@ -1007,11 +1050,7 @@ pub fn run_fleet_profiled(cfg: &FleetConfig) -> (FleetOutcome, EngineProfile) {
     out.events = sim.events_processed();
     out.messages = sim.messages_delivered();
     out.digest = sim.digest();
-    out.trace_spans = out.trace.len() as u64;
-    // The digest sums one hash per event, so it is invariant to the
-    // fold order above and comparable across partition layouts.
-    out.trace_digest = out.trace.digest();
-    (out, sim.profile().clone())
+    (out, sim.profile().clone(), trace)
 }
 
 #[cfg(test)]
@@ -1044,20 +1083,26 @@ mod tests {
     fn the_witness_counts_what_a_bounded_window_misjudges() {
         use crate::dedup::DedupWindow;
         let seq = PacketSeq::new;
-        let key = |origin, n| arrival_key(seq(origin, n));
+        // A fleet of 2^12 actors whose devices publish fewer than 2^20
+        // times: its keys fill `u32` exactly.
+        let stride = 1 << 20;
+        let key = |origin, n| arrival_key(seq(origin, n), stride);
         let mut scratch = Vec::new();
         assert_eq!(repeats(&[key(7, 1), key(9, 1), key(7, 1)], &mut scratch), 1);
         assert_eq!(repeats(&[key(7, 1); 3], &mut scratch), 2);
-        // Origin and `n` keep their own halves of the key.
-        let max = u64::from(u32::MAX);
-        let halves = [key(1, 2), key(2, 1), key(max, 1), key(1, max)];
-        assert_eq!(repeats(&halves, &mut scratch), 0);
-        assert_eq!(key(max, max), u64::MAX);
+        // Origin and `n` keep their own parts of the key.
+        let top = stride - 1;
+        let parts = [key(1, 2), key(2, 1), key(4095, 1), key(1, top), key(2, top)];
+        assert_eq!(repeats(&parts, &mut scratch), 0);
+        assert_eq!(key(4095, top), u32::MAX);
 
         // A straggler far behind its origin's newest packet is fresh,
         // but a window suppresses it as below its bitmap.
         let straggler = [seq(3, 1000), seq(3, 1)];
-        assert_eq!(repeats(&straggler.map(arrival_key), &mut scratch), 0);
+        assert_eq!(
+            repeats(&straggler.map(|s| arrival_key(s, stride)), &mut scratch),
+            0
+        );
         let mut window = DedupWindow::new(1024);
         for s in straggler {
             window.observe(s);
@@ -1069,13 +1114,54 @@ mod tests {
         let mut evicted = vec![seq(3, 1)];
         evicted.extend((100..1124).map(|o| seq(o, 1)));
         evicted.push(seq(3, 1));
-        let keys: Vec<u64> = evicted.iter().copied().map(arrival_key).collect();
+        let keys: Vec<u32> = evicted.iter().map(|s| arrival_key(*s, stride)).collect();
         assert_eq!(repeats(&keys, &mut scratch), 1);
         let mut window = DedupWindow::new(1024);
         for s in &evicted {
             window.observe(*s);
         }
         assert_eq!(window.suppressed(), 0);
+    }
+
+    #[test]
+    fn arrival_keys_are_distinct_inside_the_bound() {
+        // Small fleets: every `(origin, n)`, exhaustively.
+        let dense = FleetConfig {
+            devices: 5,
+            publish_period: SimDuration::from_micros(1),
+            run_for: SimDuration::from_micros(300),
+            ..small(3, 1, 1)
+        };
+        for cfg in [small(3, 1, 1), dense] {
+            let stride = cfg.arrival_stride().expect("a small fleet fits");
+            let (actors, most) = (u64::from(cfg.brokers) + cfg.devices, cfg.max_publishes());
+            let keys: BTreeSet<u32> = (0..actors)
+                .flat_map(|o| (1..=most).map(move |n| arrival_key(PacketSeq::new(o, n), stride)))
+                .collect();
+            assert_eq!(keys.len() as u64, actors * most);
+        }
+        // At the limit, `actors × stride = 2^32`: each origin's keys run
+        // from its first to its last without wrapping, below the next
+        // origin's first, and the very last is `u32::MAX`.
+        let edge = FleetConfig {
+            brokers: 4,
+            devices: 4092,
+            publish_period: SimDuration::from_micros(2),
+            run_for: SimDuration::from_micros((1 << 20) - 2),
+            ..small(3, 1, 1)
+        };
+        let stride = edge.arrival_stride().expect("the limit itself fits");
+        assert_eq!(stride, 1 << 20);
+        let most = edge.max_publishes();
+        let mut last = None;
+        for o in 0..4096 {
+            let first = arrival_key(PacketSeq::new(o, 1), stride);
+            let end = arrival_key(PacketSeq::new(o, most), stride);
+            assert!(last < Some(first), "origin {o} overlaps its predecessor");
+            assert_eq!(u64::from(end - first), most - 1, "origin {o} wrapped");
+            last = Some(end);
+        }
+        assert_eq!(last, Some(u32::MAX));
     }
 
     #[test]
@@ -1091,14 +1177,28 @@ mod tests {
             run_for: SimDuration::from_micros(1 << 32),
             ..small(3, 1, 1)
         };
-        for cfg in [&too_many, &too_long] {
+        // A zero period bounds no publish count.
+        let unbounded = FleetConfig {
+            publish_period: SimDuration::ZERO,
+            ..small(3, 1, 1)
+        };
+        // 4 actors at a key stride of 2^30 span 2^32 key values, exactly
+        // the limit.
+        let longest = FleetConfig {
+            run_for: SimDuration::from_micros((1 << 30) - 2),
+            ..too_long.clone()
+        };
+        assert_eq!(longest.max_publishes(), (1 << 30) - 1);
+        assert_eq!(longest.arrival_stride(), Some(1 << 30));
+        // One microsecond more allows one more publish, past the limit.
+        let past = FleetConfig {
+            run_for: SimDuration::from_micros((1 << 30) - 1),
+            ..longest
+        };
+        for cfg in [&too_many, &too_long, &unbounded, &past] {
+            assert_eq!(cfg.arrival_stride(), None);
             assert!(std::panic::catch_unwind(|| run_fleet(cfg)).is_err());
         }
-        let longest = FleetConfig {
-            run_for: SimDuration::from_micros((1 << 32) - 2),
-            ..too_long
-        };
-        assert_eq!(longest.max_publishes(), u64::from(u32::MAX));
     }
 
     #[test]
@@ -1132,10 +1232,13 @@ mod tests {
     fn fleet_traces_assemble_into_deliveries() {
         let mut cfg = small(7, 1, 1);
         cfg.node.trace_sample_log2 = 0; // sample every trace
-        let out = run_fleet(&cfg);
+        let (out, _, trace) = run_fleet_traced(&cfg);
         assert!(out.trace_spans > 0, "no spans recorded");
-        assert_eq!(out.trace_digest, out.trace.digest());
-        let trees = tracekit::assemble(&out.trace);
+        assert_eq!(out.trace_spans, trace.len() as u64);
+        assert_eq!(out.trace_digest, trace.digest());
+        // Merging the log is all the traced entry point adds.
+        assert_eq!(run_fleet(&cfg), out);
+        let trees = tracekit::assemble(&trace);
         let breakup = tracekit::Breakup::of(&trees);
         assert!(breakup.deliveries() > 0, "no traced delivery paths");
         // Sampled-down runs record strictly fewer spans.

@@ -52,7 +52,7 @@ pub use dedup::{DedupWindow, SeqVerdict, SEQ_WINDOW};
 pub use federation::{LoadDigest, PeerView};
 pub use fleet::{
     fault_edges, link_faults, link_label, restart_edges, run_fleet, run_fleet_profiled,
-    FleetConfig, FleetEvent, FleetOutcome,
+    run_fleet_traced, FleetConfig, FleetEvent, FleetOutcome,
 };
 pub use node::{Admitted, BrokerNode, DirEntry, Effect, NodeConfig, NodeStats};
 pub use packet::{BrokerId, ContextPacket, PacketSeq, MAX_HOPS};

@@ -587,7 +587,6 @@ impl BrokerNode {
         let span = self.trace.record(ctx, Stage::Gossip, node, now);
         LoadDigest {
             broker: self.id,
-            queue_depth: self.inbox.len() as u64,
             subscriptions: self.table.len() as u64,
             at: now,
             trace: if span != 0 { ctx.hopped(span) } else { ctx },

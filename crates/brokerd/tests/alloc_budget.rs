@@ -7,7 +7,9 @@
 //! a change makes the fleet allocate clearly more: one extra `String`
 //! copy per delivered packet is enough to trip it. It also tracks the
 //! live heap, so a change that holds more memory at once fails even if
-//! it allocates less often.
+//! it allocates less often, and checks that the returned outcome holds
+//! none: `run_fleet` keeps only counts and digests, and only
+//! `run_fleet_traced` returns the merged trace log.
 //!
 //! The counters are per thread, so only allocations made on the thread
 //! running the fleet count. At one engine thread every round is stepped
@@ -23,16 +25,17 @@ use simkit::faults::FaultPlan;
 use simkit::{SimDuration, SimTime};
 
 /// Allocation budget: just under 5 % over the 265,532 measured when it
-/// was set; the fleet now makes 267,108.
+/// was set; the fleet now makes 267,107.
 const MAX_ALLOCS: u64 = 278_800;
-/// Budget of bytes requested: the measured 29,541,957 plus just under
+/// Budget of bytes requested: the measured 28,419,689 plus just under
 /// 5 %.
-const MAX_BYTES: u64 = 31_010_000;
-/// Budget of peak live heap bytes over the run: the measured 4,016,830
+const MAX_BYTES: u64 = 29_840_000;
+/// Budget of peak live heap bytes over the run: the measured 3,189,353
 /// plus just under 5 %. Each of these alone exceeds it: arrival keys of
-/// 16 bytes instead of 8 (4,590,062), trace events of 40 bytes instead
-/// of 32 (4,357,398), or a merged trace grown by doubling (4,268,126).
-const MAX_PEAK_BYTES: i64 = 4_216_000;
+/// 8 bytes instead of 4 (3,475,209), trace events of 40 bytes instead of
+/// 32 (3,387,337), or the merged trace log kept in the outcome
+/// (3,730,142, which also leaves 570,336 bytes live).
+const MAX_PEAK_BYTES: i64 = 3_348_000;
 
 #[global_allocator]
 static COUNTING: alloccount::Counting = alloccount::Counting;
@@ -60,10 +63,10 @@ fn fleet() -> FleetConfig {
 fn fleet_run_stays_within_its_allocation_budget() {
     let cfg = fleet();
     let (out, used) = alloccount::measure(|| run_fleet(&cfg));
-    let (allocs, bytes, peak) = (used.allocs, used.bytes, used.peak);
+    let (allocs, bytes, peak, live) = (used.allocs, used.bytes, used.peak, used.live);
     let summary = format!(
-        "{allocs} allocations, {bytes} bytes, peak live heap {peak} bytes \
-         for {} deliveries",
+        "{allocs} allocations, {bytes} bytes, peak live heap {peak} bytes, \
+         {live} bytes left live for {} deliveries",
         out.delivered
     );
     assert!(out.delivered > 40_000, "the fleet barely ran: {summary}");
@@ -79,5 +82,6 @@ fn fleet_run_stays_within_its_allocation_budget() {
         peak <= MAX_PEAK_BYTES,
         "peak live heap budget {MAX_PEAK_BYTES} exceeded: {summary}"
     );
+    assert_eq!(live, 0, "the returned outcome holds heap memory: {summary}");
     eprintln!("{summary}");
 }

@@ -3,7 +3,7 @@
 //! shard counts and worker-thread counts — including under scripted
 //! broker faults.
 
-use brokerd::{fault_edges, run_fleet, FleetConfig};
+use brokerd::{fault_edges, run_fleet, run_fleet_traced, FleetConfig};
 use simkit::faults::FaultPlan;
 use simkit::{SimDuration, SimTime};
 
@@ -41,15 +41,16 @@ fn trace_export_is_byte_identical_across_partitions() {
     let traced = |shards, threads| {
         let mut c = cfg(29, shards, threads);
         c.node.trace_sample_log2 = 0;
-        run_fleet(&c)
+        let (out, _, trace) = run_fleet_traced(&c);
+        (out, trace)
     };
-    let reference = traced(1, 1);
+    let (reference, reference_trace) = traced(1, 1);
     assert!(reference.trace_spans > 0, "full sampling recorded nothing");
-    let reference_export = reference.trace.export_jsonl();
+    let reference_export = reference_trace.export_jsonl();
     for (shards, threads) in [(2u32, 2u32), (4, 4)] {
-        let got = traced(shards, threads);
+        let (got, trace) = traced(shards, threads);
         assert_eq!(
-            got.trace.export_jsonl(),
+            trace.export_jsonl(),
             reference_export,
             "trace export diverged at shards={shards} threads={threads}"
         );

@@ -89,11 +89,6 @@ impl FuegoClient {
         client
     }
 
-    /// The underlying modem (for radio control).
-    pub fn modem(&self) -> &CellModem {
-        &self.modem
-    }
-
     /// Builds a notification stamped with this client's identity, a fresh
     /// sequence number and the current time.
     pub fn make_event(&self, topic: impl Into<String>, body: XmlElement) -> EventNotification {
@@ -108,6 +103,16 @@ impl FuegoClient {
             obskit::observe("fuego_event_bytes", event.wire_size() as u64);
         }
         event
+    }
+
+    /// Draws the next sequence number as [`FuegoClient::make_event`]
+    /// does and names a topic after it, `{prefix}/{sender}/{number}`,
+    /// without building or counting an event: the numbers of the events
+    /// made later stay the same.
+    pub(crate) fn unique_topic(&self, prefix: &str) -> String {
+        let mut inner = self.inner.borrow_mut();
+        inner.next_event += 1;
+        format!("{prefix}/{}/{}", inner.sender, inner.next_event)
     }
 
     /// Publishes an event. `cb` fires when the uplink transfer completes

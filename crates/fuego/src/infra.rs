@@ -486,11 +486,6 @@ impl InfraClient {
         }
     }
 
-    /// The underlying event client.
-    pub fn fuego(&self) -> &FuegoClient {
-        &self.fuego
-    }
-
     /// Stores a record remotely (`storeCxtItem`). `cb` observes the ack.
     /// The request's body is the record's `<record>` element, and the
     /// record itself rides along, shared, into the store.
@@ -523,11 +518,8 @@ impl InfraClient {
         mode: PushMode,
         handler: impl Fn(Vec<Rc<InfraRecord>>) + 'static,
     ) -> InfraSubscription {
-        let topic = {
-            // A unique push topic per subscription.
-            let ev = self.fuego.make_event("x", XmlElement::new("x"));
-            format!("cxt/push/{}/{}", ev.sender, ev.id)
-        };
+        // A unique push topic per subscription.
+        let topic = self.fuego.unique_topic("cxt/push");
         let sub = self
             .fuego
             .subscribe(topic.clone(), move |ev| handler(records_of(ev)));

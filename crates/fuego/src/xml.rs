@@ -87,11 +87,6 @@ impl XmlElement {
         self.children.iter().find(|c| c.name == name)
     }
 
-    /// All direct children with the given name.
-    pub fn find_all<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a XmlElement> {
-        self.children.iter().filter(move |c| c.name == name)
-    }
-
     /// Value of an attribute, if present.
     pub fn attribute(&self, key: &str) -> Option<&str> {
         self.attributes
@@ -483,8 +478,7 @@ mod tests {
             .child(XmlElement::new("x").text("2"))
             .child(XmlElement::new("y").text("3"));
         assert_eq!(doc.find("y").unwrap().text_content(), "3");
-        let xs: Vec<&str> = doc.find_all("x").map(|e| e.text_content()).collect();
-        assert_eq!(xs, vec!["1", "2"]);
+        assert_eq!(doc.find("x").unwrap().text_content(), "1");
         assert!(doc.find("z").is_none());
     }
 

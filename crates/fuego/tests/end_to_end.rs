@@ -195,6 +195,30 @@ fn on_store_subscription_pushes_matching_records_only() {
     assert_eq!(values, vec!["14.0C".to_owned(), "15.0C".to_owned()]);
 }
 
+/// Every event the client encodes is sent: a subscription names its push
+/// topic after the client's next event number without encoding an
+/// event, so one `OnStore` subscription encodes only its request, and
+/// the numbers of later events are what they were.
+#[test]
+fn a_subscription_encodes_only_the_events_it_sends() {
+    let obs = obskit::Obs::new();
+    let _guard = obskit::install(&obs);
+    let rig = Rig::new();
+    let (_p, _m, client) = rig.phone(1);
+    let infra_client = InfraClient::new(&client);
+    let _sub = infra_client.subscribe(
+        &InfraQuery::for_type("temperature"),
+        PushMode::OnStore,
+        |_records| {},
+    );
+    rig.sim.run_for(SimDuration::from_secs(30));
+    let sent = obs.counter("fuego_requests") + obs.counter("fuego_publishes");
+    assert_eq!(sent, 1);
+    assert_eq!(obs.counter("fuego_events_encoded"), sent);
+    // Number 1 named the push topic and 2 the subscribe request.
+    assert_eq!(client.make_event("t", XmlElement::new("x")).id, 3);
+}
+
 /// A request to a topic the broker does not serve, and one it cannot
 /// read, report `NoService`: a store request whose body prints a record
 /// but that does not carry it, and a query whose body is not a query.

@@ -11,10 +11,11 @@
 #    (results/lint_baseline.json) and zero stale pragmas
 #    (DESIGN.md §5c, §5g); then clippy over every target of simkit,
 #    obskit, benchkit, fuego, core, smartmsg, sensors, testbed, brokerd,
-#    tracekit, sailing and alloccount (and the workspace crates they
-#    depend on) with warnings as errors, and rustfmt's check over
+#    tracekit, sailing, alloccount and bench (and the workspace crates
+#    they depend on) with warnings as errors, and rustfmt's check over
 #    simkit, obskit, benchkit, fuego, sensors, phone, brokerd, tracekit,
-#    testbed, sailing and alloccount (core still has rustfmt diffs);
+#    testbed, sailing, alloccount and bench (core still has rustfmt
+#    diffs);
 # 3. the failure-scenario suite in isolation — every scenario runs
 #    across the three fixed seeds baked into the suite (11, 22, 33);
 # 4. the shard gate: the partition-invariance suite on the partitioned
@@ -79,15 +80,15 @@ cargo test -q
 echo "==> lintkit gate (determinism & robustness lints, ratchet baseline)"
 cargo run -q --release -p lintkit -- --workspace --baseline results/lint_baseline.json
 
-echo "==> clippy gate (simkit, obskit, benchkit, fuego, core, smartmsg, sensors, testbed, brokerd, tracekit, sailing, alloccount; every target, warnings are errors)"
+echo "==> clippy gate (simkit, obskit, benchkit, fuego, core, smartmsg, sensors, testbed, brokerd, tracekit, sailing, alloccount, bench; every target, warnings are errors)"
 cargo clippy -q -p contory-simkit -p contory-obskit -p contory-benchkit -p contory-fuego -p contory \
     -p contory-smartmsg -p contory-sensors -p contory-testbed -p contory-brokerd -p contory-tracekit \
-    -p contory-sailing -p contory-alloccount --all-targets -- -D warnings
+    -p contory-sailing -p contory-alloccount -p contory-bench --all-targets -- -D warnings
 
-echo "==> fmt gate (simkit, obskit, benchkit, fuego, sensors, phone, brokerd, tracekit, testbed, sailing, alloccount)"
+echo "==> fmt gate (simkit, obskit, benchkit, fuego, sensors, phone, brokerd, tracekit, testbed, sailing, alloccount, bench)"
 cargo fmt --check -p contory-simkit -p contory-obskit -p contory-benchkit -p contory-fuego \
     -p contory-sensors -p contory-phone -p contory-brokerd -p contory-tracekit \
-    -p contory-testbed -p contory-sailing -p contory-alloccount
+    -p contory-testbed -p contory-sailing -p contory-alloccount -p contory-bench
 
 echo "==> failure-scenario suite (seeds 11, 22, 33)"
 cargo test -q --test failover_scenarios

@@ -169,7 +169,7 @@ pub fn run_fig5_transcript(seed: u64) -> String {
 /// break-up. The trace plane is partition-invariant, so every section
 /// must be byte-identical for every `(shards, threads)`.
 pub fn fleet_trace_transcript(seed: u64, shards: u32, threads: u32) -> String {
-    let fleet = brokerd::run_fleet(&brokerd::FleetConfig {
+    let (fleet, _, trace) = brokerd::run_fleet_traced(&brokerd::FleetConfig {
         seed: seed ^ 0x77ace,
         brokers: 3,
         devices: 60,
@@ -186,9 +186,9 @@ pub fn fleet_trace_transcript(seed: u64, shards: u32, threads: u32) -> String {
     let _ = writeln!(out, "-- tracekit fleet report --");
     let _ = writeln!(out, "{}", fleet.report());
     let _ = writeln!(out, "-- tracekit trace export (jsonl) --");
-    let _ = write!(out, "{}", fleet.trace.export_jsonl());
-    let _ = writeln!(out, "trace_digest={:016x}", fleet.trace.digest());
-    let breakup = tracekit::Breakup::of(&tracekit::assemble(&fleet.trace));
+    let _ = write!(out, "{}", trace.export_jsonl());
+    let _ = writeln!(out, "trace_digest={:016x}", trace.digest());
+    let breakup = tracekit::Breakup::of(&tracekit::assemble(&trace));
     let _ = writeln!(out, "-- trace break-up (json) --");
     let _ = writeln!(out, "{}", breakup.to_json());
     out

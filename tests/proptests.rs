@@ -9,8 +9,8 @@
 use benchkit::json::Json;
 use brokerd::{
     fault_edges, link_faults, link_label, pct_decode, pct_encode, restart_edges, run_fleet,
-    BrokerId, BrokerNode, ContextPacket, DedupWindow, FleetConfig, NodeConfig, PacketSeq, Request,
-    Response, SubId, SubMode, MAX_HOPS,
+    run_fleet_traced, BrokerId, BrokerNode, ContextPacket, DedupWindow, FleetConfig, NodeConfig,
+    PacketSeq, Request, Response, SubId, SubMode, MAX_HOPS,
 };
 use contory::backoff::BackoffPolicy;
 use contory::merge::{post_extract, try_merge};
@@ -606,6 +606,23 @@ fn chaos_fleet(seed: u64, shards: u32, threads: u32) -> FleetConfig {
     cfg.sub_lease = Some(SimDuration::from_secs(8));
     cfg.resub_every = Some(SimDuration::from_secs(4));
     cfg
+}
+
+/// A small fleet without faults or chaos, every publish traced.
+fn plain_fleet(seed: u64, shards: u32, threads: u32) -> FleetConfig {
+    FleetConfig {
+        seed,
+        brokers: 3,
+        devices: 48,
+        shards,
+        threads,
+        run_for: SimDuration::from_secs(16),
+        node: NodeConfig {
+            trace_sample_log2: 0,
+            ..NodeConfig::default()
+        },
+        ..FleetConfig::default()
+    }
 }
 
 // ------------------------------------------------------------------
@@ -1452,6 +1469,23 @@ proptest! {
                 "chaos transcript diverged at {shards} shards x {threads} threads"
             );
             prop_assert_eq!(got.trace_digest, reference.trace_digest);
+        }
+    }
+
+    /// A traced run returns the log its outcome counts: `trace_spans`
+    /// events whose digest is `trace_digest`, both summed per actor
+    /// without merging. The plain and the chaos fleet, on 1 shard at 1
+    /// thread and on 4 shards at the most threads.
+    #[test]
+    fn traced_runs_return_the_log_their_outcome_counts(seed in 0u64..100_000) {
+        let fleets: [fn(u64, u32, u32) -> FleetConfig; 2] = [plain_fleet, chaos_fleet];
+        for fleet in fleets {
+            for (shards, threads) in [(1u32, 1u32), (4, ShardConfig::max_threads())] {
+                let (out, _, log) = run_fleet_traced(&fleet(seed, shards, threads));
+                prop_assert!(out.trace_spans > 0, "nothing traced");
+                prop_assert_eq!(log.len() as u64, out.trace_spans);
+                prop_assert_eq!(log.digest(), out.trace_digest);
+            }
         }
     }
 

@@ -57,9 +57,9 @@ fn fleet_trace_transcript_is_partition_and_thread_invariant() {
 /// worker threads.
 fn observed_fleet(seed: u64, threads: u32) -> ([String; 4], u64) {
     let obs = obskit::Obs::new();
-    let (out, profile) = {
+    let (out, profile, trace) = {
         let _guard = obs.install();
-        brokerd::run_fleet_profiled(&brokerd::FleetConfig {
+        brokerd::run_fleet_traced(&brokerd::FleetConfig {
             seed,
             brokers: 4,
             devices: 1_000,
@@ -77,7 +77,7 @@ fn observed_fleet(seed: u64, threads: u32) -> ([String; 4], u64) {
         obs.metrics_snapshot(),
         obs.spans_jsonl(),
         out.report(),
-        out.trace.export_jsonl(),
+        trace.export_jsonl(),
     ];
     (exports, profile.parallel_rounds)
 }
